@@ -3,11 +3,11 @@ linear voltage/current measurements by iterative spectral densification.
 
 The package is organized around a small immutable graph model
 (:mod:`reslearn.graphs`), spectral machinery for eigenpairs, embeddings and
-deflated solves (:mod:`reslearn.spectral`), measurement generators
-(:mod:`reslearn.measurements`), the learning loop (:mod:`reslearn.learner`),
-evaluation metrics (:mod:`reslearn.metrics`), and file formats
-(:mod:`reslearn.io`).  ``reslearn.cli`` wires them into a file-based
-pipeline.
+Laplacian solves through one grounded LU factor (:mod:`reslearn.spectral`),
+measurement generators (:mod:`reslearn.measurements`), the learning loop
+(:mod:`reslearn.learner`), evaluation metrics (:mod:`reslearn.metrics`), and
+file formats (:mod:`reslearn.io`).  ``reslearn.cli`` wires them into a
+file-based pipeline.
 """
 
 __version__ = "0.1.0"

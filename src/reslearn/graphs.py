@@ -14,9 +14,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-# Above this node count effective_resistance switches from the dense
-# pseudoinverse to deflated iterative solves.
-DENSE_RESISTANCE_LIMIT = 2000
+# Pairs per block of right-hand sides in effective_resistance; bounds its
+# memory at O(N * block).
+_RESISTANCE_BLOCK = 256
 
 
 class DisconnectedGraphError(ValueError):
@@ -145,7 +145,8 @@ class LaplacianOperator:
     """Symmetric PSD Laplacian ``L = D - W`` of a :class:`WeightedGraph`.
 
     ``apply`` costs one sparse matvec, O(|E|).  The assembled CSR matrix is
-    exposed for solvers that want to factorize it.
+    exposed for solvers; :mod:`reslearn.spectral` caches its grounded LU
+    factor on the operator, so every solve against one operator shares it.
     """
 
     def __init__(self, graph):
@@ -154,7 +155,7 @@ class LaplacianOperator:
         deg = np.asarray(adj.sum(axis=1)).ravel()
         self.matrix = (sp.diags(deg) - adj).tocsr()
         self.degree = deg
-        self._tree_solver = None
+        self._factor = None
 
     @property
     def node_count(self):
@@ -209,27 +210,31 @@ def is_connected(g):
 
 
 def _require_connected(g):
+    """Raise :class:`DisconnectedGraphError` unless ``g`` is connected."""
     n, _ = connected_component_labels(g)
     if n != 1:
         raise DisconnectedGraphError(n)
 
 
-def effective_resistance(g, pairs, dense_limit=DENSE_RESISTANCE_LIMIT,
-                         tol=1e-10):
+def effective_resistance(g, pairs):
     """Effective resistance ``e_{s,t}^T L^+ e_{s,t}`` for each node pair.
 
-    Below ``dense_limit`` nodes the dense pseudoinverse of L is used (the
-    trusted small-scale path); above it each pair is resolved by a deflated
-    iterative Laplacian solve.  The two backends agree within solver
-    tolerance.
+    The columns ``e_s - e_t`` are solved through
+    :func:`reslearn.spectral.solve_laplacian`, at most ``_RESISTANCE_BLOCK``
+    pairs per call, so every block shares one grounded factor of L and
+    memory stays O(N * block).  No pairs gives an empty list.
 
     Raises
     ------
     DisconnectedGraphError
         Resistance is undefined across components.
+    SolverError
+        If the Laplacian solve fails (see ``solve_laplacian``).
     ValueError
         If any pair has ``s == t`` or is out of range.
     """
+    from .spectral import solve_laplacian
+
     pairs = [(int(s), int(t)) for s, t in pairs]
     n = g.node_count
     for s, t in pairs:
@@ -237,24 +242,17 @@ def effective_resistance(g, pairs, dense_limit=DENSE_RESISTANCE_LIMIT,
             raise ValueError("effective resistance requires s != t")
         if not (0 <= s < n and 0 <= t < n):
             raise ValueError("node index out of range")
-    _require_connected(g)
-    if not pairs:
-        return []
-    if n <= dense_limit:
-        lap = build_laplacian(g).matrix.toarray()
-        pinv = np.linalg.pinv(lap, hermitian=True)
-        return [float(pinv[s, s] + pinv[t, t] - 2.0 * pinv[s, t])
-                for s, t in pairs]
-    from .spectral import solve_laplacian
-
     lap = build_laplacian(g)
     out = []
-    for s, t in pairs:
-        b = np.zeros(n)
-        b[s] = 1.0
-        b[t] = -1.0
-        x = solve_laplacian(lap, b, tol=tol)
-        out.append(float(x[s] - x[t]))
+    for start in range(0, len(pairs), _RESISTANCE_BLOCK):
+        src, dst = (np.asarray(v) for v in
+                    zip(*pairs[start:start + _RESISTANCE_BLOCK]))
+        cols = np.arange(len(src))
+        b = np.zeros((n, len(src)))
+        b[src, cols] = 1.0
+        b[dst, cols] = -1.0
+        x = solve_laplacian(lap, b)
+        out.extend((x[src, cols] - x[dst, cols]).tolist())
     return out
 
 

@@ -20,7 +20,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import WeightedGraph, build_laplacian, maximum_spanning_tree
 from .spectral import (
-    DEFAULT_CG_TOL,
     build_embedding,
     eigensolve_smallest,
     embedding_distances,
@@ -31,6 +30,13 @@ from .spectral import (
 # Floor for zero data distances (duplicate voltage rows), as a fraction of the
 # median nonzero squared distance over the candidate pool.
 ZDATA_FLOOR_FRACTION = 1e-12
+
+
+def _require_int(name, value, minimum):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -52,18 +58,17 @@ class LearnConfig:
     record_objective: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.r < 2:
-            raise ValueError("r must be >= 2")
+        _require_int("k", self.k, 1)
+        _require_int("r", self.r, 2)
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if not 0 < self.beta_sample <= 1:
             raise ValueError("beta_sample must be in (0, 1]")
-        if self.inverse_variance < 0:
-            raise ValueError("inverse_variance must be >= 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not (math.isfinite(self.inverse_variance)
+                and self.inverse_variance >= 0):
+            raise ValueError("inverse_variance must be finite and >= 0")
+        if self.max_iterations is not None:
+            _require_int("max_iterations", self.max_iterations, 1)
 
     @property
     def resolved_max_iterations(self):
@@ -245,12 +250,13 @@ def score_candidates(basis, X, candidates):
             for i in order]
 
 
-def edge_scale(g, X, Y, tol=DEFAULT_CG_TOL):
+def edge_scale(g, X, Y):
     """Rescale all edge weights so solved voltage norms match measured ones.
 
-    For each current column the voltages are re-solved on ``g``; the single
-    global factor is ``sqrt(mean ||x_solved||^2 / ||x_measured||^2)``, which
-    restores a uniformly mis-scaled graph exactly.
+    For each current column the voltages are re-solved on ``g`` (one
+    triangular solve per column against the operator's cached factor); the
+    single global factor is ``sqrt(mean ||x_solved||^2 /
+    ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -262,7 +268,7 @@ def edge_scale(g, X, Y, tol=DEFAULT_CG_TOL):
     lap = build_laplacian(g)
     ratios = np.empty(X.shape[1])
     for i in range(X.shape[1]):
-        solved = solve_laplacian(lap, Y[:, i], tol=tol)
+        solved = solve_laplacian(lap, Y[:, i])
         ratios[i] = (np.linalg.norm(solved) / norms[i]) ** 2
     return g.scaled(float(np.sqrt(ratios.mean())))
 

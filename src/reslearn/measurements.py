@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import build_laplacian
-from .spectral import DEFAULT_CG_TOL, solve_laplacian
+from .spectral import solve_laplacian
 
 
 @dataclass(frozen=True)
@@ -89,16 +89,13 @@ def generate_currents(node_count, count, seed):
     return Y
 
 
-def simulate_voltages(g, Y, tol=DEFAULT_CG_TOL):
-    """Voltage responses of graph ``g``: solve ``L x_i = y_i`` per column."""
+def simulate_voltages(g, Y):
+    """Voltage responses of graph ``g``: solve ``L x_i = y_i`` for every
+    column of ``Y`` in one block solve."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != g.node_count:
         raise ValueError("Y must be (node_count, M)")
-    lap = build_laplacian(g)
-    X = np.empty_like(Y)
-    for i in range(Y.shape[1]):
-        X[:, i] = solve_laplacian(lap, Y[:, i], tol=tol)
-    return X
+    return solve_laplacian(build_laplacian(g), Y)
 
 
 def add_noise(X, noise_level, seed):
@@ -106,8 +103,8 @@ def add_noise(X, noise_level, seed):
     direction normalized to unit 2-norm, so ``||x_noisy - x|| ==
     noise_level * ||x||`` exactly.  ``noise_level == 0`` returns X unchanged.
     """
-    if noise_level < 0:
-        raise ValueError("noise_level must be >= 0")
+    if not (np.isfinite(noise_level) and noise_level >= 0):
+        raise ValueError("noise_level must be finite and >= 0")
     X = np.asarray(X, dtype=np.float64)
     if noise_level == 0:
         return X.copy()
@@ -145,7 +142,7 @@ class JlSketchConfig:
                    measurement_count=jl_measurement_count(node_count, epsilon))
 
 
-def generate_jl_measurements(g, epsilon, seed, tol=DEFAULT_CG_TOL):
+def generate_jl_measurements(g, epsilon, seed):
     """Measurement set whose voltage distances sketch effective resistances.
 
     Currents are random +-1/sqrt(M) combinations of the weighted incidence
@@ -170,19 +167,18 @@ def generate_jl_measurements(g, epsilon, seed, tol=DEFAULT_CG_TOL):
         np.add.at(y, g.sources, row)
         np.add.at(y, g.targets, -row)
         Y[:, i] = y
-    X = simulate_voltages(g, Y, tol=tol)
+    X = simulate_voltages(g, Y)
     return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=0.0)
 
 
-def generate_measurement_set(g, count, seed, noise_level=0.0,
-                             tol=DEFAULT_CG_TOL):
+def generate_measurement_set(g, count, seed, noise_level=0.0):
     """Full random-excitation protocol: currents, voltages, optional noise.
 
     Noise draws from seed ``seed + 1`` so the excitation stream is unchanged
     by the noise setting.
     """
     Y = generate_currents(g.node_count, count, seed)
-    X = simulate_voltages(g, Y, tol=tol)
+    X = simulate_voltages(g, Y)
     if noise_level > 0:
         X = add_noise(X, noise_level, seed + 1)
     return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=float(noise_level))

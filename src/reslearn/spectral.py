@@ -1,7 +1,10 @@
-"""Smallest nontrivial Laplacian eigenpairs, spectral embeddings, deflated
-Laplacian solves, and the truncated log-det objective.
+"""Smallest nontrivial Laplacian eigenpairs, spectral embeddings, Laplacian
+solves, and the truncated log-det objective.
 
-All routines deflate the trivial eigenpair (eigenvalue 0, constant vector)
+Every application of the pseudoinverse ``L^+`` goes through one sparse LU
+factor of the grounded Laplacian ``L[1:, 1:]`` (node 0 held at potential 0),
+built on first use and cached on the :class:`LaplacianOperator`.  All
+routines remove the trivial eigenpair (eigenvalue 0, constant vector)
 explicitly instead of regularizing it away, so they operate on the subspace
 orthogonal to the all-ones vector.
 """
@@ -12,20 +15,19 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .graphs import (
+from .graphs import (  # DisconnectedGraphError is re-exported
     DisconnectedGraphError,
+    _require_connected,
     build_laplacian,
-    connected_component_labels,
-    maximum_spanning_tree,
     quadratic_form,
 )
 
 DEFAULT_EIG_TOL = 1e-8
 DEFAULT_EIG_MAXITER = 5000
-DEFAULT_CG_TOL = 1e-10
+# Relative residual every column of a Laplacian solve must reach.
+SOLVE_TOL = 1e-10
 # Dense LAPACK path below this size; the iterative path is the scalable one.
 DENSE_EIG_LIMIT = 128
 
@@ -39,7 +41,10 @@ class EigensolverError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Iterative linear solve did not reach the requested tolerance."""
+    """Laplacian solve failed: singular factor or residual above tolerance.
+
+    ``residual`` is the worst relative residual, when one was computed.
+    """
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -71,12 +76,6 @@ class SpectralBasis:
         return self.eigenvectors.shape[0]
 
 
-def _require_connected_graph(g):
-    n, _ = connected_component_labels(g)
-    if n != 1:
-        raise DisconnectedGraphError(n)
-
-
 def _fix_signs(vecs):
     # Largest-magnitude entry positive; ties resolved by np.argmax order.
     idx = np.argmax(np.abs(vecs), axis=0)
@@ -99,17 +98,12 @@ def _dense_smallest(L, count):
 
 def _arpack_smallest(L, count, maxiter):
     n = L.node_count
-    # Shift so the factorized matrix is positive definite; the recovered
-    # eigenvalues 1/mu - shift are exact regardless of the shift size.
-    bound = max(2.0 * float(L.degree.max()), np.finfo(float).tiny)
-    shift = 1e-8 * bound
-    solver = spla.splu(sp.csc_matrix(L.matrix + shift * sp.identity(n)))
-    ones = np.full(n, 1.0 / np.sqrt(n))
+    lu = _grounded_factor(L)
 
+    # x -> L^+ x: the constant vector maps to 0 and the range onto itself, so
+    # the largest eigenvalues mu of this operator are 1 / lambda, unshifted.
     def matvec(x):
-        x = x - ones * (ones @ x)
-        y = solver.solve(x)
-        return y - ones * (ones @ y)
+        return _grounded_solve(lu, x - x.sum() / n)
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
@@ -122,19 +116,19 @@ def _arpack_smallest(L, count, maxiter):
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             best = _best_partial_residual(L, exc.eigenvalues,
-                                          exc.eigenvectors, shift)
+                                          exc.eigenvectors)
         raise EigensolverError(
             f"eigensolver did not converge within {maxiter} iterations",
             best_residual=best) from exc
-    lam = 1.0 / mu - shift
+    lam = 1.0 / mu
     order = np.argsort(lam)
     lam = np.maximum(lam[order], 0.0)
     u = _fix_signs(_project_out_ones(u[:, order]))
     return lam, u
 
 
-def _best_partial_residual(L, mu, u, shift):
-    lam = 1.0 / mu - shift
+def _best_partial_residual(L, mu, u):
+    lam = 1.0 / mu
     res = np.linalg.norm(L.matrix @ u - u * lam, axis=0)
     return float(res.min())
 
@@ -145,8 +139,8 @@ def eigensolve_smallest(L, count, tol=DEFAULT_EIG_TOL,
 
     The trivial pair (eigenvalue 0, constant vector) is removed by deflation
     against the all-ones vector.  ``method`` selects the backend: ``"dense"``
-    (LAPACK, exact small-scale reference), ``"iterative"`` (shift-invert
-    Lanczos on the deflated operator), or ``"auto"``.
+    (LAPACK, exact small-scale reference), ``"iterative"`` (Lanczos on
+    ``L^+`` applied through the grounded factor), or ``"auto"``.
 
     Residuals ``||L u - lambda u||`` are verified against
     ``tol * max(1, lambda)`` per pair; failure raises
@@ -155,7 +149,7 @@ def eigensolve_smallest(L, count, tol=DEFAULT_EIG_TOL,
     n = L.node_count
     if not 1 <= count <= n - 1:
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
-    _require_connected_graph(L.graph)
+    _require_connected(L.graph)
     if method == "auto":
         method = "dense" if (n <= DENSE_EIG_LIMIT or count > n // 2
                              or count >= n - 2) else "iterative"
@@ -198,95 +192,75 @@ def embedding_distances(basis, sources, targets):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _tree_preconditioner(L):
-    """Pseudoinverse of a maximum spanning tree of the graph.
+def _grounded_factor(L):
+    """SuperLU factor of ``L[1:, 1:]``, built once and cached on ``L``.
 
-    Exact on the tree itself, which makes near-tree solves converge in a
-    handful of iterations; applied through grounding node 0 and re-centering.
+    Grounding node 0 makes the reduced matrix nonsingular on a connected
+    graph; callers check connectivity first.  A numerically singular factor
+    (e.g. weights spanning more than machine precision) raises
+    :class:`SolverError`.
     """
-    if L._tree_solver is None:
-        tree = maximum_spanning_tree(L.graph)
-        lap_t = build_laplacian(tree).matrix.tocsc()
-        L._tree_solver = spla.splu(lap_t[1:, 1:])
-    lu = L._tree_solver
-    n = L.node_count
-
-    def apply(r):
-        r = r - r.mean()
-        y = np.empty(n)
-        y[0] = 0.0
-        y[1:] = lu.solve(r[1:])
-        return y - y.mean()
-
-    return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
+    if L._factor is None:
+        try:
+            L._factor = spla.splu(L.matrix[1:, 1:].tocsc())
+        except RuntimeError as exc:
+            raise SolverError(
+                f"grounded Laplacian factorization failed: {exc}") from exc
+    return L._factor
 
 
-def _jacobi_preconditioner(L):
-    inv_deg = 1.0 / L.degree
-    n = L.node_count
+def _grounded_solve(lu, b):
+    """``L^+ b`` for ``b`` in range(L), an (N,) vector or (N, M) block: solve
+    with node 0 grounded, then re-center every column to mean 0."""
+    x = np.empty(b.shape)
+    x[0] = 0.0
+    x[1:] = lu.solve(b[1:])
+    # sum / N rather than mean(): this runs once per Lanczos step.
+    x -= x.sum(axis=0) / x.shape[0]
+    return x
 
-    def apply(r):
-        y = inv_deg * (r - r.mean())
-        return y - y.mean()
 
-    return spla.LinearOperator((n, n), matvec=apply, dtype=np.float64)
-
-
-def solve_laplacian(L, b, tol=DEFAULT_CG_TOL, max_iterations=None,
-                    preconditioner="tree"):
+def solve_laplacian(L, b):
     """Solve ``L x = b`` on a connected graph with ``x`` centered to mean 0.
 
-    Deflated preconditioned conjugate gradients: only matrix-vector products
-    with L are used, plus an optional spanning-tree or Jacobi preconditioner.
-    ``b`` must be orthogonal to the all-ones vector (the range of L).
+    ``b`` is an (N,) vector or an (N, M) block whose columns are orthogonal
+    to the all-ones vector (the range of L).  All columns are solved in one
+    call against the cached grounded factor (see :func:`_grounded_factor`),
+    and each must reach relative residual :data:`SOLVE_TOL`.
 
     Raises
     ------
     ValueError
-        If ``b`` has a non-negligible all-ones component.
+        On a shape mismatch, non-finite entries, or a column with a
+        non-negligible all-ones component.
+    DisconnectedGraphError
+        If the graph has more than one component.
     SolverError
-        If the relative residual does not reach ``tol``.
+        If the factorization fails or a column's relative residual is above
+        :data:`SOLVE_TOL`.
     """
     n = L.node_count
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (n,):
+    if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError("dimension mismatch")
-    _require_connected_graph(L.graph)
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n)
-    if abs(float(b.sum())) > 1e-8 * np.sqrt(n) * bnorm:
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side must be finite")
+    _require_connected(L.graph)
+    bnorm = np.linalg.norm(b, axis=0)
+    if not np.any(bnorm):
+        return np.zeros(b.shape)
+    if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.sqrt(n) * bnorm):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
-    b = b - b.mean()
-
-    mat = L.matrix
-
-    def matvec(x):
-        y = mat @ x
-        return y - y.mean()
-
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    if preconditioner == "tree":
-        precond = _tree_preconditioner(L)
-    elif preconditioner == "jacobi":
-        precond = _jacobi_preconditioner(L)
-    elif preconditioner is None:
-        precond = None
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
-    if max_iterations is None:
-        max_iterations = min(20000, max(1000, 10 * n))
-    x, info = spla.cg(op, b, rtol=0.5 * tol, atol=0.0, M=precond,
-                      maxiter=max_iterations)
-    if info < 0:
-        raise SolverError(f"conjugate gradient breakdown (info={info})")
-    x = x - x.mean()
-    residual = float(np.linalg.norm(mat @ x - b))
-    if residual > tol * bnorm:
+    b = b - b.mean(axis=0)
+    x = _grounded_solve(_grounded_factor(L), b)
+    rel = (np.linalg.norm(L.matrix @ x - b, axis=0)
+           / np.maximum(bnorm, np.finfo(float).tiny))
+    if not np.all(rel <= SOLVE_TOL):
+        worst = float(rel.max())
         raise SolverError(
-            f"relative residual {residual / bnorm:.3e} above tolerance {tol:g}",
-            residual=residual)
+            f"relative residual {worst:.3e} above tolerance {SOLVE_TOL:g}",
+            residual=worst)
     return x
 
 

@@ -38,9 +38,14 @@ def dense_laplacian(g):
     return L
 
 
+def dense_pinv(g):
+    """Dense pseudoinverse of the Laplacian."""
+    return np.linalg.pinv(dense_laplacian(g), hermitian=True)
+
+
 def dense_resistance(g, pairs):
     """Effective resistance via the dense pseudoinverse."""
-    pinv = np.linalg.pinv(dense_laplacian(g), hermitian=True)
+    pinv = dense_pinv(g)
     return [float(pinv[s, s] + pinv[t, t] - 2.0 * pinv[s, t])
             for s, t in pairs]
 

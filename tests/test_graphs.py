@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reslearn import graphs
 from reslearn.graphs import (
     DisconnectedGraphError,
     WeightedGraph,
@@ -177,12 +178,12 @@ class TestEffectiveResistance:
         np.testing.assert_allclose(effective_resistance(g, pairs),
                                    dense_resistance(g, pairs), rtol=1e-9)
 
-    def test_backends_agree(self):
-        g = random_connected_graph(30, 45, seed=9)
-        pairs = [(0, 29), (4, 13), (7, 21)]
-        dense = effective_resistance(g, pairs)
-        iterative = effective_resistance(g, pairs, dense_limit=1)
-        np.testing.assert_allclose(iterative, dense, rtol=1e-7)
+    def test_more_pairs_than_one_block(self):
+        g = random_connected_graph(40, 60, seed=12)
+        pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+        assert len(pairs) > graphs._RESISTANCE_BLOCK
+        np.testing.assert_allclose(effective_resistance(g, pairs),
+                                   dense_resistance(g, pairs), rtol=1e-9)
 
 
 class TestMaximumSpanningTree:

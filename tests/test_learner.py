@@ -337,6 +337,19 @@ class TestLearn:
             LearnConfig(beta_sample=0.0)
         with pytest.raises(ValueError):
             LearnConfig(beta_sample=1.5)
+        with pytest.raises(ValueError):
+            LearnConfig(inverse_variance=np.nan)
+
+    @pytest.mark.parametrize("field", ["k", "r", "max_iterations"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnConfig(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = LearnConfig(k=np.int64(3), r=np.int32(4),
+                          max_iterations=np.int64(7))
+        assert cfg.resolved_max_iterations == 7
 
     def test_rejects_mismatched_currents(self):
         g = grid_graph(4, 4)

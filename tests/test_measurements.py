@@ -86,6 +86,12 @@ class TestAddNoise:
                 np.linalg.norm(noisy - X, axis=0),
                 zeta * np.linalg.norm(X, axis=0), rtol=1e-12)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_level(self, level):
+        X = np.random.default_rng(3).standard_normal((8, 2))
+        with pytest.raises(ValueError):
+            add_noise(X, level, seed=1)
+
     def test_deterministic(self):
         X = np.random.default_rng(2).standard_normal((12, 3))
         assert np.array_equal(add_noise(X, 0.3, seed=5),
