@@ -168,8 +168,16 @@ class TestSolveLaplacian:
         with pytest.raises(ValueError):
             solve_laplacian(build_laplacian(g), np.array([1.0, 1.0, 1.0]))
 
-    def test_roundtrip_residual(self):
-        g = random_connected_graph(40, 60, seed=2)
+    # Each case is a graph shape one of the former CG variants was built
+    # for; the ids keep those variants' names.  All three now go through
+    # the one grounded factor.
+    @pytest.mark.parametrize("extra_edges, w_range", [
+        pytest.param(0, (0.5, 2.0), id="tree"),        # spanning tree alone
+        pytest.param(60, (1e-3, 1e3), id="jacobi"),    # six decades of weight
+        pytest.param(60, (0.5, 2.0), id="None"),
+    ])
+    def test_roundtrip_residual(self, extra_edges, w_range):
+        g = random_connected_graph(40, extra_edges, seed=2, w_range=w_range)
         lap = build_laplacian(g)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(40)
