@@ -1,12 +1,12 @@
 """Iterative spectral densification: learn a sparse resistor network whose
 embedding distances encode measured voltage distances.
 
-The loop starts from the maximum spanning tree of a k-nearest-neighbor
-candidate graph built on the voltage rows, then repeatedly scores every
-off-graph candidate edge by its objective-gradient sensitivity and includes
-the highest-ranked ones until no candidate exceeds the tolerance.  A final
-global edge scaling matches solved voltage norms to the measured ones when
-current measurements are available.
+The loop starts from the maximum spanning tree of an exact k-nearest-neighbor
+candidate graph (one k-d tree query) built on the voltage rows, then
+repeatedly scores every off-graph candidate edge by its objective-gradient
+sensitivity and includes the highest-ranked ones until no candidate exceeds
+the tolerance.  A final global edge scaling matches solved voltage norms to
+the measured ones when current measurements are available.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import WeightedGraph, build_laplacian, maximum_spanning_tree
@@ -30,6 +31,9 @@ from .spectral import (
 # Floor for zero data distances (duplicate voltage rows), as a fraction of the
 # median nonzero squared distance over the candidate pool.
 ZDATA_FLOOR_FRACTION = 1e-12
+# Rows per block of the brute-force bridge search in _connectivity_repair;
+# bounds its memory at O(N * block).
+_REPAIR_BLOCK = 256
 
 
 def _require_int(name, value, minimum):
@@ -127,29 +131,38 @@ def _squared_row_distances(X, s, t):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def _knn_pairs(X, k, block_rows=256):
-    """Exact k-nearest-neighbor pairs (union over directions) by blocked
-    brute force on squared Euclidean row distances."""
+def _knn_rows(X, k):
+    """Each row's ``min(k, N - 1)`` nearest other rows in Euclidean distance,
+    as an (N, min(k, N - 1)) index array, nearest first.
+
+    One k-d tree query finds them.  It is exact in distance; where several
+    rows tie at a row's k-th distance, the tree's traversal order decides
+    which are kept, so the choice is fixed for a given ``X`` but does not
+    follow row index.
+    """
+    # Imported here: at module level scipy.spatial slows ``import reslearn``
+    # by about 0.1 s.
+    from scipy.spatial import cKDTree
+
     n = X.shape[0]
     k_eff = min(k, n - 1)
-    sq = np.einsum("ij,ij->i", X, X)
-    pairs = set()
-    for lo in range(0, n, block_rows):
-        hi = min(lo + block_rows, n)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
-        part = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
-        for row in range(hi - lo):
-            i = lo + row
-            # Re-sort the partitioned slice by (distance, index) so ties are
-            # resolved deterministically.
-            cand = part[row]
-            order = np.lexsort((cand, d2[row, cand]))
-            for j in cand[order]:
-                a, b = (i, int(j)) if i < j else (int(j), i)
-                pairs.add((a, b))
-    return sorted(pairs)
+    _, nbr = cKDTree(X).query(X, k=k_eff + 1)
+    other = nbr != np.arange(n)[:, None]
+    # With duplicate rows the query may return k_eff + 1 rows at distance 0
+    # without the row itself; keep exactly k_eff other rows either way.
+    other &= np.cumsum(other, axis=1) <= k_eff
+    return nbr[other].reshape(n, k_eff)
+
+
+def _knn_pairs(X, k):
+    """k-nearest-neighbor pairs as ``(s, t)`` int64 arrays, ``s < t``, sorted
+    by ``(s, t)``: the union over both directions of :func:`_knn_rows`."""
+    nbr = _knn_rows(X, k)
+    n, k_eff = nbr.shape
+    i = np.repeat(np.arange(n, dtype=np.int64), k_eff)
+    j = nbr.ravel().astype(np.int64)
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return keys // n, keys % n
 
 
 def _zdata_floor(z):
@@ -159,20 +172,25 @@ def _zdata_floor(z):
     return ZDATA_FLOOR_FRACTION * float(np.median(positive))
 
 
-def _connectivity_repair(X, pairs, block_rows=256):
-    """Bridge components of the candidate graph with the globally closest
-    inter-component row pair, repeatedly, until connected."""
+def _connectivity_repair(X, s, t):
+    """Bridge the components of the candidate pairs ``(s, t)`` (sorted
+    arrays, ``s < t``) until they connect every row.
+
+    Each bridge is the globally closest pair of rows in different
+    components, ties going to the smallest ``(s, t)``.  Returns the pairs,
+    still sorted, with the bridges inserted; when they already connect, the
+    input arrays themselves.
+    """
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
-    added = []
     while True:
-        g = WeightedGraph.from_edges(n, [(s, t, 1.0) for s, t in pairs + added])
-        ncomp, labels = connected_components(g.adjacency(), directed=False)
+        pairs = sp.coo_matrix((np.ones(s.size), (s, t)), shape=(n, n))
+        ncomp, labels = connected_components(pairs, directed=False)
         if ncomp == 1:
-            return added
+            return s, t
         best = (np.inf, -1, -1)
-        for lo in range(0, n, block_rows):
-            hi = min(lo + block_rows, n)
+        for lo in range(0, n, _REPAIR_BLOCK):
+            hi = min(lo + _REPAIR_BLOCK, n)
             d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
             np.maximum(d2, 0.0, out=d2)
             same = labels[lo:hi, None] == labels[None, :]
@@ -183,30 +201,47 @@ def _connectivity_repair(X, pairs, block_rows=256):
             cand = (float(d2[row, col]), min(a, b), max(a, b))
             if cand < best:
                 best = cand
-        _, s, t = best
-        added.append((int(s), int(t)))
+        _, a, b = best
+        at = np.searchsorted(s * n + t, a * n + b)
+        s, t = np.insert(s, at, a), np.insert(t, at, b)
+
+
+def _as_voltages(X):
+    """``X`` as a float (N >= 2, M >= 1) matrix of finite entries."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
+        raise ValueError("X must be (N >= 2, M >= 1)")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite (found NaN or inf)")
+    return X
+
+
+def _seed_graph(X, k):
+    """``(g_o, tree, z)``: the candidate graph, its maximum spanning tree,
+    and the floored squared data distance of every candidate edge, in the
+    edge order of ``g_o``.  ``X`` is already checked."""
+    n, m = X.shape
+    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
+    z = _squared_row_distances(X, s, t)
+    z = np.maximum(z, _zdata_floor(z))
+    # (s, t) is sorted and unique, so g_o keeps this edge order.
+    g_o = WeightedGraph._from_arrays(n, s, t, m / z)
+    return g_o, maximum_spanning_tree(g_o), z
 
 
 def init_graph(X, k):
     """Candidate graph and its maximum spanning tree seed.
 
     The candidate graph connects each voltage row to its ``k`` nearest rows
-    (in either direction) with weight ``M / z_data``; if disconnected it is
-    repaired by bridging the closest inter-component pairs.  The seed is the
-    maximum-weight (minimum-distance) spanning tree.
+    (exact, by k-d tree; in either direction) with weight ``M / z_data``; if
+    disconnected it is repaired by bridging the closest inter-component
+    pairs.  The seed is the maximum-weight (minimum-distance) spanning tree.
+
+    Raises ``ValueError`` if ``X`` is not an (N >= 2, M >= 1) matrix of
+    finite entries, or if all its rows are identical.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
-        raise ValueError("X must be (N >= 2, M >= 1)")
-    n, m = X.shape
-    pairs = _knn_pairs(X, k)
-    pairs += _connectivity_repair(X, pairs)
-    s = np.asarray([p[0] for p in pairs], dtype=np.int64)
-    t = np.asarray([p[1] for p in pairs], dtype=np.int64)
-    z = _squared_row_distances(X, s, t)
-    z = np.maximum(z, _zdata_floor(z))
-    g_o = WeightedGraph._from_arrays(n, s, t, m / z)
-    return g_o, maximum_spanning_tree(g_o)
+    g_o, tree, _ = _seed_graph(_as_voltages(X), k)
+    return g_o, tree
 
 
 def perturbation_estimate(eigenvector, eigenvalue, delta_weight, s, t):
@@ -286,22 +321,20 @@ def learn(X, Y=None, config=None):
     (reduced-network learning) the unscaled weights stand.
     """
     config = config or LearnConfig()
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("X must be (N >= 2, M >= 1)")
+    X = _as_voltages(X)
     n, m = X.shape
     if Y is not None:
         Y = np.asarray(Y, dtype=np.float64)
         if Y.shape != X.shape:
             raise ValueError("X and Y shapes differ")
+        if not np.all(np.isfinite(Y)):
+            raise ValueError("Y must be finite (found NaN or inf)")
         drift = np.abs(Y.sum(axis=0))
         if np.any(drift > 1e-8 * np.sqrt(n) * np.linalg.norm(Y, axis=0)):
             raise ValueError("current columns not orthogonal to all-ones")
 
-    g_o, tree = init_graph(X, config.k)
+    g_o, tree, pool_z = _seed_graph(X, config.k)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
-    pool_z = np.atleast_1d(_squared_row_distances(X, pool_s, pool_t))
-    pool_z = np.maximum(pool_z, _zdata_floor(pool_z))
     tree_keys = set((tree.sources * n + tree.targets).tolist())
     alive = np.asarray([key not in tree_keys
                         for key in (pool_s * n + pool_t).tolist()])

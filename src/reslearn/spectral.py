@@ -3,7 +3,8 @@ solves, and the truncated log-det objective.
 
 Every application of the pseudoinverse ``L^+`` goes through one sparse LU
 factor of the grounded Laplacian ``L[1:, 1:]`` (node 0 held at potential 0),
-built on first use and cached on the :class:`LaplacianOperator`.  All
+built on first use in SuperLU's symmetric mode (minimum-degree ordering on
+``A^T + A``, diagonal pivots) and cached on the :class:`LaplacianOperator`.  All
 routines remove the trivial eigenpair (eigenvalue 0, constant vector)
 explicitly instead of regularizing it away, so they operate on the subspace
 orthogonal to the all-ones vector.
@@ -196,13 +197,18 @@ def _grounded_factor(L):
     """SuperLU factor of ``L[1:, 1:]``, built once and cached on ``L``.
 
     Grounding node 0 makes the reduced matrix nonsingular on a connected
-    graph; callers check connectivity first.  A numerically singular factor
-    (e.g. weights spanning more than machine precision) raises
-    :class:`SolverError`.
+    graph; callers check connectivity first.  The grounded Laplacian is
+    symmetric positive definite, so the factor runs in SuperLU's symmetric
+    mode: a minimum-degree ordering of ``A^T + A`` applied to rows and
+    columns alike, with pivots taken from the diagonal.  A numerically
+    singular factor (e.g. weights spanning more than machine precision)
+    raises :class:`SolverError`.
     """
     if L._factor is None:
         try:
-            L._factor = spla.splu(L.matrix[1:, 1:].tocsc())
+            L._factor = spla.splu(L.matrix[1:, 1:].tocsc(),
+                                  permc_spec="MMD_AT_PLUS_A",
+                                  options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolverError(
                 f"grounded Laplacian factorization failed: {exc}") from exc

@@ -81,6 +81,16 @@ def brute_force_mst_weight(g):
     return best
 
 
+def brute_force_knn_distances(X, k):
+    """Each row's ``k`` smallest squared Euclidean distances to the other
+    rows, ascending: a full sort of the row's distances to every row."""
+    nearest = []
+    for i in range(X.shape[0]):
+        d = np.sum((X - X[i]) ** 2, axis=1)
+        nearest.append(np.sort(np.delete(d, i))[:k])
+    return nearest
+
+
 def random_unit_current(n, rng):
     y = rng.standard_normal(n)
     y -= y.mean()

@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reslearn
 from reslearn.graphs import (
     WeightedGraph,
     build_laplacian,
@@ -9,6 +18,9 @@ from reslearn.graphs import (
 )
 from reslearn.learner import (
     LearnConfig,
+    _connectivity_repair,
+    _knn_pairs,
+    _knn_rows,
     edge_scale,
     init_graph,
     learn,
@@ -24,7 +36,95 @@ from reslearn.measurements import (
 from reslearn.metrics import resistance_correlation
 from reslearn.spectral import SpectralBasis, build_embedding, eigensolve_smallest
 
-from _oracles import dense_eigenpairs, random_connected_graph
+from _oracles import (
+    brute_force_knn_distances,
+    dense_eigenpairs,
+    random_connected_graph,
+)
+
+# Relative slack between the k-d tree's squared distances and the oracle's;
+# both sum the same squared differences, possibly in another order.
+DISTANCE_RTOL = 1e-9
+
+
+@st.composite
+def knn_inputs(draw):
+    """``(X, k)``: n in 2..60 rows of M in 1..8 columns on a coarse lattice
+    (many tied distances) with a drawn spacing per column, some rows copied
+    over others, and k in 1..n."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 8))
+    X = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(-3, 3)))
+    spacing = draw(hnp.arrays(np.float64, m, elements=st.sampled_from(
+        [1.0, 0.1, 0.37, 2.5, 1e3])))
+    X = X * spacing
+    rows = st.integers(0, n - 1)
+    for src, dst in draw(st.lists(st.tuples(rows, rows), max_size=n // 2)):
+        X[dst] = X[src]
+    return X, draw(st.integers(1, n))
+
+
+class TestKnnPairs:
+    @settings(max_examples=100, deadline=None)
+    @given(knn_inputs())
+    def test_matches_brute_force_distances(self, case):
+        X, k = case
+        n = X.shape[0]
+        k_eff = min(k, n - 1)
+        nbr = _knn_rows(X, k)
+        assert nbr.shape == (n, k_eff)
+        nearest = brute_force_knn_distances(X, k_eff)
+        for i in range(n):
+            assert i not in nbr[i] and len(set(nbr[i])) == k_eff
+            # Ties make the chosen rows ambiguous, so compare distances.
+            d = np.sort(np.sum((X[nbr[i]] - X[i]) ** 2, axis=1))
+            np.testing.assert_allclose(d, nearest[i], rtol=DISTANCE_RTOL,
+                                       atol=0)
+        s, t = _knn_pairs(X, k)
+        assert s.dtype == t.dtype == np.int64
+        assert np.all(np.diff(s * n + t) > 0)  # sorted, no duplicates
+        union = {(min(i, j), max(i, j)) for i in range(n)
+                 for j in nbr[i].tolist()}
+        assert set(zip(s.tolist(), t.tolist())) == union
+
+    @settings(max_examples=60, deadline=None)
+    @given(knn_inputs())
+    def test_init_graph_is_connected(self, case):
+        X, k = case
+        assume(np.ptp(X, axis=0).any())  # not every row identical
+        g_o, tree = init_graph(X, k)
+        assert is_connected(g_o)[0]
+        assert tree.edge_count == X.shape[0] - 1
+        knn = set(zip(*(a.tolist() for a in _knn_pairs(X, k))))
+        assert knn <= set(zip(g_o.sources.tolist(), g_o.targets.tolist()))
+
+    def test_duplicate_rows_keep_k_other_rows(self):
+        # five identical rows: the query may return k + 1 copies without the
+        # row itself; each row still gets exactly k other rows
+        X = np.zeros((6, 2))
+        X[5] = 1.0
+        nbr = _knn_rows(X, 2)
+        assert nbr.shape == (6, 2)
+        assert not np.any(nbr == np.arange(6)[:, None])
+
+    def test_connected_pairs_come_back_unchanged(self):
+        X = np.array([[0.0], [1.0], [3.0]])
+        s, t = np.array([0, 1]), np.array([1, 2])
+        rs, rt = _connectivity_repair(X, s, t)
+        assert rs is s and rt is t
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        # the k-d tree is imported on first use, keeping ``import reslearn``
+        # fast
+        src = str(Path(reslearn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, reslearn; print('scipy.spatial' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestInitGraph:
@@ -52,6 +152,13 @@ class TestInitGraph:
     def test_degenerate_rows_rejected(self):
         with pytest.raises(ValueError):
             init_graph(np.ones((5, 3)), k=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_voltages(self, bad):
+        X = np.arange(12.0).reshape(4, 3)
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            init_graph(X, k=2)
 
     def test_connectivity_repair_bridges_closest_pair(self):
         # two tight clusters far apart; k=1 keeps each cluster internal
@@ -358,6 +465,18 @@ class TestLearn:
             learn(ms.X, ms.Y[:, :3])
         with pytest.raises(ValueError):
             learn(ms.X, np.ones_like(ms.Y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_measurements(self, bad):
+        g = grid_graph(4, 4)
+        ms = generate_measurement_set(g, 5, seed=8)
+        X, Y = ms.X.copy(), ms.Y.copy()
+        X[3, 2] = bad
+        with pytest.raises(ValueError, match="X must be finite"):
+            learn(X, None)
+        Y[3, 2] = bad
+        with pytest.raises(ValueError, match="Y must be finite"):
+            learn(ms.X, Y)
 
     def test_mode_count_capped_at_small_graphs(self):
         # default r = 5 still works on a 3-node truth (modes cap at N - 1)
