@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 # Pairs per block of right-hand sides in effective_resistance; bounds its
 # memory at O(N * block).
@@ -256,57 +256,27 @@ def effective_resistance(g, pairs):
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a):
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-        return True
-
-
 def maximum_spanning_tree(g):
-    """Maximum-weight spanning tree of a connected graph (Kruskal).
+    """Maximum-weight spanning tree of a connected graph; raises
+    :class:`DisconnectedGraphError` with the component count otherwise.
 
     Ties are broken toward the lexicographically smaller ``(s, t)`` pair so
-    repeated runs are bit-identical.
+    repeated runs are bit-identical: each edge's rank in the order (weight
+    descending, then ``(s, t)`` ascending) is a distinct weight, whose unique
+    minimum spanning tree is the tree Kruskal's algorithm keeps scanning
+    that order.
     """
     n = g.node_count
-    if n == 1:
-        return WeightedGraph.from_edges(1, [])
-    # Primary key: weight descending; then (s, t) ascending.
     order = np.lexsort((g.targets, g.sources, -g.weights))
-    uf = _UnionFind(n)
-    keep = []
-    src, dst, wts = g.sources, g.targets, g.weights
-    for i in order:
-        if uf.union(int(src[i]), int(dst[i])):
-            keep.append(i)
-            if len(keep) == n - 1:
-                break
-    if len(keep) != n - 1:
-        roots = len({uf.find(v) for v in range(n)})
-        raise DisconnectedGraphError(roots)
-    keep = np.asarray(sorted(keep), dtype=np.int64)
-    return WeightedGraph(n, np.ascontiguousarray(src[keep]),
-                         np.ascontiguousarray(dst[keep]),
-                         np.ascontiguousarray(wts[keep]))
+    rank = np.empty(order.size)
+    rank[order] = np.arange(1, order.size + 1)  # 0 would mean "no edge"
+    ranked = sp.coo_matrix((rank, (g.sources, g.targets)), shape=(n, n))
+    forest = minimum_spanning_tree(ranked)
+    if forest.nnz < n - 1:
+        raise DisconnectedGraphError(n - forest.nnz)
+    keep = np.sort(order[forest.data.astype(np.int64) - 1])
+    return WeightedGraph(n, g.sources[keep], g.targets[keep],
+                         g.weights[keep])
 
 
 def grid_graph(rows, cols, weight=1.0):

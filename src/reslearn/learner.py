@@ -4,9 +4,11 @@ embedding distances encode measured voltage distances.
 The loop starts from the maximum spanning tree of an exact k-nearest-neighbor
 candidate graph (one k-d tree query) built on the voltage rows, then
 repeatedly scores every off-graph candidate edge by its objective-gradient
-sensitivity and includes the highest-ranked ones until no candidate exceeds
-the tolerance.  A final global edge scaling matches solved voltage norms to
-the measured ones when current measurements are available.
+sensitivity (one array scorer, shared with :func:`score_candidates`) and
+includes the highest-ranked ones until no candidate exceeds the tolerance;
+one boolean mask over the candidate graph's edges tracks which are in.  A
+final global edge scaling matches solved voltage norms to the measured ones
+when current measurements are available.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .graphs import WeightedGraph, build_laplacian, maximum_spanning_tree
 from .spectral import (
+    _squared_row_distances,
     build_embedding,
     eigensolve_smallest,
     embedding_distances,
@@ -122,13 +125,6 @@ class LearnTrace:
     @property
     def s_max_history(self):
         return np.asarray([r.s_max for r in self.records])
-
-
-def _squared_row_distances(X, s, t):
-    diff = X[s] - X[t]
-    if diff.ndim == 1:
-        return float(np.dot(diff, diff))
-    return np.einsum("ij,ij->i", diff, diff)
 
 
 def _knn_rows(X, k):
@@ -237,9 +233,11 @@ def init_graph(X, k):
     disconnected it is repaired by bridging the closest inter-component
     pairs.  The seed is the maximum-weight (minimum-distance) spanning tree.
 
-    Raises ``ValueError`` if ``X`` is not an (N >= 2, M >= 1) matrix of
-    finite entries, or if all its rows are identical.
+    Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not an
+    (N >= 2, M >= 1) matrix of finite entries, or if all its rows are
+    identical.
     """
+    _require_int("k", k, 1)
     g_o, tree, _ = _seed_graph(_as_voltages(X), k)
     return g_o, tree
 
@@ -257,28 +255,52 @@ def perturbation_estimate(eigenvector, eigenvalue, delta_weight, s, t):
     return float(delta_weight) * d * d
 
 
+def _rank_candidates(basis, s, t, z_data, m):
+    """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with data
+    distances ``z_data`` over ``m`` measurements: ``sens = z_emb - z_data /
+    m``, ranked descending by ``order``, ties by ascending ``(s, t)``."""
+    z_emb = embedding_distances(basis, s, t)
+    sens = z_emb - z_data / m
+    return np.lexsort((t, s, -sens)), sens, z_emb
+
+
 def score_candidates(basis, X, candidates):
     """Score candidate edges against the current basis and the data.
 
-    Returns :class:`EdgeCandidate` objects sorted by sensitivity descending
-    (ties broken by ascending ``(s, t)``).  Zero data distances are floored
-    at a small fraction of the median so distortions stay finite.
+    ``candidates`` are ``(s, t)`` pairs of distinct node indices of the
+    basis; ``X`` has one row per node.  Returns :class:`EdgeCandidate`
+    objects sorted by sensitivity descending (ties broken by ascending
+    ``(s, t)``).  Zero data distances are floored at a small fraction of the
+    median so distortions stay finite.
+
+    Raises ``ValueError`` on malformed pairs, an endpoint out of range, a
+    pair joining a node to itself, or an ``X`` that is not a finite matrix
+    with one row per node of the basis.
     """
-    X = np.asarray(X, dtype=np.float64)
-    cand = [(int(c[0]), int(c[1])) for c in candidates]
-    if not cand:
+    X = _as_voltages(X)
+    pairs = np.asarray(list(candidates))
+    if pairs.size == 0:
         return []
+    if (pairs.ndim != 2 or pairs.shape[1] != 2
+            or not np.issubdtype(pairs.dtype, np.integer)):
+        raise ValueError("candidates must be (s, t) pairs of integer node "
+                         "indices")
+    n = basis.node_count
+    if X.shape[0] != n:
+        raise ValueError(f"X has {X.shape[0]} rows but the basis has {n} "
+                         "nodes")
+    if np.any((pairs < 0) | (pairs >= n)):
+        raise ValueError(f"candidate endpoint out of range [0, {n})")
+    s, t = pairs.astype(np.int64).T
+    if np.any(s == t):
+        raise ValueError("candidate pair joins a node to itself")
     if basis.embedding is None:
         basis = build_embedding(basis, basis.inverse_variance)
-    s = np.asarray([c[0] for c in cand], dtype=np.int64)
-    t = np.asarray([c[1] for c in cand], dtype=np.int64)
     m = X.shape[1]
-    z_data = np.atleast_1d(_squared_row_distances(X, s, t))
+    z_data = _squared_row_distances(X, s, t)
     z_data = np.maximum(z_data, _zdata_floor(z_data))
-    z_emb = np.atleast_1d(embedding_distances(basis, s, t))
-    sens = z_emb - z_data / m
+    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m)
     dist = m * z_emb / z_data
-    order = np.lexsort((t, s, -sens))
     return [EdgeCandidate(s=int(s[i]), t=int(t[i]), z_data=float(z_data[i]),
                           z_emb=float(z_emb[i]), sensitivity=float(sens[i]),
                           distortion=float(dist[i]))
@@ -335,9 +357,8 @@ def learn(X, Y=None, config=None):
 
     g_o, tree, pool_z = _seed_graph(X, config.k)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
-    tree_keys = set((tree.sources * n + tree.targets).tolist())
-    alive = np.asarray([key not in tree_keys
-                        for key in (pool_s * n + pool_t).tolist()])
+    # Which of g_o's edges the learned graph holds; it only ever gains them.
+    in_graph = np.isin(pool_s * n + pool_t, tree.sources * n + tree.targets)
 
     graph = tree
     trace = LearnTrace()
@@ -348,27 +369,24 @@ def learn(X, Y=None, config=None):
     status = "max_iterations"
     for iteration in range(1, max_iter + 1):
         tick = time.perf_counter()
-        if not alive.any():
+        idx = np.flatnonzero(~in_graph)
+        if idx.size == 0:
             status = "candidate_pool_exhausted"
             break
         basis = eigensolve_smallest(build_laplacian(graph), modes)
         basis = build_embedding(basis, config.inverse_variance)
-        idx = np.nonzero(alive)[0]
-        z_emb = np.atleast_1d(embedding_distances(basis, pool_s[idx],
-                                                  pool_t[idx]))
-        sens = z_emb - pool_z[idx] / m
-        s_max = float(sens.max())
+        order, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
+                                          pool_z[idx], m)
+        s_max = float(sens[order[0]])
 
         converged = s_max <= config.tol
         if not converged:
-            order = np.lexsort((pool_t[idx], pool_s[idx], -sens))
-            chosen = [i for i in order[:include_cap]
-                      if sens[i] > config.tol]
-            take = idx[chosen]
+            top = order[:include_cap]
+            take = idx[top[sens[top] > config.tol]]
+            in_graph[take] = True
             graph = graph.with_edges(zip(pool_s[take].tolist(),
                                          pool_t[take].tolist(),
                                          pool_w[take].tolist()))
-            alive[take] = False
 
         objective = None
         if config.record_objective:

@@ -31,13 +31,13 @@ class EvalReport:
     distortion_mean: float | None = None
 
 
-def compare_spectra(g_true, g_learned, count, method="auto"):
+def compare_spectra(g_true, g_learned, count):
     """First ``count`` nontrivial eigenvalues of both graphs plus per-index
     relative errors ``|learned - true| / true``."""
-    lam_true = eigensolve_smallest(build_laplacian(g_true), count,
-                                   method=method).eigenvalues
-    lam_learned = eigensolve_smallest(build_laplacian(g_learned), count,
-                                      method=method).eigenvalues
+    lam_true = eigensolve_smallest(build_laplacian(g_true),
+                                   count).eigenvalues
+    lam_learned = eigensolve_smallest(build_laplacian(g_learned),
+                                      count).eigenvalues
     rel = np.abs(lam_learned - lam_true) / lam_true
     return lam_true, lam_learned, rel
 
@@ -79,25 +79,31 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
 
     Pairs are sampled without replacement; below
     :data:`EXHAUSTIVE_PAIR_LIMIT` total pairs the enumeration is exhaustive.
-    Returns ``(pairs, r_true, r_learned, pearson_r)``.
+    Returns ``(pairs, r_true, r_learned, pearson_r)``.  A correlation needs
+    at least 2 pairs, so ``pair_count < 2`` raises ``ValueError``, as does a
+    graph with fewer than 2 pairs (2 nodes).
     """
     if g_true.node_count != g_learned.node_count:
         raise ValueError("graphs must share the node set")
     n = g_true.node_count
     if n < 2:
         raise ValueError("need at least 2 nodes")
+    if pair_count < 2:
+        raise ValueError(f"pair_count must be >= 2, got {pair_count}")
     pairs = _sample_pairs(n, pair_count, seed)
+    if len(pairs) < 2:
+        raise ValueError(f"a {n}-node graph has only {len(pairs)} pair")
     r_true = np.asarray(effective_resistance(g_true, pairs))
     r_learned = np.asarray(effective_resistance(g_learned, pairs))
     return pairs, r_true, r_learned, pearson(r_true, r_learned)
 
 
-def layout_coordinates(g, method="auto"):
+def layout_coordinates(g):
     """2-D spectral layout: node coordinates from the first two nontrivial
     eigenvectors, sign-fixed so the largest-magnitude entry is positive."""
     if g.node_count < 3:
         raise ValueError("layout needs at least 3 nodes")
-    basis = eigensolve_smallest(build_laplacian(g), 2, method=method)
+    basis = eigensolve_smallest(build_laplacian(g), 2)
     return basis.eigenvectors.copy()
 
 

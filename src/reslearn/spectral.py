@@ -183,14 +183,19 @@ def build_embedding(basis, inverse_variance=0.0):
                                embedding=emb)
 
 
+def _squared_row_distances(A, s, t):
+    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows."""
+    diff = A[s] - A[t]
+    if diff.ndim == 1:
+        return float(np.dot(diff, diff))
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def embedding_distances(basis, sources, targets):
     """Squared embedding distances ``||U^T (e_s - e_t)||^2`` (vectorized)."""
     if basis.embedding is None:
         raise ValueError("embedding not built; call build_embedding first")
-    diff = basis.embedding[sources] - basis.embedding[targets]
-    if diff.ndim == 1:
-        return float(np.dot(diff, diff))
-    return np.einsum("ij,ij->i", diff, diff)
+    return _squared_row_distances(basis.embedding, sources, targets)
 
 
 def _grounded_factor(L):

@@ -81,6 +81,30 @@ def brute_force_mst_weight(g):
     return best
 
 
+def reference_maximum_spanning_tree(g):
+    """Kruskal's maximum spanning forest with ties toward the smaller
+    ``(s, t)``: scan the edges by weight descending, then ``(s, t)``
+    ascending, and keep each edge that joins two components.
+
+    Returns the kept ``(s, t, w)`` triples sorted by ``(s, t)`` and the
+    number of components of ``g``.
+    """
+    parent = list(range(g.node_count))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    kept = []
+    for s, t, w in sorted(g.edge_list(), key=lambda e: (-e[2], e[0], e[1])):
+        ra, rb = find(s), find(t)
+        if ra != rb:
+            parent[ra] = rb
+            kept.append((s, t, w))
+    return sorted(kept), g.node_count - len(kept)
+
+
 def brute_force_knn_distances(X, k):
     """Each row's ``k`` smallest squared Euclidean distances to the other
     rows, ascending: a full sort of the row's distances to every row."""

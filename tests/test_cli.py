@@ -225,3 +225,7 @@ class TestEval:
     def test_node_count_mismatch(self, grid_mtx, two_node_mtx, tmp_path):
         assert main(["eval", str(grid_mtx), str(two_node_mtx),
                      "--out", str(tmp_path / "e")]) == 3
+
+    def test_zero_pairs_is_input_error(self, grid_mtx, tmp_path):
+        assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",
+                     "--out", str(tmp_path / "e")]) == 3

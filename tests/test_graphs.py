@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reslearn import graphs
 from reslearn.graphs import (
@@ -18,7 +20,30 @@ from _oracles import (
     dense_laplacian,
     dense_resistance,
     random_connected_graph,
+    reference_maximum_spanning_tree,
 )
+
+
+@st.composite
+def tied_graphs(draw):
+    """Graphs on 1..12 nodes with weights 1 or 2, so most weights tie: a
+    spanning tree over a drawn node order (left out in a quarter of the
+    draws, which may leave the graph disconnected) plus extra edges."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    pairs = set()
+    if draw(st.integers(0, 3)):
+        for i in range(1, n):
+            j = draw(st.integers(0, i - 1))
+            pairs.add((min(order[i], order[j]), max(order[i], order[j])))
+    if n > 1:
+        node = st.integers(0, n - 1)
+        for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+            if a != b:
+                pairs.add((min(a, b), max(a, b)))
+    weight = st.sampled_from([1.0, 2.0])
+    return WeightedGraph.from_edges(
+        n, [(s, t, draw(weight)) for s, t in sorted(pairs)])
 
 
 class TestWeightedGraph:
@@ -222,6 +247,20 @@ class TestMaximumSpanningTree:
         with pytest.raises(DisconnectedGraphError) as err:
             maximum_spanning_tree(g)
         assert err.value.n_components == 3
+
+    def test_single_node(self):
+        t = maximum_spanning_tree(WeightedGraph.from_edges(1, []))
+        assert t.node_count == 1 and t.edge_count == 0
+
+    @given(tied_graphs())
+    def test_matches_reference_kruskal(self, g):
+        kept, components = reference_maximum_spanning_tree(g)
+        if components > 1:
+            with pytest.raises(DisconnectedGraphError) as err:
+                maximum_spanning_tree(g)
+            assert err.value.n_components == components
+        else:
+            assert maximum_spanning_tree(g).edge_list() == kept
 
 
 class TestConnectivity:

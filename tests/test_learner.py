@@ -65,7 +65,7 @@ def knn_inputs(draw):
 
 
 class TestKnnPairs:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(knn_inputs())
     def test_matches_brute_force_distances(self, case):
         X, k = case
@@ -87,7 +87,7 @@ class TestKnnPairs:
                  for j in nbr[i].tolist()}
         assert set(zip(s.tolist(), t.tolist())) == union
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(knn_inputs())
     def test_init_graph_is_connected(self, case):
         X, k = case
@@ -159,6 +159,12 @@ class TestInitGraph:
         X[2, 1] = bad
         with pytest.raises(ValueError, match="X must be finite"):
             init_graph(X, k=2)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    def test_rejects_bad_k(self, k):
+        X = np.arange(12.0).reshape(4, 3)
+        with pytest.raises(ValueError, match="k must be"):
+            init_graph(X, k)
 
     def test_connectivity_repair_bridges_closest_pair(self):
         # two tight clusters far apart; k=1 keeps each cluster internal
@@ -274,6 +280,33 @@ class TestScoreCandidates:
         fd = (objective(h) - objective(-h)) / (2 * h)
         assert cand.sensitivity == pytest.approx(fd, rel=1e-4)
 
+    @pytest.mark.parametrize("pairs, match", [
+        ([(-1, 3)], "out of range"),
+        ([(0, 99)], "out of range"),
+        ([(0, 0)], "joins a node to itself"),
+        ([(0, 1, 2.0)], "pairs of integer node indices"),
+        ([(0.0, 1.0)], "pairs of integer node indices"),
+    ])
+    def test_rejects_bad_pairs(self, pairs, match):
+        g = grid_graph(4, 4)
+        ms = generate_measurement_set(g, 5, seed=0)
+        basis = build_embedding(
+            eigensolve_smallest(build_laplacian(g), 3), 0.0)
+        with pytest.raises(ValueError, match=match):
+            score_candidates(basis, ms.X, pairs)
+
+    def test_rejects_bad_voltage_matrix(self):
+        g = grid_graph(4, 4)
+        ms = generate_measurement_set(g, 5, seed=0)
+        basis = build_embedding(
+            eigensolve_smallest(build_laplacian(g), 3), 0.0)
+        with pytest.raises(ValueError, match="15 rows but the basis has 16"):
+            score_candidates(basis, ms.X[:-1], [(0, 1)])
+        X = ms.X.copy()
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="X must be finite"):
+            score_candidates(basis, X, [(0, 1)])
+
 
 class TestPerturbationEstimate:
     def test_constant_on_endpoints(self):
@@ -375,6 +408,22 @@ class TestLearn:
         assert learned.edge_count <= 2 * g.node_count
         _, _, _, corr = resistance_correlation(g, learned, 5000, seed=0)
         assert corr >= 0.85
+
+    def test_learned_edges_are_weighted_candidates(self):
+        # every learned edge is a candidate edge with weight M / z_data, and
+        # the seed tree survives
+        g = grid_graph(7, 7)
+        ms = generate_measurement_set(g, 20, seed=11)
+        learned, _ = learn(ms.X, None)
+        g_o, tree = init_graph(ms.X, LearnConfig().k)
+        candidates = {(s, t): w for s, t, w in g_o.edge_list()}
+        m = ms.X.shape[1]
+        for s, t, w in learned.edge_list():
+            assert candidates[(s, t)] == w
+            z_data = np.sum((ms.X[s] - ms.X[t]) ** 2)
+            assert w == pytest.approx(m / z_data, rel=1e-12)
+        assert set(tree.edge_list()) <= set(learned.edge_list())
+        assert learned.edge_count > tree.edge_count
 
     def test_trace_monotonic_edge_counts(self):
         g = grid_graph(7, 7)

@@ -78,6 +78,17 @@ class TestResistanceCorrelation:
         with pytest.raises(ValueError):
             resistance_correlation(a, b, 10, seed=0)
 
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_rejects_fewer_than_two_pairs(self, count):
+        g = grid_graph(12, 13)
+        with pytest.raises(ValueError, match="pair_count must be >= 2"):
+            resistance_correlation(g, g, count, seed=0)
+
+    def test_rejects_two_node_graph(self):
+        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="only 1 pair"):
+            resistance_correlation(g, g, 10, seed=0)
+
 
 class TestPearson:
     def test_matches_two_pass_oracle(self):
@@ -162,6 +173,12 @@ class TestDistortionStats:
         eta1, _, _ = distortion_stats(g, crafted(0.4), [(0, 1)])
         eta2, _, _ = distortion_stats(g, crafted(0.2), [(0, 1)])
         assert eta2 / eta1 == pytest.approx(2.0, rel=1e-9)
+
+    def test_rejects_out_of_range_candidate(self):
+        g = random_connected_graph(10, 8, seed=5)
+        ms = generate_measurement_set(g, 6, seed=5)
+        with pytest.raises(ValueError, match="out of range"):
+            distortion_stats(g, ms.X, [(0, 99)])
 
     def test_agrees_with_score_candidates(self):
         from reslearn.learner import score_candidates
