@@ -3,12 +3,14 @@
 The graph model is deliberately narrow: simple undirected graphs with strictly
 positive edge weights (conductances).  Edges are stored canonically as
 ``s < t`` arrays sorted lexicographically, which makes every construction
-deterministic and bit-reproducible.
+deterministic and bit-reproducible.  Each graph has one Laplacian operator,
+built on first use, which owns its matrix, components and grounded factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,10 +67,6 @@ class WeightedGraph:
         if node_count < 1:
             raise ValueError("node_count must be positive")
         edges = list(edges)
-        if not edges:
-            empty_i = np.empty(0, dtype=np.int64)
-            return cls(node_count, empty_i, empty_i.copy(),
-                       np.empty(0, dtype=np.float64))
         s = np.asarray([e[0] for e in edges], dtype=np.int64)
         t = np.asarray([e[1] for e in edges], dtype=np.int64)
         w = np.asarray([e[2] for e in edges], dtype=np.float64)
@@ -133,38 +131,31 @@ class WeightedGraph:
         vals = np.concatenate([self.weights, self.weights])
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
-    def degrees(self):
-        """Weighted degree of every node."""
-        d = np.zeros(self.node_count)
-        np.add.at(d, self.sources, self.weights)
-        np.add.at(d, self.targets, self.weights)
-        return d
+    @cached_property
+    def _laplacian(self):
+        return LaplacianOperator(self)
 
 
 class LaplacianOperator:
-    """Symmetric PSD Laplacian ``L = D - W`` of a :class:`WeightedGraph`.
-
-    ``apply`` costs one sparse matvec, O(|E|).  The assembled CSR matrix is
-    exposed for solvers; :mod:`reslearn.spectral` caches its grounded LU
-    factor on the operator, so every solve against one operator shares it.
-    """
+    """Symmetric PSD Laplacian ``L = D - W`` of a :class:`WeightedGraph`
+    (see :func:`build_laplacian`), with its CSR ``matrix``, ``components`` and
+    the factor :mod:`reslearn.spectral` caches on it.  It keeps no reference
+    to its graph, so reference counting frees the two together."""
 
     def __init__(self, graph):
-        self.graph = graph
+        self.node_count = graph.node_count
         adj = graph.adjacency()
         deg = np.asarray(adj.sum(axis=1)).ravel()
         self.matrix = (sp.diags(deg) - adj).tocsr()
-        self.degree = deg
         self._factor = None
 
-    @property
-    def node_count(self):
-        return self.graph.node_count
-
-    @property
-    def shape(self):
-        n = self.graph.node_count
-        return (n, n)
+    @cached_property
+    def components(self):
+        """``(count, labels)``: connected components, labels ``0..count-1``
+        in a read-only array."""
+        count, labels = connected_components(self.matrix, directed=False)
+        labels.setflags(write=False)
+        return int(count), labels
 
     def apply(self, x):
         """Return ``L @ x`` (works for vectors and column-stacked matrices)."""
@@ -173,13 +164,12 @@ class LaplacianOperator:
             raise ValueError("dimension mismatch")
         return self.matrix @ x
 
-    def __matmul__(self, x):
-        return self.apply(x)
-
 
 def build_laplacian(g):
-    """Laplacian operator of ``g``; total on any valid graph."""
-    return LaplacianOperator(g)
+    """The one Laplacian operator of ``g``, assembled on first call and
+    cached on the graph; derived graphs (``scaled``, ``with_edges``, ...)
+    are new graphs with their own."""
+    return g._laplacian
 
 
 def quadratic_form(g, x):
@@ -197,23 +187,42 @@ def quadratic_form(g, x):
     return float(np.dot(g.weights, (diff * diff).sum(axis=1)))
 
 
-def connected_component_labels(g):
-    """Component label for every node (labels are 0..k-1)."""
-    n, labels = connected_components(g.adjacency(), directed=False)
-    return int(n), labels
-
-
 def is_connected(g):
     """Whether ``g`` has a single connected component, plus node labels."""
-    n, labels = connected_component_labels(g)
+    n, labels = build_laplacian(g).components
     return n == 1, labels
 
 
-def _require_connected(g):
-    """Raise :class:`DisconnectedGraphError` unless ``g`` is connected."""
-    n, _ = connected_component_labels(g)
+def _require_connected(L):
+    """Raise :class:`DisconnectedGraphError` unless ``L``'s graph is
+    connected."""
+    n, _ = L.components
     if n != 1:
         raise DisconnectedGraphError(n)
+
+
+_is_bool = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)
+
+
+def _node_pairs(pairs, n, name):
+    """Endpoint arrays ``(s, t)`` of ``pairs``, which must be (k, 2) integer
+    (not boolean) node indices in ``[0, n)`` with ``s != t``; raises
+    ``ValueError`` naming ``name`` otherwise.  No pairs gives empty arrays."""
+    pairs = list(pairs)
+    arr = np.asarray(pairs)
+    if arr.size == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    if (arr.ndim != 2 or arr.shape[1] != 2
+            or not np.issubdtype(arr.dtype, np.integer)
+            or _is_bool(np.asarray(pairs, dtype=object)).any()):
+        raise ValueError(f"{name} must be (s, t) pairs of integer node "
+                         "indices")
+    if np.any((arr < 0) | (arr >= n)):
+        raise ValueError(f"{name}: node index out of range [0, {n})")
+    s, t = arr.astype(np.int64).T
+    if np.any(s == t):
+        raise ValueError(f"{name}: a pair joins a node to itself")
+    return s, t
 
 
 def effective_resistance(g, pairs):
@@ -221,8 +230,8 @@ def effective_resistance(g, pairs):
 
     The columns ``e_s - e_t`` are solved through
     :func:`reslearn.spectral.solve_laplacian`, at most ``_RESISTANCE_BLOCK``
-    pairs per call, so every block shares one grounded factor of L and
-    memory stays O(N * block).  No pairs gives an empty list.
+    pairs per call, so every block shares the graph's one grounded factor of
+    L and memory stays O(N * block).  No pairs gives an empty list.
 
     Raises
     ------
@@ -231,28 +240,23 @@ def effective_resistance(g, pairs):
     SolverError
         If the Laplacian solve fails (see ``solve_laplacian``).
     ValueError
-        If any pair has ``s == t`` or is out of range.
+        If ``pairs`` is not (k, 2) integer node indices in range, or a pair
+        has ``s == t``.
     """
     from .spectral import solve_laplacian
 
-    pairs = [(int(s), int(t)) for s, t in pairs]
     n = g.node_count
-    for s, t in pairs:
-        if s == t:
-            raise ValueError("effective resistance requires s != t")
-        if not (0 <= s < n and 0 <= t < n):
-            raise ValueError("node index out of range")
+    src, dst = _node_pairs(pairs, n, "pairs")
     lap = build_laplacian(g)
     out = []
-    for start in range(0, len(pairs), _RESISTANCE_BLOCK):
-        src, dst = (np.asarray(v) for v in
-                    zip(*pairs[start:start + _RESISTANCE_BLOCK]))
-        cols = np.arange(len(src))
-        b = np.zeros((n, len(src)))
-        b[src, cols] = 1.0
-        b[dst, cols] = -1.0
+    for start in range(0, src.size, _RESISTANCE_BLOCK):
+        s, t = (v[start:start + _RESISTANCE_BLOCK] for v in (src, dst))
+        cols = np.arange(s.size)
+        b = np.zeros((n, s.size))
+        b[s, cols] = 1.0
+        b[t, cols] = -1.0
         x = solve_laplacian(lap, b)
-        out.extend((x[src, cols] - x[dst, cols]).tolist())
+        out.extend((x[s, cols] - x[t, cols]).tolist())
     return out
 
 

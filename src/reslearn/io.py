@@ -45,13 +45,14 @@ def read_graph_mtx(path):
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], w[order]
     keys = lo.astype(np.int64) * n + hi
-    uniq, start = np.unique(keys, return_index=True)
-    # Mirrored/duplicate entries must carry the same weight.
-    for k in range(len(uniq)):
-        stop = start[k + 1] if k + 1 < len(uniq) else len(keys)
-        group = w[start[k]:stop]
-        if group.max() - group.min() > 1e-12 * max(1.0, abs(group[0])):
-            s, t = int(lo[start[k]]), int(hi[start[k]])
+    _, start = np.unique(keys, return_index=True)
+    # Mirrored/duplicate entries must agree; reduceat needs one group.
+    if start.size:
+        spread = (np.maximum.reduceat(w, start)
+                  - np.minimum.reduceat(w, start))
+        bad = start[spread > 1e-12 * np.maximum(1.0, np.abs(w[start]))]
+        if bad.size:
+            s, t = int(lo[bad[0]]), int(hi[bad[0]])
             raise ValueError(f"{path}: conflicting weights for edge ({s},{t})")
     return WeightedGraph._from_arrays(n, lo[start], hi[start], w[start])
 

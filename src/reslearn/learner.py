@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import WeightedGraph, build_laplacian, maximum_spanning_tree
+from .graphs import (WeightedGraph, _node_pairs, build_laplacian,
+                     maximum_spanning_tree)
 from .spectral import (
     _squared_row_distances,
     build_embedding,
@@ -278,22 +279,13 @@ def score_candidates(basis, X, candidates):
     with one row per node of the basis.
     """
     X = _as_voltages(X)
-    pairs = np.asarray(list(candidates))
-    if pairs.size == 0:
-        return []
-    if (pairs.ndim != 2 or pairs.shape[1] != 2
-            or not np.issubdtype(pairs.dtype, np.integer)):
-        raise ValueError("candidates must be (s, t) pairs of integer node "
-                         "indices")
     n = basis.node_count
+    s, t = _node_pairs(candidates, n, "candidates")
+    if s.size == 0:
+        return []
     if X.shape[0] != n:
         raise ValueError(f"X has {X.shape[0]} rows but the basis has {n} "
                          "nodes")
-    if np.any((pairs < 0) | (pairs >= n)):
-        raise ValueError(f"candidate endpoint out of range [0, {n})")
-    s, t = pairs.astype(np.int64).T
-    if np.any(s == t):
-        raise ValueError("candidate pair joins a node to itself")
     if basis.embedding is None:
         basis = build_embedding(basis, basis.inverse_variance)
     m = X.shape[1]
@@ -355,12 +347,13 @@ def learn(X, Y=None, config=None):
         if np.any(drift > 1e-8 * np.sqrt(n) * np.linalg.norm(Y, axis=0)):
             raise ValueError("current columns not orthogonal to all-ones")
 
-    g_o, tree, pool_z = _seed_graph(X, config.k)
+    # The seed tree is bound only to ``graph``, so its factor is freed once
+    # the first inclusion replaces it.
+    g_o, graph, pool_z = _seed_graph(X, config.k)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
     # Which of g_o's edges the learned graph holds; it only ever gains them.
-    in_graph = np.isin(pool_s * n + pool_t, tree.sources * n + tree.targets)
+    in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 
-    graph = tree
     trace = LearnTrace()
     include_cap = math.ceil(n * config.beta_sample)
     max_iter = config.resolved_max_iterations

@@ -4,7 +4,8 @@ solves, and the truncated log-det objective.
 Every application of the pseudoinverse ``L^+`` goes through one sparse LU
 factor of the grounded Laplacian ``L[1:, 1:]`` (node 0 held at potential 0),
 built on first use in SuperLU's symmetric mode (minimum-degree ordering on
-``A^T + A``, diagonal pivots) and cached on the :class:`LaplacianOperator`.  All
+``A^T + A``, diagonal pivots) and cached on the graph's one
+:class:`LaplacianOperator`, so each graph is factored at most once.  All
 routines remove the trivial eigenpair (eigenvalue 0, constant vector)
 explicitly instead of regularizing it away, so they operate on the subspace
 orthogonal to the all-ones vector.
@@ -150,7 +151,7 @@ def eigensolve_smallest(L, count, tol=DEFAULT_EIG_TOL,
     n = L.node_count
     if not 1 <= count <= n - 1:
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
-    _require_connected(L.graph)
+    _require_connected(L)
     if method == "auto":
         method = "dense" if (n <= DENSE_EIG_LIMIT or count > n // 2
                              or count >= n - 2) else "iterative"
@@ -256,7 +257,7 @@ def solve_laplacian(L, b):
         raise ValueError("dimension mismatch")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    _require_connected(L.graph)
+    _require_connected(L)
     bnorm = np.linalg.norm(b, axis=0)
     if not np.any(bnorm):
         return np.zeros(b.shape)

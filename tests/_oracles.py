@@ -105,6 +105,26 @@ def reference_maximum_spanning_tree(g):
     return sorted(kept), g.node_count - len(kept)
 
 
+def reference_mtx_edges(entries):
+    """What ``read_graph_mtx`` must make of nonzero ``(r, c, w)`` entries,
+    with ``r != c`` and ``w > 0``: one pair per unordered ``(s, t)`` in
+    ascending order, each group's weights checked in file order.
+
+    Returns ``("conflict", (s, t))`` for the first pair whose weights spread
+    more than ``1e-12 * max(1, |first weight|)``, else ``("edges", triples)``
+    with each pair's first weight.
+    """
+    groups = {}
+    for r, c, w in entries:
+        groups.setdefault((min(r, c), max(r, c)), []).append(w)
+    edges = []
+    for (s, t), ws in sorted(groups.items()):
+        if max(ws) - min(ws) > 1e-12 * max(1.0, abs(ws[0])):
+            return "conflict", (s, t)
+        edges.append((s, t, ws[0]))
+    return "edges", edges
+
+
 def brute_force_knn_distances(X, k):
     """Each row's ``k`` smallest squared Euclidean distances to the other
     rows, ascending: a full sort of the row's distances to every row."""

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from reslearn.graphs import (
     maximum_spanning_tree,
     quadratic_form,
 )
+from reslearn.spectral import eigensolve_smallest, solve_laplacian
 
 from _oracles import (
     brute_force_mst_weight,
@@ -118,6 +122,78 @@ class TestLaplacian:
             assert x @ lap.apply(x) >= -1e-12
 
 
+class TestOneLaplacianPerGraph:
+    def test_operator_is_cached_on_the_graph(self):
+        g = random_connected_graph(12, 15, seed=5)
+        assert build_laplacian(g) is build_laplacian(g)
+
+    def test_derived_graphs_get_their_own_operator(self):
+        g = random_connected_graph(12, 15, seed=5)
+        b = np.zeros(12)
+        b[[0, 7]] = 1.0, -1.0
+        x = solve_laplacian(build_laplacian(g), b)
+        halved = solve_laplacian(build_laplacian(g.scaled(2.0)), b)
+        np.testing.assert_allclose(halved, x / 2, rtol=1e-10, atol=1e-14)
+        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
+                        maximum_spanning_tree(g)):
+            lap = build_laplacian(derived)
+            assert lap is not build_laplacian(g)
+            np.testing.assert_allclose(lap.matrix.toarray(),
+                                       dense_laplacian(derived))
+
+    def test_components_computed_once(self, monkeypatch):
+        calls = []
+        original = graphs.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", counting)
+        g = grid_graph(6, 6)
+        b = np.zeros(36)
+        b[[0, 35]] = 1.0, -1.0
+        assert is_connected(g)[0]
+        solve_laplacian(build_laplacian(g), b)
+        effective_resistance(g, [(0, 5), (3, 30)])
+        eigensolve_smallest(build_laplacian(g), 3)
+        assert len(calls) == 1
+
+    def test_disconnected_raises_on_every_call(self):
+        g = WeightedGraph.from_edges(
+            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        b = np.zeros(6)
+        b[[0, 2]] = 1.0, -1.0
+        for _ in range(2):
+            with pytest.raises(DisconnectedGraphError) as err:
+                solve_laplacian(build_laplacian(g), b)
+            assert err.value.n_components == 3
+            with pytest.raises(DisconnectedGraphError) as err:
+                eigensolve_smallest(build_laplacian(g), 2)
+            assert err.value.n_components == 3
+
+    def test_component_labels_are_read_only(self):
+        _, labels = is_connected(WeightedGraph.from_edges(3, [(0, 1, 1.0)]))
+        with pytest.raises(ValueError):
+            labels[0] = 5
+
+    def test_factored_graph_freed_without_cycle_collector(self):
+        # The operator must not point back at its graph: a cycle would keep
+        # the graph, its matrix and its factor alive until the cyclic GC.
+        g = grid_graph(15, 15)  # 225 nodes: the iterative, factored path
+        eigensolve_smallest(build_laplacian(g), 3)
+        assert build_laplacian(g)._factor is not None
+        graph_ref = weakref.ref(g)
+        operator_ref = weakref.ref(build_laplacian(g))
+        gc.disable()
+        try:
+            del g
+            assert graph_ref() is None
+            assert operator_ref() is None
+        finally:
+            gc.enable()
+
+
 class TestQuadraticForm:
     def test_two_node(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
@@ -169,6 +245,25 @@ class TestEffectiveResistance:
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             effective_resistance(g, [(1, 1)])
+
+    @pytest.mark.parametrize("pairs, match", [
+        ([(0.7, 1)], "pairs of integer node indices"),
+        ([(True, 2)], "pairs of integer node indices"),
+        ([(0, 1, 2)], "pairs of integer node indices"),
+        ([(0, 3)], "out of range"),
+        ([(-1, 1)], "out of range"),
+        ([(0, 1), (2, 2)], "joins a node to itself"),
+    ])
+    def test_rejects_bad_pairs(self, pairs, match):
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match=match):
+            effective_resistance(g, pairs)
+
+    def test_accepts_integer_arrays(self):
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        pairs = np.array([[0, 2], [2, 1]], dtype=np.int32)
+        assert effective_resistance(g, pairs) == pytest.approx([2.0, 1.0])
+        assert effective_resistance(g, []) == []
 
     def test_metric_properties(self):
         for seed in range(4):

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reslearn.graphs import WeightedGraph
 from reslearn.io import (
@@ -12,7 +16,7 @@ from reslearn.io import (
     write_matrix_csv,
 )
 
-from _oracles import random_connected_graph
+from _oracles import random_connected_graph, reference_mtx_edges
 
 
 class TestGraphMtx:
@@ -62,6 +66,49 @@ class TestGraphMtx:
             "2 1 2.5\n")
         with pytest.raises(ValueError):
             read_graph_mtx(path)
+
+    def test_conflict_in_late_edge_is_named(self, tmp_path):
+        # A 30-node path with both triangles listed; only the mirror of the
+        # second-to-last edge disagrees, so the message must name that edge.
+        path = tmp_path / "late.mtx"
+        entries = []
+        for v in range(29):
+            entries += [(v + 1, v + 2, 1.0 + v), (v + 2, v + 1, 1.0 + v)]
+        entries[-3] = (29, 28, 99.0)
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"30 30 {len(entries)}\n"
+            + "".join(f"{r} {c} {w}\n" for r, c, w in entries))
+        with pytest.raises(ValueError,
+                           match=r"conflicting weights for edge \(27,28\)"):
+            read_graph_mtx(path)
+
+    # Weight pairs 5e-13 and 1e-13 apart agree below weight 1 and above it.
+    @given(st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 5),
+                  st.sampled_from([0.25, 0.25 + 5e-13, 1.0, 1.0 + 1e-13,
+                                   2.0])),
+        max_size=20).map(lambda es: [e for e in es if e[0] != e[1]]))
+    def test_duplicates_match_reference(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("mtx") / "dups.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"6 6 {len(entries)}\n"
+            + "".join(f"{r + 1} {c + 1} {w!r}\n" for r, c, w in entries))
+        kind, expected = reference_mtx_edges(entries)
+        if kind == "conflict":
+            with pytest.raises(ValueError, match=re.escape(
+                    "conflicting weights for edge ({},{})".format(*expected))):
+                read_graph_mtx(path)
+        else:
+            assert read_graph_mtx(path).edge_list() == expected
+
+    def test_edgeless_round_trip(self, tmp_path):
+        g = WeightedGraph.from_edges(4, [])
+        path = tmp_path / "empty.mtx"
+        write_graph_mtx(path, g)
+        back = read_graph_mtx(path)
+        assert back.node_count == 4 and back.edge_count == 0
 
     def test_rejects_self_loop(self, tmp_path):
         path = tmp_path / "loop.mtx"

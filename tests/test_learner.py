@@ -286,6 +286,8 @@ class TestScoreCandidates:
         ([(0, 0)], "joins a node to itself"),
         ([(0, 1, 2.0)], "pairs of integer node indices"),
         ([(0.0, 1.0)], "pairs of integer node indices"),
+        ([(0.7, 1)], "pairs of integer node indices"),
+        ([(True, 2)], "pairs of integer node indices"),
     ])
     def test_rejects_bad_pairs(self, pairs, match):
         g = grid_graph(4, 4)

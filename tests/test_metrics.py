@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reslearn import graphs, spectral
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.learner import LearnTrace, IterationRecord
 from reslearn.measurements import generate_measurement_set
@@ -195,6 +196,32 @@ class TestDistortionStats:
         etas = sorted(c.distortion for c in scored)
         assert eta_max == pytest.approx(max(etas), rel=1e-9)
         assert eta_mean == pytest.approx(np.mean(etas), rel=1e-9)
+
+
+def test_eval_factors_each_graph_once(monkeypatch):
+    # The CLI's eval sequence on graphs above the dense eigensolver limit:
+    # spectra, resistances and both layouts share one factor and one
+    # connected-components pass per graph.
+    calls = {"splu": 0, "components": 0}
+    splu, components = spectral.spla.splu, graphs.connected_components
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counting_components(*args, **kwargs):
+        calls["components"] += 1
+        return components(*args, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "splu", counting_splu)
+    monkeypatch.setattr(graphs, "connected_components", counting_components)
+    truth = grid_graph(12, 12)  # 144 nodes > DENSE_EIG_LIMIT
+    learned = truth.with_edges([(0, 13, 1.0), (20, 45, 0.5)])
+    compare_spectra(truth, learned, 10)
+    resistance_correlation(truth, learned, 200, seed=0)
+    layout_coordinates(truth)
+    layout_coordinates(learned)
+    assert calls == {"splu": 2, "components": 2}
 
 
 class TestEvaluateAndCsv:
