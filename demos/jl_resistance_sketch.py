@@ -9,7 +9,7 @@ true effective resistances.
 import numpy as np
 
 import reslearn as rl
-from reslearn.graphs import WeightedGraph, build_laplacian
+from reslearn.graphs import WeightedGraph
 
 
 def random_connected_graph(n, extra, seed):
@@ -35,8 +35,7 @@ def main():
           f"-> M = ceil(24 ln N / eps^2) = {m}")
 
     ms = rl.generate_jl_measurements(g, eps, seed=0)
-    pinv = np.linalg.pinv(build_laplacian(g).matrix.toarray(),
-                          hermitian=True)
+    pinv = np.linalg.pinv(g.laplacian.toarray(), hermitian=True)
     rng = np.random.default_rng(1)
     ratios = []
     for _ in range(2000):

@@ -17,8 +17,7 @@ def main():
         learned, trace = rl.learn(X_red, None)  # voltages only, no scaling
         factor = truth.node_count / learned.node_count
         connected = rl.is_connected(learned)[0]
-        lam = rl.eigensolve_smallest(
-            rl.build_laplacian(learned), 3).eigenvalues
+        lam = rl.eigensolve_smallest(learned, 3).eigenvalues
         print(f"fraction {fraction:.1f}: {learned.node_count} nodes "
               f"({factor:.0f}x smaller), {learned.edge_count} edges, "
               f"{trace.status}, connected={connected}")

@@ -2,8 +2,9 @@
 linear voltage/current measurements by iterative spectral densification.
 
 The package is organized around a small immutable graph model
-(:mod:`reslearn.graphs`), spectral machinery for eigenpairs, embeddings and
-Laplacian solves through one grounded LU factor (:mod:`reslearn.spectral`),
+(:mod:`reslearn.graphs`), which owns each graph's Laplacian, spectral
+machinery for eigenpairs, embeddings and Laplacian solves through the
+graph's one grounded LU factor (:mod:`reslearn.spectral`),
 measurement generators (:mod:`reslearn.measurements`), the learning loop
 (:mod:`reslearn.learner`), evaluation metrics (:mod:`reslearn.metrics`), and
 file formats (:mod:`reslearn.io`).  ``reslearn.cli`` wires them into a
@@ -14,9 +15,7 @@ __version__ = "0.1.0"
 
 from .graphs import (
     DisconnectedGraphError,
-    LaplacianOperator,
     WeightedGraph,
-    build_laplacian,
     effective_resistance,
     grid_graph,
     is_connected,
@@ -72,7 +71,6 @@ __all__ = [
     "EvalReport",
     "IterationRecord",
     "JlSketchConfig",
-    "LaplacianOperator",
     "LearnConfig",
     "LearnTrace",
     "MeasurementSet",
@@ -82,7 +80,6 @@ __all__ = [
     "WeightedGraph",
     "add_noise",
     "build_embedding",
-    "build_laplacian",
     "compare_spectra",
     "distortion_stats",
     "edge_scale",

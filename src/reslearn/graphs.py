@@ -3,8 +3,9 @@
 The graph model is deliberately narrow: simple undirected graphs with strictly
 positive edge weights (conductances).  Edges are stored canonically as
 ``s < t`` arrays sorted lexicographically, which makes every construction
-deterministic and bit-reproducible.  Each graph has one Laplacian operator,
-built on first use, which owns its matrix, components and grounded factor.
+deterministic and bit-reproducible.  Each graph owns its Laplacian: the
+matrix, its connected components and its grounded factor are built on first
+use and cached on the graph, and every Laplacian routine takes the graph.
 """
 
 from __future__ import annotations
@@ -61,16 +62,13 @@ class WeightedGraph:
         Raises
         ------
         ValueError
-            On self-loops, out-of-range endpoints, or non-positive weights.
+            If ``node_count`` is not an integer >= 1, or an edge is not an
+            ``(s, t, w)`` triple of two distinct in-range integer endpoints
+            and a finite, positive real weight.
         """
-        node_count = int(node_count)
-        if node_count < 1:
-            raise ValueError("node_count must be positive")
-        edges = list(edges)
-        s = np.asarray([e[0] for e in edges], dtype=np.int64)
-        t = np.asarray([e[1] for e in edges], dtype=np.int64)
-        w = np.asarray([e[2] for e in edges], dtype=np.float64)
-        return cls._from_arrays(node_count, s, t, w)
+        _require_int("node_count", node_count, 1)
+        return cls._from_arrays(int(node_count),
+                                *_edge_arrays(edges, node_count))
 
     @classmethod
     def _from_arrays(cls, node_count, s, t, w):
@@ -104,17 +102,15 @@ class WeightedGraph:
                         self.weights.tolist()))
 
     def with_edges(self, edges):
-        """Return a new graph with ``edges`` inserted (duplicates replace)."""
-        extra = list(edges)
-        if not extra:
+        """Return a new graph with ``edges`` inserted (duplicates replace);
+        ``edges`` are ``(s, t, w)`` triples as :meth:`from_edges` takes."""
+        s, t, w = _edge_arrays(edges, self.node_count)
+        if not s.size:
             return self
-        s = np.concatenate([self.sources,
-                            np.asarray([e[0] for e in extra], dtype=np.int64)])
-        t = np.concatenate([self.targets,
-                            np.asarray([e[1] for e in extra], dtype=np.int64)])
-        w = np.concatenate([self.weights,
-                            np.asarray([e[2] for e in extra], dtype=np.float64)])
-        return WeightedGraph._from_arrays(self.node_count, s, t, w)
+        return WeightedGraph._from_arrays(
+            self.node_count, np.concatenate([self.sources, s]),
+            np.concatenate([self.targets, t]),
+            np.concatenate([self.weights, w]))
 
     def scaled(self, factor):
         """Return a copy with every edge weight multiplied by ``factor``."""
@@ -132,44 +128,29 @@ class WeightedGraph:
         return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     @cached_property
-    def _laplacian(self):
-        return LaplacianOperator(self)
-
-
-class LaplacianOperator:
-    """Symmetric PSD Laplacian ``L = D - W`` of a :class:`WeightedGraph`
-    (see :func:`build_laplacian`), with its CSR ``matrix``, ``components`` and
-    the factor :mod:`reslearn.spectral` caches on it.  It keeps no reference
-    to its graph, so reference counting frees the two together."""
-
-    def __init__(self, graph):
-        self.node_count = graph.node_count
-        adj = graph.adjacency()
+    def laplacian(self):
+        """The CSR Laplacian ``L = D - W``, assembled on first use and cached;
+        derived graphs (``scaled``, ``with_edges``, ...) are new graphs with
+        their own."""
+        adj = self.adjacency()
         deg = np.asarray(adj.sum(axis=1)).ravel()
-        self.matrix = (sp.diags(deg) - adj).tocsr()
-        self._factor = None
+        return (sp.diags(deg) - adj).tocsr()
 
     @cached_property
-    def components(self):
+    def _components(self):
         """``(count, labels)``: connected components, labels ``0..count-1``
         in a read-only array."""
-        count, labels = connected_components(self.matrix, directed=False)
+        count, labels = connected_components(self.laplacian, directed=False)
         labels.setflags(write=False)
         return int(count), labels
 
-    def apply(self, x):
-        """Return ``L @ x`` (works for vectors and column-stacked matrices)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[0] != self.node_count:
-            raise ValueError("dimension mismatch")
-        return self.matrix @ x
+    @cached_property
+    def _factor(self):
+        """Grounded SuperLU factor of :attr:`laplacian`; see
+        :func:`reslearn.spectral._grounded_factor`."""
+        from .spectral import _grounded_factor
 
-
-def build_laplacian(g):
-    """The one Laplacian operator of ``g``, assembled on first call and
-    cached on the graph; derived graphs (``scaled``, ``with_edges``, ...)
-    are new graphs with their own."""
-    return g._laplacian
+        return _grounded_factor(self.laplacian)
 
 
 def quadratic_form(g, x):
@@ -189,16 +170,24 @@ def quadratic_form(g, x):
 
 def is_connected(g):
     """Whether ``g`` has a single connected component, plus node labels."""
-    n, labels = build_laplacian(g).components
+    n, labels = g._components
     return n == 1, labels
 
 
-def _require_connected(L):
-    """Raise :class:`DisconnectedGraphError` unless ``L``'s graph is
-    connected."""
-    n, _ = L.components
+def _require_connected(g):
+    """Raise :class:`DisconnectedGraphError` unless ``g`` is connected."""
+    n, _ = g._components
     if n != 1:
         raise DisconnectedGraphError(n)
+
+
+def _require_int(name, value, minimum):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    (Python or numpy, not boolean) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 _is_bool = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)
@@ -225,6 +214,22 @@ def _node_pairs(pairs, n, name):
     return s, t
 
 
+def _edge_arrays(edges, n):
+    """Arrays ``(s, t, w)`` of the ``(s, t, w)`` triples ``edges``: endpoints
+    as :func:`_node_pairs` takes them, each weight a real scalar (Python or
+    numpy, not boolean); raises ``ValueError`` otherwise.  No edges gives
+    empty arrays."""
+    edges = list(edges)
+    if not all(len(e) == 3 for e in edges):
+        raise ValueError("edges must be (s, t, w) triples")
+    s, t = _node_pairs([e[:2] for e in edges], n, "edge endpoints")
+    w = [e[2] for e in edges]
+    if not all(isinstance(v, (int, float, np.integer, np.floating))
+               and not isinstance(v, bool) for v in w):
+        raise ValueError("edge weights must be real numbers")
+    return s, t, np.asarray(w, dtype=np.float64)
+
+
 def effective_resistance(g, pairs):
     """Effective resistance ``e_{s,t}^T L^+ e_{s,t}`` for each node pair.
 
@@ -247,7 +252,6 @@ def effective_resistance(g, pairs):
 
     n = g.node_count
     src, dst = _node_pairs(pairs, n, "pairs")
-    lap = build_laplacian(g)
     out = []
     for start in range(0, src.size, _RESISTANCE_BLOCK):
         s, t = (v[start:start + _RESISTANCE_BLOCK] for v in (src, dst))
@@ -255,7 +259,7 @@ def effective_resistance(g, pairs):
         b = np.zeros((n, s.size))
         b[s, cols] = 1.0
         b[t, cols] = -1.0
-        x = solve_laplacian(lap, b)
+        x = solve_laplacian(g, b)
         out.extend((x[s, cols] - x[t, cols]).tolist())
     return out
 
@@ -287,12 +291,8 @@ def grid_graph(rows, cols, weight=1.0):
     """Rectangular grid graph with uniform edge weight (4-neighborhood)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1, weight))
-            if r + 1 < rows:
-                edges.append((v, v + cols, weight))
-    return WeightedGraph.from_edges(rows * cols, edges)
+    node = np.arange(rows * cols).reshape(rows, cols)
+    s = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()])
+    t = np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])
+    return WeightedGraph._from_arrays(rows * cols, s, t,
+                                      np.full(s.size, float(weight)))

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import (WeightedGraph, _node_pairs, build_laplacian,
+from .graphs import (WeightedGraph, _node_pairs, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
     _squared_row_distances,
@@ -38,13 +38,6 @@ ZDATA_FLOOR_FRACTION = 1e-12
 # Rows per block of the brute-force bridge search in _connectivity_repair;
 # bounds its memory at O(N * block).
 _REPAIR_BLOCK = 256
-
-
-def _require_int(name, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +70,7 @@ class LearnConfig:
             raise ValueError("inverse_variance must be finite and >= 0")
         if self.max_iterations is not None:
             _require_int("max_iterations", self.max_iterations, 1)
+        _require_int("objective_k", self.objective_k, 1)
 
     @property
     def resolved_max_iterations(self):
@@ -303,7 +297,7 @@ def edge_scale(g, X, Y):
     """Rescale all edge weights so solved voltage norms match measured ones.
 
     For each current column the voltages are re-solved on ``g`` (one
-    triangular solve per column against the operator's cached factor); the
+    triangular solve per column against the graph's cached factor); the
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
     """
@@ -314,10 +308,9 @@ def edge_scale(g, X, Y):
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0):
         raise ValueError("zero voltage column: scaling ratio undefined")
-    lap = build_laplacian(g)
     ratios = np.empty(X.shape[1])
     for i in range(X.shape[1]):
-        solved = solve_laplacian(lap, Y[:, i])
+        solved = solve_laplacian(g, Y[:, i])
         ratios[i] = (np.linalg.norm(solved) / norms[i]) ** 2
     return g.scaled(float(np.sqrt(ratios.mean())))
 
@@ -366,7 +359,7 @@ def learn(X, Y=None, config=None):
         if idx.size == 0:
             status = "candidate_pool_exhausted"
             break
-        basis = eigensolve_smallest(build_laplacian(graph), modes)
+        basis = eigensolve_smallest(graph, modes)
         basis = build_embedding(basis, config.inverse_variance)
         order, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
                                           pool_z[idx], m)

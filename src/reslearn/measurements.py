@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import build_laplacian
+from .graphs import _require_int
 from .spectral import solve_laplacian
 
 
@@ -72,11 +72,9 @@ def generate_currents(node_count, count, seed):
     Deterministic given ``seed``; column ``i`` uses the ``i``-th child
     stream of ``SeedSequence(seed)``.
     """
+    _require_int("node_count", node_count, 2)
+    _require_int("count", count, 1)
     n, m = int(node_count), int(count)
-    if n < 2:
-        raise ValueError("need at least 2 nodes to center and normalize")
-    if m < 1:
-        raise ValueError("count must be >= 1")
     Y = np.empty((n, m))
     for i, rng in enumerate(_column_rngs(seed, m)):
         while True:
@@ -95,7 +93,7 @@ def simulate_voltages(g, Y):
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim != 2 or Y.shape[0] != g.node_count:
         raise ValueError("Y must be (node_count, M)")
-    return solve_laplacian(build_laplacian(g), Y)
+    return solve_laplacian(g, Y)
 
 
 def add_noise(X, noise_level, seed):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import build_laplacian, effective_resistance
+from .graphs import effective_resistance
 from .learner import score_candidates
 from .spectral import build_embedding, eigensolve_smallest
 
@@ -33,11 +33,12 @@ class EvalReport:
 
 def compare_spectra(g_true, g_learned, count):
     """First ``count`` nontrivial eigenvalues of both graphs plus per-index
-    relative errors ``|learned - true| / true``."""
-    lam_true = eigensolve_smallest(build_laplacian(g_true),
-                                   count).eigenvalues
-    lam_learned = eigensolve_smallest(build_laplacian(g_learned),
-                                      count).eigenvalues
+    relative errors ``|learned - true| / true``; the graphs must share the
+    node set."""
+    if g_true.node_count != g_learned.node_count:
+        raise ValueError("graphs must share the node set")
+    lam_true = eigensolve_smallest(g_true, count).eigenvalues
+    lam_learned = eigensolve_smallest(g_learned, count).eigenvalues
     rel = np.abs(lam_learned - lam_true) / lam_true
     return lam_true, lam_learned, rel
 
@@ -103,7 +104,7 @@ def layout_coordinates(g):
     eigenvectors, sign-fixed so the largest-magnitude entry is positive."""
     if g.node_count < 3:
         raise ValueError("layout needs at least 3 nodes")
-    basis = eigensolve_smallest(build_laplacian(g), 2)
+    basis = eigensolve_smallest(g, 2)
     return basis.eigenvectors.copy()
 
 
@@ -116,7 +117,7 @@ def distortion_stats(g, X, candidates, mode_count=None, inverse_variance=0.0,
     """
     n = g.node_count
     modes = mode_count if mode_count is not None else n - 1
-    basis = eigensolve_smallest(build_laplacian(g), modes)
+    basis = eigensolve_smallest(g, modes)
     basis = build_embedding(basis, inverse_variance)
     scored = score_candidates(basis, X, candidates)
     eta = np.asarray([c.distortion for c in scored])

@@ -1,14 +1,15 @@
 """Smallest nontrivial Laplacian eigenpairs, spectral embeddings, Laplacian
 solves, and the truncated log-det objective.
 
-Every application of the pseudoinverse ``L^+`` goes through one sparse LU
-factor of the grounded Laplacian ``L[1:, 1:]`` (node 0 held at potential 0),
-built on first use in SuperLU's symmetric mode (minimum-degree ordering on
-``A^T + A``, diagonal pivots) and cached on the graph's one
-:class:`LaplacianOperator`, so each graph is factored at most once.  All
-routines remove the trivial eigenpair (eigenvalue 0, constant vector)
-explicitly instead of regularizing it away, so they operate on the subspace
-orthogonal to the all-ones vector.
+Every routine takes a :class:`~reslearn.graphs.WeightedGraph` and reads its
+cached Laplacian.  Every application of the pseudoinverse ``L^+`` goes
+through one sparse LU factor of the grounded Laplacian ``L[1:, 1:]`` (node 0
+held at potential 0), built on first use in SuperLU's symmetric mode
+(minimum-degree ordering on ``A^T + A``, diagonal pivots) and cached on the
+graph, so each graph is factored at most once.  All routines remove the
+trivial eigenpair (eigenvalue 0, constant vector) explicitly instead of
+regularizing it away, so they operate on the subspace orthogonal to the
+all-ones vector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.sparse.linalg as spla
 from .graphs import (  # DisconnectedGraphError is re-exported
     DisconnectedGraphError,
     _require_connected,
-    build_laplacian,
+    _require_int,
     quadratic_form,
 )
 
@@ -91,16 +92,16 @@ def _project_out_ones(vecs):
     return vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
 
 
-def _dense_smallest(L, count):
-    vals, vecs = np.linalg.eigh(L.matrix.toarray())
+def _dense_smallest(g, count):
+    vals, vecs = np.linalg.eigh(g.laplacian.toarray())
     lam = vals[1:count + 1]
     u = _fix_signs(_project_out_ones(vecs[:, 1:count + 1]))
     return lam, u
 
 
-def _arpack_smallest(L, count, maxiter):
-    n = L.node_count
-    lu = _grounded_factor(L)
+def _arpack_smallest(g, count, maxiter):
+    n = g.node_count
+    lu = g._factor
 
     # x -> L^+ x: the constant vector maps to 0 and the range onto itself, so
     # the largest eigenvalues mu of this operator are 1 / lambda, unshifted.
@@ -117,7 +118,7 @@ def _arpack_smallest(L, count, maxiter):
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
-            best = _best_partial_residual(L, exc.eigenvalues,
+            best = _best_partial_residual(g, exc.eigenvalues,
                                           exc.eigenvectors)
         raise EigensolverError(
             f"eigensolver did not converge within {maxiter} iterations",
@@ -129,15 +130,16 @@ def _arpack_smallest(L, count, maxiter):
     return lam, u
 
 
-def _best_partial_residual(L, mu, u):
+def _best_partial_residual(g, mu, u):
     lam = 1.0 / mu
-    res = np.linalg.norm(L.matrix @ u - u * lam, axis=0)
+    res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
     return float(res.min())
 
 
-def eigensolve_smallest(L, count, tol=DEFAULT_EIG_TOL,
+def eigensolve_smallest(g, count, tol=DEFAULT_EIG_TOL,
                         max_iterations=DEFAULT_EIG_MAXITER, method="auto"):
-    """Compute the ``count`` smallest nontrivial eigenpairs of a Laplacian.
+    """Compute the ``count`` smallest nontrivial eigenpairs of the Laplacian
+    of graph ``g``.
 
     The trivial pair (eigenvalue 0, constant vector) is removed by deflation
     against the all-ones vector.  ``method`` selects the backend: ``"dense"``
@@ -147,21 +149,25 @@ def eigensolve_smallest(L, count, tol=DEFAULT_EIG_TOL,
     Residuals ``||L u - lambda u||`` are verified against
     ``tol * max(1, lambda)`` per pair; failure raises
     :class:`EigensolverError` carrying the best residual reached.
+
+    Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``,
+    and :class:`DisconnectedGraphError` unless ``g`` is connected.
     """
-    n = L.node_count
-    if not 1 <= count <= n - 1:
+    n = g.node_count
+    _require_int("count", count, 1)
+    if not count <= n - 1:
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
-    _require_connected(L)
+    _require_connected(g)
     if method == "auto":
         method = "dense" if (n <= DENSE_EIG_LIMIT or count > n // 2
                              or count >= n - 2) else "iterative"
     if method == "dense":
-        lam, u = _dense_smallest(L, count)
+        lam, u = _dense_smallest(g, count)
     elif method == "iterative":
-        lam, u = _arpack_smallest(L, count, max_iterations)
+        lam, u = _arpack_smallest(g, count, max_iterations)
     else:
         raise ValueError(f"unknown method {method!r}")
-    res = np.linalg.norm(L.matrix @ u - u * lam, axis=0)
+    res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
     limit = tol * np.maximum(1.0, lam)
     if np.any(res > limit):
         raise EigensolverError(
@@ -200,7 +206,8 @@ def embedding_distances(basis, sources, targets):
 
 
 def _grounded_factor(L):
-    """SuperLU factor of ``L[1:, 1:]``, built once and cached on ``L``.
+    """SuperLU factor of ``L[1:, 1:]`` for the CSR Laplacian ``L``; each
+    graph builds it once, as its cached ``_factor``.
 
     Grounding node 0 makes the reduced matrix nonsingular on a connected
     graph; callers check connectivity first.  The grounded Laplacian is
@@ -210,15 +217,12 @@ def _grounded_factor(L):
     singular factor (e.g. weights spanning more than machine precision)
     raises :class:`SolverError`.
     """
-    if L._factor is None:
-        try:
-            L._factor = spla.splu(L.matrix[1:, 1:].tocsc(),
-                                  permc_spec="MMD_AT_PLUS_A",
-                                  options={"SymmetricMode": True})
-        except RuntimeError as exc:
-            raise SolverError(
-                f"grounded Laplacian factorization failed: {exc}") from exc
-    return L._factor
+    try:
+        return spla.splu(L[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(
+            f"grounded Laplacian factorization failed: {exc}") from exc
 
 
 def _grounded_solve(lu, b):
@@ -232,13 +236,15 @@ def _grounded_solve(lu, b):
     return x
 
 
-def solve_laplacian(L, b):
-    """Solve ``L x = b`` on a connected graph with ``x`` centered to mean 0.
+def solve_laplacian(g, b):
+    """Solve ``L x = b`` for the Laplacian ``L`` of a connected graph ``g``,
+    with ``x`` centered to mean 0.
 
     ``b`` is an (N,) vector or an (N, M) block whose columns are orthogonal
     to the all-ones vector (the range of L).  All columns are solved in one
-    call against the cached grounded factor (see :func:`_grounded_factor`),
-    and each must reach relative residual :data:`SOLVE_TOL`.
+    call against the graph's cached grounded factor (see
+    :func:`_grounded_factor`), and each must reach relative residual
+    :data:`SOLVE_TOL`.
 
     Raises
     ------
@@ -251,13 +257,13 @@ def solve_laplacian(L, b):
         If the factorization fails or a column's relative residual is above
         :data:`SOLVE_TOL`.
     """
-    n = L.node_count
+    n = g.node_count
     b = np.asarray(b, dtype=np.float64)
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError("dimension mismatch")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
-    _require_connected(L)
+    _require_connected(g)
     bnorm = np.linalg.norm(b, axis=0)
     if not np.any(bnorm):
         return np.zeros(b.shape)
@@ -265,8 +271,8 @@ def solve_laplacian(L, b):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
     b = b - b.mean(axis=0)
-    x = _grounded_solve(_grounded_factor(L), b)
-    rel = (np.linalg.norm(L.matrix @ x - b, axis=0)
+    x = _grounded_solve(g._factor, b)
+    rel = (np.linalg.norm(g.laplacian @ x - b, axis=0)
            / np.maximum(bnorm, np.finfo(float).tiny))
     if not np.all(rel <= SOLVE_TOL):
         worst = float(rel.max())
@@ -307,9 +313,10 @@ def objective_value(g, X, inverse_variance=0.0, eig_count=50,
         X = X[:, None]
     if X.shape[0] != g.node_count:
         raise ValueError("dimension mismatch between graph and X")
-    if not 1 <= eig_count <= g.node_count - 1:
+    _require_int("eig_count", eig_count, 1)
+    if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
-    basis = eigensolve_smallest(build_laplacian(g), eig_count, method=method)
+    basis = eigensolve_smallest(g, eig_count, method=method)
     logdet = float(np.sum(np.log(basis.eigenvalues + inverse_variance)))
     if inverse_variance > 0 and include_trivial_mode:
         logdet += float(np.log(inverse_variance))

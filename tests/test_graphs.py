@@ -10,7 +10,6 @@ from reslearn import graphs
 from reslearn.graphs import (
     DisconnectedGraphError,
     WeightedGraph,
-    build_laplacian,
     effective_resistance,
     grid_graph,
     is_connected,
@@ -80,6 +79,35 @@ class TestWeightedGraph:
         with pytest.raises(ValueError):
             WeightedGraph.from_edges(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("edges, match", [
+        ([(0.7, 1, 1.0)], "integer node indices"),
+        ([(True, 2, 1.0)], "integer node indices"),
+        ([(0, 1, "2")], "weights must be real numbers"),
+        ([(0, 1, 1.0), (1, 2, True)], "weights must be real numbers"),
+        ([(0, 1, [1.0])], "weights must be real numbers"),
+        ([(0, 1)], r"\(s, t, w\) triples"),
+    ], ids=["fractional-endpoint", "boolean-endpoint", "string-weight",
+            "boolean-weight", "sequence-weight", "pair"])
+    def test_rejects_malformed_edges(self, edges, match):
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph.from_edges(3, edges)
+
+    def test_with_edges_rejects_fractional_endpoint(self):
+        with pytest.raises(ValueError, match="integer node indices"):
+            grid_graph(2, 2).with_edges([(0.9, 3, 1.0)])
+
+    @pytest.mark.parametrize("node_count", [2.5, True])
+    def test_rejects_non_integer_node_count(self, node_count):
+        with pytest.raises(ValueError, match="node_count must be an integer"):
+            WeightedGraph.from_edges(node_count, [(0, 1, 1.0)])
+
+    def test_accepts_numpy_integers_and_no_edges(self):
+        g = WeightedGraph.from_edges(np.int64(3), [(np.int32(2), 0, 1),
+                                                  (1, 2, np.float32(0.5))])
+        assert g.edge_list() == [(0, 2, 1.0), (1, 2, 0.5)]
+        assert g.with_edges([]) is g
+        assert WeightedGraph.from_edges(3, []).edge_count == 0
+
     def test_immutability(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
@@ -93,52 +121,52 @@ class TestWeightedGraph:
 class TestLaplacian:
     def test_two_node_apply(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        lap = build_laplacian(g)
-        np.testing.assert_allclose(lap.apply([1.0, -1.0]), [2.0, -2.0])
+        np.testing.assert_allclose(g.laplacian @ np.array([1.0, -1.0]),
+                                   [2.0, -2.0])
 
     def test_nullspace(self):
         g = random_connected_graph(17, 20, seed=3)
-        lap = build_laplacian(g)
-        np.testing.assert_allclose(lap.apply(np.ones(17)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(g.laplacian @ np.ones(17), 0.0,
+                                   atol=1e-12)
 
     def test_triangle_apply(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        np.testing.assert_allclose(build_laplacian(g).apply([1.0, 0.0, 0.0]),
+        np.testing.assert_allclose(g.laplacian @ np.array([1.0, 0.0, 0.0]),
                                    [2.0, -1.0, -1.0])
 
     def test_matches_dense_assembly(self):
         g = random_connected_graph(12, 15, seed=5)
-        np.testing.assert_allclose(build_laplacian(g).matrix.toarray(),
-                                   dense_laplacian(g))
+        np.testing.assert_allclose(g.laplacian.toarray(), dense_laplacian(g))
 
     def test_symmetry_and_psd(self):
         g = random_connected_graph(20, 30, seed=1)
-        lap = build_laplacian(g)
+        L = g.laplacian
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.standard_normal(20)
             y = rng.standard_normal(20)
-            assert np.isclose(x @ lap.apply(y), y @ lap.apply(x))
-            assert x @ lap.apply(x) >= -1e-12
+            assert np.isclose(x @ (L @ y), y @ (L @ x))
+            assert x @ (L @ x) >= -1e-12
 
 
 class TestOneLaplacianPerGraph:
     def test_operator_is_cached_on_the_graph(self):
         g = random_connected_graph(12, 15, seed=5)
-        assert build_laplacian(g) is build_laplacian(g)
+        assert g.laplacian is g.laplacian
 
     def test_derived_graphs_get_their_own_operator(self):
         g = random_connected_graph(12, 15, seed=5)
         b = np.zeros(12)
         b[[0, 7]] = 1.0, -1.0
-        x = solve_laplacian(build_laplacian(g), b)
-        halved = solve_laplacian(build_laplacian(g.scaled(2.0)), b)
+        x = solve_laplacian(g, b)
+        halved = solve_laplacian(g.scaled(2.0), b)
         np.testing.assert_allclose(halved, x / 2, rtol=1e-10, atol=1e-14)
         for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
                         maximum_spanning_tree(g)):
-            lap = build_laplacian(derived)
-            assert lap is not build_laplacian(g)
-            np.testing.assert_allclose(lap.matrix.toarray(),
+            solve_laplacian(derived, b)
+            assert derived.laplacian is not g.laplacian
+            assert derived._factor is not g._factor
+            np.testing.assert_allclose(derived.laplacian.toarray(),
                                        dense_laplacian(derived))
 
     def test_components_computed_once(self, monkeypatch):
@@ -154,9 +182,9 @@ class TestOneLaplacianPerGraph:
         b = np.zeros(36)
         b[[0, 35]] = 1.0, -1.0
         assert is_connected(g)[0]
-        solve_laplacian(build_laplacian(g), b)
+        solve_laplacian(g, b)
         effective_resistance(g, [(0, 5), (3, 30)])
-        eigensolve_smallest(build_laplacian(g), 3)
+        eigensolve_smallest(g, 3)
         assert len(calls) == 1
 
     def test_disconnected_raises_on_every_call(self):
@@ -166,10 +194,10 @@ class TestOneLaplacianPerGraph:
         b[[0, 2]] = 1.0, -1.0
         for _ in range(2):
             with pytest.raises(DisconnectedGraphError) as err:
-                solve_laplacian(build_laplacian(g), b)
+                solve_laplacian(g, b)
             assert err.value.n_components == 3
             with pytest.raises(DisconnectedGraphError) as err:
-                eigensolve_smallest(build_laplacian(g), 2)
+                eigensolve_smallest(g, 2)
             assert err.value.n_components == 3
 
     def test_component_labels_are_read_only(self):
@@ -178,18 +206,16 @@ class TestOneLaplacianPerGraph:
             labels[0] = 5
 
     def test_factored_graph_freed_without_cycle_collector(self):
-        # The operator must not point back at its graph: a cycle would keep
-        # the graph, its matrix and its factor alive until the cyclic GC.
+        # The graph holds its matrix and factor, and neither may point back
+        # at it: a cycle would keep all three alive until the cyclic GC.
         g = grid_graph(15, 15)  # 225 nodes: the iterative, factored path
-        eigensolve_smallest(build_laplacian(g), 3)
-        assert build_laplacian(g)._factor is not None
+        eigensolve_smallest(g, 3)
+        assert "_factor" in vars(g)
         graph_ref = weakref.ref(g)
-        operator_ref = weakref.ref(build_laplacian(g))
         gc.disable()
         try:
             del g
             assert graph_ref() is None
-            assert operator_ref() is None
         finally:
             gc.enable()
 
@@ -218,7 +244,7 @@ class TestQuadraticForm:
             g = random_connected_graph(15, 12, seed=seed)
             x = rng.standard_normal(15)
             qf = quadratic_form(g, x)
-            assert qf == pytest.approx(x @ build_laplacian(g).apply(x),
+            assert qf == pytest.approx(x @ (g.laplacian @ x),
                                        rel=1e-10)
 
 

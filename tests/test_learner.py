@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 import reslearn
 from reslearn.graphs import (
     WeightedGraph,
-    build_laplacian,
     grid_graph,
     is_connected,
 )
@@ -191,8 +190,7 @@ class TestScoreCandidates:
         g = WeightedGraph.from_edges(2, [(0, 1, w)])
         a = np.sqrt(z_data / (4 * m))
         X = np.tile([[a], [-a]], (1, m))  # each column [a, -a]
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 1), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 1), 0.0)
         cand = score_candidates(basis, X, [(0, 1)])[0]
         assert cand.z_data == pytest.approx(z_data)
         assert cand.z_emb == pytest.approx(1.0 / w)
@@ -214,8 +212,7 @@ class TestScoreCandidates:
     def test_consistency_invariant(self):
         g = random_connected_graph(12, 14, seed=0)
         ms = generate_measurement_set(g, 8, seed=1)
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 4), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 4), 0.0)
         pairs = [(0, 5), (2, 9), (3, 4)]
         for cand in score_candidates(basis, ms.X, pairs):
             if cand.z_data > 0:
@@ -226,11 +223,10 @@ class TestScoreCandidates:
     def test_sensitivity_underestimates_with_fewer_modes(self):
         g = random_connected_graph(20, 25, seed=3)
         ms = generate_measurement_set(g, 8, seed=3)
-        lap = build_laplacian(g)
         pairs = [(0, 11), (4, 17), (2, 9)]
         prev = np.full(len(pairs), -np.inf)
         for modes in (2, 5, 10, 19):  # 19 = full spectrum
-            basis = build_embedding(eigensolve_smallest(lap, modes), 0.0)
+            basis = build_embedding(eigensolve_smallest(g, modes), 0.0)
             scored = {(c.s, c.t): c.sensitivity
                       for c in score_candidates(basis, ms.X, pairs)}
             sens = np.asarray([scored[p] for p in pairs])
@@ -240,8 +236,7 @@ class TestScoreCandidates:
     def test_sorted_descending_with_tie_break(self):
         g = random_connected_graph(10, 10, seed=2)
         ms = generate_measurement_set(g, 5, seed=2)
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 3), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
         pairs = [(s, t) for s in range(10) for t in range(s + 1, 10)]
         scored = score_candidates(basis, ms.X, pairs)
         sens = [c.sensitivity for c in scored]
@@ -262,7 +257,7 @@ class TestScoreCandidates:
         Y = generate_currents(n, m, seed=seed)
         X = simulate_voltages(g, Y)
         basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), n - 1, method="dense"),
+            eigensolve_smallest(g, n - 1, method="dense"),
             0.0)
         cand = score_candidates(basis, X, [(s, t)])[0]
 
@@ -272,7 +267,7 @@ class TestScoreCandidates:
         h = 1e-6
 
         def objective(delta):
-            L = build_laplacian(g).matrix.toarray() + delta * np.outer(e, e)
+            L = g.laplacian.toarray() + delta * np.outer(e, e)
             lam = np.linalg.eigvalsh(L)[1:]
             return float(np.log(lam).sum()
                          - np.einsum("ij,ij->", L @ X, X) / m)
@@ -292,16 +287,14 @@ class TestScoreCandidates:
     def test_rejects_bad_pairs(self, pairs, match):
         g = grid_graph(4, 4)
         ms = generate_measurement_set(g, 5, seed=0)
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 3), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
         with pytest.raises(ValueError, match=match):
             score_candidates(basis, ms.X, pairs)
 
     def test_rejects_bad_voltage_matrix(self):
         g = grid_graph(4, 4)
         ms = generate_measurement_set(g, 5, seed=0)
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 3), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
         with pytest.raises(ValueError, match="15 rows but the basis has 16"):
             score_candidates(basis, ms.X[:-1], [(0, 1)])
         X = ms.X.copy()
@@ -321,7 +314,7 @@ class TestPerturbationEstimate:
         assert est == pytest.approx(0.2)
         # the rank-one update scales the whole Laplacian: new eigenvalue 2.2
         g = WeightedGraph.from_edges(2, [(0, 1, 1.1)])
-        lam = eigensolve_smallest(build_laplacian(g), 1).eigenvalues[0]
+        lam = eigensolve_smallest(g, 1).eigenvalues[0]
         assert lam == pytest.approx(2.0 + est)
 
     def test_matches_dense_reeigensolve(self):
@@ -338,7 +331,7 @@ class TestPerturbationEstimate:
         e = np.zeros(50)
         e[s], e[t] = 1.0, -1.0
         vals_after = np.linalg.eigvalsh(
-            build_laplacian(g).matrix.toarray() + dw * np.outer(e, e))
+            g.laplacian.toarray() + dw * np.outer(e, e))
         for i in range(1, 6):
             exact = vals_after[i] - vals[i]
             est = perturbation_estimate(vecs[:, i], vals[i], dw, s, t)
@@ -478,8 +471,7 @@ class TestLearn:
                            unscaled.targets.tolist()))
         remaining = [(s, t) for s, t, _ in g_o.edge_list()
                      if (s, t) not in in_graph]
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(unscaled), cfg.r - 1), 0.0)
+        basis = build_embedding(eigensolve_smallest(unscaled, cfg.r - 1), 0.0)
         m = ms.X.shape[1]
         for cand in score_candidates(basis, ms.X, remaining):
             assert cand.distortion <= 1.0 + cfg.tol * m / cand.z_data + 1e-9
@@ -497,8 +489,11 @@ class TestLearn:
             LearnConfig(beta_sample=1.5)
         with pytest.raises(ValueError):
             LearnConfig(inverse_variance=np.nan)
+        with pytest.raises(ValueError, match="objective_k must be >= 1"):
+            LearnConfig(objective_k=0)
 
-    @pytest.mark.parametrize("field", ["k", "r", "max_iterations"])
+    @pytest.mark.parametrize("field", ["k", "r", "max_iterations",
+                                       "objective_k"])
     @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
     def test_rejects_non_integer_counts(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -506,7 +501,7 @@ class TestLearn:
 
     def test_accepts_numpy_integer_counts(self):
         cfg = LearnConfig(k=np.int64(3), r=np.int32(4),
-                          max_iterations=np.int64(7))
+                          max_iterations=np.int64(7), objective_k=np.int64(9))
         assert cfg.resolved_max_iterations == 7
 
     def test_rejects_mismatched_currents(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reslearn.graphs import WeightedGraph, build_laplacian, grid_graph
+from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.measurements import (
     MeasurementSet,
     add_noise,
@@ -43,6 +43,19 @@ class TestGenerateCurrents:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             generate_currents(1, 4, seed=0)
+
+    @pytest.mark.parametrize("node_count, count, match", [
+        (16, 2.5, "^count must be an integer"),
+        (16, True, "^count must be an integer"),
+        (16.0, 2, "^node_count must be an integer"),
+    ], ids=["fractional-count", "boolean-count", "float-node-count"])
+    def test_rejects_non_integer_sizes(self, node_count, count, match):
+        with pytest.raises(ValueError, match=match):
+            generate_currents(node_count, count, seed=0)
+
+    def test_accepts_numpy_integer_sizes(self):
+        Y = generate_currents(np.int64(6), np.int32(3), seed=0)
+        np.testing.assert_array_equal(Y, generate_currents(6, 3, seed=0))
 
 
 class TestSimulateVoltages:

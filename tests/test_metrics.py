@@ -34,6 +34,10 @@ class TestCompareSpectra:
         np.testing.assert_allclose(ll / lt, 2.0, rtol=1e-9)
         np.testing.assert_allclose(rel, 1.0, rtol=1e-9)
 
+    def test_rejects_different_node_sets(self):
+        with pytest.raises(ValueError, match="graphs must share the node set"):
+            compare_spectra(grid_graph(4, 4), grid_graph(3, 3), 2)
+
     def test_spectra_ascending(self):
         g = random_connected_graph(20, 25, seed=2)
         lt, ll, _ = compare_spectra(g, g.scaled(0.5), 8)
@@ -184,14 +188,12 @@ class TestDistortionStats:
     def test_agrees_with_score_candidates(self):
         from reslearn.learner import score_candidates
         from reslearn.spectral import build_embedding, eigensolve_smallest
-        from reslearn.graphs import build_laplacian
 
         g = random_connected_graph(10, 8, seed=5)
         ms = generate_measurement_set(g, 6, seed=5)
         cands = [(0, 7), (2, 5)]
         eta_max, eta_mean, _ = distortion_stats(g, ms.X, cands)
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 9, method="dense"), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 9, method="dense"), 0.0)
         scored = score_candidates(basis, ms.X, cands)
         etas = sorted(c.distortion for c in scored)
         assert eta_max == pytest.approx(max(etas), rel=1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reslearn.graphs import WeightedGraph, build_laplacian, effective_resistance
+from reslearn.graphs import WeightedGraph, effective_resistance, grid_graph
 from reslearn.measurements import simulate_voltages
 from reslearn.spectral import (
     DisconnectedGraphError,
@@ -34,24 +34,24 @@ def four_cycle():
 class TestEigensolve:
     def test_two_node(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        basis = eigensolve_smallest(build_laplacian(g), 1)
+        basis = eigensolve_smallest(g, 1)
         assert basis.eigenvalues[0] == pytest.approx(2.0)
         u = basis.eigenvectors[:, 0]
         np.testing.assert_allclose(np.abs(u), [np.sqrt(0.5)] * 2, rtol=1e-10)
 
     def test_triangle_degenerate_pair(self):
-        basis = eigensolve_smallest(build_laplacian(triangle()), 2)
+        basis = eigensolve_smallest(triangle(), 2)
         np.testing.assert_allclose(basis.eigenvalues, [3.0, 3.0], atol=1e-9)
 
     def test_four_cycle(self):
-        basis = eigensolve_smallest(build_laplacian(four_cycle()), 3)
+        basis = eigensolve_smallest(four_cycle(), 3)
         np.testing.assert_allclose(basis.eigenvalues, [2.0, 2.0, 4.0],
                                    atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_iterative_matches_dense_oracle(self, seed):
         g = random_connected_graph(50, 100, seed=seed)
-        basis = eigensolve_smallest(build_laplacian(g), 5, method="iterative")
+        basis = eigensolve_smallest(g, 5, method="iterative")
         vals, vecs = dense_eigenpairs(g)
         np.testing.assert_allclose(basis.eigenvalues, vals[1:6], atol=1e-8)
         # compare per-vector up to sign where the spectrum is simple
@@ -65,8 +65,7 @@ class TestEigensolve:
 
     def test_degenerate_subspace_matches(self):
         # triangle eigenvalue 3 has multiplicity 2: compare projectors
-        basis = eigensolve_smallest(build_laplacian(triangle()), 2,
-                                    method="dense")
+        basis = eigensolve_smallest(triangle(), 2, method="dense")
         _, vecs = dense_eigenpairs(triangle())
         p_got = basis.eigenvectors @ basis.eigenvectors.T
         p_ref = vecs[:, 1:] @ vecs[:, 1:].T
@@ -74,12 +73,12 @@ class TestEigensolve:
 
     def test_residuals_and_deflation(self):
         g = random_connected_graph(60, 120, seed=11)
-        lap = build_laplacian(g)
-        basis = eigensolve_smallest(lap, 4, method="iterative")
+        basis = eigensolve_smallest(g, 4, method="iterative")
         for i in range(4):
             u = basis.eigenvectors[:, i]
             lam = basis.eigenvalues[i]
-            assert np.linalg.norm(lap.apply(u) - lam * u) < 1e-8 * max(1, lam)
+            assert (np.linalg.norm(g.laplacian @ u - lam * u)
+                    < 1e-8 * max(1, lam))
             assert abs(u @ np.ones(60)) < 1e-8
             assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-10)
         gram = basis.eigenvectors.T @ basis.eigenvectors
@@ -88,61 +87,69 @@ class TestEigensolve:
     def test_count_out_of_range(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
-            eigensolve_smallest(build_laplacian(g), 2)
+            eigensolve_smallest(g, 2)
 
     def test_unreachable_tolerance_reports_residual(self):
         from reslearn.spectral import EigensolverError
 
         g = random_connected_graph(40, 60, seed=12)
         with pytest.raises(EigensolverError) as err:
-            eigensolve_smallest(build_laplacian(g), 3, tol=1e-30,
-                                method="iterative")
+            eigensolve_smallest(g, 3, tol=1e-30, method="iterative")
         assert err.value.best_residual is None or \
             err.value.best_residual >= 0.0
 
     def test_disconnected_rejected(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
-            eigensolve_smallest(build_laplacian(g), 1)
+            eigensolve_smallest(g, 1)
+
+    @pytest.mark.parametrize("side", [3, 15], ids=["dense", "iterative"])
+    @pytest.mark.parametrize("count", [2.0, True, "2"])
+    def test_rejects_non_integer_count(self, side, count):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            eigensolve_smallest(grid_graph(side, side), count)
+
+    @pytest.mark.parametrize("side", [3, 15], ids=["dense", "iterative"])
+    def test_accepts_numpy_integer_count(self, side):
+        assert eigensolve_smallest(grid_graph(side, side),
+                                   np.int64(2)).mode_count == 2
 
 
 class TestEmbedding:
     def test_two_node_full_embedding_is_resistance(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        basis = eigensolve_smallest(build_laplacian(g), 1)
+        basis = eigensolve_smallest(g, 1)
         emb = build_embedding(basis, 0.0)
         np.testing.assert_allclose(np.abs(emb.embedding[:, 0]), [0.5, 0.5],
                                    rtol=1e-10)
         assert embedding_distances(emb, 0, 1) == pytest.approx(1.0)
 
     def test_large_inverse_variance_shrinks(self):
-        basis = eigensolve_smallest(build_laplacian(triangle()), 2)
+        basis = eigensolve_smallest(triangle(), 2)
         emb = build_embedding(basis, 1e12)
         assert np.abs(emb.embedding).max() < 1e-5
 
     def test_triangle_full_spectrum_matches_resistance(self):
         g = triangle()
-        basis = build_embedding(
-            eigensolve_smallest(build_laplacian(g), 2), 0.0)
+        basis = build_embedding(eigensolve_smallest(g, 2), 0.0)
         for s, t, _ in g.edge_list():
             assert embedding_distances(basis, s, t) == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_mode_count_monotonicity(self, seed):
         g = random_connected_graph(25, 35, seed=seed)
-        lap = build_laplacian(g)
         pairs = [(0, 12), (3, 20), (7, 8)]
         reff = dense_resistance(g, pairs)
         prev = np.zeros(len(pairs))
         for count in (2, 6, 12, 24):
-            emb = build_embedding(eigensolve_smallest(lap, count), 0.0)
+            emb = build_embedding(eigensolve_smallest(g, count), 0.0)
             z = np.asarray([embedding_distances(emb, s, t) for s, t in pairs])
             assert np.all(z >= prev - 1e-12)
             assert np.all(z <= np.asarray(reff) + 1e-9)
             prev = z
 
     def test_requires_built_embedding(self):
-        basis = eigensolve_smallest(build_laplacian(triangle()), 2)
+        basis = eigensolve_smallest(triangle(), 2)
         with pytest.raises(ValueError):
             embedding_distances(basis, 0, 1)
 
@@ -150,23 +157,23 @@ class TestEmbedding:
 class TestSolveLaplacian:
     def test_two_node(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        x = solve_laplacian(build_laplacian(g), np.array([1.0, -1.0]))
+        x = solve_laplacian(g, np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], rtol=1e-9)
 
     def test_zero_rhs(self):
         g = triangle()
         np.testing.assert_array_equal(
-            solve_laplacian(build_laplacian(g), np.zeros(3)), np.zeros(3))
+            solve_laplacian(g, np.zeros(3)), np.zeros(3))
 
     def test_path_hand_case(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        x = solve_laplacian(build_laplacian(g), np.array([1.0, 0.0, -1.0]))
+        x = solve_laplacian(g, np.array([1.0, 0.0, -1.0]))
         np.testing.assert_allclose(x, [1.0, 0.0, -1.0], atol=1e-9)
 
     def test_rejects_rhs_outside_range(self):
         g = triangle()
         with pytest.raises(ValueError):
-            solve_laplacian(build_laplacian(g), np.array([1.0, 1.0, 1.0]))
+            solve_laplacian(g, np.array([1.0, 1.0, 1.0]))
 
     # Each case is a graph shape one of the former CG variants was built
     # for; the ids keep those variants' names.  All three now go through
@@ -178,12 +185,11 @@ class TestSolveLaplacian:
     ])
     def test_roundtrip_residual(self, extra_edges, w_range):
         g = random_connected_graph(40, extra_edges, seed=2, w_range=w_range)
-        lap = build_laplacian(g)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(40)
         b -= b.mean()
-        x = solve_laplacian(lap, b)
-        assert np.linalg.norm(lap.apply(x) - b) <= 1e-10 * np.linalg.norm(b)
+        x = solve_laplacian(g, b)
+        assert np.linalg.norm(g.laplacian @ x - b) <= 1e-10 * np.linalg.norm(b)
         assert abs(x.sum()) < 1e-8
 
     def test_block_rhs_matches_pinv_per_column(self):
@@ -191,7 +197,7 @@ class TestSolveLaplacian:
         B = np.random.default_rng(5).standard_normal((35, 6))
         B -= B.mean(axis=0)
         B[:, 2] = 0.0
-        X = solve_laplacian(build_laplacian(g), B)
+        X = solve_laplacian(g, B)
         assert X.shape == B.shape
         pinv = dense_pinv(g)
         for j in range(B.shape[1]):
@@ -199,17 +205,15 @@ class TestSolveLaplacian:
 
     def test_matches_dense_pinv(self):
         g = random_connected_graph(30, 45, seed=6)
-        lap = build_laplacian(g)
         rng = np.random.default_rng(1)
         b = rng.standard_normal(30)
         b -= b.mean()
-        np.testing.assert_allclose(solve_laplacian(lap, b), dense_pinv(g) @ b,
+        np.testing.assert_allclose(solve_laplacian(g, b), dense_pinv(g) @ b,
                                    atol=1e-8)
 
     def test_rejects_non_finite_rhs(self):
         with pytest.raises(ValueError):
-            solve_laplacian(build_laplacian(triangle()),
-                            np.array([np.nan, 0.0, 0.0]))
+            solve_laplacian(triangle(), np.array([np.nan, 0.0, 0.0]))
 
     def test_unresolvable_weight_range_raises_solver_error(self):
         # 1e-20 + 1e20 rounds to 1e20, so the grounded factor is singular;
@@ -218,7 +222,7 @@ class TestSolveLaplacian:
         g = WeightedGraph.from_edges(3, [(0, 1, 1e-20), (1, 2, 1e20)])
         b = np.array([1.0, 0.0, -1.0])
         with pytest.raises(SolverError):
-            solve_laplacian(build_laplacian(g), b)
+            solve_laplacian(g, b)
         with pytest.raises(SolverError):
             effective_resistance(g, [(0, 2)])
         with pytest.raises(SolverError):
@@ -226,6 +230,12 @@ class TestSolveLaplacian:
 
 
 class TestObjectiveValue:
+    @pytest.mark.parametrize("eig_count", [2.0, True])
+    def test_rejects_non_integer_eig_count(self, eig_count):
+        X = np.random.default_rng(0).standard_normal((9, 3))
+        with pytest.raises(ValueError, match="eig_count must be an integer"):
+            objective_value(grid_graph(3, 3), X, eig_count=eig_count)
+
     def test_two_node_closed_form(self):
         a = 0.3
         w = 1.7
