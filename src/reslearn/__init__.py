@@ -34,7 +34,6 @@ from .learner import (
     score_candidates,
 )
 from .measurements import (
-    JlSketchConfig,
     MeasurementSet,
     add_noise,
     generate_currents,
@@ -45,10 +44,8 @@ from .measurements import (
     subsample_nodes,
 )
 from .metrics import (
-    EvalReport,
     compare_spectra,
     distortion_stats,
-    evaluate,
     layout_coordinates,
     resistance_correlation,
 )
@@ -68,9 +65,7 @@ __all__ = [
     "DisconnectedGraphError",
     "EdgeCandidate",
     "EigensolverError",
-    "EvalReport",
     "IterationRecord",
-    "JlSketchConfig",
     "LearnConfig",
     "LearnTrace",
     "MeasurementSet",
@@ -86,7 +81,6 @@ __all__ = [
     "effective_resistance",
     "eigensolve_smallest",
     "embedding_distances",
-    "evaluate",
     "generate_currents",
     "generate_jl_measurements",
     "generate_measurement_set",

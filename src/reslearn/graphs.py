@@ -25,11 +25,10 @@ _RESISTANCE_BLOCK = 256
 class DisconnectedGraphError(ValueError):
     """Raised by operations that require a connected graph."""
 
-    def __init__(self, n_components, message=None):
+    def __init__(self, n_components):
         self.n_components = int(n_components)
         super().__init__(
-            message or f"graph is disconnected ({self.n_components} components)"
-        )
+            f"graph is disconnected ({self.n_components} components)")
 
 
 @dataclass(frozen=True)
@@ -197,15 +196,19 @@ def _node_pairs(pairs, n, name):
     """Endpoint arrays ``(s, t)`` of ``pairs``, which must be (k, 2) integer
     (not boolean) node indices in ``[0, n)`` with ``s != t``; raises
     ``ValueError`` naming ``name`` otherwise.  No pairs gives empty arrays."""
+    malformed = ValueError(f"{name} must be (s, t) pairs of integer node "
+                           "indices")
     pairs = list(pairs)
-    arr = np.asarray(pairs)
+    try:
+        arr = np.asarray(pairs)
+    except ValueError:  # ragged: pairs of different lengths or nesting
+        raise malformed from None
     if arr.size == 0:
         return np.empty(0, np.int64), np.empty(0, np.int64)
     if (arr.ndim != 2 or arr.shape[1] != 2
             or not np.issubdtype(arr.dtype, np.integer)
             or _is_bool(np.asarray(pairs, dtype=object)).any()):
-        raise ValueError(f"{name} must be (s, t) pairs of integer node "
-                         "indices")
+        raise malformed
     if np.any((arr < 0) | (arr >= n)):
         raise ValueError(f"{name}: node index out of range [0, {n})")
     s, t = arr.astype(np.int64).T
@@ -287,12 +290,11 @@ def maximum_spanning_tree(g):
                          g.weights[keep])
 
 
-def grid_graph(rows, cols, weight=1.0):
-    """Rectangular grid graph with uniform edge weight (4-neighborhood)."""
+def grid_graph(rows, cols):
+    """Rectangular grid graph with unit edge weights (4-neighborhood)."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
     node = np.arange(rows * cols).reshape(rows, cols)
     s = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()])
     t = np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])
-    return WeightedGraph._from_arrays(rows * cols, s, t,
-                                      np.full(s.size, float(weight)))
+    return WeightedGraph._from_arrays(rows * cols, s, t, np.ones(s.size))

@@ -11,6 +11,7 @@ with an 8-byte magic, two uint64 dimensions, and float64 data column-major:
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -57,10 +58,10 @@ def read_graph_mtx(path):
     return WeightedGraph._from_arrays(n, lo[start], hi[start], w[start])
 
 
-def write_graph_mtx(path, g, comment=""):
+def write_graph_mtx(path, g):
     """Write the adjacency in symmetric Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), g.adjacency(), comment=comment,
-                     field="real", precision=17, symmetry="symmetric")
+    scipy.io.mmwrite(str(path), g.adjacency(), field="real", precision=17,
+                     symmetry="symmetric")
 
 
 def write_matrix_binary(path, A):
@@ -75,14 +76,22 @@ def write_matrix_binary(path, A):
 
 
 def read_matrix_binary(path):
+    """Read a matrix in the raw binary layout described above.
+
+    Raises ``ValueError`` naming ``path`` on a wrong magic, or when the
+    header's N x M float64 values need more bytes than follow it.
+    """
     with open(path, "rb") as fh:
         header = fh.read(24)
         if len(header) != 24 or header[:8] != MATRIX_MAGIC:
             raise ValueError(f"{path}: not a measurement matrix file")
         _, n, m = struct.unpack("<8sQQ", header)
+        left = os.fstat(fh.fileno()).st_size - len(header)
+        if 8 * n * m > left:
+            raise ValueError(f"{path}: truncated data section: header says "
+                             f"{n} x {m} float64 values ({8 * n * m} "
+                             f"bytes), {left} bytes follow")
         data = np.fromfile(fh, dtype="<f8", count=n * m)
-    if data.size != n * m:
-        raise ValueError(f"{path}: truncated data section")
     return data.reshape((n, m), order="F")
 
 

@@ -35,6 +35,8 @@ from .spectral import (
 # Floor for zero data distances (duplicate voltage rows), as a fraction of the
 # median nonzero squared distance over the candidate pool.
 ZDATA_FLOOR_FRACTION = 1e-12
+# Nontrivial eigenvalues in the recorded objective, capped at N - 1.
+OBJECTIVE_EIG_COUNT = 50
 # Rows per block of the brute-force bridge search in _connectivity_repair;
 # bounds its memory at O(N * block).
 _REPAIR_BLOCK = 256
@@ -45,8 +47,10 @@ class LearnConfig:
     """Knobs of the learning loop.
 
     Defaults follow the reference experimental protocol: 5 nearest
-    neighbors, 4 embedding modes (r = 5), sensitivity tolerance 1e-12,
-    edge sampling ratio 1e-3, and a 50-eigenvalue objective.
+    neighbors, 4 embedding modes (r = 5), sensitivity tolerance 1e-12 and
+    edge sampling ratio 1e-3.  With ``record_objective`` every iteration
+    records the objective over a fixed :data:`OBJECTIVE_EIG_COUNT` (50)
+    nontrivial eigenvalues, capped at ``N - 1``.
     """
 
     k: int = 5
@@ -55,7 +59,6 @@ class LearnConfig:
     beta_sample: float = 1e-3
     inverse_variance: float = 0.0
     max_iterations: int | None = None
-    objective_k: int = 50
     record_objective: bool = False
 
     def __post_init__(self):
@@ -70,7 +73,6 @@ class LearnConfig:
             raise ValueError("inverse_variance must be finite and >= 0")
         if self.max_iterations is not None:
             _require_int("max_iterations", self.max_iterations, 1)
-        _require_int("objective_k", self.objective_k, 1)
 
     @property
     def resolved_max_iterations(self):
@@ -207,6 +209,24 @@ def _as_voltages(X):
     return X
 
 
+def _as_currents(Y, X):
+    """``Y`` as a float matrix shaped like the checked voltages ``X``: finite,
+    each column nonzero and orthogonal to the all-ones vector."""
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.shape != X.shape:
+        raise ValueError("X and Y shapes differ")
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite (found NaN or inf)")
+    norms = np.linalg.norm(Y, axis=0)
+    zero = np.flatnonzero(norms == 0)
+    if zero.size:
+        raise ValueError(f"Y column {zero[0]} is all zeros: every current "
+                         "column must excite the network")
+    if np.any(np.abs(Y.sum(axis=0)) > 1e-8 * np.sqrt(X.shape[0]) * norms):
+        raise ValueError("current columns not orthogonal to all-ones")
+    return Y
+
+
 def _seed_graph(X, k):
     """``(g_o, tree, z)``: the candidate graph, its maximum spanning tree,
     and the floored squared data distance of every candidate edge, in the
@@ -237,14 +257,10 @@ def init_graph(X, k):
     return g_o, tree
 
 
-def perturbation_estimate(eigenvector, eigenvalue, delta_weight, s, t):
-    """First-order eigenvalue shift from adding weight ``delta_weight`` on
-    edge ``(s, t)``: ``delta_weight * (u_s - u_t)^2``.
-
-    ``eigenvalue`` identifies the perturbed pair; the estimate itself only
-    needs the (unit-norm) eigenvector.
-    """
-    del eigenvalue
+def perturbation_estimate(eigenvector, delta_weight, s, t):
+    """First-order shift of the eigenvalue of the unit-norm ``eigenvector``
+    from adding weight ``delta_weight`` on edge ``(s, t)``:
+    ``delta_weight * (u_s - u_t)^2``."""
     u = np.asarray(eigenvector, dtype=np.float64)
     d = float(u[s] - u[t])
     return float(delta_weight) * d * d
@@ -300,11 +316,13 @@ def edge_scale(g, X, Y):
     triangular solve per column against the graph's cached factor); the
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
+
+    Raises ``ValueError`` unless ``X`` and ``Y`` are finite matrices of one
+    shape whose columns are all nonzero, with every current column
+    orthogonal to the all-ones vector.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.shape != Y.shape or X.ndim != 2:
-        raise ValueError("X and Y must be matching 2-D matrices")
+    X = _as_voltages(X)
+    Y = _as_currents(Y, X)
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0):
         raise ValueError("zero voltage column: scaling ratio undefined")
@@ -331,14 +349,7 @@ def learn(X, Y=None, config=None):
     X = _as_voltages(X)
     n, m = X.shape
     if Y is not None:
-        Y = np.asarray(Y, dtype=np.float64)
-        if Y.shape != X.shape:
-            raise ValueError("X and Y shapes differ")
-        if not np.all(np.isfinite(Y)):
-            raise ValueError("Y must be finite (found NaN or inf)")
-        drift = np.abs(Y.sum(axis=0))
-        if np.any(drift > 1e-8 * np.sqrt(n) * np.linalg.norm(Y, axis=0)):
-            raise ValueError("current columns not orthogonal to all-ones")
+        Y = _as_currents(Y, X)
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
@@ -376,9 +387,9 @@ def learn(X, Y=None, config=None):
 
         objective = None
         if config.record_objective:
-            k_obj = min(config.objective_k, n - 1)
-            objective = objective_value(graph, X, config.inverse_variance,
-                                        k_obj).total
+            objective = objective_value(
+                graph, X, config.inverse_variance,
+                min(OBJECTIVE_EIG_COUNT, n - 1)).total
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,
             objective=objective, seconds=time.perf_counter() - tick))

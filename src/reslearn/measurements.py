@@ -39,13 +39,15 @@ class MeasurementSet:
     def measurement_count(self):
         return self.X.shape[1]
 
-    def validate(self, unit_currents=True, tol=1e-10):
+    def validate(self, unit_currents=True):
         """Check column invariants; raises ValueError on violation.
 
         Current columns must be orthogonal to the all-ones vector; with
         ``unit_currents`` they must be unit norm as well (true for the random
-        excitation protocol, not for sketch-constructed currents).
+        excitation protocol, not for sketch-constructed currents).  Both
+        hold to an absolute 1e-10.
         """
+        tol = 1e-10
         if self.X.ndim != 2:
             raise ValueError("X must be 2-D")
         if self.Y is not None:
@@ -127,19 +129,6 @@ def jl_measurement_count(node_count, epsilon):
     return max(1, math.ceil(24.0 * math.log(node_count) / epsilon ** 2))
 
 
-@dataclass(frozen=True)
-class JlSketchConfig:
-    """Resolved sketch parameters: distortion target and column count."""
-
-    epsilon: float
-    measurement_count: int
-
-    @classmethod
-    def for_graph(cls, node_count, epsilon):
-        return cls(epsilon=float(epsilon),
-                   measurement_count=jl_measurement_count(node_count, epsilon))
-
-
 def generate_jl_measurements(g, epsilon, seed):
     """Measurement set whose voltage distances sketch effective resistances.
 
@@ -152,9 +141,8 @@ def generate_jl_measurements(g, epsilon, seed):
     Note the currents carry their construction norms; they are orthogonal to
     the all-ones vector but not unit length.
     """
-    cfg = JlSketchConfig.for_graph(g.node_count, epsilon)
-    m = cfg.measurement_count
     n = g.node_count
+    m = jl_measurement_count(n, epsilon)
     sqrt_w = np.sqrt(g.weights)
     scale = 1.0 / math.sqrt(m)
     Y = np.zeros((n, m))

@@ -5,8 +5,6 @@ statistics, and the CSV emitters the pipeline writes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import effective_resistance
@@ -16,19 +14,6 @@ from .spectral import build_embedding, eigensolve_smallest
 # Below this many total node pairs the resistance report enumerates all of
 # them instead of sampling.
 EXHAUSTIVE_PAIR_LIMIT = 10_000
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    """Quality metrics of a learned graph relative to the truth."""
-
-    spectrum_true: np.ndarray
-    spectrum_learned: np.ndarray
-    resistance_pairs: np.ndarray  # (k, 2) columns (R_true, R_learned)
-    pearson_r: float
-    edge_counts: tuple[int, int]  # (|E_true|, |E_learned|)
-    distortion_max: float | None = None
-    distortion_mean: float | None = None
 
 
 def compare_spectra(g_true, g_learned, count):
@@ -108,17 +93,14 @@ def layout_coordinates(g):
     return basis.eigenvectors.copy()
 
 
-def distortion_stats(g, X, candidates, mode_count=None, inverse_variance=0.0,
-                     bins=10):
-    """Embedding distortion over the given edges with the full available
-    basis (all ``N - 1`` nontrivial modes unless ``mode_count`` is given).
+def distortion_stats(g, X, candidates):
+    """Embedding distortion over the given edges with the full basis: all
+    ``N - 1`` nontrivial modes, no prior (inverse variance 0), and a
+    10-bin histogram.
 
     Returns ``(eta_max, eta_mean, (histogram_counts, bin_edges))``.
     """
-    n = g.node_count
-    modes = mode_count if mode_count is not None else n - 1
-    basis = eigensolve_smallest(g, modes)
-    basis = build_embedding(basis, inverse_variance)
+    basis = build_embedding(eigensolve_smallest(g, g.node_count - 1))
     scored = score_candidates(basis, X, candidates)
     eta = np.asarray([c.distortion for c in scored])
     span = float(eta.max() - eta.min())
@@ -126,26 +108,8 @@ def distortion_stats(g, X, candidates, mode_count=None, inverse_variance=0.0,
         hist_range = (float(eta.min()) - 0.5, float(eta.max()) + 0.5)
     else:
         hist_range = (float(eta.min()), float(eta.max()))
-    counts, edges = np.histogram(eta, bins=bins, range=hist_range)
+    counts, edges = np.histogram(eta, bins=10, range=hist_range)
     return float(eta.max()), float(eta.mean()), (counts, edges)
-
-
-def evaluate(g_true, g_learned, spectrum_count=10, pair_count=1000, seed=0,
-             X=None, candidates=None):
-    """Assemble an :class:`EvalReport`; distortion statistics require the
-    measurement matrix and a candidate edge list."""
-    lam_t, lam_l, _ = compare_spectra(g_true, g_learned, spectrum_count)
-    _, r_t, r_l, corr = resistance_correlation(g_true, g_learned, pair_count,
-                                               seed)
-    dist_max = dist_mean = None
-    if X is not None and candidates is not None:
-        dist_max, dist_mean, _ = distortion_stats(g_learned, X, candidates)
-    return EvalReport(
-        spectrum_true=lam_t, spectrum_learned=lam_l,
-        resistance_pairs=np.column_stack([r_t, r_l]),
-        pearson_r=corr,
-        edge_counts=(g_true.edge_count, g_learned.edge_count),
-        distortion_max=dist_max, distortion_mean=dist_mean)
 
 
 def write_spectra_csv(path, spectrum_true, spectrum_learned):

@@ -27,11 +27,13 @@ from .graphs import (  # DisconnectedGraphError is re-exported
     quadratic_form,
 )
 
-DEFAULT_EIG_TOL = 1e-8
-DEFAULT_EIG_MAXITER = 5000
+# Residual every eigenpair must reach, relative to max(1, lambda).
+EIG_TOL = 1e-8
+# Restart cap of the Lanczos backend.
+EIG_MAX_RESTARTS = 5000
 # Relative residual every column of a Laplacian solve must reach.
 SOLVE_TOL = 1e-10
-# Dense LAPACK path below this size; the iterative path is the scalable one.
+# Dense LAPACK path up to this size; the iterative path is the scalable one.
 DENSE_EIG_LIMIT = 128
 
 
@@ -99,7 +101,7 @@ def _dense_smallest(g, count):
     return lam, u
 
 
-def _arpack_smallest(g, count, maxiter):
+def _arpack_smallest(g, count):
     n = g.node_count
     lu = g._factor
 
@@ -114,14 +116,15 @@ def _arpack_smallest(g, count, maxiter):
     ncv = int(min(n, max(2 * count + 1, 20)))
     try:
         mu, u = spla.eigsh(op, k=count, which="LM", v0=v0, ncv=ncv,
-                           maxiter=maxiter, tol=0)
+                           maxiter=EIG_MAX_RESTARTS, tol=0)
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
             best = _best_partial_residual(g, exc.eigenvalues,
                                           exc.eigenvectors)
         raise EigensolverError(
-            f"eigensolver did not converge within {maxiter} iterations",
+            f"eigensolver did not converge within {EIG_MAX_RESTARTS} "
+            "restarts",
             best_residual=best) from exc
     lam = 1.0 / mu
     order = np.argsort(lam)
@@ -136,19 +139,21 @@ def _best_partial_residual(g, mu, u):
     return float(res.min())
 
 
-def eigensolve_smallest(g, count, tol=DEFAULT_EIG_TOL,
-                        max_iterations=DEFAULT_EIG_MAXITER, method="auto"):
+def eigensolve_smallest(g, count):
     """Compute the ``count`` smallest nontrivial eigenpairs of the Laplacian
     of graph ``g``.
 
     The trivial pair (eigenvalue 0, constant vector) is removed by deflation
-    against the all-ones vector.  ``method`` selects the backend: ``"dense"``
-    (LAPACK, exact small-scale reference), ``"iterative"`` (Lanczos on
-    ``L^+`` applied through the grounded factor), or ``"auto"``.
+    against the all-ones vector.  The backend follows from the size alone:
+    dense LAPACK for graphs of at most :data:`DENSE_EIG_LIMIT` (128) nodes or
+    for more than half the modes, otherwise Lanczos on ``L^+`` applied
+    through the grounded factor, capped at :data:`EIG_MAX_RESTARTS` (5000)
+    restarts.
 
     Residuals ``||L u - lambda u||`` are verified against
-    ``tol * max(1, lambda)`` per pair; failure raises
-    :class:`EigensolverError` carrying the best residual reached.
+    ``EIG_TOL * max(1, lambda)`` per pair, with :data:`EIG_TOL` = 1e-8;
+    failure raises :class:`EigensolverError` carrying the best residual
+    reached.
 
     Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``,
     and :class:`DisconnectedGraphError` unless ``g`` is connected.
@@ -158,17 +163,12 @@ def eigensolve_smallest(g, count, tol=DEFAULT_EIG_TOL,
     if not count <= n - 1:
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
     _require_connected(g)
-    if method == "auto":
-        method = "dense" if (n <= DENSE_EIG_LIMIT or count > n // 2
-                             or count >= n - 2) else "iterative"
-    if method == "dense":
+    if n <= DENSE_EIG_LIMIT or count > n // 2 or count >= n - 2:
         lam, u = _dense_smallest(g, count)
-    elif method == "iterative":
-        lam, u = _arpack_smallest(g, count, max_iterations)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        lam, u = _arpack_smallest(g, count)
     res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
-    limit = tol * np.maximum(1.0, lam)
+    limit = EIG_TOL * np.maximum(1.0, lam)
     if np.any(res > limit):
         raise EigensolverError(
             f"eigenpair residual {res.max():.3e} exceeds tolerance",
@@ -297,16 +297,15 @@ class ObjectiveValue:
     eig_count: int
 
 
-def objective_value(g, X, inverse_variance=0.0, eig_count=50,
-                    include_trivial_mode=True, method="auto"):
+def objective_value(g, X, inverse_variance=0.0, eig_count=50):
     """Evaluate the learning objective on graph ``g`` with voltages ``X``.
 
     ``logdet_term`` sums ``log(lambda_i + inverse_variance)`` over the first
     ``eig_count`` nontrivial eigenvalues; when ``inverse_variance > 0`` the
-    trivial mode contributes ``log(inverse_variance)`` as well, which
-    ``include_trivial_mode`` can disable.  ``trace_term`` is the averaged
-    quadratic form ``(1/M) (sum_e w_e ||X^T e||^2 + inverse_variance
-    ||X||_F^2)``.
+    trivial mode contributes ``log(inverse_variance)`` as well.
+    ``trace_term`` is the averaged quadratic form ``(1/M) (sum_e w_e ||X^T
+    e||^2 + inverse_variance ||X||_F^2)``.  The eigenvalues come from
+    :func:`eigensolve_smallest`, whose backend follows from the size.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
@@ -316,9 +315,9 @@ def objective_value(g, X, inverse_variance=0.0, eig_count=50,
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
-    basis = eigensolve_smallest(g, eig_count, method=method)
+    basis = eigensolve_smallest(g, eig_count)
     logdet = float(np.sum(np.log(basis.eigenvalues + inverse_variance)))
-    if inverse_variance > 0 and include_trivial_mode:
+    if inverse_variance > 0:
         logdet += float(np.log(inverse_variance))
     m = X.shape[1]
     trace = quadratic_form(g, X)

@@ -52,7 +52,7 @@ def test_c1_perturbation_theorem_accuracy():
             dense_laplacian(g) + dw * np.outer(e, e))
         for i in range(1, 6):
             exact = vals_after[i] - vals[i]
-            est = rl.perturbation_estimate(vecs[:, i], vals[i], dw, s, t)
+            est = rl.perturbation_estimate(vecs[:, i], dw, s, t)
             worst = max(worst, abs(est - exact) / abs(exact))
     _report("C1 theorem-1 accuracy", worst <= 0.05,
             f"worst relative error {worst:.2e} <= 5e-2")
@@ -76,14 +76,14 @@ def test_c2_gradient_fidelity():
         Y = rl.generate_currents(n, m, seed=int(rng.integers(1 << 30)))
         X = rl.simulate_voltages(g, Y)
         basis = rl.build_embedding(
-            rl.eigensolve_smallest(g, n - 1, method="dense"), 0.0)
+            rl.eigensolve_smallest(g, n - 1), 0.0)
         sens = rl.score_candidates(basis, X, [(s, t)])[0].sensitivity
 
         h = 1e-6
         e = np.zeros(n)
         e[s], e[t] = 1.0, -1.0
         plus = rl.objective_value(
-            g.with_edges([(s, t, h)]), X, 0.0, n - 1, method="dense").total
+            g.with_edges([(s, t, h)]), X, 0.0, n - 1).total
         # negative-side evaluation of the same truncated objective (the
         # graph type cannot carry a negative weight)
         L_minus = dense_laplacian(g) - h * np.outer(e, e)

@@ -16,6 +16,7 @@ from reslearn.graphs import (
     maximum_spanning_tree,
     quadratic_form,
 )
+from reslearn.learner import score_candidates
 from reslearn.spectral import eigensolve_smallest, solve_laplacian
 
 from _oracles import (
@@ -284,6 +285,23 @@ class TestEffectiveResistance:
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match=match):
             effective_resistance(g, pairs)
+
+    @pytest.mark.parametrize("name", ["pairs", "candidates",
+                                      "edge endpoints"])
+    def test_rejects_ragged_pairs_naming_the_argument(self, name):
+        # a ragged list must not reach numpy's "inhomogeneous shape" error
+        g = grid_graph(3, 3)
+        ragged = [(0, 1), (2,)]
+        calls = {
+            "pairs": lambda: effective_resistance(g, ragged),
+            "candidates": lambda: score_candidates(
+                eigensolve_smallest(g, 8), np.eye(9), ragged),
+            "edge endpoints": lambda: WeightedGraph.from_edges(
+                3, [(0, (1, 2), 1.0)]),
+        }
+        with pytest.raises(ValueError, match=f"^{name} must be \\(s, t\\) "
+                                             "pairs of integer node indices"):
+            calls[name]()
 
     def test_accepts_integer_arrays(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestMatrixFormats:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(ValueError):
+            read_matrix_binary(path)
+
+    def test_binary_oversized_header_names_the_file(self, tmp_path):
+        # N = M = 2^40 would overflow the read's element count; the size
+        # check against the bytes on disk comes first
+        path = tmp_path / "huge.bin"
+        path.write_bytes(struct.pack("<8sQQ", b"RESMAT01", 1 << 40, 1 << 40)
+                         + b"\x00" * 64)
+        with pytest.raises(ValueError, match="huge.bin: truncated"):
             read_matrix_binary(path)
 
     def test_csv_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from reslearn import spectral
 from reslearn.graphs import WeightedGraph, effective_resistance, grid_graph
 from reslearn.measurements import simulate_voltages
 from reslearn.spectral import (
@@ -31,6 +32,13 @@ def four_cycle():
         4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
 
 
+@pytest.fixture
+def lanczos(monkeypatch):
+    """Route every eigensolve of a few modes to the Lanczos backend, which
+    otherwise serves only graphs above the dense size limit."""
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+
+
 class TestEigensolve:
     def test_two_node(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
@@ -49,9 +57,9 @@ class TestEigensolve:
                                    atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_iterative_matches_dense_oracle(self, seed):
+    def test_iterative_matches_dense_oracle(self, seed, lanczos):
         g = random_connected_graph(50, 100, seed=seed)
-        basis = eigensolve_smallest(g, 5, method="iterative")
+        basis = eigensolve_smallest(g, 5)
         vals, vecs = dense_eigenpairs(g)
         np.testing.assert_allclose(basis.eigenvalues, vals[1:6], atol=1e-8)
         # compare per-vector up to sign where the spectrum is simple
@@ -65,15 +73,15 @@ class TestEigensolve:
 
     def test_degenerate_subspace_matches(self):
         # triangle eigenvalue 3 has multiplicity 2: compare projectors
-        basis = eigensolve_smallest(triangle(), 2, method="dense")
+        basis = eigensolve_smallest(triangle(), 2)
         _, vecs = dense_eigenpairs(triangle())
         p_got = basis.eigenvectors @ basis.eigenvectors.T
         p_ref = vecs[:, 1:] @ vecs[:, 1:].T
         np.testing.assert_allclose(p_got, p_ref, atol=1e-10)
 
-    def test_residuals_and_deflation(self):
+    def test_residuals_and_deflation(self, lanczos):
         g = random_connected_graph(60, 120, seed=11)
-        basis = eigensolve_smallest(g, 4, method="iterative")
+        basis = eigensolve_smallest(g, 4)
         for i in range(4):
             u = basis.eigenvectors[:, i]
             lam = basis.eigenvalues[i]
@@ -89,12 +97,12 @@ class TestEigensolve:
         with pytest.raises(ValueError):
             eigensolve_smallest(g, 2)
 
-    def test_unreachable_tolerance_reports_residual(self):
-        from reslearn.spectral import EigensolverError
-
+    def test_unreachable_tolerance_reports_residual(self, lanczos,
+                                                    monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_TOL", 1e-30)
         g = random_connected_graph(40, 60, seed=12)
-        with pytest.raises(EigensolverError) as err:
-            eigensolve_smallest(g, 3, tol=1e-30, method="iterative")
+        with pytest.raises(spectral.EigensolverError) as err:
+            eigensolve_smallest(g, 3)
         assert err.value.best_residual is None or \
             err.value.best_residual >= 0.0
 
@@ -245,6 +253,12 @@ class TestObjectiveValue:
         assert obj.logdet_term == pytest.approx(np.log(2 * w))
         assert obj.trace_term == pytest.approx(4 * a * a * w)
         assert obj.total == pytest.approx(np.log(2 * w) - 4 * a * a * w)
+        # a prior adds sigma^-2 to the eigenvalue, its log for the trivial
+        # mode, and sigma^-2 ||X||_F^2 / M to the trace
+        obj = objective_value(g, X, inverse_variance=0.5, eig_count=1)
+        assert obj.logdet_term == pytest.approx(np.log(2 * w + 0.5)
+                                                + np.log(0.5))
+        assert obj.trace_term == pytest.approx(4 * a * a * w + a * a)
 
     def test_two_node_maximized_at_weight_formula(self):
         # F(w) = log(2w) - 4 a^2 w peaks at w* = 1/(4 a^2) = M / z_data
@@ -269,15 +283,6 @@ class TestObjectiveValue:
         scaled = objective_value(g.scaled(3.0), X, 0.0, k)
         assert scaled.logdet_term - base.logdet_term == pytest.approx(
             k * np.log(3.0), rel=1e-9)
-
-    def test_trivial_mode_flag(self):
-        g = triangle()
-        X = np.array([[0.1], [0.0], [-0.1]])
-        with_mode = objective_value(g, X, 2.0, 2, include_trivial_mode=True)
-        without = objective_value(g, X, 2.0, 2, include_trivial_mode=False)
-        assert with_mode.logdet_term - without.logdet_term == pytest.approx(
-            np.log(2.0))
-        assert with_mode.trace_term == without.trace_term
 
     def test_eig_count_out_of_range(self):
         g = triangle()
@@ -307,7 +312,7 @@ class TestObjectiveValue:
             edges = g.edge_list()
             edges[idx] = (s, t, weight)
             return objective_value(WeightedGraph.from_edges(n, edges), X,
-                                   0.0, n - 1, method="dense").total
+                                   0.0, n - 1).total
 
         fd = (F(w + h) - F(w - h)) / (2 * h)
         assert fd == pytest.approx(analytic, rel=1e-4)
