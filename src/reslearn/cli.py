@@ -222,7 +222,16 @@ def _cmd_learn(args):
 
 
 def _cmd_eval(args):
-    from . import __version__, io, metrics
+    """Spectra, resistance scatter and layouts of both graphs.
+
+    Each graph is eigensolved once, for ``max(spectrum_k, 2)`` modes:
+    ``spectra.csv`` takes the first ``spectrum_k`` eigenvalues and each
+    layout the first two (sign-fixed) eigenvectors, as
+    :func:`metrics.compare_spectra` and :func:`metrics.layout_coordinates`
+    would give them; where an eigenvalue repeats, a layout may be another
+    orthonormal basis of its eigenspace.
+    """
+    from . import __version__, io, metrics, spectral
 
     g_true = io.read_graph_mtx(args.truth)
     g_learned = io.read_graph_mtx(args.learned)
@@ -230,13 +239,22 @@ def _cmd_eval(args):
         raise ValueError(
             f"node counts differ: {g_true.node_count} vs "
             f"{g_learned.node_count}")
+    if g_true.node_count < 3:
+        raise ValueError("layout needs at least 3 nodes")
+    if args.spectrum_k < 1:
+        raise ValueError(f"--spectrum-k must be >= 1, got {args.spectrum_k}")
     started = time.perf_counter()
-    lam_t, lam_l, _ = metrics.compare_spectra(g_true, g_learned,
-                                              args.spectrum_k)
+    # spectrum_k > N - 1 fails the eigensolve's range check with the
+    # message compare_spectra gives.
+    basis_true, basis_learned = (
+        spectral.eigensolve_smallest(g, max(args.spectrum_k, 2))
+        for g in (g_true, g_learned))
+    lam_t = basis_true.eigenvalues[:args.spectrum_k]
+    lam_l = basis_learned.eigenvalues[:args.spectrum_k]
+    coords_true = basis_true.eigenvectors[:, :2]
+    coords_learned = basis_learned.eigenvectors[:, :2]
     pairs, r_t, r_l, corr = metrics.resistance_correlation(
         g_true, g_learned, args.pairs, args.seed)
-    coords_true = metrics.layout_coordinates(g_true)
-    coords_learned = metrics.layout_coordinates(g_learned)
 
     os.makedirs(args.out, exist_ok=True)
     paths = {

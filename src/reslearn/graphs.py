@@ -106,17 +106,28 @@ class WeightedGraph:
         s, t, w = _edge_arrays(edges, self.node_count)
         if not s.size:
             return self
-        return WeightedGraph._from_arrays(
+        return self._pass_connected(WeightedGraph._from_arrays(
             self.node_count, np.concatenate([self.sources, s]),
             np.concatenate([self.targets, t]),
-            np.concatenate([self.weights, w]))
+            np.concatenate([self.weights, w])))
 
     def scaled(self, factor):
         """Return a copy with every edge weight multiplied by ``factor``."""
         if not np.isfinite(factor) or factor <= 0:
             raise ValueError("scale factor must be finite and > 0")
-        return WeightedGraph(self.node_count, self.sources, self.targets,
-                             np.ascontiguousarray(self.weights * factor))
+        return self._pass_connected(WeightedGraph(
+            self.node_count, self.sources, self.targets,
+            np.ascontiguousarray(self.weights * factor)))
+
+    def _pass_connected(self, other):
+        """``other``, a graph on these nodes that holds every edge of this
+        one: when this graph's cached components say it is connected, so is
+        ``other``, which takes them without a components pass of its own."""
+        cached = self.__dict__.get("_components")
+        if cached is not None and cached[0] == 1:
+            # cached_property reads the instance dict first.
+            other.__dict__["_components"] = cached
+        return other
 
     def adjacency(self):
         """Symmetric weighted adjacency as CSR."""
@@ -131,9 +142,33 @@ class WeightedGraph:
         """The CSR Laplacian ``L = D - W``, assembled on first use and cached;
         derived graphs (``scaled``, ``with_edges``, ...) are new graphs with
         their own."""
-        adj = self.adjacency()
-        deg = np.asarray(adj.sum(axis=1)).ravel()
-        return (sp.diags(deg) - adj).tocsr()
+        n, s, t, w = self.node_count, self.sources, self.targets, self.weights
+        # Row i holds, by ascending column, the edges (j, i) with j < i, the
+        # diagonal, then the edges (i, j) with j > i.  Edges are sorted by
+        # (s, t), so a stable sort on t lists the first part by j.
+        lower, upper = np.bincount(t, minlength=n), np.bincount(s, minlength=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lower + upper + 1, out=ptr[1:])
+        diag = ptr[:-1] + lower
+        by_t = np.argsort(t, kind="stable")
+        e = np.arange(t.size)
+        at_lower = e + (np.cumsum(upper + 1) - upper - 1)[t[by_t]]
+        at_upper = e + np.cumsum(lower + 1)[s]
+        col = np.empty(ptr[-1], dtype=np.int64)
+        val = np.empty(ptr[-1])
+        col[at_lower], val[at_lower] = s[by_t], -w[by_t]
+        col[at_upper], val[at_upper] = t, -w
+        col[diag] = np.arange(n)
+        val[diag] = 0.0
+        # Each degree sums its row's off-diagonal entries in column order,
+        # as scipy sums the rows of a CSR matrix, so it is the same to the
+        # last bit as the row sum of the adjacency.
+        off = np.ones(ptr[-1], dtype=bool)
+        off[diag] = False
+        rows = np.flatnonzero(lower + upper)
+        adjacency_ptr = ptr[:-1] - np.arange(n)
+        val[diag[rows]] = -np.add.reduceat(val[off], adjacency_ptr[rows])
+        return sp.csr_matrix((val, col, ptr), shape=(n, n))
 
     @cached_property
     def _components(self):
@@ -286,8 +321,12 @@ def maximum_spanning_tree(g):
     if forest.nnz < n - 1:
         raise DisconnectedGraphError(n - forest.nnz)
     keep = np.sort(order[forest.data.astype(np.int64) - 1])
-    return WeightedGraph(n, g.sources[keep], g.targets[keep],
-                         g.weights[keep])
+    tree = WeightedGraph(n, g.sources[keep], g.targets[keep], g.weights[keep])
+    # n - 1 edges spanning n nodes: a tree is connected by construction.
+    labels = np.zeros(n, dtype=np.int32)
+    labels.setflags(write=False)
+    tree.__dict__["_components"] = (1, labels)
+    return tree
 
 
 def grid_graph(rows, cols):

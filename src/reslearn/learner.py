@@ -211,10 +211,13 @@ def _as_voltages(X):
 
 def _as_currents(Y, X):
     """``Y`` as a float matrix shaped like the checked voltages ``X``: finite,
-    each column nonzero and orthogonal to the all-ones vector."""
+    each column nonzero and orthogonal to the all-ones vector.  Every column
+    of ``X`` must be nonzero too, or edge scaling has no ratio to match."""
     Y = np.asarray(Y, dtype=np.float64)
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
+    if not np.all(np.any(X, axis=0)):
+        raise ValueError("zero voltage column: scaling ratio undefined")
     if not np.all(np.isfinite(Y)):
         raise ValueError("Y must be finite (found NaN or inf)")
     norms = np.linalg.norm(Y, axis=0)
@@ -266,13 +269,29 @@ def perturbation_estimate(eigenvector, delta_weight, s, t):
     return float(delta_weight) * d * d
 
 
-def _rank_candidates(basis, s, t, z_data, m):
+def _top_order(sens, s, t, cap=None):
+    """Indices of the ``cap`` highest ``sens`` (all of them when ``cap`` is
+    ``None``), by ``sens`` descending, ties by ascending ``(s, t)``: the
+    first ``cap`` entries of ``np.lexsort((t, s, -sens))``.
+
+    With a cap, ``np.partition`` finds the cap-th highest value and only
+    the entries at or above it are sorted.
+    """
+    if cap is not None and cap < sens.size:
+        floor = -np.partition(-sens, cap - 1)[cap - 1]
+        head = np.flatnonzero(sens >= floor)
+        return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
+    return np.lexsort((t, s, -sens))
+
+
+def _rank_candidates(basis, s, t, z_data, m, cap=None):
     """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with data
     distances ``z_data`` over ``m`` measurements: ``sens = z_emb - z_data /
-    m``, ranked descending by ``order``, ties by ascending ``(s, t)``."""
+    m``; ``order`` ranks the top ``cap`` (default all) descending, ties by
+    ascending ``(s, t)``."""
     z_emb = embedding_distances(basis, s, t)
     sens = z_emb - z_data / m
-    return np.lexsort((t, s, -sens)), sens, z_emb
+    return _top_order(sens, s, t, cap), sens, z_emb
 
 
 def score_candidates(basis, X, candidates):
@@ -324,8 +343,6 @@ def edge_scale(g, X, Y):
     X = _as_voltages(X)
     Y = _as_currents(Y, X)
     norms = np.linalg.norm(X, axis=0)
-    if np.any(norms == 0):
-        raise ValueError("zero voltage column: scaling ratio undefined")
     ratios = np.empty(X.shape[1])
     for i in range(X.shape[1]):
         solved = solve_laplacian(g, Y[:, i])
@@ -372,13 +389,12 @@ def learn(X, Y=None, config=None):
             break
         basis = eigensolve_smallest(graph, modes)
         basis = build_embedding(basis, config.inverse_variance)
-        order, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                          pool_z[idx], m)
-        s_max = float(sens[order[0]])
+        top, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
+                                        pool_z[idx], m, include_cap)
+        s_max = float(sens[top[0]])
 
         converged = s_max <= config.tol
         if not converged:
-            top = order[:include_cap]
             take = idx[top[sens[top] > config.tol]]
             in_graph[take] = True
             graph = graph.with_edges(zip(pool_s[take].tolist(),

@@ -112,17 +112,25 @@ def distortion_stats(g, X, candidates):
     return float(eta.max()), float(eta.mean()), (counts, edges)
 
 
+# The CSV writers format Python floats (``tolist()``): the same digits as
+# numpy scalars give, at about half the cost.
+
+
 def write_spectra_csv(path, spectrum_true, spectrum_learned):
+    rows = zip(np.asarray(spectrum_true, dtype=np.float64).tolist(),
+               np.asarray(spectrum_learned, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("index,lambda_true,lambda_learned\n")
-        for i, (lt, ll) in enumerate(zip(spectrum_true, spectrum_learned)):
+        for i, (lt, ll) in enumerate(rows):
             fh.write(f"{i + 2},{lt:.17g},{ll:.17g}\n")
 
 
 def write_resistance_scatter_csv(path, pairs, r_true, r_learned):
+    rows = zip(pairs, np.asarray(r_true, dtype=np.float64).tolist(),
+               np.asarray(r_learned, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,t,r_true,r_learned\n")
-        for (s, t), rt, rl in zip(pairs, r_true, r_learned):
+        for (s, t), rt, rl in rows:
             fh.write(f"{s},{t},{rt:.17g},{rl:.17g}\n")
 
 
@@ -138,5 +146,6 @@ def write_trace_csv(path, trace):
 def write_layout_csv(path, coords):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("node,x,y\n")
-        for i, (x, y) in enumerate(coords):
+        for i, (x, y) in enumerate(
+                np.asarray(coords, dtype=np.float64).tolist()):
             fh.write(f"{i},{x:.17g},{y:.17g}\n")

@@ -10,6 +10,10 @@ graph, so each graph is factored at most once.  All routines remove the
 trivial eigenpair (eigenvalue 0, constant vector) explicitly instead of
 regularizing it away, so they operate on the subspace orthogonal to the
 all-ones vector.
+
+Lanczos (ARPACK on ``L^+``) stops at the residual its pairs are checked
+against, not at machine precision: its tolerance is ``0.1 * EIG_TOL / (2 *
+max weighted degree)``, clamped below at machine epsilon.
 """
 
 from __future__ import annotations
@@ -114,9 +118,14 @@ def _arpack_smallest(g, count):
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
     v0 -= v0.mean()
     ncv = int(min(n, max(2 * count + 1, 20)))
+    # ARPACK stops once ||L^+ u - mu u|| <= tol * mu, which gives ||L u -
+    # lambda u|| <= ||L|| * tol; ||L|| <= 2 * max degree (Gershgorin), so
+    # this tol lands every pair ten times inside the EIG_TOL check.
+    tol = max(0.1 * EIG_TOL / (2.0 * g.laplacian.diagonal().max()),
+              np.finfo(float).eps)
     try:
         mu, u = spla.eigsh(op, k=count, which="LM", v0=v0, ncv=ncv,
-                           maxiter=EIG_MAX_RESTARTS, tol=0)
+                           maxiter=EIG_MAX_RESTARTS, tol=tol)
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -148,7 +157,9 @@ def eigensolve_smallest(g, count):
     dense LAPACK for graphs of at most :data:`DENSE_EIG_LIMIT` (128) nodes or
     for more than half the modes, otherwise Lanczos on ``L^+`` applied
     through the grounded factor, capped at :data:`EIG_MAX_RESTARTS` (5000)
-    restarts.
+    restarts.  Lanczos stops at tolerance ``max(0.1 * EIG_TOL / (2 * max
+    weighted degree), machine epsilon)``: ARPACK's test on ``L^+`` then
+    bounds ``||L u - lambda u||`` by ``||L|| * tol <= 0.1 * EIG_TOL``.
 
     Residuals ``||L u - lambda u||`` are verified against
     ``EIG_TOL * max(1, lambda)`` per pair, with :data:`EIG_TOL` = 1e-8;
@@ -218,7 +229,8 @@ def _grounded_factor(L):
     raises :class:`SolverError`.
     """
     try:
-        return spla.splu(L[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+        # The transpose of the symmetric CSR block is that block in CSC.
+        return spla.splu(L[1:, 1:].T, permc_spec="MMD_AT_PLUS_A",
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(

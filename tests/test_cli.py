@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from reslearn import metrics, spectral
 from reslearn.cli import main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
@@ -182,6 +184,13 @@ class TestLearn:
         assert main(["learn", str(gen / "X.bin"), str(other / "Y.bin"),
                      "--out", str(tmp_path / "r")]) == 3
 
+    def test_ragged_csv_names_the_file(self, tmp_path, capsys):
+        x = tmp_path / "ragged.csv"
+        x.write_text("1,2,3\n4,5\n")
+        assert main(["learn", str(x), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert str(x) in err and "number of columns changed" in err
+
     def test_missing_positional_is_exit_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["learn"])
@@ -229,3 +238,63 @@ class TestEval:
     def test_zero_pairs_is_input_error(self, grid_mtx, tmp_path):
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",
                      "--out", str(tmp_path / "e")]) == 3
+
+    @pytest.fixture
+    def grid_pair(self, tmp_path):
+        # 144 nodes: above the dense limit, so both graphs take Lanczos.
+        truth = grid_graph(12, 12)
+        learned = truth.with_edges([(0, 13, 1.0), (20, 45, 0.5)])
+        paths = tmp_path / "truth.mtx", tmp_path / "learned.mtx"
+        for path, g in zip(paths, (truth, learned)):
+            write_graph_mtx(path, g)
+        return paths
+
+    def test_one_eigensolve_per_graph(self, grid_pair, tmp_path, monkeypatch):
+        calls = []
+        original = spectral.eigensolve_smallest
+
+        def counting(g, count):
+            calls.append(count)
+            return original(g, count)
+
+        for module in (spectral, metrics):
+            monkeypatch.setattr(module, "eigensolve_smallest", counting)
+        assert main(["eval", *map(str, grid_pair), "--pairs", "20",
+                     "--spectrum-k", "6",
+                     "--out", str(tmp_path / "e")]) == 0
+        assert calls == [6, 6]
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_spectra_and_layout_share_one_basis(self, grid_pair, tmp_path,
+                                                 k):
+        out = tmp_path / "e"
+        assert main(["eval", *map(str, grid_pair), "--pairs", "20",
+                     "--spectrum-k", str(k), "--out", str(out)]) == 0
+        bases = [spectral.eigensolve_smallest(read_graph_mtx(p), max(k, 2))
+                 for p in grid_pair]
+        spectra = np.loadtxt(out / "spectra.csv", delimiter=",", skiprows=1,
+                             ndmin=2)
+        np.testing.assert_array_equal(spectra[:, 0], np.arange(2, k + 2))
+        for column, basis, name in zip((1, 2), bases, ("true", "learned")):
+            np.testing.assert_array_equal(spectra[:, column],
+                                          basis.eigenvalues[:k])
+            layout = np.loadtxt(out / f"layout_{name}.csv", delimiter=",",
+                                skiprows=1)
+            np.testing.assert_array_equal(layout[:, 1:],
+                                          basis.eigenvectors[:, :2])
+
+    @pytest.mark.parametrize("k, message", [
+        (0, "--spectrum-k must be >= 1, got 0"),
+        (36, r"count must be in \[1, 35\], got 36"),
+    ])
+    def test_bad_spectrum_k_is_input_error(self, grid_mtx, tmp_path, capsys,
+                                           k, message):
+        assert main(["eval", str(grid_mtx), str(grid_mtx), "--spectrum-k",
+                     str(k), "--out", str(tmp_path / "e")]) == 3
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_two_nodes_are_too_few_for_a_layout(self, two_node_mtx, tmp_path,
+                                                capsys):
+        assert main(["eval", str(two_node_mtx), str(two_node_mtx),
+                     "--spectrum-k", "1", "--out", str(tmp_path / "e")]) == 3
+        assert "layout needs at least 3 nodes" in capsys.readouterr().err

@@ -139,6 +139,21 @@ class TestLaplacian:
         g = random_connected_graph(12, 15, seed=5)
         np.testing.assert_allclose(g.laplacian.toarray(), dense_laplacian(g))
 
+    @pytest.mark.parametrize("extra", [0, 40, 400])
+    def test_degrees_are_adjacency_row_sums_to_the_bit(self, extra):
+        # Degrees up to ~40 reach numpy's blocked summation (8 and more
+        # terms), where the summation order changes the last bit.
+        g = random_connected_graph(30, extra, seed=extra,
+                                   w_range=(1e-3, 1e3))
+        adj = g.adjacency()
+        L = g.laplacian
+        assert L.has_sorted_indices
+        np.testing.assert_array_equal(
+            L.diagonal(), np.asarray(adj.sum(axis=1)).ravel())
+        np.testing.assert_array_equal((L - L.T).toarray(), 0.0)
+        np.testing.assert_array_equal(
+            L.toarray() - np.diag(L.diagonal()), -adj.toarray())
+
     def test_symmetry_and_psd(self):
         g = random_connected_graph(20, 30, seed=1)
         L = g.laplacian
@@ -187,6 +202,36 @@ class TestOneLaplacianPerGraph:
         effective_resistance(g, [(0, 5), (3, 30)])
         eigensolve_smallest(g, 3)
         assert len(calls) == 1
+
+    def test_derived_graphs_of_a_connected_graph_skip_the_pass(
+            self, monkeypatch):
+        calls = []
+        original = graphs.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", counting)
+        g = random_connected_graph(12, 15, seed=5)
+        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)])):
+            assert "_components" not in vars(derived)  # g not yet checked
+        assert is_connected(g)[0]
+        tree = maximum_spanning_tree(random_connected_graph(9, 9, seed=1))
+        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
+                        tree, tree.with_edges([(0, 8, 1.0)]).scaled(0.5)):
+            ok, labels = is_connected(derived)
+            assert ok and not labels.any()
+        assert len(calls) == 1
+
+    def test_derived_graphs_of_a_disconnected_graph_are_checked(self):
+        g = WeightedGraph.from_edges(
+            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        assert not is_connected(g)[0]
+        assert is_connected(g.with_edges([(2, 3, 1.0)]))[1].tolist() == \
+            [0, 0, 0, 0, 0, 1]
+        assert is_connected(g.scaled(3.0))[1].tolist() == \
+            [0, 0, 0, 1, 1, 2]
 
     def test_disconnected_raises_on_every_call(self):
         g = WeightedGraph.from_edges(

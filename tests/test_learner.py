@@ -15,11 +15,13 @@ from reslearn.graphs import (
     grid_graph,
     is_connected,
 )
+from reslearn import graphs, learner
 from reslearn.learner import (
     LearnConfig,
     _connectivity_repair,
     _knn_pairs,
     _knn_rows,
+    _top_order,
     edge_scale,
     init_graph,
     learn,
@@ -247,6 +249,22 @@ class TestScoreCandidates:
         sens = [c.sensitivity for c in scored]
         assert sens == sorted(sens, reverse=True)
 
+    @given(st.data())
+    def test_partial_order_is_head_of_full_order(self, data):
+        # Few distinct sensitivities over many pairs: ties at the cut.
+        size = data.draw(st.integers(1, 60))
+        sens = data.draw(hnp.arrays(np.float64, size,
+                                    elements=st.sampled_from(
+                                        [-1.0, -0.0, 0.0, 0.5, 2.0])))
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            min_size=size, max_size=size))
+        s, t = (np.asarray(v, dtype=np.int64) for v in zip(*pairs))
+        cap = data.draw(st.integers(1, size + 2))
+        full = np.lexsort((t, s, -sens))
+        np.testing.assert_array_equal(_top_order(sens, s, t, cap), full[:cap])
+        np.testing.assert_array_equal(_top_order(sens, s, t), full)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_difference_gradient(self, seed):
         # full-spectrum sensitivity of a zero-weight candidate equals the
@@ -368,6 +386,18 @@ class TestEdgeScale:
         Y = np.array([[1.0], [-1.0]])
         with pytest.raises(ValueError):
             edge_scale(g, X, Y)
+
+    def test_zero_voltage_column_rejected_before_learning(self,
+                                                          monkeypatch):
+        def no_eigensolve(*args):
+            raise AssertionError("learn eigensolved before checking X")
+
+        monkeypatch.setattr(learner, "eigensolve_smallest", no_eigensolve)
+        ms = generate_measurement_set(grid_graph(6, 6), 5, seed=0)
+        X = ms.X.copy()
+        X[:, 3] = 0.0
+        with pytest.raises(ValueError, match="zero voltage column"):
+            learn(X, ms.Y)
 
     @pytest.mark.parametrize("zeroed, first", [([2], 2), (slice(None), 0)],
                              ids=["one_column", "all_columns"])
@@ -548,6 +578,23 @@ class TestLearn:
         learned, trace = learn(ms.X, None, LearnConfig(r=5))
         assert learned.node_count == 3
         assert trace.status in ("converged", "candidate_pool_exhausted")
+
+    def test_no_components_pass_while_learning(self, monkeypatch):
+        # Every graph of the loop holds the seed spanning tree, which is
+        # connected by construction, and edge scaling keeps its edges.
+        calls = []
+        original = graphs.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        ms = generate_measurement_set(grid_graph(12, 12), 8, seed=0)
+        monkeypatch.setattr(graphs, "connected_components", counting)
+        learned, trace = learn(ms.X, ms.Y)
+        assert trace.iterations > 1
+        assert is_connected(learned)[0]
+        assert calls == []
 
     def test_objective_recording(self):
         g = grid_graph(5, 5)

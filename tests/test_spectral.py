@@ -71,6 +71,22 @@ class TestEigensolve:
                 err = min(np.linalg.norm(got - ref), np.linalg.norm(got + ref))
                 assert err < 1e-6
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_weight_range_meets_tolerance(self, seed, lanczos):
+        # Lanczos stops at a tolerance scaled by the largest degree; pairs
+        # must still meet the residual check against the dense oracle.
+        g = random_connected_graph(60, 120, seed=seed)
+        rng = np.random.default_rng(seed)
+        g = WeightedGraph(g.node_count, g.sources, g.targets,
+                          10.0 ** rng.uniform(-4, 4, g.edge_count))
+        basis = eigensolve_smallest(g, 5)
+        vals, _ = dense_eigenpairs(g)
+        limit = spectral.EIG_TOL * np.maximum(1.0, vals[1:6])
+        assert np.all(np.abs(basis.eigenvalues - vals[1:6]) <= limit)
+        u, lam = basis.eigenvectors, basis.eigenvalues
+        res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
+        assert np.all(res <= spectral.EIG_TOL * np.maximum(1.0, lam))
+
     def test_degenerate_subspace_matches(self):
         # triangle eigenvalue 3 has multiplicity 2: compare projectors
         basis = eigensolve_smallest(triangle(), 2)
