@@ -45,7 +45,6 @@ from .measurements import (
 )
 from .metrics import (
     compare_spectra,
-    distortion_stats,
     layout_coordinates,
     resistance_correlation,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "add_noise",
     "build_embedding",
     "compare_spectra",
-    "distortion_stats",
     "edge_scale",
     "effective_resistance",
     "eigensolve_smallest",

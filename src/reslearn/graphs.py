@@ -1,11 +1,13 @@
 """Weighted undirected graphs, Laplacians, effective resistance, spanning trees.
 
 The graph model is deliberately narrow: simple undirected graphs with strictly
-positive edge weights (conductances).  Edges are stored canonically as
-``s < t`` arrays sorted lexicographically, which makes every construction
+positive edge weights (conductances).  The ``WeightedGraph`` constructor is
+the one place that checks edges and stores them canonically, as ``s < t``
+arrays sorted lexicographically, which makes every construction
 deterministic and bit-reproducible.  Each graph owns its Laplacian: the
-matrix, its connected components and its grounded factor are built on first
-use and cached on the graph, and every Laplacian routine takes the graph.
+matrix (assembled by SciPy from its edges), its connected components and its
+grounded factor are built on first use and cached on the graph, and every
+Laplacian routine takes the graph.
 """
 
 from __future__ import annotations
@@ -35,10 +37,20 @@ class DisconnectedGraphError(ValueError):
 class WeightedGraph:
     """Undirected positively weighted graph on nodes ``0..node_count-1``.
 
-    Edges are held in three parallel arrays with canonical orientation
+    The constructor sets up the one edge invariant every routine relies on:
+    three parallel read-only arrays (int64 endpoints, float64 weights) with
     ``sources[i] < targets[i]``, sorted by ``(s, t)``, no duplicates, all
-    weights strictly positive.  Instances are immutable; mutating operations
-    return new graphs.
+    weights finite and strictly positive.  It takes edges in any order and
+    orientation; a duplicate ``(s, t)`` pair keeps its last weight.
+    Instances are immutable; mutating operations return new graphs.
+
+    Raises
+    ------
+    ValueError
+        If ``node_count`` is not an integer >= 1, the three arrays are not
+        1-D of one length, an endpoint is not an integer (booleans are
+        refused) in ``[0, node_count)``, an edge joins a node to itself, or
+        a weight is not a finite real number > 0.
     """
 
     node_count: int
@@ -47,8 +59,43 @@ class WeightedGraph:
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.sources, self.targets, self.weights):
+        _require_int("node_count", self.node_count, 1)
+        n = int(self.node_count)
+        object.__setattr__(self, "node_count", n)
+        s, t, w = (np.asarray(a) for a in
+                   (self.sources, self.targets, self.weights))
+        if not (s.ndim == t.ndim == w.ndim == 1
+                and s.size == t.size == w.size):
+            raise ValueError("sources, targets and weights must be 1-D "
+                             "arrays of one length")
+        if s.size and not (np.issubdtype(s.dtype, np.integer)
+                           and np.issubdtype(t.dtype, np.integer)):
+            raise ValueError("edge endpoints must be integer node indices, "
+                             f"got {s.dtype} and {t.dtype}")
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
+            raise ValueError(f"edge endpoint out of range [0, {n})")
+        if np.any(lo == hi):
+            raise ValueError("self-loops are not allowed")
+        if w.size and not (np.issubdtype(w.dtype, np.integer)
+                           or np.issubdtype(w.dtype, np.floating)):
+            raise ValueError(f"edge weights must be real numbers, got "
+                             f"{w.dtype}")
+        w = w.astype(np.float64, copy=False)
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("edge weights must be finite and > 0")
+        lo, hi = (a.astype(np.int64, copy=False) for a in (lo, hi))
+        # Stable sort by (s, t); of each run of duplicates keep the last.
+        keys = lo * n + hi
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        order = order[last]
+        for name, a in (("sources", lo), ("targets", hi), ("weights", w)):
+            a = a[order]
             a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @classmethod
     def from_edges(cls, node_count, edges):
@@ -66,30 +113,7 @@ class WeightedGraph:
             and a finite, positive real weight.
         """
         _require_int("node_count", node_count, 1)
-        return cls._from_arrays(int(node_count),
-                                *_edge_arrays(edges, node_count))
-
-    @classmethod
-    def _from_arrays(cls, node_count, s, t, w):
-        if np.any(s == t):
-            raise ValueError("self-loops are not allowed")
-        if np.any((s < 0) | (s >= node_count) | (t < 0) | (t >= node_count)):
-            raise ValueError("edge endpoint out of range")
-        if np.any(~np.isfinite(w)) or np.any(w <= 0):
-            raise ValueError("edge weights must be finite and > 0")
-        lo = np.minimum(s, t)
-        hi = np.maximum(s, t)
-        # Stable sort by (s, t); for duplicates keep the *last* occurrence.
-        order = np.lexsort((hi, lo))
-        lo, hi, w = lo[order], hi[order], w[order]
-        keys = lo * np.int64(node_count) + hi
-        # np.unique keeps the first of each run; flip so the last wins.
-        _, first_of_run = np.unique(keys[::-1], return_index=True)
-        keep = len(keys) - 1 - first_of_run
-        keep.sort()
-        return cls(node_count, np.ascontiguousarray(lo[keep]),
-                   np.ascontiguousarray(hi[keep]),
-                   np.ascontiguousarray(w[keep]))
+        return cls(node_count, *_edge_arrays(edges, node_count))
 
     @property
     def edge_count(self):
@@ -106,7 +130,7 @@ class WeightedGraph:
         s, t, w = _edge_arrays(edges, self.node_count)
         if not s.size:
             return self
-        return self._pass_connected(WeightedGraph._from_arrays(
+        return self._pass_connected(WeightedGraph(
             self.node_count, np.concatenate([self.sources, s]),
             np.concatenate([self.targets, t]),
             np.concatenate([self.weights, w])))
@@ -117,7 +141,7 @@ class WeightedGraph:
             raise ValueError("scale factor must be finite and > 0")
         return self._pass_connected(WeightedGraph(
             self.node_count, self.sources, self.targets,
-            np.ascontiguousarray(self.weights * factor)))
+            self.weights * factor))
 
     def _pass_connected(self, other):
         """``other``, a graph on these nodes that holds every edge of this
@@ -143,32 +167,16 @@ class WeightedGraph:
         derived graphs (``scaled``, ``with_edges``, ...) are new graphs with
         their own."""
         n, s, t, w = self.node_count, self.sources, self.targets, self.weights
-        # Row i holds, by ascending column, the edges (j, i) with j < i, the
-        # diagonal, then the edges (i, j) with j > i.  Edges are sorted by
-        # (s, t), so a stable sort on t lists the first part by j.
-        lower, upper = np.bincount(t, minlength=n), np.bincount(s, minlength=n)
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lower + upper + 1, out=ptr[1:])
-        diag = ptr[:-1] + lower
-        by_t = np.argsort(t, kind="stable")
-        e = np.arange(t.size)
-        at_lower = e + (np.cumsum(upper + 1) - upper - 1)[t[by_t]]
-        at_upper = e + np.cumsum(lower + 1)[s]
-        col = np.empty(ptr[-1], dtype=np.int64)
-        val = np.empty(ptr[-1])
-        col[at_lower], val[at_lower] = s[by_t], -w[by_t]
-        col[at_upper], val[at_upper] = t, -w
-        col[diag] = np.arange(n)
-        val[diag] = 0.0
-        # Each degree sums its row's off-diagonal entries in column order,
-        # as scipy sums the rows of a CSR matrix, so it is the same to the
-        # last bit as the row sum of the adjacency.
-        off = np.ones(ptr[-1], dtype=bool)
-        off[diag] = False
-        rows = np.flatnonzero(lower + upper)
-        adjacency_ptr = ptr[:-1] - np.arange(n)
-        val[diag[rows]] = -np.add.reduceat(val[off], adjacency_ptr[rows])
-        return sp.csr_matrix((val, col, ptr), shape=(n, n))
+        nodes = np.arange(n)
+        # SciPy sums and sorts COO entries given in any order.  Listed as
+        # here, with edges sorted by (s, t), row i arrives already sorted:
+        # the edges (j, i) with j < i, the diagonal, then the edges (i, j)
+        # with j > i; and bincount sums each degree in that column order.
+        degree = np.bincount(np.concatenate([t, s]), np.concatenate([w, w]),
+                             minlength=n)
+        return sp.csr_matrix((np.concatenate([-w, degree, -w]),
+                              (np.concatenate([t, nodes, s]),
+                               np.concatenate([s, nodes, t]))), shape=(n, n))
 
     @cached_property
     def _components(self):
@@ -320,7 +328,7 @@ def maximum_spanning_tree(g):
     forest = minimum_spanning_tree(ranked)
     if forest.nnz < n - 1:
         raise DisconnectedGraphError(n - forest.nnz)
-    keep = np.sort(order[forest.data.astype(np.int64) - 1])
+    keep = order[forest.data.astype(np.int64) - 1]
     tree = WeightedGraph(n, g.sources[keep], g.targets[keep], g.weights[keep])
     # n - 1 edges spanning n nodes: a tree is connected by construction.
     labels = np.zeros(n, dtype=np.int32)
@@ -336,4 +344,4 @@ def grid_graph(rows, cols):
     node = np.arange(rows * cols).reshape(rows, cols)
     s = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()])
     t = np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])
-    return WeightedGraph._from_arrays(rows * cols, s, t, np.ones(s.size))
+    return WeightedGraph(rows * cols, s, t, np.ones(s.size))

@@ -28,20 +28,28 @@ def read_graph_mtx(path):
 
     Accepts symmetric storage (either triangle) or general storage with one
     or both triangles; mirrored duplicates must agree.  Self-loops and
-    non-positive weights are rejected; explicit zeros are dropped.
+    non-positive weights are rejected; explicit zeros are dropped.  A
+    malformed file raises ``ValueError`` naming ``path``.
     """
-    mat = scipy.io.mmread(path)
-    coo = sp.coo_matrix(mat)
+    try:
+        return _adjacency_graph(sp.coo_matrix(scipy.io.mmread(path)))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _adjacency_graph(coo):
+    """The graph of a square COO adjacency, as :func:`read_graph_mtx`
+    describes it."""
     if coo.shape[0] != coo.shape[1]:
-        raise ValueError(f"{path}: adjacency must be square")
+        raise ValueError("adjacency must be square")
     n = coo.shape[0]
     r, c, w = coo.row, coo.col, coo.data
     nz = w != 0
     r, c, w = r[nz], c[nz], w[nz]
     if np.any(r == c):
-        raise ValueError(f"{path}: self-loop entries are not allowed")
+        raise ValueError("self-loop entries are not allowed")
     if np.any(w < 0):
-        raise ValueError(f"{path}: negative weights are not allowed")
+        raise ValueError("negative weights are not allowed")
     lo, hi = np.minimum(r, c), np.maximum(r, c)
     order = np.lexsort((hi, lo))
     lo, hi, w = lo[order], hi[order], w[order]
@@ -54,8 +62,8 @@ def read_graph_mtx(path):
         bad = start[spread > 1e-12 * np.maximum(1.0, np.abs(w[start]))]
         if bad.size:
             s, t = int(lo[bad[0]]), int(hi[bad[0]])
-            raise ValueError(f"{path}: conflicting weights for edge ({s},{t})")
-    return WeightedGraph._from_arrays(n, lo[start], hi[start], w[start])
+            raise ValueError(f"conflicting weights for edge ({s},{t})")
+    return WeightedGraph(n, lo[start], hi[start], w[start])
 
 
 def write_graph_mtx(path, g):

@@ -239,7 +239,7 @@ def _seed_graph(X, k):
     z = _squared_row_distances(X, s, t)
     z = np.maximum(z, _zdata_floor(z))
     # (s, t) is sorted and unique, so g_o keeps this edge order.
-    g_o = WeightedGraph._from_arrays(n, s, t, m / z)
+    g_o = WeightedGraph(n, s, t, m / z)
     return g_o, maximum_spanning_tree(g_o), z
 
 

@@ -39,28 +39,6 @@ class MeasurementSet:
     def measurement_count(self):
         return self.X.shape[1]
 
-    def validate(self, unit_currents=True):
-        """Check column invariants; raises ValueError on violation.
-
-        Current columns must be orthogonal to the all-ones vector; with
-        ``unit_currents`` they must be unit norm as well (true for the random
-        excitation protocol, not for sketch-constructed currents).  Both
-        hold to an absolute 1e-10.
-        """
-        tol = 1e-10
-        if self.X.ndim != 2:
-            raise ValueError("X must be 2-D")
-        if self.Y is not None:
-            if self.Y.shape != self.X.shape:
-                raise ValueError("X and Y shapes differ")
-            col_sums = np.abs(self.Y.sum(axis=0))
-            if np.any(col_sums > tol):
-                raise ValueError("current columns not orthogonal to all-ones")
-            if unit_currents:
-                norms = np.linalg.norm(self.Y, axis=0)
-                if np.any(np.abs(norms - 1.0) > tol):
-                    raise ValueError("current columns not unit norm")
-
 
 def _column_rngs(seed, count):
     children = np.random.SeedSequence(seed).spawn(count)

@@ -1,6 +1,6 @@
 """Post-hoc evaluation of a learned graph against its ground truth: spectrum
-comparison, effective-resistance correlation, layout coordinates, distortion
-statistics, and the CSV emitters the pipeline writes.
+comparison, effective-resistance correlation, layout coordinates, and the CSV
+emitters the pipeline writes.
 """
 
 from __future__ import annotations
@@ -8,8 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import effective_resistance
-from .learner import score_candidates
-from .spectral import build_embedding, eigensolve_smallest
+from .spectral import eigensolve_smallest
 
 # Below this many total node pairs the resistance report enumerates all of
 # them instead of sampling.
@@ -43,12 +42,10 @@ def _sample_pairs(n, pair_count, seed):
         flat = np.sort(np.fromiter(picked, dtype=np.int64,
                                    count=pair_count))
     # Invert the triangular linear index: pairs (s, t) with s < t.
-    pairs = []
-    for f in flat:
-        s = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * f)) // 2)
-        start = s * (2 * n - s - 1) // 2
-        pairs.append((s, int(f - start + s + 1)))
-    return pairs
+    s = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2).astype(
+        np.int64)
+    start = s * (2 * n - s - 1) // 2
+    return list(zip(s.tolist(), (flat - start + s + 1).tolist()))
 
 
 def pearson(a, b):
@@ -91,25 +88,6 @@ def layout_coordinates(g):
         raise ValueError("layout needs at least 3 nodes")
     basis = eigensolve_smallest(g, 2)
     return basis.eigenvectors.copy()
-
-
-def distortion_stats(g, X, candidates):
-    """Embedding distortion over the given edges with the full basis: all
-    ``N - 1`` nontrivial modes, no prior (inverse variance 0), and a
-    10-bin histogram.
-
-    Returns ``(eta_max, eta_mean, (histogram_counts, bin_edges))``.
-    """
-    basis = build_embedding(eigensolve_smallest(g, g.node_count - 1))
-    scored = score_candidates(basis, X, candidates)
-    eta = np.asarray([c.distortion for c in scored])
-    span = float(eta.max() - eta.min())
-    if span < 1e-12 * max(1.0, abs(float(eta.max()))):
-        hist_range = (float(eta.min()) - 0.5, float(eta.max()) + 0.5)
-    else:
-        hist_range = (float(eta.min()), float(eta.max()))
-    counts, edges = np.histogram(eta, bins=10, range=hist_range)
-    return float(eta.max()), float(eta.mean()), (counts, edges)
 
 
 # The CSV writers format Python floats (``tolist()``): the same digits as

@@ -235,6 +235,15 @@ class TestEval:
         assert main(["eval", str(grid_mtx), str(two_node_mtx),
                      "--out", str(tmp_path / "e")]) == 3
 
+    def test_graph_without_banner_names_the_file(self, grid_mtx, tmp_path,
+                                                 capsys):
+        bad = tmp_path / "nobanner.mtx"
+        bad.write_text("1 2\n2 3\n")
+        assert main(["eval", str(grid_mtx), str(bad),
+                     "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "banner" in err
+
     def test_zero_pairs_is_input_error(self, grid_mtx, tmp_path):
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",
                      "--out", str(tmp_path / "e")]) == 3

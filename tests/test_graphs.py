@@ -1,5 +1,12 @@
+import functools
 import gc
+import operator
+import os
+import subprocess
+import sys
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +108,8 @@ class TestWeightedGraph:
     def test_rejects_non_integer_node_count(self, node_count):
         with pytest.raises(ValueError, match="node_count must be an integer"):
             WeightedGraph.from_edges(node_count, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="node_count must be an integer"):
+            WeightedGraph(node_count, [0], [1], [1.0])
 
     def test_accepts_numpy_integers_and_no_edges(self):
         g = WeightedGraph.from_edges(np.int64(3), [(np.int32(2), 0, 1),
@@ -117,6 +126,111 @@ class TestWeightedGraph:
     def test_scaled(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
         assert g.scaled(0.5).edge_list() == [(0, 1, 1.0)]
+
+
+class TestEdgeInvariant:
+    """The constructor checks and canonicalises every edge it is given."""
+
+    @pytest.mark.parametrize("as_arrays", [True, False], ids=["arrays",
+                                                               "lists"])
+    def test_raw_edges_match_from_edges(self, as_arrays):
+        # reversed, out of order, and (1, 3), (0, 4), (0, 2) given twice
+        triples = [(3, 1, 0.5), (0, 4, 2.0), (1, 3, 1.5), (2, 0, 3.0),
+                   (4, 0, 0.25), (1, 2, 1.0), (0, 2, 7.0)]
+        s, t, w = (list(v) for v in zip(*triples))
+        if as_arrays:
+            s, t, w = np.array(s, np.int32), np.array(t), np.array(w)
+        g = WeightedGraph(5, s, t, w)
+        ref = WeightedGraph.from_edges(5, triples)
+        for name in ("sources", "targets", "weights"):
+            got, want = getattr(g, name), getattr(ref, name)
+            assert got.dtype == want.dtype and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+        assert ref.edge_list() == [(0, 2, 7.0), (0, 4, 0.25), (1, 2, 1.0),
+                                   (1, 3, 1.5)]
+        if as_arrays:  # the caller's arrays are neither reordered nor frozen
+            assert s.flags.writeable and s.tolist() == [3, 0, 1, 2, 4, 1, 0]
+
+    @pytest.mark.parametrize("s, t, w, match", [
+        ([0.0, 1.0], [1, 2], [1.0, 1.0], "integer node indices"),
+        ([True, False], [1, 2], [1.0, 1.0], "integer node indices"),
+        ([0, 1], [1, 2], [1.0], "1-D arrays of one length"),
+        ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-D arrays of one length"),
+        ([0, 2], [1, 2], [1.0, 1.0], "self-loops"),
+        ([0, 1], [1, 3], [1.0, 1.0], r"out of range \[0, 3\)"),
+        ([0, -1], [1, 2], [1.0, 1.0], r"out of range \[0, 3\)"),
+        ([0, 1], [1, 2], [1.0, 0.0], "finite and > 0"),
+        ([0, 1], [1, 2], [np.nan, 1.0], "finite and > 0"),
+        ([0, 1], [1, 2], ["2", "1"], "weights must be real numbers"),
+        ([0, 1], [1, 2], [1j, 1.0], "weights must be real numbers"),
+    ], ids=["float-endpoint", "bool-endpoint", "lengths", "2-d",
+            "self-loop", "out-of-range", "negative-endpoint", "zero-weight",
+            "nan-weight", "string-weight", "complex-weight"])
+    def test_rejects(self, s, t, w, match):
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph(3, np.array(s), np.array(t), np.array(w))
+
+    def test_unsorted_edges_give_a_valid_laplacian(self):
+        g = WeightedGraph(3, [1, 0], [2, 1], [1.0, 2.0])
+        L = g.laplacian
+        L.check_format(full_check=True)
+        np.testing.assert_array_equal(L.toarray(), [[2.0, -2.0, 0.0],
+                                                    [-2.0, 3.0, -1.0],
+                                                    [0.0, -1.0, 1.0]])
+
+    def test_axis_concatenated_3d_grid_in_a_subprocess(self):
+        # Edges listed axis by axis are far from sorted; a Laplacian built
+        # on the sorted-edge assumption crashed the interpreter on this
+        # graph, so it runs in a child process.
+        script = textwrap.dedent("""
+            import numpy as np
+            from _oracles import dense_laplacian
+            from reslearn.graphs import WeightedGraph, is_connected
+
+            node = np.arange(900).reshape(10, 10, 9)
+            s = np.concatenate([node[:-1].ravel(), node[:, :-1].ravel(),
+                                node[:, :, :-1].ravel()])
+            t = np.concatenate([node[1:].ravel(), node[:, 1:].ravel(),
+                                node[:, :, 1:].ravel()])
+            g = WeightedGraph(900, s, t, np.ones(s.size))
+            assert g.edge_count == 2420 and is_connected(g)[0]
+            L = g.laplacian
+            L.check_format(full_check=True)
+            np.testing.assert_array_equal(L.toarray(), dense_laplacian(g))
+        """)
+        import reslearn
+
+        path = [str(Path(reslearn.__file__).parents[1]),
+                str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @given(st.data())
+    def test_edge_order_orientation_and_repeats_do_not_matter(self, data):
+        n = data.draw(st.integers(2, 12))
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.sets(st.tuples(node, node).filter(
+            lambda p: p[0] < p[1]), max_size=3 * n))
+        weight = st.floats(1e-3, 1e3)
+        triples = [(s, t, data.draw(weight)) for s, t in sorted(pairs)]
+        canonical = WeightedGraph.from_edges(n, triples)
+
+        raw = data.draw(st.permutations(triples))
+        raw = [(t, s, w) if data.draw(st.booleans()) else (s, t, w)
+               for s, t, w in raw]
+        raw += data.draw(st.lists(st.sampled_from(raw), max_size=4)
+                         if raw else st.just([]))
+        s, t, w = (np.array(v) for v in zip(*raw)) if raw else ([], [], [])
+        g = WeightedGraph(n, s, t, w)
+
+        for name in ("sources", "targets", "weights"):
+            np.testing.assert_array_equal(getattr(g, name),
+                                          getattr(canonical, name))
+        assert (g.laplacian != canonical.laplacian).nnz == 0
+        np.testing.assert_allclose(g.laplacian.toarray(),
+                                   dense_laplacian(canonical))
 
 
 class TestLaplacian:
@@ -141,15 +255,21 @@ class TestLaplacian:
 
     @pytest.mark.parametrize("extra", [0, 40, 400])
     def test_degrees_are_adjacency_row_sums_to_the_bit(self, extra):
+        # Each degree adds its row's weights one at a time in column order.
         # Degrees up to ~40 reach numpy's blocked summation (8 and more
-        # terms), where the summation order changes the last bit.
+        # terms), which scipy's row sum uses: that order may differ in the
+        # last bit.
         g = random_connected_graph(30, extra, seed=extra,
                                    w_range=(1e-3, 1e3))
         adj = g.adjacency()
         L = g.laplacian
         assert L.has_sorted_indices
-        np.testing.assert_array_equal(
-            L.diagonal(), np.asarray(adj.sum(axis=1)).ravel())
+        in_column_order = [
+            functools.reduce(operator.add, adj.data[a:b].tolist(), 0.0)
+            for a, b in zip(adj.indptr[:-1], adj.indptr[1:])]
+        np.testing.assert_array_equal(L.diagonal(), in_column_order)
+        np.testing.assert_allclose(
+            L.diagonal(), np.asarray(adj.sum(axis=1)).ravel(), rtol=1e-14)
         np.testing.assert_array_equal((L - L.T).toarray(), 0.0)
         np.testing.assert_array_equal(
             L.toarray() - np.diag(L.diagonal()), -adj.toarray())

@@ -138,6 +138,18 @@ class TestGraphMtx:
             "2 3 1.0\n")
         assert read_graph_mtx(path).edge_list() == [(1, 2, 1.0)]
 
+    @pytest.mark.parametrize("body, match", [
+        ("0 0 0\n", "node_count must be >= 1"),
+        ("2 2 1\n2 1 nan\n", "finite and > 0"),
+    ], ids=["no-nodes", "nan-weight"])
+    def test_graph_errors_name_the_file(self, tmp_path, body, match):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             f".*{match}"):
+            read_graph_mtx(path)
+
     def test_rejects_non_square(self, tmp_path):
         path = tmp_path / "rect.mtx"
         path.write_text(

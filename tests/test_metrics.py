@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from reslearn import graphs, spectral
+from reslearn import graphs, metrics, spectral
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.learner import LearnTrace, IterationRecord
-from reslearn.measurements import generate_measurement_set
 from reslearn.metrics import (
     EXHAUSTIVE_PAIR_LIMIT,
     compare_spectra,
-    distortion_stats,
     layout_coordinates,
     pearson,
     resistance_correlation,
@@ -76,6 +74,24 @@ class TestResistanceCorrelation:
         p1, _, _, _ = resistance_correlation(g, g, 200, seed=5)
         p2, _, _, _ = resistance_correlation(g, g, 200, seed=5)
         assert p1 == p2
+
+    def test_sampled_pairs_are_the_drawn_upper_triangle_entries(self):
+        n, count, seed = 200, 500, 7
+        total = n * (n - 1) // 2
+        assert EXHAUSTIVE_PAIR_LIMIT <= total <= 1_000_000
+        flat = np.sort(np.random.default_rng(seed).choice(
+            total, size=count, replace=False))
+        s, t = np.triu_indices(n, 1)
+        assert metrics._sample_pairs(n, count, seed) == list(
+            zip(s[flat].tolist(), t[flat].tolist()))
+
+    def test_pairs_drawn_from_a_large_graph_are_distinct_and_in_order(self):
+        n = 1500  # over 10^6 pairs: drawn with replacement, then deduplicated
+        pairs = metrics._sample_pairs(n, 2000, seed=3)
+        s, t = np.array(pairs).T
+        assert np.all((0 <= s) & (s < t) & (t < n))
+        flat = s * (2 * n - s - 1) // 2 + t - s - 1
+        assert len(pairs) == 2000 and np.all(np.diff(flat) > 0)
 
     def test_node_count_mismatch(self):
         a = random_connected_graph(8, 4, seed=0)
@@ -145,59 +161,6 @@ class TestLayout:
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             layout_coordinates(g)
-
-
-class TestDistortionStats:
-    def test_unit_distortion_on_consistent_path(self):
-        # chain whose data distances are exactly M / w per edge: every edge
-        # sits at the eta = 1 fixed point
-        weights = [0.5, 2.0, 1.25]
-        edges = [(i, i + 1, w) for i, w in enumerate(weights)]
-        g = WeightedGraph.from_edges(4, edges)
-        deltas = [np.sqrt(1.0 / w) for w in weights]  # M = 1 column
-        rows = np.concatenate([[0.0], np.cumsum(deltas)])
-        X = rows[:, None]
-        eta_max, eta_mean, (counts, bins) = distortion_stats(
-            g, X, [(s, t) for s, t, _ in edges])
-        assert eta_max == pytest.approx(1.0, rel=1e-9)
-        assert eta_mean == pytest.approx(1.0, rel=1e-9)
-        assert counts.sum() == 3
-
-    def test_halved_data_distance_doubles_distortion(self):
-        # weak edge in parallel with a dominant two-hop path: its resistance
-        # barely moves, so halving the edge's data distance doubles eta
-        g = WeightedGraph.from_edges(
-            3, [(0, 1, 0.01), (0, 2, 1000.0), (1, 2, 1000.0)])
-
-        def crafted(z01):
-            X = np.zeros((3, 1))
-            X[1, 0] = np.sqrt(z01)
-            X[2, 0] = 0.5 * np.sqrt(z01)
-            return X
-
-        eta1, _, _ = distortion_stats(g, crafted(0.4), [(0, 1)])
-        eta2, _, _ = distortion_stats(g, crafted(0.2), [(0, 1)])
-        assert eta2 / eta1 == pytest.approx(2.0, rel=1e-9)
-
-    def test_rejects_out_of_range_candidate(self):
-        g = random_connected_graph(10, 8, seed=5)
-        ms = generate_measurement_set(g, 6, seed=5)
-        with pytest.raises(ValueError, match="out of range"):
-            distortion_stats(g, ms.X, [(0, 99)])
-
-    def test_agrees_with_score_candidates(self):
-        from reslearn.learner import score_candidates
-        from reslearn.spectral import build_embedding, eigensolve_smallest
-
-        g = random_connected_graph(10, 8, seed=5)
-        ms = generate_measurement_set(g, 6, seed=5)
-        cands = [(0, 7), (2, 5)]
-        eta_max, eta_mean, _ = distortion_stats(g, ms.X, cands)
-        basis = build_embedding(eigensolve_smallest(g, 9), 0.0)
-        scored = score_candidates(basis, ms.X, cands)
-        etas = sorted(c.distortion for c in scored)
-        assert eta_max == pytest.approx(max(etas), rel=1e-9)
-        assert eta_mean == pytest.approx(np.mean(etas), rel=1e-9)
 
 
 def test_eval_factors_each_graph_once(monkeypatch):
