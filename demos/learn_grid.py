@@ -40,7 +40,7 @@ def main():
     print(f"\neffective-resistance correlation over "
           f"{len(r_true)} node pairs: pearson r = {corr:.4f}")
 
-    coords = rl.layout_coordinates(learned)
+    coords = rl.eigensolve_smallest(learned, 2).eigenvectors
     print(f"spectral layout coordinates span "
           f"x in [{coords[:, 0].min():.3f}, {coords[:, 0].max():.3f}], "
           f"y in [{coords[:, 1].min():.3f}, {coords[:, 1].max():.3f}]")

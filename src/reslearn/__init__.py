@@ -3,8 +3,8 @@ linear voltage/current measurements by iterative spectral densification.
 
 The package is organized around a small immutable graph model
 (:mod:`reslearn.graphs`), which owns each graph's Laplacian, spectral
-machinery for eigenpairs, embeddings and Laplacian solves through the
-graph's one grounded LU factor (:mod:`reslearn.spectral`),
+machinery for eigenpairs, embedding distances and Laplacian solves through
+the graph's one grounded LU factor (:mod:`reslearn.spectral`),
 measurement generators (:mod:`reslearn.measurements`), the learning loop
 (:mod:`reslearn.learner`), evaluation metrics (:mod:`reslearn.metrics`), and
 file formats (:mod:`reslearn.io`).  ``reslearn.cli`` wires them into a
@@ -45,7 +45,6 @@ from .measurements import (
 )
 from .metrics import (
     compare_spectra,
-    layout_coordinates,
     resistance_correlation,
 )
 from .spectral import (
@@ -53,7 +52,6 @@ from .spectral import (
     ObjectiveValue,
     SolverError,
     SpectralBasis,
-    build_embedding,
     eigensolve_smallest,
     embedding_distances,
     objective_value,
@@ -73,7 +71,6 @@ __all__ = [
     "SpectralBasis",
     "WeightedGraph",
     "add_noise",
-    "build_embedding",
     "compare_spectra",
     "edge_scale",
     "effective_resistance",
@@ -86,7 +83,6 @@ __all__ = [
     "init_graph",
     "is_connected",
     "jl_measurement_count",
-    "layout_coordinates",
     "learn",
     "maximum_spanning_tree",
     "objective_value",

@@ -225,9 +225,9 @@ def _cmd_eval(args):
     """Spectra, resistance scatter and layouts of both graphs.
 
     Each graph is eigensolved once, for ``max(spectrum_k, 2)`` modes:
-    ``spectra.csv`` takes the first ``spectrum_k`` eigenvalues and each
-    layout the first two (sign-fixed) eigenvectors, as
-    :func:`metrics.compare_spectra` and :func:`metrics.layout_coordinates`
+    ``spectra.csv`` takes the first ``spectrum_k`` eigenvalues, as
+    :func:`metrics.compare_spectra` would give them, and each layout the
+    first two (sign-fixed) eigenvectors, as ``eigensolve_smallest(g, 2)``
     would give them; where an eigenvalue repeats, a layout may be another
     orthonormal basis of its eigenspace.
     """

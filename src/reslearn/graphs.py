@@ -62,12 +62,20 @@ class WeightedGraph:
         _require_int("node_count", self.node_count, 1)
         n = int(self.node_count)
         object.__setattr__(self, "node_count", n)
-        s, t, w = (np.asarray(a) for a in
-                   (self.sources, self.targets, self.weights))
+        raw = (self.sources, self.targets, self.weights)
+        s, t, w = (np.asarray(a) for a in raw)
         if not (s.ndim == t.ndim == w.ndim == 1
                 and s.size == t.size == w.size):
             raise ValueError("sources, targets and weights must be 1-D "
                              "arrays of one length")
+        # numpy turns a list mixing booleans with numbers into numbers.
+        bools = [not isinstance(a, np.ndarray)
+                 and _is_bool(np.asarray(a, dtype=object)).any() for a in raw]
+        if bools[0] or bools[1]:
+            raise ValueError("edge endpoints must be (s, t) pairs of integer "
+                             "node indices")
+        if bools[2]:
+            raise ValueError("edge weights must be real numbers")
         if s.size and not (np.issubdtype(s.dtype, np.integer)
                            and np.issubdtype(t.dtype, np.integer)):
             raise ValueError("edge endpoints must be integer node indices, "

@@ -25,7 +25,6 @@ from .graphs import (WeightedGraph, _node_pairs, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
     _squared_row_distances,
-    build_embedding,
     eigensolve_smallest,
     embedding_distances,
     objective_value,
@@ -200,8 +199,9 @@ def _connectivity_repair(X, s, t):
 
 
 def _as_voltages(X):
-    """``X`` as a float (N >= 2, M >= 1) matrix of finite entries."""
-    X = np.asarray(X, dtype=np.float64)
+    """``X`` as a C-ordered float (N >= 2, M >= 1) matrix of finite entries;
+    one layout, so that sums over it round alike for any input order."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
         raise ValueError("X must be (N >= 2, M >= 1)")
     if not np.all(np.isfinite(X)):
@@ -210,10 +210,10 @@ def _as_voltages(X):
 
 
 def _as_currents(Y, X):
-    """``Y`` as a float matrix shaped like the checked voltages ``X``: finite,
+    """``Y`` as a C-ordered float matrix shaped like the checked ``X``: finite,
     each column nonzero and orthogonal to the all-ones vector.  Every column
     of ``X`` must be nonzero too, or edge scaling has no ratio to match."""
-    Y = np.asarray(Y, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
     if not np.all(np.any(X, axis=0)):
@@ -284,18 +284,18 @@ def _top_order(sens, s, t, cap=None):
     return np.lexsort((t, s, -sens))
 
 
-def _rank_candidates(basis, s, t, z_data, m, cap=None):
+def _rank_candidates(basis, s, t, z_data, m, inverse_variance, cap=None):
     """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with data
     distances ``z_data`` over ``m`` measurements: ``sens = z_emb - z_data /
-    m``; ``order`` ranks the top ``cap`` (default all) descending, ties by
-    ascending ``(s, t)``."""
-    z_emb = embedding_distances(basis, s, t)
+    m``, ``z_emb`` under the prior ``inverse_variance``; ``order`` ranks the
+    top ``cap`` (default all) descending, ties by ascending ``(s, t)``."""
+    z_emb = embedding_distances(basis, s, t, inverse_variance)
     sens = z_emb - z_data / m
     return _top_order(sens, s, t, cap), sens, z_emb
 
 
-def score_candidates(basis, X, candidates):
-    """Score candidate edges against the current basis and the data.
+def score_candidates(basis, X, candidates, inverse_variance=0.0):
+    """Score candidate edges against the eigenpairs ``basis`` and the data.
 
     ``candidates`` are ``(s, t)`` pairs of distinct node indices of the
     basis; ``X`` has one row per node.  Returns :class:`EdgeCandidate`
@@ -304,23 +304,22 @@ def score_candidates(basis, X, candidates):
     median so distortions stay finite.
 
     Raises ``ValueError`` on malformed pairs, an endpoint out of range, a
-    pair joining a node to itself, or an ``X`` that is not a finite matrix
-    with one row per node of the basis.
+    pair joining a node to itself, an ``X`` that is not a finite matrix with
+    one row per node of the basis, or an ``inverse_variance`` not >= 0.
     """
     X = _as_voltages(X)
-    n = basis.node_count
+    n = basis.eigenvectors.shape[0]
     s, t = _node_pairs(candidates, n, "candidates")
     if s.size == 0:
         return []
     if X.shape[0] != n:
         raise ValueError(f"X has {X.shape[0]} rows but the basis has {n} "
                          "nodes")
-    if basis.embedding is None:
-        basis = build_embedding(basis, basis.inverse_variance)
     m = X.shape[1]
     z_data = _squared_row_distances(X, s, t)
     z_data = np.maximum(z_data, _zdata_floor(z_data))
-    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m)
+    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m,
+                                          inverse_variance)
     dist = m * z_emb / z_data
     return [EdgeCandidate(s=int(s[i]), t=int(t[i]), z_data=float(z_data[i]),
                           z_emb=float(z_emb[i]), sensitivity=float(sens[i]),
@@ -388,9 +387,9 @@ def learn(X, Y=None, config=None):
             status = "candidate_pool_exhausted"
             break
         basis = eigensolve_smallest(graph, modes)
-        basis = build_embedding(basis, config.inverse_variance)
         top, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                        pool_z[idx], m, include_cap)
+                                        pool_z[idx], m,
+                                        config.inverse_variance, include_cap)
         s_max = float(sens[top[0]])
 
         converged = s_max <= config.tol

@@ -1,6 +1,6 @@
 """Post-hoc evaluation of a learned graph against its ground truth: spectrum
-comparison, effective-resistance correlation, layout coordinates, and the CSV
-emitters the pipeline writes.
+comparison, effective-resistance correlation, and the CSV emitters the
+pipeline writes.
 """
 
 from __future__ import annotations
@@ -79,15 +79,6 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     r_true = np.asarray(effective_resistance(g_true, pairs))
     r_learned = np.asarray(effective_resistance(g_learned, pairs))
     return pairs, r_true, r_learned, pearson(r_true, r_learned)
-
-
-def layout_coordinates(g):
-    """2-D spectral layout: node coordinates from the first two nontrivial
-    eigenvectors, sign-fixed so the largest-magnitude entry is positive."""
-    if g.node_count < 3:
-        raise ValueError("layout needs at least 3 nodes")
-    basis = eigensolve_smallest(g, 2)
-    return basis.eigenvectors.copy()
 
 
 # The CSV writers format Python floats (``tolist()``): the same digits as

@@ -1,5 +1,5 @@
-"""Smallest nontrivial Laplacian eigenpairs, spectral embeddings, Laplacian
-solves, and the truncated log-det objective.
+"""Smallest nontrivial Laplacian eigenpairs, embedding distances derived from
+them, Laplacian solves, and the truncated log-det objective.
 
 Every routine takes a :class:`~reslearn.graphs.WeightedGraph` and reads its
 cached Laplacian.  Every application of the pseudoinverse ``L^+`` goes
@@ -18,7 +18,6 @@ max weighted degree)``, clamped below at machine epsilon.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,27 +61,16 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First nontrivial Laplacian eigenpairs plus the embedding they induce.
+    """First nontrivial Laplacian eigenpairs.
 
     ``eigenvalues`` are ascending and positive (the trivial zero mode is
     excluded); ``eigenvectors`` columns are unit norm and orthogonal to the
-    all-ones vector.  ``embedding`` column ``i`` is
-    ``u_i / sqrt(lambda_i + inverse_variance)``; it is ``None`` until
-    :func:`build_embedding` populates it.
+    all-ones vector.  :func:`embedding_distances` derives the embedding
+    from them.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    inverse_variance: float = 0.0
-    embedding: np.ndarray | None = None
-
-    @property
-    def mode_count(self):
-        return self.eigenvalues.shape[0]
-
-    @property
-    def node_count(self):
-        return self.eigenvectors.shape[0]
 
 
 def _fix_signs(vecs):
@@ -187,20 +175,6 @@ def eigensolve_smallest(g, count):
     return SpectralBasis(eigenvalues=lam, eigenvectors=u)
 
 
-def build_embedding(basis, inverse_variance=0.0):
-    """Populate the embedding columns ``u_i / sqrt(lambda_i + 1/sigma^2)``.
-
-    With ``inverse_variance == 0`` and all ``N - 1`` nontrivial modes, the
-    squared embedding distance between two nodes equals their effective
-    resistance.
-    """
-    if inverse_variance < 0:
-        raise ValueError("inverse_variance must be >= 0")
-    emb = basis.eigenvectors / np.sqrt(basis.eigenvalues + inverse_variance)
-    return dataclasses.replace(basis, inverse_variance=float(inverse_variance),
-                               embedding=emb)
-
-
 def _squared_row_distances(A, s, t):
     """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows."""
     diff = A[s] - A[t]
@@ -209,11 +183,15 @@ def _squared_row_distances(A, s, t):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def embedding_distances(basis, sources, targets):
-    """Squared embedding distances ``||U^T (e_s - e_t)||^2`` (vectorized)."""
-    if basis.embedding is None:
-        raise ValueError("embedding not built; call build_embedding first")
-    return _squared_row_distances(basis.embedding, sources, targets)
+def embedding_distances(basis, sources, targets, inverse_variance=0.0):
+    """Squared distances ``||U^T (e_s - e_t)||^2`` (vectorized) in the
+    embedding ``U`` with columns ``u_i / sqrt(lambda_i + inverse_variance)``;
+    over all ``N - 1`` modes, ``(e_s - e_t)^T (L + inverse_variance I)^+ (e_s
+    - e_t)``.  Raises ``ValueError`` unless ``inverse_variance >= 0``."""
+    if not inverse_variance >= 0:
+        raise ValueError("inverse_variance must be >= 0")
+    emb = basis.eigenvectors / np.sqrt(basis.eigenvalues + inverse_variance)
+    return _squared_row_distances(emb, sources, targets)
 
 
 def _grounded_factor(L):
@@ -224,14 +202,16 @@ def _grounded_factor(L):
     graph; callers check connectivity first.  The grounded Laplacian is
     symmetric positive definite, so the factor runs in SuperLU's symmetric
     mode: a minimum-degree ordering of ``A^T + A`` applied to rows and
-    columns alike, with pivots taken from the diagonal.  A numerically
+    columns alike, with pivots taken from the diagonal (threshold 0; the
+    default, 1, pivots off it on learned graphs, adding fill).  A numerically
     singular factor (e.g. weights spanning more than machine precision)
     raises :class:`SolverError`.
     """
     try:
         # The transpose of the symmetric CSR block is that block in CSC.
         return spla.splu(L[1:, 1:].T, permc_spec="MMD_AT_PLUS_A",
-                         options={"SymmetricMode": True})
+                         options={"SymmetricMode": True,
+                                  "DiagPivotThresh": 0.0})
     except RuntimeError as exc:
         raise SolverError(
             f"grounded Laplacian factorization failed: {exc}") from exc

@@ -75,8 +75,7 @@ def test_c2_gradient_fidelity():
         m = 10
         Y = rl.generate_currents(n, m, seed=int(rng.integers(1 << 30)))
         X = rl.simulate_voltages(g, Y)
-        basis = rl.build_embedding(
-            rl.eigensolve_smallest(g, n - 1), 0.0)
+        basis = rl.eigensolve_smallest(g, n - 1)
         sens = rl.score_candidates(basis, X, [(s, t)])[0].sensitivity
 
         h = 1e-6

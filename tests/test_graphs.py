@@ -153,7 +153,8 @@ class TestEdgeInvariant:
 
     @pytest.mark.parametrize("s, t, w, match", [
         ([0.0, 1.0], [1, 2], [1.0, 1.0], "integer node indices"),
-        ([True, False], [1, 2], [1.0, 1.0], "integer node indices"),
+        (np.array([True, False]), [1, 2], [1.0, 1.0], "integer node indices"),
+        ([True, 2], [2, 0], [1.0, 1.0], "pairs of integer node indices"),
         ([0, 1], [1, 2], [1.0], "1-D arrays of one length"),
         ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-D arrays of one length"),
         ([0, 2], [1, 2], [1.0, 1.0], "self-loops"),
@@ -163,12 +164,16 @@ class TestEdgeInvariant:
         ([0, 1], [1, 2], [np.nan, 1.0], "finite and > 0"),
         ([0, 1], [1, 2], ["2", "1"], "weights must be real numbers"),
         ([0, 1], [1, 2], [1j, 1.0], "weights must be real numbers"),
-    ], ids=["float-endpoint", "bool-endpoint", "lengths", "2-d",
-            "self-loop", "out-of-range", "negative-endpoint", "zero-weight",
-            "nan-weight", "string-weight", "complex-weight"])
+        ([0, 1], [1, 2], [1.0, True], "weights must be real numbers"),
+    ], ids=["float-endpoint", "bool-endpoint", "bool-in-endpoint-list",
+            "lengths", "2-d", "self-loop", "out-of-range",
+            "negative-endpoint", "zero-weight", "nan-weight", "string-weight",
+            "complex-weight", "bool-in-weight-list"])
     def test_rejects(self, s, t, w, match):
+        # Lists go through the constructor's own conversion; numpy turns a
+        # list mixing booleans with numbers into numbers.
         with pytest.raises(ValueError, match=match):
-            WeightedGraph(3, np.array(s), np.array(t), np.array(w))
+            WeightedGraph(3, s, t, w)
 
     def test_unsorted_edges_give_a_valid_laplacian(self):
         g = WeightedGraph(3, [1, 0], [2, 1], [1.0, 2.0])

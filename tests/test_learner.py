@@ -37,7 +37,6 @@ from reslearn.measurements import (
 from reslearn.metrics import resistance_correlation
 from reslearn.spectral import (
     SpectralBasis,
-    build_embedding,
     eigensolve_smallest,
     objective_value,
 )
@@ -197,7 +196,7 @@ class TestScoreCandidates:
         g = WeightedGraph.from_edges(2, [(0, 1, w)])
         a = np.sqrt(z_data / (4 * m))
         X = np.tile([[a], [-a]], (1, m))  # each column [a, -a]
-        basis = build_embedding(eigensolve_smallest(g, 1), 0.0)
+        basis = eigensolve_smallest(g, 1)
         cand = score_candidates(basis, X, [(0, 1)])[0]
         assert cand.z_data == pytest.approx(z_data)
         assert cand.z_emb == pytest.approx(1.0 / w)
@@ -205,11 +204,9 @@ class TestScoreCandidates:
         assert cand.distortion == pytest.approx(1.0)
 
     def test_arithmetic_from_definitions(self):
-        # z_emb = 0.5, z_data = 10, M = 50 -> sensitivity 0.3, distortion 2.5
-        emb = np.array([[np.sqrt(0.5)], [0.0]])
-        basis = SpectralBasis(eigenvalues=np.array([1.0]),
-                              eigenvectors=emb / np.linalg.norm(emb, axis=0),
-                              inverse_variance=0.0, embedding=emb)
+        # z_emb = 1/2, z_data = 10, M = 50 -> sensitivity 0.3, distortion 2.5
+        basis = SpectralBasis(eigenvalues=np.array([2.0]),
+                              eigenvectors=np.array([[1.0], [0.0]]))
         X = np.zeros((2, 50))
         X[0, 0] = np.sqrt(10.0)
         cand = score_candidates(basis, X, [(0, 1)])[0]
@@ -219,7 +216,7 @@ class TestScoreCandidates:
     def test_consistency_invariant(self):
         g = random_connected_graph(12, 14, seed=0)
         ms = generate_measurement_set(g, 8, seed=1)
-        basis = build_embedding(eigensolve_smallest(g, 4), 0.0)
+        basis = eigensolve_smallest(g, 4)
         pairs = [(0, 5), (2, 9), (3, 4)]
         for cand in score_candidates(basis, ms.X, pairs):
             if cand.z_data > 0:
@@ -233,7 +230,7 @@ class TestScoreCandidates:
         pairs = [(0, 11), (4, 17), (2, 9)]
         prev = np.full(len(pairs), -np.inf)
         for modes in (2, 5, 10, 19):  # 19 = full spectrum
-            basis = build_embedding(eigensolve_smallest(g, modes), 0.0)
+            basis = eigensolve_smallest(g, modes)
             scored = {(c.s, c.t): c.sensitivity
                       for c in score_candidates(basis, ms.X, pairs)}
             sens = np.asarray([scored[p] for p in pairs])
@@ -243,7 +240,7 @@ class TestScoreCandidates:
     def test_sorted_descending_with_tie_break(self):
         g = random_connected_graph(10, 10, seed=2)
         ms = generate_measurement_set(g, 5, seed=2)
-        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
+        basis = eigensolve_smallest(g, 3)
         pairs = [(s, t) for s in range(10) for t in range(s + 1, 10)]
         scored = score_candidates(basis, ms.X, pairs)
         sens = [c.sensitivity for c in scored]
@@ -279,8 +276,7 @@ class TestScoreCandidates:
         m = 6
         Y = generate_currents(n, m, seed=seed)
         X = simulate_voltages(g, Y)
-        basis = build_embedding(
-            eigensolve_smallest(g, n - 1), 0.0)
+        basis = eigensolve_smallest(g, n - 1)
         cand = score_candidates(basis, X, [(s, t)])[0]
 
         vals, _ = dense_eigenpairs(g)
@@ -309,14 +305,14 @@ class TestScoreCandidates:
     def test_rejects_bad_pairs(self, pairs, match):
         g = grid_graph(4, 4)
         ms = generate_measurement_set(g, 5, seed=0)
-        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
+        basis = eigensolve_smallest(g, 3)
         with pytest.raises(ValueError, match=match):
             score_candidates(basis, ms.X, pairs)
 
     def test_rejects_bad_voltage_matrix(self):
         g = grid_graph(4, 4)
         ms = generate_measurement_set(g, 5, seed=0)
-        basis = build_embedding(eigensolve_smallest(g, 3), 0.0)
+        basis = eigensolve_smallest(g, 3)
         with pytest.raises(ValueError, match="15 rows but the basis has 16"):
             score_candidates(basis, ms.X[:-1], [(0, 1)])
         X = ms.X.copy()
@@ -487,6 +483,15 @@ class TestLearn:
         assert g1.edge_list() == g2.edge_list()
         assert t1.s_max_history.tolist() == t2.s_max_history.tolist()
 
+    def test_memory_layout_leaves_the_bits_alone(self):
+        # The CLI reads column-major matrices; the library is usually handed
+        # row-major ones.
+        ms = generate_measurement_set(grid_graph(6, 6), 8, seed=1)
+        X, Y = np.ascontiguousarray(ms.X), np.ascontiguousarray(ms.Y)
+        g_c, _ = learn(X, Y)
+        g_f, _ = learn(np.asfortranarray(X), np.asfortranarray(Y))
+        assert g_f.edge_list() == g_c.edge_list()
+
     def test_scale_equivariant_topology(self):
         g = grid_graph(6, 6)
         ms = generate_measurement_set(g, 25, seed=5)
@@ -521,7 +526,7 @@ class TestLearn:
                            unscaled.targets.tolist()))
         remaining = [(s, t) for s, t, _ in g_o.edge_list()
                      if (s, t) not in in_graph]
-        basis = build_embedding(eigensolve_smallest(unscaled, cfg.r - 1), 0.0)
+        basis = eigensolve_smallest(unscaled, cfg.r - 1)
         m = ms.X.shape[1]
         for cand in score_candidates(basis, ms.X, remaining):
             assert cand.distortion <= 1.0 + cfg.tol * m / cand.z_data + 1e-9

@@ -7,7 +7,6 @@ from reslearn.learner import LearnTrace, IterationRecord
 from reslearn.metrics import (
     EXHAUSTIVE_PAIR_LIMIT,
     compare_spectra,
-    layout_coordinates,
     pearson,
     resistance_correlation,
     write_layout_csv,
@@ -15,6 +14,7 @@ from reslearn.metrics import (
     write_spectra_csv,
     write_trace_csv,
 )
+from reslearn.spectral import eigensolve_smallest
 
 from _oracles import dense_eigenpairs, random_connected_graph
 
@@ -128,16 +128,18 @@ class TestPearson:
 
 
 class TestLayout:
+    """The 2-D layouts eval writes: the first two nontrivial eigenvectors."""
+
     def test_path_fiedler_monotone(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        coords = layout_coordinates(g)
+        coords = eigensolve_smallest(g, 2).eigenvectors
         x = coords[:, 0]
         assert np.all(np.diff(x) > 0) or np.all(np.diff(x) < 0)
 
     def test_four_cycle_circle_subspace(self):
         g = WeightedGraph.from_edges(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
-        coords = layout_coordinates(g)
+        coords = eigensolve_smallest(g, 2).eigenvectors
         vals, vecs = dense_eigenpairs(g)
         # degenerate pair: compare the spanned subspaces via projectors
         p_got = coords @ coords.T
@@ -148,19 +150,14 @@ class TestLayout:
 
     def test_unit_columns_and_determinism(self):
         g = random_connected_graph(20, 30, seed=4)
-        c1 = layout_coordinates(g)
-        c2 = layout_coordinates(g)
+        c1 = eigensolve_smallest(g, 2).eigenvectors
+        c2 = eigensolve_smallest(g, 2).eigenvectors
         np.testing.assert_allclose(np.linalg.norm(c1, axis=0), 1.0,
                                    atol=1e-10)
         assert np.array_equal(c1, c2)
         # sign convention: largest-magnitude entry positive
         for j in range(2):
             assert c1[np.argmax(np.abs(c1[:, j])), j] > 0
-
-    def test_too_small(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            layout_coordinates(g)
 
 
 def test_eval_factors_each_graph_once(monkeypatch):
@@ -184,8 +181,8 @@ def test_eval_factors_each_graph_once(monkeypatch):
     learned = truth.with_edges([(0, 13, 1.0), (20, 45, 0.5)])
     compare_spectra(truth, learned, 10)
     resistance_correlation(truth, learned, 200, seed=0)
-    layout_coordinates(truth)
-    layout_coordinates(learned)
+    eigensolve_smallest(truth, 2)
+    eigensolve_smallest(learned, 2)
     assert calls == {"splu": 2, "components": 2}
 
 

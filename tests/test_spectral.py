@@ -3,11 +3,11 @@ import pytest
 
 from reslearn import spectral
 from reslearn.graphs import WeightedGraph, effective_resistance, grid_graph
-from reslearn.measurements import simulate_voltages
+from reslearn.learner import learn
+from reslearn.measurements import generate_measurement_set, simulate_voltages
 from reslearn.spectral import (
     DisconnectedGraphError,
     SolverError,
-    build_embedding,
     eigensolve_smallest,
     embedding_distances,
     objective_value,
@@ -16,6 +16,7 @@ from reslearn.spectral import (
 
 from _oracles import (
     dense_eigenpairs,
+    dense_laplacian,
     dense_pinv,
     dense_resistance,
     random_connected_graph,
@@ -136,26 +137,45 @@ class TestEigensolve:
     @pytest.mark.parametrize("side", [3, 15], ids=["dense", "iterative"])
     def test_accepts_numpy_integer_count(self, side):
         assert eigensolve_smallest(grid_graph(side, side),
-                                   np.int64(2)).mode_count == 2
+                                   np.int64(2)).eigenvalues.shape == (2,)
 
 
 class TestEmbedding:
     def test_two_node_full_embedding_is_resistance(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         basis = eigensolve_smallest(g, 1)
-        emb = build_embedding(basis, 0.0)
-        np.testing.assert_allclose(np.abs(emb.embedding[:, 0]), [0.5, 0.5],
-                                   rtol=1e-10)
-        assert embedding_distances(emb, 0, 1) == pytest.approx(1.0)
+        assert embedding_distances(basis, 0, 1) == pytest.approx(1.0)
 
     def test_large_inverse_variance_shrinks(self):
         basis = eigensolve_smallest(triangle(), 2)
-        emb = build_embedding(basis, 1e12)
-        assert np.abs(emb.embedding).max() < 1e-5
+        z = embedding_distances(basis, np.array([0, 0, 1]),
+                                np.array([1, 2, 2]), inverse_variance=1e12)
+        assert np.all(z < 1e-11)
+
+    @pytest.mark.parametrize("inverse_variance", [0.1, 2.0])
+    def test_full_spectrum_with_prior_is_regularized_resistance(
+            self, inverse_variance):
+        g = random_connected_graph(12, 10, seed=4)
+        n = g.node_count
+        basis = eigensolve_smallest(g, n - 1)
+        s, t = np.triu_indices(n, 1)
+        z = embedding_distances(basis, s, t, inverse_variance)
+        e = np.zeros((n, s.size))
+        e[s, np.arange(s.size)] = 1.0
+        e[t, np.arange(s.size)] = -1.0
+        precision = dense_laplacian(g) + inverse_variance * np.eye(n)
+        expected = np.einsum("ij,ij->j", e, np.linalg.solve(precision, e))
+        np.testing.assert_allclose(z, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("inverse_variance", [-1e-3, np.nan])
+    def test_rejects_negative_prior(self, inverse_variance):
+        basis = eigensolve_smallest(triangle(), 2)
+        with pytest.raises(ValueError, match="inverse_variance must be >= 0"):
+            embedding_distances(basis, 0, 1, inverse_variance)
 
     def test_triangle_full_spectrum_matches_resistance(self):
         g = triangle()
-        basis = build_embedding(eigensolve_smallest(g, 2), 0.0)
+        basis = eigensolve_smallest(g, 2)
         for s, t, _ in g.edge_list():
             assert embedding_distances(basis, s, t) == pytest.approx(2 / 3)
 
@@ -166,16 +186,12 @@ class TestEmbedding:
         reff = dense_resistance(g, pairs)
         prev = np.zeros(len(pairs))
         for count in (2, 6, 12, 24):
-            emb = build_embedding(eigensolve_smallest(g, count), 0.0)
-            z = np.asarray([embedding_distances(emb, s, t) for s, t in pairs])
+            basis = eigensolve_smallest(g, count)
+            z = np.asarray([embedding_distances(basis, s, t)
+                            for s, t in pairs])
             assert np.all(z >= prev - 1e-12)
             assert np.all(z <= np.asarray(reff) + 1e-9)
             prev = z
-
-    def test_requires_built_embedding(self):
-        basis = eigensolve_smallest(triangle(), 2)
-        with pytest.raises(ValueError):
-            embedding_distances(basis, 0, 1)
 
 
 class TestSolveLaplacian:
@@ -238,6 +254,14 @@ class TestSolveLaplacian:
     def test_rejects_non_finite_rhs(self):
         with pytest.raises(ValueError):
             solve_laplacian(triangle(), np.array([np.nan, 0.0, 0.0]))
+
+    def test_factor_pivots_on_the_diagonal(self):
+        # SuperLU's default pivot threshold picks off-diagonal pivots on this
+        # learned graph; the grounded Laplacian is SPD, so diagonal pivots
+        # are stable.
+        ms = generate_measurement_set(grid_graph(8, 8), 8, seed=0)
+        lu = learn(ms.X, ms.Y)[0]._factor
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
 
     def test_unresolvable_weight_range_raises_solver_error(self):
         # 1e-20 + 1e20 rounds to 1e20, so the grounded factor is singular;
