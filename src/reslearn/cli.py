@@ -2,12 +2,15 @@
 a graph from measurements, ``eval`` a learned graph against the truth.
 
 Commands compose through files only.  Every run writes a ``manifest.json``
-recording the resolved parameters and seeds, so outputs are reproducible
-bit-for-bit by re-running with the same arguments.  Exit codes: 0 success
-(learning converged or exhausted its candidates), 2 learning stopped at the
-iteration cap, 3 input or usage error.
+recording every parsed option except the file arguments, overlaid with the
+values the command resolved (such as the measurement count), so outputs are
+reproducible bit-for-bit by re-running with the same arguments.  The
+``learn`` options take their defaults from ``learner.LearnConfig``.  Exit
+codes: 0 success (learning converged or exhausted its candidates), 2
+learning stopped at the iteration cap, 3 input or usage error.
 
-Set ``RESLEARN_THREADS`` to pin the BLAS thread count before heavy work.
+BLAS threads follow ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` set before
+the process starts.
 """
 
 from __future__ import annotations
@@ -17,19 +20,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+
+from . import __version__, io, learner, measurements, metrics, spectral
 
 EXIT_OK = 0
 EXIT_MAX_ITERATIONS = 2
 EXIT_INPUT_ERROR = 3
-
-
-def _apply_thread_env():
-    threads = os.environ.get("RESLEARN_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,40 +35,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a command's outputs byte-for-byte."""
-
-    command: str
-    version: str
-    parameters: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    status: str | None = None
-    duration_seconds: float = 0.0
-
-    def write(self, path):
-        _atomic_write_text(path, json.dumps(asdict(self), indent=2,
-                                            sort_keys=True) + "\n")
-
-
-def _tmp_name(path):
+def _atomic_write(path, writer):
     # keep the extension so extension-sniffing writers behave identically
     root, ext = os.path.splitext(str(path))
-    return f"{root}.tmp{os.getpid()}{ext}"
-
-
-def _atomic_write_text(path, text):
-    tmp = _tmp_name(path)
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _atomic_write(path, writer):
-    tmp = _tmp_name(path)
+    tmp = f"{root}.tmp{os.getpid()}{ext}"
     writer(tmp)
     os.replace(tmp, path)
+
+
+def _write_manifest(args, inputs, outputs, status, seconds, **resolved):
+    """Write ``manifest.json`` into ``args.out``: everything needed to
+    reproduce the command's outputs byte-for-byte.
+
+    ``parameters`` holds every parsed option except the file arguments,
+    overlaid with the ``resolved`` values.
+    """
+    parameters = {name: value for name, value in vars(args).items()
+                  if name not in ("command", "graph", "x", "y", "truth",
+                                  "learned", "out")}
+    parameters.update(resolved)
+    text = json.dumps({"command": args.command, "version": __version__,
+                       "parameters": parameters, "inputs": inputs,
+                       "outputs": outputs, "status": status,
+                       "duration_seconds": seconds},
+                      indent=2, sort_keys=True) + "\n"
+
+    def write(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+    _atomic_write(os.path.join(args.out, "manifest.json"), write)
 
 
 def _build_parser():
@@ -102,23 +94,27 @@ def _build_parser():
     lrn.add_argument("x", help="voltage matrix file (binary or CSV)")
     lrn.add_argument("y", nargs="?", default=None,
                      help="current matrix file (enables edge scaling)")
-    lrn.add_argument("--k", type=int, default=5,
+    defaults = learner.LearnConfig
+    lrn.add_argument("--k", type=int, default=defaults.k,
                      help="nearest-neighbor count for the candidate graph")
-    lrn.add_argument("--r", type=int, default=5,
+    lrn.add_argument("--r", type=int, default=defaults.r,
                      help="embedding mode count (r - 1 eigenpairs)")
-    lrn.add_argument("--tol", type=float, default=1e-12,
+    lrn.add_argument("--tol", type=float, default=defaults.tol,
                      help="maximum-sensitivity convergence tolerance")
-    lrn.add_argument("--beta", type=float, default=1e-3,
+    lrn.add_argument("--beta", type=float, default=defaults.beta_sample,
                      help="edge sampling ratio per iteration")
-    lrn.add_argument("--sigma2-inv", type=float, default=0.0,
+    lrn.add_argument("--sigma2-inv", type=float,
+                     default=defaults.inverse_variance,
                      help="prior inverse variance added to eigenvalues")
     lrn.add_argument("--subsample", type=float, default=None,
                      help="keep this fraction of node rows (reduced "
                           "learning; forbids a current file)")
     lrn.add_argument("--seed", type=int, default=0,
                      help="seed for --subsample row selection")
-    lrn.add_argument("--max-iterations", type=int, default=None)
+    lrn.add_argument("--max-iterations", type=int,
+                     default=defaults.max_iterations)
     lrn.add_argument("--trace-objective", action="store_true",
+                     default=defaults.record_objective,
                      help="record the objective value every iteration")
     lrn.add_argument("--out", default=".", help="output directory")
 
@@ -136,8 +132,6 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    from . import __version__, io, measurements
-
     if args.m is not None and args.jl_eps is not None:
         raise ValueError("--m and --jl-eps are mutually exclusive")
     graph = io.read_graph_mtx(args.graph)
@@ -145,15 +139,11 @@ def _cmd_generate(args):
     if args.jl_eps is not None:
         mset = measurements.generate_jl_measurements(graph, args.jl_eps,
                                                      args.seed)
-        X, Y = mset.X, mset.Y
-        if args.noise > 0:
-            X = measurements.add_noise(X, args.noise, args.seed + 1)
-        m = mset.measurement_count
     else:
-        m = args.m if args.m is not None else 50
         mset = measurements.generate_measurement_set(
-            graph, m, args.seed, noise_level=args.noise)
-        X, Y = mset.X, mset.Y
+            graph, args.m if args.m is not None else 50, args.seed)
+    X = measurements.add_noise(mset.X, args.noise, args.seed + 1)
+    Y, m = mset.Y, mset.measurement_count
 
     os.makedirs(args.out, exist_ok=True)
     ext = "csv" if args.csv else "bin"
@@ -162,22 +152,14 @@ def _cmd_generate(args):
     y_path = os.path.join(args.out, f"Y.{ext}")
     _atomic_write(x_path, lambda p: write(p, X))
     _atomic_write(y_path, lambda p: write(p, Y))
-    manifest = RunManifest(
-        command="generate", version=__version__,
-        parameters={"m": m, "jl_eps": args.jl_eps, "seed": args.seed,
-                    "noise": args.noise, "csv": bool(args.csv)},
-        inputs={"graph": args.graph},
-        outputs={"x": x_path, "y": y_path},
-        status="ok", duration_seconds=time.perf_counter() - started)
-    manifest.write(os.path.join(args.out, "manifest.json"))
+    _write_manifest(args, {"graph": args.graph}, {"x": x_path, "y": y_path},
+                    "ok", time.perf_counter() - started, m=m)
     print(f"wrote {x_path} and {y_path} "
           f"({graph.node_count} nodes, {m} measurements)")
     return EXIT_OK
 
 
 def _cmd_learn(args):
-    from . import __version__, io, learner, measurements, metrics
-
     X = io.read_matrix(args.x)
     Y = io.read_matrix(args.y) if args.y else None
     kept = None
@@ -200,18 +182,10 @@ def _cmd_learn(args):
     trace_path = os.path.join(args.out, "trace.csv")
     _atomic_write(graph_path, lambda p: io.write_graph_mtx(p, graph))
     _atomic_write(trace_path, lambda p: metrics.write_trace_csv(p, trace))
-    manifest = RunManifest(
-        command="learn", version=__version__,
-        parameters={"k": args.k, "r": args.r, "tol": args.tol,
-                    "beta": args.beta, "sigma2_inv": args.sigma2_inv,
-                    "subsample": args.subsample, "seed": args.seed,
-                    "max_iterations": args.max_iterations,
-                    "trace_objective": bool(args.trace_objective),
-                    "kept_nodes": None if kept is None else kept.tolist()},
-        inputs={"x": args.x, "y": args.y},
-        outputs={"graph": graph_path, "trace": trace_path},
-        status=trace.status, duration_seconds=duration)
-    manifest.write(os.path.join(args.out, "manifest.json"))
+    _write_manifest(args, {"x": args.x, "y": args.y},
+                    {"graph": graph_path, "trace": trace_path},
+                    trace.status, duration,
+                    kept_nodes=None if kept is None else kept.tolist())
     last = trace.records[-1].s_max if trace.records else float("nan")
     print(f"{trace.status}: {graph.node_count} nodes, "
           f"{graph.edge_count} edges, {trace.iterations} iterations, "
@@ -231,8 +205,6 @@ def _cmd_eval(args):
     would give them; where an eigenvalue repeats, a layout may be another
     orthonormal basis of its eigenspace.
     """
-    from . import __version__, io, metrics, spectral
-
     g_true = io.read_graph_mtx(args.truth)
     g_learned = io.read_graph_mtx(args.learned)
     if g_true.node_count != g_learned.node_count:
@@ -272,17 +244,10 @@ def _cmd_eval(args):
                   lambda p: metrics.write_layout_csv(p, coords_true))
     _atomic_write(paths["layout_learned"],
                   lambda p: metrics.write_layout_csv(p, coords_learned))
-    manifest = RunManifest(
-        command="eval", version=__version__,
-        parameters={"pairs": args.pairs, "spectrum_k": args.spectrum_k,
-                    "seed": args.seed,
-                    "pearson_r": corr,
-                    "edge_counts": [g_true.edge_count,
-                                    g_learned.edge_count]},
-        inputs={"truth": args.truth, "learned": args.learned},
-        outputs=paths, status="ok",
-        duration_seconds=time.perf_counter() - started)
-    manifest.write(os.path.join(args.out, "manifest.json"))
+    _write_manifest(args, {"truth": args.truth, "learned": args.learned},
+                    paths, "ok", time.perf_counter() - started,
+                    pearson_r=corr,
+                    edge_counts=[g_true.edge_count, g_learned.edge_count])
     print(f"pearson_r {corr:.6f} over {len(pairs)} pairs; edges "
           f"{g_true.edge_count} true vs {g_learned.edge_count} learned")
     return EXIT_OK
@@ -293,7 +258,6 @@ _COMMANDS = {"generate": _cmd_generate, "learn": _cmd_learn,
 
 
 def main(argv=None):
-    _apply_thread_env()
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

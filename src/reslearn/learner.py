@@ -157,11 +157,15 @@ def _knn_pairs(X, k):
     return keys // n, keys % n
 
 
-def _zdata_floor(z):
+def _floored_distances(X, s, t):
+    """Squared data distances ``||X[s] - X[t]||^2`` of the pairs ``(s, t)``,
+    zeros (duplicate rows) floored at :data:`ZDATA_FLOOR_FRACTION` of the
+    median nonzero one."""
+    z = _squared_row_distances(X, s, t)
     positive = z[z > 0]
     if positive.size == 0:
         raise ValueError("degenerate measurements: all voltage rows identical")
-    return ZDATA_FLOOR_FRACTION * float(np.median(positive))
+    return np.maximum(z, ZDATA_FLOOR_FRACTION * float(np.median(positive)))
 
 
 def _connectivity_repair(X, s, t):
@@ -230,19 +234,6 @@ def _as_currents(Y, X):
     return Y
 
 
-def _seed_graph(X, k):
-    """``(g_o, tree, z)``: the candidate graph, its maximum spanning tree,
-    and the floored squared data distance of every candidate edge, in the
-    edge order of ``g_o``.  ``X`` is already checked."""
-    n, m = X.shape
-    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
-    z = _squared_row_distances(X, s, t)
-    z = np.maximum(z, _zdata_floor(z))
-    # (s, t) is sorted and unique, so g_o keeps this edge order.
-    g_o = WeightedGraph(n, s, t, m / z)
-    return g_o, maximum_spanning_tree(g_o), z
-
-
 def init_graph(X, k):
     """Candidate graph and its maximum spanning tree seed.
 
@@ -256,8 +247,11 @@ def init_graph(X, k):
     identical.
     """
     _require_int("k", k, 1)
-    g_o, tree, _ = _seed_graph(_as_voltages(X), k)
-    return g_o, tree
+    X = _as_voltages(X)
+    n, m = X.shape
+    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
+    g_o = WeightedGraph(n, s, t, m / _floored_distances(X, s, t))
+    return g_o, maximum_spanning_tree(g_o)
 
 
 def perturbation_estimate(eigenvector, delta_weight, s, t):
@@ -316,8 +310,7 @@ def score_candidates(basis, X, candidates, inverse_variance=0.0):
         raise ValueError(f"X has {X.shape[0]} rows but the basis has {n} "
                          "nodes")
     m = X.shape[1]
-    z_data = _squared_row_distances(X, s, t)
-    z_data = np.maximum(z_data, _zdata_floor(z_data))
+    z_data = _floored_distances(X, s, t)
     order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m,
                                           inverse_variance)
     dist = m * z_emb / z_data
@@ -369,8 +362,9 @@ def learn(X, Y=None, config=None):
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
-    g_o, graph, pool_z = _seed_graph(X, config.k)
+    g_o, graph = init_graph(X, config.k)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
+    pool_z = _floored_distances(X, pool_s, pool_t)
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 

@@ -139,12 +139,11 @@ def generate_measurement_set(g, count, seed, noise_level=0.0):
     """Full random-excitation protocol: currents, voltages, optional noise.
 
     Noise draws from seed ``seed + 1`` so the excitation stream is unchanged
-    by the noise setting.
+    by the noise setting.  Raises ``ValueError`` unless ``noise_level`` is
+    finite and >= 0.
     """
     Y = generate_currents(g.node_count, count, seed)
-    X = simulate_voltages(g, Y)
-    if noise_level > 0:
-        X = add_noise(X, noise_level, seed + 1)
+    X = add_noise(simulate_voltages(g, Y), noise_level, seed + 1)
     return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=float(noise_level))
 
 

@@ -31,16 +31,8 @@ def _sample_pairs(n, pair_count, seed):
     total = n * (n - 1) // 2
     if total < EXHAUSTIVE_PAIR_LIMIT or pair_count >= total:
         return [(s, t) for s in range(n) for t in range(s + 1, n)]
-    rng = np.random.default_rng(seed)
-    if total <= 1_000_000:
-        flat = np.sort(rng.choice(total, size=pair_count, replace=False))
-    else:
-        picked = set()
-        while len(picked) < pair_count:
-            picked.update(rng.integers(0, total,
-                                       size=pair_count - len(picked)).tolist())
-        flat = np.sort(np.fromiter(picked, dtype=np.int64,
-                                   count=pair_count))
+    flat = np.sort(np.random.default_rng(seed).choice(
+        total, size=pair_count, replace=False))
     # Invert the triangular linear index: pairs (s, t) with s < t.
     s = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2).astype(
         np.int64)

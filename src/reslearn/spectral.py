@@ -298,7 +298,10 @@ def objective_value(g, X, inverse_variance=0.0, eig_count=50):
     ``trace_term`` is the averaged quadratic form ``(1/M) (sum_e w_e ||X^T
     e||^2 + inverse_variance ||X||_F^2)``.  The eigenvalues come from
     :func:`eigensolve_smallest`, whose backend follows from the size.
+    Raises ``ValueError`` unless ``inverse_variance >= 0``.
     """
+    if not inverse_variance >= 0:
+        raise ValueError("inverse_variance must be >= 0")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X[:, None]

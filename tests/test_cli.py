@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from reslearn import metrics, spectral
-from reslearn.cli import main
+from reslearn.cli import _build_parser, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
 from reslearn.learner import LearnConfig
@@ -94,6 +95,17 @@ class TestGenerate:
         assert main(["generate", str(tmp_path / "nope.mtx"),
                      "--m", "2", "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("level", ["-0.5", "nan"])
+    @pytest.mark.parametrize("count", [["--m", "4"], ["--jl-eps", "0.9"]],
+                             ids=["m", "jl-eps"])
+    def test_bad_noise_level_is_input_error(self, grid_mtx, tmp_path, capsys,
+                                            count, level):
+        out = tmp_path / "o"
+        assert main(["generate", str(grid_mtx), *count, "--noise", level,
+                     "--out", str(out)]) == 3
+        assert "noise_level" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_disconnected_graph_is_input_error(self, tmp_path):
         path = tmp_path / "disc.mtx"
         write_graph_mtx(path, WeightedGraph.from_edges(
@@ -104,7 +116,6 @@ class TestGenerate:
 
 class TestLearn:
     def test_defaults_match_learn_config(self):
-        from reslearn.cli import _build_parser
         args = _build_parser().parse_args(["learn", "x.bin"])
         cfg = LearnConfig()
         assert args.k == cfg.k == 5
@@ -112,6 +123,8 @@ class TestLearn:
         assert args.tol == cfg.tol == 1e-12
         assert args.beta == cfg.beta_sample == 1e-3
         assert args.sigma2_inv == cfg.inverse_variance == 0.0
+        assert args.max_iterations is cfg.max_iterations is None
+        assert args.trace_objective is cfg.record_objective is False
 
     def test_end_to_end_pipeline(self, grid_mtx, tmp_path):
         gen = tmp_path / "gen"
@@ -307,3 +320,26 @@ class TestEval:
         assert main(["eval", str(two_node_mtx), str(two_node_mtx),
                      "--spectrum-k", "1", "--out", str(tmp_path / "e")]) == 3
         assert "layout needs at least 3 nodes" in capsys.readouterr().err
+
+
+def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
+                                                                 tmp_path):
+    # Every option a subcommand parses is recorded, except the file
+    # arguments, plus the values the command resolves.
+    files = {"command", "graph", "x", "y", "truth", "learned", "out"}
+    resolved = {"generate": {"m"}, "learn": {"kept_nodes"},
+                "eval": {"pearson_r", "edge_counts"}}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    gen, run, rep = tmp_path / "gen", tmp_path / "run", tmp_path / "rep"
+    runs = {"generate": (gen, [str(grid_mtx), "--m", "8"]),
+            "learn": (run, [str(gen / "X.bin"), str(gen / "Y.bin")]),
+            "eval": (rep, [str(grid_mtx), str(run / "learned.mtx"),
+                           "--pairs", "20"])}
+    for command, (out, argv) in runs.items():
+        assert main([command, *argv, "--out", str(out)]) == 0
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help"}
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["parameters"]) == (dests - files) | resolved[
+            command]

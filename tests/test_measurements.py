@@ -207,3 +207,9 @@ class TestMeasurementSet:
         assert (clean.node_count, clean.measurement_count) == (16, 5)
         assert not np.array_equal(ms.X, clean.X)
         np.testing.assert_array_equal(ms.Y, clean.Y)
+
+    @pytest.mark.parametrize("level", [-0.5, np.nan])
+    def test_rejects_bad_noise_level(self, level):
+        with pytest.raises(ValueError, match="noise_level"):
+            generate_measurement_set(grid_graph(3, 3), 3, 0,
+                                     noise_level=level)

@@ -75,10 +75,11 @@ class TestResistanceCorrelation:
         p2, _, _, _ = resistance_correlation(g, g, 200, seed=5)
         assert p1 == p2
 
-    def test_sampled_pairs_are_the_drawn_upper_triangle_entries(self):
-        n, count, seed = 200, 500, 7
+    @pytest.mark.parametrize("n", [200, 1500])
+    def test_sampled_pairs_are_the_drawn_upper_triangle_entries(self, n):
+        count, seed = 500, 7
         total = n * (n - 1) // 2
-        assert EXHAUSTIVE_PAIR_LIMIT <= total <= 1_000_000
+        assert EXHAUSTIVE_PAIR_LIMIT <= total
         flat = np.sort(np.random.default_rng(seed).choice(
             total, size=count, replace=False))
         s, t = np.triu_indices(n, 1)
@@ -86,7 +87,7 @@ class TestResistanceCorrelation:
             zip(s[flat].tolist(), t[flat].tolist()))
 
     def test_pairs_drawn_from_a_large_graph_are_distinct_and_in_order(self):
-        n = 1500  # over 10^6 pairs: drawn with replacement, then deduplicated
+        n = 1500  # over 10^6 pairs
         pairs = metrics._sample_pairs(n, 2000, seed=3)
         s, t = np.array(pairs).T
         assert np.all((0 <= s) & (s < t) & (t < n))

@@ -329,6 +329,12 @@ class TestObjectiveValue:
         with pytest.raises(ValueError):
             objective_value(g, np.zeros((3, 1)), 0.0, 3)
 
+    @pytest.mark.parametrize("inverse_variance", [-1.0, np.nan])
+    def test_rejects_negative_prior(self, inverse_variance):
+        X = np.random.default_rng(0).standard_normal((9, 3))
+        with pytest.raises(ValueError, match="inverse_variance must be >= 0"):
+            objective_value(grid_graph(3, 3), X, inverse_variance, 2)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_of_existing_edge(self, seed):
         # central finite difference of F in an existing edge's weight vs the
