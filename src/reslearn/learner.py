@@ -24,6 +24,7 @@ from scipy.sparse.csgraph import connected_components
 from .graphs import (WeightedGraph, _node_pairs, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
+    _outside_range,
     _squared_row_distances,
     eigensolve_smallest,
     embedding_distances,
@@ -31,9 +32,6 @@ from .spectral import (
     solve_laplacian,
 )
 
-# Floor for zero data distances (duplicate voltage rows), as a fraction of the
-# median nonzero squared distance over the candidate pool.
-ZDATA_FLOOR_FRACTION = 1e-12
 # Nontrivial eigenvalues in the recorded objective, capped at N - 1.
 OBJECTIVE_EIG_COUNT = 50
 # Rows per block of the brute-force bridge search in _connectivity_repair;
@@ -159,13 +157,21 @@ def _knn_pairs(X, k):
 
 def _floored_distances(X, s, t):
     """Squared data distances ``||X[s] - X[t]||^2`` of the pairs ``(s, t)``,
-    zeros (duplicate rows) floored at :data:`ZDATA_FLOOR_FRACTION` of the
-    median nonzero one."""
+    zeros (duplicate rows) floored at the smallest positive one: the closest
+    distinct pair.  Positive distances are never lifted.  Raises
+    ``ValueError`` if all rows are identical, or if the largest weight
+    ``M / z`` overflows (``X`` badly scaled)."""
     z = _squared_row_distances(X, s, t)
     positive = z[z > 0]
     if positive.size == 0:
         raise ValueError("degenerate measurements: all voltage rows identical")
-    return np.maximum(z, ZDATA_FLOOR_FRACTION * float(np.median(positive)))
+    floor = positive.min()
+    if not np.isfinite(X.shape[1] / floor):
+        raise ValueError(
+            f"badly scaled measurements: the closest distinct rows are "
+            f"{floor:.3g} apart squared, so the weight M / z overflows; "
+            "rescale X")
+    return np.maximum(z, floor)
 
 
 def _connectivity_repair(X, s, t):
@@ -229,7 +235,7 @@ def _as_currents(Y, X):
     if zero.size:
         raise ValueError(f"Y column {zero[0]} is all zeros: every current "
                          "column must excite the network")
-    if np.any(np.abs(Y.sum(axis=0)) > 1e-8 * np.sqrt(X.shape[0]) * norms):
+    if _outside_range(Y, norms):
         raise ValueError("current columns not orthogonal to all-ones")
     return Y
 
@@ -241,6 +247,7 @@ def init_graph(X, k):
     (exact, by k-d tree; in either direction) with weight ``M / z_data``; if
     disconnected it is repaired by bridging the closest inter-component
     pairs.  The seed is the maximum-weight (minimum-distance) spanning tree.
+    Duplicate rows are joined with the closest distinct pair's weight.
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not an
     (N >= 2, M >= 1) matrix of finite entries, or if all its rows are
@@ -294,8 +301,8 @@ def score_candidates(basis, X, candidates, inverse_variance=0.0):
     ``candidates`` are ``(s, t)`` pairs of distinct node indices of the
     basis; ``X`` has one row per node.  Returns :class:`EdgeCandidate`
     objects sorted by sensitivity descending (ties broken by ascending
-    ``(s, t)``).  Zero data distances are floored at a small fraction of the
-    median so distortions stay finite.
+    ``(s, t)``).  Zero data distances are floored at the smallest positive one
+    among the candidates, so distortions stay finite.
 
     Raises ``ValueError`` on malformed pairs, an endpoint out of range, a
     pair joining a node to itself, an ``X`` that is not a finite matrix with

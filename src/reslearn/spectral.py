@@ -228,6 +228,13 @@ def _grounded_solve(lu, b):
     return x
 
 
+def _outside_range(b, norms):
+    """Whether a column of ``b`` (an (N,) vector or (N, M) block, column
+    norms ``norms``) is outside range(L): ``|sum| > 1e-8 * sqrt(N) * norm``."""
+    return bool(np.any(np.abs(b.sum(axis=0))
+                       > 1e-8 * np.sqrt(b.shape[0]) * norms))
+
+
 def solve_laplacian(g, b):
     """Solve ``L x = b`` for the Laplacian ``L`` of a connected graph ``g``,
     with ``x`` centered to mean 0.
@@ -259,7 +266,7 @@ def solve_laplacian(g, b):
     bnorm = np.linalg.norm(b, axis=0)
     if not np.any(bnorm):
         return np.zeros(b.shape)
-    if np.any(np.abs(b.sum(axis=0)) > 1e-8 * np.sqrt(n) * bnorm):
+    if _outside_range(b, bnorm):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
     b = b - b.mean(axis=0)

@@ -450,6 +450,7 @@ class TestEffectiveResistance:
         ([(0, 3)], "out of range"),
         ([(-1, 1)], "out of range"),
         ([(0, 1), (2, 2)], "joins a node to itself"),
+        (np.array([[True, False]]), "pairs of integer node indices"),
     ])
     def test_rejects_bad_pairs(self, pairs, match):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -181,10 +181,31 @@ class TestInitGraph:
         assert tree.edge_count == 3
 
     def test_duplicate_rows_get_floored_weight(self):
-        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        g_o, _ = init_graph(X, k=2)
-        assert np.all(np.isfinite(g_o.weights))
-        assert all(w > 0 for _, _, w in g_o.edge_list())
+        # pool distances 0, 1, 1, 4, 9, 9: the duplicate pair (0, 1) weighs
+        # M / 1, as the closest distinct pair does, not M / median
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        g_o, tree = init_graph(X, k=3)
+        weights = {(s, t): w for s, t, w in g_o.edge_list()}
+        assert weights[(0, 1)] == 2.0 / 1.0
+        assert weights[(0, 1)] == g_o.weights.max()
+        assert (0, 1, 2.0) in tree.edge_list()
+
+    def test_tiny_positive_distance_is_not_lifted(self):
+        # z = 1e-14 lies below 1e-12 of the median pool distance; only a zero
+        # is floored, so its weight stays M / z
+        X = np.array([[0.0, 0.0], [1e-7, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        g_o, _ = init_graph(X, k=3)
+        d = X[0] - X[1]
+        weights = {(s, t): w for s, t, w in g_o.edge_list()}
+        assert weights[(0, 1)] == 2.0 / float(d @ d)
+
+    def test_overflowing_weight_is_refused_by_name(self):
+        # z(0, 1) = 1e-320, a subnormal: the weight M / z overflows to inf
+        X = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        with pytest.raises(ValueError, match="badly scaled measurements"):
+            init_graph(X, k=3)
+        with pytest.raises(ValueError, match="badly scaled measurements"):
+            learn(X)
 
 
 class TestScoreCandidates:
@@ -465,6 +486,29 @@ class TestLearn:
             assert w == pytest.approx(m / z_data, rel=1e-12)
         assert set(tree.edge_list()) <= set(learned.edge_list())
         assert learned.edge_count > tree.edge_count
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_duplicate_rows_learn_a_connected_candidate_graph(self, seed):
+        # clustered voltages rounded to integers, so that rows repeat
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 81)), int(rng.integers(1, 6))
+        centers = rng.normal(0.0, 4.0, size=(max(1, n // 8), m))
+        X = np.round(centers[rng.integers(0, len(centers), n)]
+                     + rng.normal(0.0, 1.0, size=(n, m)))
+        learned, trace = learn(X, None)
+        assert trace.status in ("converged", "candidate_pool_exhausted")
+        assert is_connected(learned)[0]
+        g_o, _ = init_graph(X, LearnConfig().k)
+        assert set(learned.edge_list()) <= set(g_o.edge_list())
+
+    def test_grid_with_copied_rows_converges(self):
+        # five rows equal to row 0: electrically equivalent nodes
+        ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
+        X = ms.X.copy()
+        X[1:6] = X[0]
+        learned, trace = learn(X, None)
+        assert trace.status == "converged"
+        assert is_connected(learned)[0]
 
     def test_trace_monotonic_edge_counts(self):
         g = grid_graph(7, 7)
