@@ -39,8 +39,12 @@ def _atomic_write(path, writer):
     # keep the extension so extension-sniffing writers behave identically
     root, ext = os.path.splitext(str(path))
     tmp = f"{root}.tmp{os.getpid()}{ext}"
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    finally:  # a failed or interrupted write leaves no file behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_manifest(args, inputs, outputs, status, seconds, **resolved):

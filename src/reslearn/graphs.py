@@ -47,10 +47,9 @@ class WeightedGraph:
     Raises
     ------
     ValueError
-        If ``node_count`` is not an integer >= 1, the three arrays are not
-        1-D of one length, an endpoint is not an integer (booleans are
-        refused) in ``[0, node_count)``, an edge joins a node to itself, or
-        a weight is not a finite real number > 0.
+        If ``node_count`` is not an integer >= 1, the endpoints break the
+        node-index contract of :func:`_index_pairs` (naming ``edge
+        endpoints``), or the weights are not 1-D, as many, real, finite, > 0.
     """
 
     node_count: int
@@ -62,37 +61,19 @@ class WeightedGraph:
         _require_int("node_count", self.node_count, 1)
         n = int(self.node_count)
         object.__setattr__(self, "node_count", n)
-        raw = (self.sources, self.targets, self.weights)
-        s, t, w = (np.asarray(a) for a in raw)
-        if not (s.ndim == t.ndim == w.ndim == 1
-                and s.size == t.size == w.size):
+        s, t = _index_pairs((self.sources, self.targets), n, "edge endpoints")
+        w = np.asarray(self.weights)
+        if not (w.ndim == 1 and w.size == s.size):
             raise ValueError("sources, targets and weights must be 1-D "
                              "arrays of one length")
-        # numpy turns a list mixing booleans with numbers into numbers.
-        bools = [not isinstance(a, np.ndarray)
-                 and _is_bool(np.asarray(a, dtype=object)).any() for a in raw]
-        if bools[0] or bools[1]:
-            raise ValueError("edge endpoints must be (s, t) pairs of integer "
-                             "node indices")
-        if bools[2]:
+        if (w.size and not (np.issubdtype(w.dtype, np.integer)
+                            or np.issubdtype(w.dtype, np.floating))
+                or _holds_bool(self.weights)):
             raise ValueError("edge weights must be real numbers")
-        if s.size and not (np.issubdtype(s.dtype, np.integer)
-                           and np.issubdtype(t.dtype, np.integer)):
-            raise ValueError("edge endpoints must be integer node indices, "
-                             f"got {s.dtype} and {t.dtype}")
-        lo, hi = np.minimum(s, t), np.maximum(s, t)
-        if lo.size and (lo.min() < 0 or hi.max() >= n):
-            raise ValueError(f"edge endpoint out of range [0, {n})")
-        if np.any(lo == hi):
-            raise ValueError("self-loops are not allowed")
-        if w.size and not (np.issubdtype(w.dtype, np.integer)
-                           or np.issubdtype(w.dtype, np.floating)):
-            raise ValueError(f"edge weights must be real numbers, got "
-                             f"{w.dtype}")
         w = w.astype(np.float64, copy=False)
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("edge weights must be finite and > 0")
-        lo, hi = (a.astype(np.int64, copy=False) for a in (lo, hi))
+        lo, hi = np.minimum(s, t), np.maximum(s, t)
         # Stable sort by (s, t); of each run of duplicates keep the last.
         keys = lo * n + hi
         order = np.argsort(keys, kind="stable")
@@ -111,17 +92,16 @@ class WeightedGraph:
 
         Endpoints may appear in either order; they are canonicalized to
         ``s < t``.  A duplicate ``(s, t)`` pair replaces the earlier weight
-        (last one wins), so re-inserting an edge updates it in place.
+        (last one wins), so re-inserting an edge updates it in place.  Only
+        the constructor checks the endpoints.
 
         Raises
         ------
         ValueError
-            If ``node_count`` is not an integer >= 1, or an edge is not an
-            ``(s, t, w)`` triple of two distinct in-range integer endpoints
-            and a finite, positive real weight.
+            If an edge is not an ``(s, t, w)`` triple with a scalar weight,
+            or the constructor refuses the split edges.
         """
-        _require_int("node_count", node_count, 1)
-        return cls(node_count, *_edge_arrays(edges, node_count))
+        return cls(node_count, *_edge_arrays(edges))
 
     @property
     def edge_count(self):
@@ -133,15 +113,16 @@ class WeightedGraph:
                         self.weights.tolist()))
 
     def with_edges(self, edges):
-        """Return a new graph with ``edges`` inserted (duplicates replace);
-        ``edges`` are ``(s, t, w)`` triples as :meth:`from_edges` takes."""
-        s, t, w = _edge_arrays(edges, self.node_count)
-        if not s.size:
+        """Return a new graph with ``edges`` inserted (duplicates replace):
+        the union of this graph and ``from_edges(node_count, edges)``, which
+        checks the ``(s, t, w)`` triples and raises as it does."""
+        new = WeightedGraph.from_edges(self.node_count, edges)
+        if not new.edge_count:
             return self
         return self._pass_connected(WeightedGraph(
-            self.node_count, np.concatenate([self.sources, s]),
-            np.concatenate([self.targets, t]),
-            np.concatenate([self.weights, w])))
+            self.node_count, np.concatenate([self.sources, new.sources]),
+            np.concatenate([self.targets, new.targets]),
+            np.concatenate([self.weights, new.weights])))
 
     def scaled(self, factor):
         """Return a copy with every edge weight multiplied by ``factor``."""
@@ -240,57 +221,73 @@ def _require_int(name, value, minimum):
         raise ValueError(f"{name} must be >= {minimum}")
 
 
-_is_bool = np.frompyfunc(lambda v: isinstance(v, (bool, np.bool_)), 1, 1)
+def _holds_bool(raw):
+    """Whether ``raw``, a 1-D sequence but not an array, holds a boolean."""
+    return (not isinstance(raw, np.ndarray)
+            and any(isinstance(v, (bool, np.bool_)) for v in raw))
 
 
-def _node_pairs(pairs, n, name):
-    """Endpoint arrays ``(s, t)`` of ``pairs``, which must be (k, 2) integer
-    (not boolean) node indices in ``[0, n)`` with ``s != t``; raises
-    ``ValueError`` naming ``name`` otherwise.  No pairs gives empty arrays."""
+def _index_pairs(columns, n, name):
+    """The one check of node indices: ``columns`` are the endpoints
+    ``(s, t)`` of node pairs, two 1-D sequences of one length of integers
+    (not booleans) in ``[0, n)`` with no ``s[i] == t[i]``.  An array is
+    judged by its dtype, any other sequence by its elements too (numpy
+    turns a boolean among numbers into a number).  Returns int64 arrays;
+    raises ``ValueError`` naming ``name`` otherwise."""
     malformed = ValueError(f"{name} must be (s, t) pairs of integer node "
                            "indices")
-    pairs = list(pairs)
     try:
-        arr = np.asarray(pairs)
-    except ValueError:  # ragged: pairs of different lengths or nesting
+        s, t = (np.asarray(end) for end in columns)
+    except ValueError:  # not two sequences, or ragged ones
         raise malformed from None
-    if arr.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    if (arr.ndim != 2 or arr.shape[1] != 2
-            or not np.issubdtype(arr.dtype, np.integer)
-            or _is_bool(np.asarray(pairs, dtype=object)).any()):
+    integer = all(np.issubdtype(a.dtype, np.integer) for a in (s, t))
+    if (s.ndim != 1 or s.shape != t.shape or s.size and not integer
+            or any(map(_holds_bool, columns))):
         raise malformed
-    if np.any((arr < 0) | (arr >= n)):
+    s, t = s.astype(np.int64, copy=False), t.astype(np.int64, copy=False)
+    if s.size and (min(s.min(), t.min()) < 0 or max(s.max(), t.max()) >= n):
         raise ValueError(f"{name}: node index out of range [0, {n})")
-    s, t = arr.astype(np.int64).T
     if np.any(s == t):
         raise ValueError(f"{name}: a pair joins a node to itself")
     return s, t
 
 
-def _edge_arrays(edges, n):
-    """Arrays ``(s, t, w)`` of the ``(s, t, w)`` triples ``edges``: endpoints
-    as :func:`_node_pairs` takes them, each weight a real scalar (Python or
-    numpy, not boolean); raises ``ValueError`` otherwise.  No edges gives
-    empty arrays."""
+def _node_pairs(pairs, n, name):
+    """Endpoint arrays ``(s, t)`` of the (k, 2) node pairs ``pairs``,
+    checked by :func:`_index_pairs`: an array gives its two columns without
+    a copy, any other iterable of ``(s, t)`` pairs is transposed so each
+    endpoint keeps its own type.  No pairs gives empty arrays."""
+    if isinstance(pairs, np.ndarray):
+        return _index_pairs(pairs.T if pairs.size else ((), ()), n, name)
+    try:
+        columns = list(zip(*pairs, strict=True)) or [(), ()]
+    except (TypeError, ValueError):  # not pairs, or of unequal lengths
+        columns = ()
+    return _index_pairs(columns, n, name)
+
+
+def _edge_arrays(edges):
+    """Lists ``(s, t, w)`` split from the ``(s, t, w)`` triples ``edges``,
+    each weight a real scalar; raises ``ValueError`` otherwise.  The
+    endpoints are left to the constructor to check."""
     edges = list(edges)
     if not all(len(e) == 3 for e in edges):
         raise ValueError("edges must be (s, t, w) triples")
-    s, t = _node_pairs([e[:2] for e in edges], n, "edge endpoints")
-    w = [e[2] for e in edges]
+    s, t, w = ([e[i] for e in edges] for i in range(3))
     if not all(isinstance(v, (int, float, np.integer, np.floating))
-               and not isinstance(v, bool) for v in w):
+               for v in w):
         raise ValueError("edge weights must be real numbers")
-    return s, t, np.asarray(w, dtype=np.float64)
+    return s, t, w
 
 
 def effective_resistance(g, pairs):
     """Effective resistance ``e_{s,t}^T L^+ e_{s,t}`` for each node pair.
 
-    The columns ``e_s - e_t`` are solved through
+    ``pairs`` are k node pairs as :func:`_node_pairs` takes them, an int
+    array as it is.  The columns ``e_s - e_t`` are solved through
     :func:`reslearn.spectral.solve_laplacian`, at most ``_RESISTANCE_BLOCK``
-    pairs per call, so every block shares the graph's one grounded factor of
-    L and memory stays O(N * block).  No pairs gives an empty list.
+    pairs per call, so every block shares the graph's one grounded factor
+    of L and memory stays O(N * block).  Returns a float64 array of k.
 
     Raises
     ------
@@ -299,14 +296,13 @@ def effective_resistance(g, pairs):
     SolverError
         If the Laplacian solve fails (see ``solve_laplacian``).
     ValueError
-        If ``pairs`` is not (k, 2) integer node indices in range, or a pair
-        has ``s == t``.
+        If ``pairs`` breaks the node-index contract of :func:`_index_pairs`.
     """
     from .spectral import solve_laplacian
 
     n = g.node_count
     src, dst = _node_pairs(pairs, n, "pairs")
-    out = []
+    out = np.empty(src.size)
     for start in range(0, src.size, _RESISTANCE_BLOCK):
         s, t = (v[start:start + _RESISTANCE_BLOCK] for v in (src, dst))
         cols = np.arange(s.size)
@@ -314,7 +310,7 @@ def effective_resistance(g, pairs):
         b[s, cols] = 1.0
         b[t, cols] = -1.0
         x = solve_laplacian(g, b)
-        out.extend((x[s, cols] - x[t, cols]).tolist())
+        out[start:start + s.size] = x[s, cols] - x[t, cols]
     return out
 
 

@@ -46,8 +46,6 @@ def _adjacency_graph(coo):
     r, c, w = coo.row, coo.col, coo.data
     nz = w != 0
     r, c, w = r[nz], c[nz], w[nz]
-    if np.any(r == c):
-        raise ValueError("self-loop entries are not allowed")
     if np.any(w < 0):
         raise ValueError("negative weights are not allowed")
     lo, hi = np.minimum(r, c), np.maximum(r, c)

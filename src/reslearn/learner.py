@@ -166,7 +166,7 @@ def _floored_distances(X, s, t):
     if positive.size == 0:
         raise ValueError("degenerate measurements: all voltage rows identical")
     floor = positive.min()
-    if not np.isfinite(X.shape[1] / floor):
+    if floor < X.shape[1] / np.finfo(np.float64).max:
         raise ValueError(
             f"badly scaled measurements: the closest distinct rows are "
             f"{floor:.3g} apart squared, so the weight M / z overflows; "
@@ -304,9 +304,9 @@ def score_candidates(basis, X, candidates, inverse_variance=0.0):
     ``(s, t)``).  Zero data distances are floored at the smallest positive one
     among the candidates, so distortions stay finite.
 
-    Raises ``ValueError`` on malformed pairs, an endpoint out of range, a
-    pair joining a node to itself, an ``X`` that is not a finite matrix with
-    one row per node of the basis, or an ``inverse_variance`` not >= 0.
+    Raises ``ValueError`` on candidates that break the node-index contract,
+    an ``X`` that is not a finite matrix with one row per node of the
+    basis, or an ``inverse_variance`` not >= 0.
     """
     X = _as_voltages(X)
     n = basis.eigenvectors.shape[0]
@@ -397,9 +397,8 @@ def learn(X, Y=None, config=None):
         if not converged:
             take = idx[top[sens[top] > config.tol]]
             in_graph[take] = True
-            graph = graph.with_edges(zip(pool_s[take].tolist(),
-                                         pool_t[take].tolist(),
-                                         pool_w[take].tolist()))
+            graph = graph.with_edges(zip(pool_s[take], pool_t[take],
+                                         pool_w[take]))
 
         objective = None
         if config.record_objective:

@@ -30,14 +30,14 @@ def compare_spectra(g_true, g_learned, count):
 def _sample_pairs(n, pair_count, seed):
     total = n * (n - 1) // 2
     if total < EXHAUSTIVE_PAIR_LIMIT or pair_count >= total:
-        return [(s, t) for s in range(n) for t in range(s + 1, n)]
+        return np.column_stack(np.triu_indices(n, 1))
     flat = np.sort(np.random.default_rng(seed).choice(
         total, size=pair_count, replace=False))
     # Invert the triangular linear index: pairs (s, t) with s < t.
     s = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2).astype(
         np.int64)
     start = s * (2 * n - s - 1) // 2
-    return list(zip(s.tolist(), (flat - start + s + 1).tolist()))
+    return np.column_stack([s, flat - start + s + 1])
 
 
 def pearson(a, b):
@@ -54,7 +54,8 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
 
     Pairs are sampled without replacement; below
     :data:`EXHAUSTIVE_PAIR_LIMIT` total pairs the enumeration is exhaustive.
-    Returns ``(pairs, r_true, r_learned, pearson_r)``.  A correlation needs
+    Returns ``(pairs, r_true, r_learned, pearson_r)``, the pairs an int64
+    (k, 2) array and the resistances float64 arrays.  A correlation needs
     at least 2 pairs, so ``pair_count < 2`` raises ``ValueError``, as does a
     graph with fewer than 2 pairs (2 nodes).
     """
@@ -68,8 +69,8 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     pairs = _sample_pairs(n, pair_count, seed)
     if len(pairs) < 2:
         raise ValueError(f"a {n}-node graph has only {len(pairs)} pair")
-    r_true = np.asarray(effective_resistance(g_true, pairs))
-    r_learned = np.asarray(effective_resistance(g_learned, pairs))
+    r_true = effective_resistance(g_true, pairs)
+    r_learned = effective_resistance(g_learned, pairs)
     return pairs, r_true, r_learned, pearson(r_true, r_learned)
 
 
@@ -87,7 +88,8 @@ def write_spectra_csv(path, spectrum_true, spectrum_learned):
 
 
 def write_resistance_scatter_csv(path, pairs, r_true, r_learned):
-    rows = zip(pairs, np.asarray(r_true, dtype=np.float64).tolist(),
+    rows = zip(np.asarray(pairs).tolist(),
+               np.asarray(r_true, dtype=np.float64).tolist(),
                np.asarray(r_learned, dtype=np.float64).tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,t,r_true,r_learned\n")

@@ -261,6 +261,21 @@ class TestEval:
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",
                      "--out", str(tmp_path / "e")]) == 3
 
+    def test_failed_write_leaves_no_temp_file(self, grid_mtx, tmp_path,
+                                              monkeypatch, capsys):
+        def failing(path, coords):
+            with open(path, "w") as fh:
+                fh.write("node,x,y\n0,")
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(metrics, "write_layout_csv", failing)
+        out = tmp_path / "e"
+        assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "10",
+                     "--out", str(out)]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "resistance_scatter.csv", "spectra.csv"]
+
     @pytest.fixture
     def grid_pair(self, tmp_path):
         # 144 nodes: above the dense limit, so both graphs take Lanczos.

@@ -156,8 +156,8 @@ class TestEdgeInvariant:
         (np.array([True, False]), [1, 2], [1.0, 1.0], "integer node indices"),
         ([True, 2], [2, 0], [1.0, 1.0], "pairs of integer node indices"),
         ([0, 1], [1, 2], [1.0], "1-D arrays of one length"),
-        ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "1-D arrays of one length"),
-        ([0, 2], [1, 2], [1.0, 1.0], "self-loops"),
+        ([[0, 1]], [[1, 2]], [[1.0, 1.0]], "^edge endpoints must be"),
+        ([0, 2], [1, 2], [1.0, 1.0], "^edge endpoints: a pair joins a node"),
         ([0, 1], [1, 3], [1.0, 1.0], r"out of range \[0, 3\)"),
         ([0, -1], [1, 2], [1.0, 1.0], r"out of range \[0, 3\)"),
         ([0, 1], [1, 2], [1.0, 0.0], "finite and > 0"),
@@ -478,7 +478,8 @@ class TestEffectiveResistance:
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         pairs = np.array([[0, 2], [2, 1]], dtype=np.int32)
         assert effective_resistance(g, pairs) == pytest.approx([2.0, 1.0])
-        assert effective_resistance(g, []) == []
+        none = effective_resistance(g, [])
+        assert none.dtype == np.float64 and none.shape == (0,)
 
     def test_metric_properties(self):
         for seed in range(4):
@@ -519,6 +520,64 @@ class TestEffectiveResistance:
         assert len(pairs) > graphs._RESISTANCE_BLOCK
         np.testing.assert_allclose(effective_resistance(g, pairs),
                                    dense_resistance(g, pairs), rtol=1e-9)
+
+
+def _endpoint_columns(pairs):
+    """``(s, t)`` of ``pairs`` in the form given: an array's two columns, or
+    two lists whose elements keep their types."""
+    if isinstance(pairs, np.ndarray):
+        return pairs[:, 0], pairs[:, 1]
+    s, t = zip(*pairs)
+    return list(s), list(t)
+
+
+class TestNodeIndexContract:
+    """One parser checks node indices wherever they enter, so every entry
+    point refuses bad indices with one message, up to the argument name."""
+
+    MALFORMED = "{} must be (s, t) pairs of integer node indices"
+    OUT_OF_RANGE = "{}: node index out of range [0, 9)"
+    ENTRY_POINTS = {
+        "constructor": ("edge endpoints", lambda p: WeightedGraph(
+            9, *_endpoint_columns(p), [1.0] * len(p))),
+        "from_edges": ("edge endpoints", lambda p: WeightedGraph.from_edges(
+            9, [(s, t, 1.0) for s, t in zip(*_endpoint_columns(p))])),
+        "with_edges": ("edge endpoints", lambda p: grid_graph(
+            3, 3).with_edges([(s, t, 1.0)
+                              for s, t in zip(*_endpoint_columns(p))])),
+        "effective_resistance": ("pairs", lambda p: effective_resistance(
+            grid_graph(3, 3), p)),
+        "score_candidates": ("candidates", lambda p: score_candidates(
+            eigensolve_smallest(grid_graph(3, 3), 8), np.eye(9), p)),
+    }
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, 1), (0.5, 2)], MALFORMED),
+        ([(0, 1), (True, 2)], MALFORMED),
+        (np.array([[True, False]]), MALFORMED),
+        ([(0, 1), (2, 9)], OUT_OF_RANGE),
+        ([(-1, 1)], OUT_OF_RANGE),
+        ([(0, 1), (2, 2)], "{}: a pair joins a node to itself"),
+        ([(0, 1), (2, (0, 1))], MALFORMED),
+    ], ids=["float", "bool-in-list", "bool-array", "out-of-range",
+            "negative", "self-pair", "ragged-nested"])
+    def test_every_entry_point_gives_one_message(self, entry, pairs,
+                                                 message):
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as err:
+            call(pairs)
+        assert str(err.value) == message.format(name)
+
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(
+        lambda p: p[0] != p[1]), max_size=40),
+        st.sampled_from([np.int64, np.int32]))
+    def test_array_and_tuple_pairs_agree(self, pairs, dtype):
+        g = grid_graph(3, 3)
+        as_array = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        r = effective_resistance(g, pairs)
+        assert r.dtype == np.float64 and r.shape == (len(pairs),)
+        np.testing.assert_array_equal(effective_resistance(g, as_array), r)
 
 
 class TestMaximumSpanningTree:

@@ -199,6 +199,7 @@ class TestInitGraph:
         weights = {(s, t): w for s, t, w in g_o.edge_list()}
         assert weights[(0, 1)] == 2.0 / float(d @ d)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_weight_is_refused_by_name(self):
         # z(0, 1) = 1e-320, a subnormal: the weight M / z overflows to inf
         X = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 0.0], [3.0, 0.0]])

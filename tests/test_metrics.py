@@ -61,19 +61,21 @@ class TestResistanceCorrelation:
         g = random_connected_graph(10, 8, seed=2)
         pairs, r_t, _, _ = resistance_correlation(g, g, 5, seed=0)
         assert len(pairs) == 10 * 9 // 2  # exhaustive for small graphs
+        assert pairs.tolist() == [[s, t] for s in range(10)
+                                  for t in range(s + 1, 10)]
         assert 10 * 9 // 2 < EXHAUSTIVE_PAIR_LIMIT
 
     def test_sampled_above_limit(self):
         g = grid_graph(12, 13)  # 156 nodes -> 12090 pairs > limit
         pairs, _, _, _ = resistance_correlation(g, g, 500, seed=3)
-        assert len(pairs) == 500
-        assert len(set(pairs)) == 500
+        assert pairs.shape == (500, 2)
+        assert len(np.unique(pairs, axis=0)) == 500
 
     def test_deterministic_sampling(self):
         g = grid_graph(12, 13)
         p1, _, _, _ = resistance_correlation(g, g, 200, seed=5)
         p2, _, _, _ = resistance_correlation(g, g, 200, seed=5)
-        assert p1 == p2
+        np.testing.assert_array_equal(p1, p2)
 
     @pytest.mark.parametrize("n", [200, 1500])
     def test_sampled_pairs_are_the_drawn_upper_triangle_entries(self, n):
@@ -83,8 +85,10 @@ class TestResistanceCorrelation:
         flat = np.sort(np.random.default_rng(seed).choice(
             total, size=count, replace=False))
         s, t = np.triu_indices(n, 1)
-        assert metrics._sample_pairs(n, count, seed) == list(
-            zip(s[flat].tolist(), t[flat].tolist()))
+        pairs = metrics._sample_pairs(n, count, seed)
+        assert pairs.dtype == np.int64
+        np.testing.assert_array_equal(pairs, np.column_stack([s[flat],
+                                                              t[flat]]))
 
     def test_pairs_drawn_from_a_large_graph_are_distinct_and_in_order(self):
         n = 1500  # over 10^6 pairs
