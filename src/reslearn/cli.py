@@ -16,7 +16,6 @@ the process starts.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -35,18 +34,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _atomic_write(path, writer):
-    # keep the extension so extension-sniffing writers behave identically
-    root, ext = os.path.splitext(str(path))
-    tmp = f"{root}.tmp{os.getpid()}{ext}"
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    finally:  # a failed or interrupted write leaves no file behind
-        if os.path.exists(tmp):
-            os.remove(tmp)
-
-
 def _write_manifest(args, inputs, outputs, status, seconds, **resolved):
     """Write ``manifest.json`` into ``args.out``: everything needed to
     reproduce the command's outputs byte-for-byte.
@@ -58,17 +45,11 @@ def _write_manifest(args, inputs, outputs, status, seconds, **resolved):
                   if name not in ("command", "graph", "x", "y", "truth",
                                   "learned", "out")}
     parameters.update(resolved)
-    text = json.dumps({"command": args.command, "version": __version__,
-                       "parameters": parameters, "inputs": inputs,
-                       "outputs": outputs, "status": status,
-                       "duration_seconds": seconds},
-                      indent=2, sort_keys=True) + "\n"
-
-    def write(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-    _atomic_write(os.path.join(args.out, "manifest.json"), write)
+    io.write_json(os.path.join(args.out, "manifest.json"),
+                  {"command": args.command, "version": __version__,
+                   "parameters": parameters, "inputs": inputs,
+                   "outputs": outputs, "status": status,
+                   "duration_seconds": seconds})
 
 
 def _build_parser():
@@ -154,8 +135,8 @@ def _cmd_generate(args):
     write = io.write_matrix_csv if args.csv else io.write_matrix_binary
     x_path = os.path.join(args.out, f"X.{ext}")
     y_path = os.path.join(args.out, f"Y.{ext}")
-    _atomic_write(x_path, lambda p: write(p, X))
-    _atomic_write(y_path, lambda p: write(p, Y))
+    write(x_path, X)
+    write(y_path, Y)
     _write_manifest(args, {"graph": args.graph}, {"x": x_path, "y": y_path},
                     "ok", time.perf_counter() - started, m=m)
     print(f"wrote {x_path} and {y_path} "
@@ -184,8 +165,10 @@ def _cmd_learn(args):
     os.makedirs(args.out, exist_ok=True)
     graph_path = os.path.join(args.out, "learned.mtx")
     trace_path = os.path.join(args.out, "trace.csv")
-    _atomic_write(graph_path, lambda p: io.write_graph_mtx(p, graph))
-    _atomic_write(trace_path, lambda p: metrics.write_trace_csv(p, trace))
+    io.write_graph_mtx(graph_path, graph)
+    io.write_table(trace_path, ("iteration", "s_max", "edges", "F"),
+                   ((rec.iteration, rec.s_max, rec.edge_count, rec.objective)
+                    for rec in trace.records))
     _write_manifest(args, {"x": args.x, "y": args.y},
                     {"graph": graph_path, "trace": trace_path},
                     trace.status, duration,
@@ -227,8 +210,6 @@ def _cmd_eval(args):
         for g in (g_true, g_learned))
     lam_t = basis_true.eigenvalues[:args.spectrum_k]
     lam_l = basis_learned.eigenvalues[:args.spectrum_k]
-    coords_true = basis_true.eigenvectors[:, :2]
-    coords_learned = basis_learned.eigenvectors[:, :2]
     pairs, r_t, r_l, corr = metrics.resistance_correlation(
         g_true, g_learned, args.pairs, args.seed)
 
@@ -239,15 +220,17 @@ def _cmd_eval(args):
         "layout_true": os.path.join(args.out, "layout_true.csv"),
         "layout_learned": os.path.join(args.out, "layout_learned.csv"),
     }
-    _atomic_write(paths["spectra"],
-                  lambda p: metrics.write_spectra_csv(p, lam_t, lam_l))
-    _atomic_write(paths["scatter"],
-                  lambda p: metrics.write_resistance_scatter_csv(
-                      p, pairs, r_t, r_l))
-    _atomic_write(paths["layout_true"],
-                  lambda p: metrics.write_layout_csv(p, coords_true))
-    _atomic_write(paths["layout_learned"],
-                  lambda p: metrics.write_layout_csv(p, coords_learned))
+    io.write_table(paths["spectra"],
+                   ("index", "lambda_true", "lambda_learned"),
+                   zip(range(2, args.spectrum_k + 2), lam_t.tolist(),
+                       lam_l.tolist()))
+    io.write_table(paths["scatter"], ("s", "t", "r_true", "r_learned"),
+                   zip(*pairs.T.tolist(), r_t.tolist(), r_l.tolist()))
+    for name, basis in (("layout_true", basis_true),
+                        ("layout_learned", basis_learned)):
+        io.write_table(paths[name], ("node", "x", "y"),
+                       zip(range(g_true.node_count),
+                           *basis.eigenvectors[:, :2].T.tolist()))
     _write_manifest(args, {"truth": args.truth, "learned": args.learned},
                     paths, "ok", time.perf_counter() - started,
                     pearson_r=corr,

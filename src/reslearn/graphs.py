@@ -188,11 +188,13 @@ def quadratic_form(g, x):
     """Smoothness of the signal ``x``: sum of ``w_{s,t} (x_s - x_t)^2``.
 
     Equals ``x^T L x`` up to rounding; accepts an (N,) vector or an (N, M)
-    matrix (summed over columns).
+    matrix (summed over columns), of finite values only.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != g.node_count:
         raise ValueError("dimension mismatch")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("X must be finite (found NaN or inf)")
     diff = x[g.sources] - x[g.targets]
     if diff.ndim == 1:
         return float(np.dot(g.weights, diff * diff))

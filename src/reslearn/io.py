@@ -1,4 +1,7 @@
-"""File formats: Matrix Market graphs and X/Y measurement matrices.
+"""File formats: every file the pipeline writes, and its graph and X/Y
+matrix readers.  Each writer fills a temporary file beside its target and
+then moves it into place, so a failed write leaves the target untouched and
+no temporary file.  Floats get 17 significant digits and read back exactly.
 
 Measurement matrices travel either as CSV or as a raw little-endian binary
 with an 8-byte magic, two uint64 dimensions, and float64 data column-major:
@@ -11,6 +14,9 @@ with an 8-byte magic, two uint64 dimensions, and float64 data column-major:
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import json
 import os
 import struct
 
@@ -21,6 +27,22 @@ import scipy.sparse as sp
 from .graphs import WeightedGraph
 
 MATRIX_MAGIC = b"RESMAT01"
+
+
+@contextlib.contextmanager
+def _replacing(path, binary=False):
+    """An open temporary file, named with ``path``'s extension, that
+    replaces ``path`` if the block succeeds and is removed if it fails."""
+    root, ext = os.path.splitext(os.fspath(path))
+    tmp = f"{root}.tmp{os.getpid()}{ext}"
+    try:
+        with (open(tmp, "wb") if binary else
+              open(tmp, "w", encoding="utf-8", newline="\n")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_graph_mtx(path):
@@ -66,8 +88,9 @@ def _adjacency_graph(coo):
 
 def write_graph_mtx(path, g):
     """Write the adjacency in symmetric Matrix Market coordinate format."""
-    scipy.io.mmwrite(str(path), g.adjacency(), field="real", precision=17,
-                     symmetry="symmetric")
+    with _replacing(path, binary=True) as fh:
+        scipy.io.mmwrite(fh, g.adjacency(), field="real", precision=17,
+                         symmetry="symmetric")
 
 
 def write_matrix_binary(path, A):
@@ -76,7 +99,7 @@ def write_matrix_binary(path, A):
     if A.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     n, m = A.shape
-    with open(path, "wb") as fh:
+    with _replacing(path, binary=True) as fh:
         fh.write(struct.pack("<8sQQ", MATRIX_MAGIC, n, m))
         fh.write(np.asfortranarray(A).tobytes(order="F"))
 
@@ -102,10 +125,11 @@ def read_matrix_binary(path):
 
 
 def write_matrix_csv(path, A):
+    """Write a float64 matrix as comma-separated rows, without a header."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    np.savetxt(path, A, delimiter=",", fmt="%.17g")
+    write_table(path, None, A.tolist())
 
 
 def read_matrix_csv(path):
@@ -116,6 +140,31 @@ def read_matrix_csv(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return np.asarray(A, dtype=np.float64)
+
+
+@functools.lru_cache
+def _row_format(types):
+    # "%.0s" consumes a None and prints nothing
+    return ",".join("%.17g" if issubclass(kind, float) else
+                    "%.0s" if kind is type(None) else "%s"
+                    for kind in types) + "\n"
+
+
+def write_table(path, header, rows):
+    """Write ``rows`` as comma-separated lines under the optional ``header``
+    names: ints as ``str`` gives them, floats with 17 significant digits,
+    ``None`` as an empty field."""
+    with _replacing(path) as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(_row_format(tuple(map(type, row))) % tuple(row))
+
+
+def write_json(path, document):
+    """Write ``document`` as JSON, indented by 2 with sorted keys."""
+    with _replacing(path) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def read_matrix(path):

@@ -154,6 +154,8 @@ def subsample_nodes(X, fraction, seed):
     for reduced-network learning, which proceeds from voltages alone.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (N, M) matrix, got shape {X.shape}")
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     n = X.shape[0]

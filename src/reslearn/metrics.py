@@ -1,6 +1,5 @@
 """Post-hoc evaluation of a learned graph against its ground truth: spectrum
-comparison, effective-resistance correlation, and the CSV emitters the
-pipeline writes.
+comparison and effective-resistance correlation.
 """
 
 from __future__ import annotations
@@ -73,42 +72,3 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     r_learned = effective_resistance(g_learned, pairs)
     return pairs, r_true, r_learned, pearson(r_true, r_learned)
 
-
-# The CSV writers format Python floats (``tolist()``): the same digits as
-# numpy scalars give, at about half the cost.
-
-
-def write_spectra_csv(path, spectrum_true, spectrum_learned):
-    rows = zip(np.asarray(spectrum_true, dtype=np.float64).tolist(),
-               np.asarray(spectrum_learned, dtype=np.float64).tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,lambda_true,lambda_learned\n")
-        for i, (lt, ll) in enumerate(rows):
-            fh.write(f"{i + 2},{lt:.17g},{ll:.17g}\n")
-
-
-def write_resistance_scatter_csv(path, pairs, r_true, r_learned):
-    rows = zip(np.asarray(pairs).tolist(),
-               np.asarray(r_true, dtype=np.float64).tolist(),
-               np.asarray(r_learned, dtype=np.float64).tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("s,t,r_true,r_learned\n")
-        for (s, t), rt, rl in rows:
-            fh.write(f"{s},{t},{rt:.17g},{rl:.17g}\n")
-
-
-def write_trace_csv(path, trace):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,s_max,edges,F\n")
-        for rec in trace.records:
-            obj = "" if rec.objective is None else f"{rec.objective:.17g}"
-            fh.write(f"{rec.iteration},{rec.s_max:.17g},{rec.edge_count},"
-                     f"{obj}\n")
-
-
-def write_layout_csv(path, coords):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("node,x,y\n")
-        for i, (x, y) in enumerate(
-                np.asarray(coords, dtype=np.float64).tolist()):
-            fh.write(f"{i},{x:.17g},{y:.17g}\n")

@@ -305,7 +305,8 @@ def objective_value(g, X, inverse_variance=0.0, eig_count=50):
     ``trace_term`` is the averaged quadratic form ``(1/M) (sum_e w_e ||X^T
     e||^2 + inverse_variance ||X||_F^2)``.  The eigenvalues come from
     :func:`eigensolve_smallest`, whose backend follows from the size.
-    Raises ``ValueError`` unless ``inverse_variance >= 0``.
+    Raises ``ValueError`` unless ``inverse_variance >= 0`` and ``X`` is
+    finite.
     """
     if not inverse_variance >= 0:
         raise ValueError("inverse_variance must be >= 0")
@@ -317,14 +318,13 @@ def objective_value(g, X, inverse_variance=0.0, eig_count=50):
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
+    trace = quadratic_form(g, X)  # refuses a non-finite X before solving
+    if inverse_variance > 0:
+        trace += inverse_variance * float(np.sum(X * X))
+    trace /= X.shape[1]
     basis = eigensolve_smallest(g, eig_count)
     logdet = float(np.sum(np.log(basis.eigenvalues + inverse_variance)))
     if inverse_variance > 0:
         logdet += float(np.log(inverse_variance))
-    m = X.shape[1]
-    trace = quadratic_form(g, X)
-    if inverse_variance > 0:
-        trace += inverse_variance * float(np.sum(X * X))
-    trace /= m
     return ObjectiveValue(logdet_term=logdet, trace_term=trace,
                           total=logdet - trace, eig_count=int(eig_count))

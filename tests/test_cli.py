@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from reslearn import metrics, spectral
+from reslearn import io, metrics, spectral
 from reslearn.cli import _build_parser, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
@@ -139,6 +139,8 @@ class TestLearn:
         trace_lines = (run / "trace.csv").read_text().splitlines()
         assert trace_lines[0] == "iteration,s_max,edges,F"
         assert len(trace_lines) > 1
+        # no --trace-objective: the objective field stays empty
+        assert all(line.endswith(",") for line in trace_lines[1:])
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] in ("converged",
                                       "candidate_pool_exhausted")
@@ -226,9 +228,15 @@ class TestEval:
         assert manifest["parameters"]["pearson_r"] == pytest.approx(1.0)
         spectra = (out / "spectra.csv").read_text().splitlines()
         assert len(spectra) == 6
-        for name in ("resistance_scatter.csv", "layout_true.csv",
-                     "layout_learned.csv"):
-            assert (out / name).exists()
+        assert spectra[0] == "index,lambda_true,lambda_learned"
+        assert spectra[1].startswith("2,")
+        scatter = (out / "resistance_scatter.csv").read_text().splitlines()
+        assert scatter[0] == "s,t,r_true,r_learned"
+        assert re.fullmatch(r"\d+,\d+,[^,]+,[^,]+", scatter[1])
+        for name in ("layout_true.csv", "layout_learned.csv"):
+            layout = (out / name).read_text().splitlines()
+            assert layout[0] == "node,x,y" and len(layout) == 37
+            assert layout[1].startswith("0,")
 
     def test_doubled_truth_ratio_two(self, tmp_path):
         g = grid_graph(5, 5)
@@ -263,12 +271,18 @@ class TestEval:
 
     def test_failed_write_leaves_no_temp_file(self, grid_mtx, tmp_path,
                                               monkeypatch, capsys):
-        def failing(path, coords):
-            with open(path, "w") as fh:
-                fh.write("node,x,y\n0,")
+        write_table = io.write_table
+
+        def rows_then_full_disk(rows):
+            yield next(iter(rows))
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(metrics, "write_layout_csv", failing)
+        def failing(path, header, rows):
+            if header[0] == "node":  # the layouts fail after one row
+                rows = rows_then_full_disk(rows)
+            write_table(path, header, rows)
+
+        monkeypatch.setattr(io, "write_table", failing)
         out = tmp_path / "e"
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "10",
                      "--out", str(out)]) == 3

@@ -409,6 +409,15 @@ class TestQuadraticForm:
         with pytest.raises(ValueError):
             quadratic_form(g, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("columns", [None, 2])
+    def test_rejects_non_finite_signal(self, bad, columns):
+        x = np.ones(9 if columns is None else (9, columns))
+        x[4] = bad
+        with pytest.raises(ValueError,
+                           match=r"^X must be finite \(found NaN or inf\)$"):
+            quadratic_form(grid_graph(3, 3), x)
+
     def test_agrees_with_operator(self):
         rng = np.random.default_rng(4)
         for seed in range(5):

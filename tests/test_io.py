@@ -1,3 +1,6 @@
+import builtins
+import errno
+import json
 import re
 import struct
 
@@ -6,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reslearn.graphs import WeightedGraph
+from reslearn import io
+from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import (
     read_graph_mtx,
     read_matrix,
@@ -14,7 +18,9 @@ from reslearn.io import (
     read_matrix_csv,
     write_graph_mtx,
     write_matrix_binary,
+    write_json,
     write_matrix_csv,
+    write_table,
 )
 
 from _oracles import random_connected_graph, reference_mtx_edges
@@ -224,3 +230,120 @@ class TestMatrixFormats:
         assert int.from_bytes(raw[16:24], "little") == 2
         np.testing.assert_array_equal(
             np.frombuffer(raw[24:], dtype="<f8"), [1.0, 2.0, 3.0, 4.0])
+
+
+class TestTable:
+    @pytest.mark.parametrize("header", [None, ("node", "value")])
+    @pytest.mark.parametrize("value, field", [
+        (0.1, "0.10000000000000001"),
+        (-0.0, "-0"),
+        (1e-300, "1e-300"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (2 ** 60, "1152921504606846976"),
+        (np.int64(-7), "-7"),
+        (None, ""),
+    ])
+    def test_exact_text_reads_back_bit_for_bit(self, tmp_path, header, value,
+                                               field):
+        path = tmp_path / "t.csv"
+        write_table(path, header, [(3, value), (4, value)])
+        head = "" if header is None else "node,value\n"
+        assert path.read_text() == f"{head}3,{field}\n4,{field}\n"
+        if isinstance(value, float):
+            back = np.loadtxt(path, delimiter=",", ndmin=2,
+                              skiprows=int(header is not None))
+            assert back[:, 1].tobytes() == np.array([value, value]).tobytes()
+
+    def test_rows_may_be_any_iterable(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, ("i", "x"), ((i, x) for i, x in enumerate([0.5])))
+        assert path.read_text() == "i,x\n0,0.5\n"
+        write_table(path, None, [])
+        assert path.read_text() == ""
+
+    def test_matrix_csv_matches_savetxt(self, tmp_path):
+        A = (np.random.default_rng(3).standard_normal((7, 3))
+             * np.logspace(-300, 300, 21).reshape(7, 3))
+        A[0, 0], A[1, 1], A[2, 2] = -0.0, 1.0, np.finfo(float).max
+        A[3, 0], A[4, 1] = np.inf, 5e-324
+        ours, theirs = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_matrix_csv(ours, A)
+        np.savetxt(theirs, A, delimiter=",", fmt="%.17g")
+        assert ours.read_bytes() == theirs.read_bytes()
+        assert read_matrix_csv(ours).tobytes() == A.tobytes()
+
+
+class _FullDisk:
+    """A file that takes ``room`` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(data[:self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+_WRITERS = {
+    "graph": ("g.mtx", lambda p: write_graph_mtx(p, grid_graph(4, 4))),
+    "binary": ("X.bin", lambda p: write_matrix_binary(p, np.eye(4))),
+    "matrix-csv": ("X.csv", lambda p: write_matrix_csv(p, np.eye(4))),
+    "table": ("t.csv", lambda p: write_table(p, ("a", "b"),
+                                             [(1, 0.5), (2, 0.25)])),
+    "json": ("m.json", lambda p: write_json(p, {"a": [1, 2], "b": "c"})),
+}
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", _WRITERS)
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch,
+                                              writer):
+        # io opens its temporary files with open(); this one fills up
+        # after 10 bytes, partway through every format's first write
+        name, write = _WRITERS[writer]
+        target = tmp_path / name
+        target.write_bytes(b"previous contents")
+        monkeypatch.setattr(io, "open", lambda *args, **kwargs: _FullDisk(
+            builtins.open(*args, **kwargs), 10), raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write(target)
+        assert target.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("writer", _WRITERS)
+    def test_write_replaces_the_target(self, tmp_path, writer):
+        name, write = _WRITERS[writer]
+        target = tmp_path / name
+        target.write_bytes(b"previous contents")
+        write(target)
+        assert b"previous contents" not in target.read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_graph_file_keeps_a_name_without_mtx(self, tmp_path):
+        # the writer writes exactly the path given, whatever its extension
+        path = tmp_path / "g.txt"
+        write_graph_mtx(path, grid_graph(3, 3))
+        assert [p.name for p in tmp_path.iterdir()] == ["g.txt"]
+        assert read_graph_mtx(path).edge_count == 12
+
+    def test_json_text(self, tmp_path):
+        path = tmp_path / "m.json"
+        write_json(path, {"b": 1.5, "a": [1, None]})
+        assert path.read_text() == (
+            '{\n  "a": [\n    1,\n    null\n  ],\n  "b": 1.5\n}\n')
+        assert json.loads(path.read_text()) == {"a": [1, None], "b": 1.5}

@@ -190,6 +190,12 @@ class TestSubsample:
         with pytest.raises(ValueError):
             subsample_nodes(np.zeros((10, 2)), 0.05, seed=0)
 
+    @pytest.mark.parametrize("X", [np.arange(10.0), np.float64(3.0),
+                                   np.zeros((4, 3, 2))])
+    def test_refuses_anything_but_a_matrix(self, X):
+        with pytest.raises(ValueError, match=r"^X must be an \(N, M\) matrix"):
+            subsample_nodes(X, 0.5, 0)
+
     def test_deterministic(self):
         X = np.random.default_rng(3).standard_normal((40, 2))
         _, a = subsample_nodes(X, 0.3, seed=9)

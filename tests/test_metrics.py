@@ -3,16 +3,11 @@ import pytest
 
 from reslearn import graphs, metrics, spectral
 from reslearn.graphs import WeightedGraph, grid_graph
-from reslearn.learner import LearnTrace, IterationRecord
 from reslearn.metrics import (
     EXHAUSTIVE_PAIR_LIMIT,
     compare_spectra,
     pearson,
     resistance_correlation,
-    write_layout_csv,
-    write_resistance_scatter_csv,
-    write_spectra_csv,
-    write_trace_csv,
 )
 from reslearn.spectral import eigensolve_smallest
 
@@ -190,30 +185,3 @@ def test_eval_factors_each_graph_once(monkeypatch):
     eigensolve_smallest(learned, 2)
     assert calls == {"splu": 2, "components": 2}
 
-
-class TestEvaluateAndCsv:
-    def test_csv_emitters_round_trip(self, tmp_path):
-        spectra = tmp_path / "spectra.csv"
-        write_spectra_csv(spectra, [1.0, 2.0], [1.5, 2.5])
-        lines = spectra.read_text().splitlines()
-        assert lines[0] == "index,lambda_true,lambda_learned"
-        assert lines[1].startswith("2,1,")
-
-        scatter = tmp_path / "scatter.csv"
-        write_resistance_scatter_csv(scatter, [(0, 1)], [0.5], [0.75])
-        assert scatter.read_text().splitlines()[1] == "0,1,0.5,0.75"
-
-        trace_path = tmp_path / "trace.csv"
-        trace = LearnTrace(records=[
-            IterationRecord(iteration=1, s_max=0.25, edge_count=9),
-            IterationRecord(iteration=2, s_max=1e-13, edge_count=10,
-                            objective=-3.5)])
-        write_trace_csv(trace_path, trace)
-        lines = trace_path.read_text().splitlines()
-        assert lines[0] == "iteration,s_max,edges,F"
-        assert lines[1] == "1,0.25,9,"
-        assert lines[2].endswith(",-3.5")
-
-        layout = tmp_path / "layout.csv"
-        write_layout_csv(layout, np.array([[0.1, 0.2], [-0.1, -0.2]]))
-        assert layout.read_text().splitlines()[0] == "node,x,y"

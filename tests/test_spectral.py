@@ -335,6 +335,14 @@ class TestObjectiveValue:
         with pytest.raises(ValueError, match="inverse_variance must be >= 0"):
             objective_value(grid_graph(3, 3), X, inverse_variance, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_voltages(self, bad):
+        X = np.random.default_rng(0).standard_normal((16, 3))
+        X[5, 1] = bad
+        with pytest.raises(ValueError,
+                           match=r"^X must be finite \(found NaN or inf\)$"):
+            objective_value(grid_graph(4, 4), X, 0.0, 3)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_of_existing_edge(self, seed):
         # central finite difference of F in an existing edge's weight vs the
