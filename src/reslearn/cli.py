@@ -88,9 +88,6 @@ def _build_parser():
                      help="maximum-sensitivity convergence tolerance")
     lrn.add_argument("--beta", type=float, default=defaults.beta_sample,
                      help="edge sampling ratio per iteration")
-    lrn.add_argument("--sigma2-inv", type=float,
-                     default=defaults.inverse_variance,
-                     help="prior inverse variance added to eigenvalues")
     lrn.add_argument("--subsample", type=float, default=None,
                      help="keep this fraction of node rows (reduced "
                           "learning; forbids a current file)")
@@ -156,7 +153,7 @@ def _cmd_learn(args):
 
     config = learner.LearnConfig(
         k=args.k, r=args.r, tol=args.tol, beta_sample=args.beta,
-        inverse_variance=args.sigma2_inv, max_iterations=args.max_iterations,
+        max_iterations=args.max_iterations,
         record_objective=args.trace_objective)
     started = time.perf_counter()
     graph, trace = learner.learn(X, Y, config)

@@ -191,6 +191,9 @@ def quadratic_form(g, x):
     matrix (summed over columns), of finite values only.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2):
+        raise ValueError("X must be an (N,) vector or (N, M) matrix, got "
+                         f"shape {x.shape}")
     if x.shape[0] != g.node_count:
         raise ValueError("dimension mismatch")
     if not np.all(np.isfinite(x)):

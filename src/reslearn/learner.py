@@ -43,6 +43,9 @@ _REPAIR_BLOCK = 256
 class LearnConfig:
     """Knobs of the learning loop.
 
+    The loop raises the combinatorial-Laplacian objective ``F(w) = log pdet
+    L(w) - sum_e w_e z_e / M``; ``L`` is the precision, with no prior added.
+
     Defaults follow the reference experimental protocol: 5 nearest
     neighbors, 4 embedding modes (r = 5), sensitivity tolerance 1e-12 and
     edge sampling ratio 1e-3.  With ``record_objective`` every iteration
@@ -54,7 +57,6 @@ class LearnConfig:
     r: int = 5
     tol: float = 1e-12
     beta_sample: float = 1e-3
-    inverse_variance: float = 0.0
     max_iterations: int | None = None
     record_objective: bool = False
 
@@ -65,9 +67,6 @@ class LearnConfig:
             raise ValueError("tol must be > 0")
         if not 0 < self.beta_sample <= 1:
             raise ValueError("beta_sample must be in (0, 1]")
-        if not (math.isfinite(self.inverse_variance)
-                and self.inverse_variance >= 0):
-            raise ValueError("inverse_variance must be finite and >= 0")
         if self.max_iterations is not None:
             _require_int("max_iterations", self.max_iterations, 1)
 
@@ -128,7 +127,8 @@ def _knn_rows(X, k):
     One k-d tree query finds them.  It is exact in distance; where several
     rows tie at a row's k-th distance, the tree's traversal order decides
     which are kept, so the choice is fixed for a given ``X`` but does not
-    follow row index.
+    follow row index.  Raises ``ValueError`` if a distance overflows to inf
+    (``X`` badly scaled).
     """
     # Imported here: at module level scipy.spatial slows ``import reslearn``
     # by about 0.1 s.
@@ -136,7 +136,11 @@ def _knn_rows(X, k):
 
     n = X.shape[0]
     k_eff = min(k, n - 1)
-    _, nbr = cKDTree(X).query(X, k=k_eff + 1)
+    dist, nbr = cKDTree(X).query(X, k=k_eff + 1)
+    # The tree reports an overflowed distance as inf, with neighbor index N.
+    if not np.all(np.isfinite(dist)):
+        raise ValueError("badly scaled measurements: a nearest-neighbor "
+                         "distance overflows to inf; rescale X")
     other = nbr != np.arange(n)[:, None]
     # With duplicate rows the query may return k_eff + 1 rows at distance 0
     # without the row itself; keep exactly k_eff other rows either way.
@@ -163,9 +167,9 @@ def _floored_distances(X, s, t):
     ``M / z`` overflows (``X`` badly scaled)."""
     z = _squared_row_distances(X, s, t)
     positive = z[z > 0]
-    if positive.size == 0:
+    if positive.size == 0 and np.array_equal(X[s], X[t]):
         raise ValueError("degenerate measurements: all voltage rows identical")
-    floor = positive.min()
+    floor = positive.min() if positive.size else 0.0
     if floor < X.shape[1] / np.finfo(np.float64).max:
         raise ValueError(
             f"badly scaled measurements: the closest distinct rows are "
@@ -285,17 +289,17 @@ def _top_order(sens, s, t, cap=None):
     return np.lexsort((t, s, -sens))
 
 
-def _rank_candidates(basis, s, t, z_data, m, inverse_variance, cap=None):
+def _rank_candidates(basis, s, t, z_data, m, cap=None):
     """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with data
     distances ``z_data`` over ``m`` measurements: ``sens = z_emb - z_data /
-    m``, ``z_emb`` under the prior ``inverse_variance``; ``order`` ranks the
-    top ``cap`` (default all) descending, ties by ascending ``(s, t)``."""
-    z_emb = embedding_distances(basis, s, t, inverse_variance)
+    m``; ``order`` ranks the top ``cap`` (default all) descending, ties by
+    ascending ``(s, t)``."""
+    z_emb = embedding_distances(basis, s, t)
     sens = z_emb - z_data / m
     return _top_order(sens, s, t, cap), sens, z_emb
 
 
-def score_candidates(basis, X, candidates, inverse_variance=0.0):
+def score_candidates(basis, X, candidates):
     """Score candidate edges against the eigenpairs ``basis`` and the data.
 
     ``candidates`` are ``(s, t)`` pairs of distinct node indices of the
@@ -304,9 +308,9 @@ def score_candidates(basis, X, candidates, inverse_variance=0.0):
     ``(s, t)``).  Zero data distances are floored at the smallest positive one
     among the candidates, so distortions stay finite.
 
-    Raises ``ValueError`` on candidates that break the node-index contract,
-    an ``X`` that is not a finite matrix with one row per node of the
-    basis, or an ``inverse_variance`` not >= 0.
+    Raises ``ValueError`` on candidates that break the node-index contract
+    or an ``X`` that is not a finite matrix with one row per node of the
+    basis.
     """
     X = _as_voltages(X)
     n = basis.eigenvectors.shape[0]
@@ -318,8 +322,7 @@ def score_candidates(basis, X, candidates, inverse_variance=0.0):
                          "nodes")
     m = X.shape[1]
     z_data = _floored_distances(X, s, t)
-    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m,
-                                          inverse_variance)
+    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m)
     dist = m * z_emb / z_data
     return [EdgeCandidate(s=int(s[i]), t=int(t[i]), z_data=float(z_data[i]),
                           z_emb=float(z_emb[i]), sensitivity=float(sens[i]),
@@ -337,15 +340,22 @@ def edge_scale(g, X, Y):
 
     Raises ``ValueError`` unless ``X`` and ``Y`` are finite matrices of one
     shape whose columns are all nonzero, with every current column
-    orthogonal to the all-ones vector.
+    orthogonal to the all-ones vector.  A norm ratio that is not finite and
+    > 0 (``X`` badly scaled) raises it too.
     """
     X = _as_voltages(X)
     Y = _as_currents(Y, X)
-    norms = np.linalg.norm(X, axis=0)
     ratios = np.empty(X.shape[1])
-    for i in range(X.shape[1]):
-        solved = solve_laplacian(g, Y[:, i])
-        ratios[i] = (np.linalg.norm(solved) / norms[i]) ** 2
+    # A norm past the float range is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+        for i in range(X.shape[1]):
+            solved = solve_laplacian(g, Y[:, i])
+            ratios[i] = (np.linalg.norm(solved) / norms[i]) ** 2
+    if not np.all((ratios > 0) & (ratios < np.inf)):
+        raise ValueError("badly scaled measurements: a solved-to-measured "
+                         "voltage norm ratio is not finite and positive; "
+                         "rescale X")
     return g.scaled(float(np.sqrt(ratios.mean())))
 
 
@@ -389,8 +399,7 @@ def learn(X, Y=None, config=None):
             break
         basis = eigensolve_smallest(graph, modes)
         top, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                        pool_z[idx], m,
-                                        config.inverse_variance, include_cap)
+                                        pool_z[idx], m, include_cap)
         s_max = float(sens[top[0]])
 
         converged = s_max <= config.tol
@@ -403,8 +412,7 @@ def learn(X, Y=None, config=None):
         objective = None
         if config.record_objective:
             objective = objective_value(
-                graph, X, config.inverse_variance,
-                min(OBJECTIVE_EIG_COUNT, n - 1)).total
+                graph, X, min(OBJECTIVE_EIG_COUNT, n - 1)).total
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,
             objective=objective, seconds=time.perf_counter() - tick))

@@ -84,6 +84,8 @@ def add_noise(X, noise_level, seed):
     if not (np.isfinite(noise_level) and noise_level >= 0):
         raise ValueError("noise_level must be finite and >= 0")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (N, M) matrix, got shape {X.shape}")
     if noise_level == 0:
         return X.copy()
     out = X.copy()

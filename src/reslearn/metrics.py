@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import effective_resistance
+from .graphs import _require_int, effective_resistance
 from .spectral import eigensolve_smallest
 
 # Below this many total node pairs the resistance report enumerates all of
@@ -55,16 +55,15 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     :data:`EXHAUSTIVE_PAIR_LIMIT` total pairs the enumeration is exhaustive.
     Returns ``(pairs, r_true, r_learned, pearson_r)``, the pairs an int64
     (k, 2) array and the resistances float64 arrays.  A correlation needs
-    at least 2 pairs, so ``pair_count < 2`` raises ``ValueError``, as does a
-    graph with fewer than 2 pairs (2 nodes).
+    at least 2 pairs, so a ``pair_count`` that is not an integer >= 2 raises
+    ``ValueError``, as does a graph with fewer than 2 pairs (2 nodes).
     """
     if g_true.node_count != g_learned.node_count:
         raise ValueError("graphs must share the node set")
     n = g_true.node_count
     if n < 2:
         raise ValueError("need at least 2 nodes")
-    if pair_count < 2:
-        raise ValueError(f"pair_count must be >= 2, got {pair_count}")
+    _require_int("pair_count", pair_count, 2)
     pairs = _sample_pairs(n, pair_count, seed)
     if len(pairs) < 2:
         raise ValueError(f"a {n}-node graph has only {len(pairs)} pair")

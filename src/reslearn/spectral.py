@@ -1,5 +1,5 @@
 """Smallest nontrivial Laplacian eigenpairs, embedding distances derived from
-them, Laplacian solves, and the truncated log-det objective.
+them, Laplacian solves, and the truncated log-pseudo-determinant objective.
 
 Every routine takes a :class:`~reslearn.graphs.WeightedGraph` and reads its
 cached Laplacian.  Every application of the pseudoinverse ``L^+`` goes
@@ -183,14 +183,11 @@ def _squared_row_distances(A, s, t):
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def embedding_distances(basis, sources, targets, inverse_variance=0.0):
+def embedding_distances(basis, sources, targets):
     """Squared distances ``||U^T (e_s - e_t)||^2`` (vectorized) in the
-    embedding ``U`` with columns ``u_i / sqrt(lambda_i + inverse_variance)``;
-    over all ``N - 1`` modes, ``(e_s - e_t)^T (L + inverse_variance I)^+ (e_s
-    - e_t)``.  Raises ``ValueError`` unless ``inverse_variance >= 0``."""
-    if not inverse_variance >= 0:
-        raise ValueError("inverse_variance must be >= 0")
-    emb = basis.eigenvectors / np.sqrt(basis.eigenvalues + inverse_variance)
+    embedding ``U`` with columns ``u_i / sqrt(lambda_i)``; over all ``N - 1``
+    modes, the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``."""
+    emb = basis.eigenvectors / np.sqrt(basis.eigenvalues)
     return _squared_row_distances(emb, sources, targets)
 
 
@@ -283,10 +280,11 @@ def solve_laplacian(g, b):
 
 @dataclass(frozen=True)
 class ObjectiveValue:
-    """Truncated log-det objective split into its two terms.
+    """Truncated log-pseudo-determinant objective split into its two terms.
 
-    ``total = logdet_term - trace_term``; the sparsity penalty weight is
-    fixed to zero (it never changes the edge ranking), so no third term
+    ``total = logdet_term - trace_term``, the combinatorial-Laplacian
+    objective ``log pdet L - tr(X^T L X) / M``; the sparsity penalty weight
+    is fixed to zero (it never changes the edge ranking), so no third term
     appears.
     """
 
@@ -296,35 +294,23 @@ class ObjectiveValue:
     eig_count: int
 
 
-def objective_value(g, X, inverse_variance=0.0, eig_count=50):
+def objective_value(g, X, eig_count=50):
     """Evaluate the learning objective on graph ``g`` with voltages ``X``.
 
-    ``logdet_term`` sums ``log(lambda_i + inverse_variance)`` over the first
-    ``eig_count`` nontrivial eigenvalues; when ``inverse_variance > 0`` the
-    trivial mode contributes ``log(inverse_variance)`` as well.
-    ``trace_term`` is the averaged quadratic form ``(1/M) (sum_e w_e ||X^T
-    e||^2 + inverse_variance ||X||_F^2)``.  The eigenvalues come from
-    :func:`eigensolve_smallest`, whose backend follows from the size.
-    Raises ``ValueError`` unless ``inverse_variance >= 0`` and ``X`` is
-    finite.
+    ``logdet_term`` sums ``log(lambda_i)`` over the first ``eig_count``
+    nontrivial eigenvalues (over all ``N - 1``, ``log pdet L``);
+    ``trace_term`` is the averaged quadratic form ``(1/M) sum_e w_e ||X^T
+    e||^2``.  The eigenvalues come from :func:`eigensolve_smallest`, whose
+    backend follows from the size.  Raises ``ValueError`` unless ``X`` is a
+    finite (N,) vector or (N, M) matrix.
     """
-    if not inverse_variance >= 0:
-        raise ValueError("inverse_variance must be >= 0")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != g.node_count:
-        raise ValueError("dimension mismatch between graph and X")
+    # quadratic_form refuses a malformed X before the eigensolve.
+    trace = quadratic_form(g, X)
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
-    trace = quadratic_form(g, X)  # refuses a non-finite X before solving
-    if inverse_variance > 0:
-        trace += inverse_variance * float(np.sum(X * X))
-    trace /= X.shape[1]
+    trace /= 1 if np.ndim(X) == 1 else np.shape(X)[1]
     basis = eigensolve_smallest(g, eig_count)
-    logdet = float(np.sum(np.log(basis.eigenvalues + inverse_variance)))
-    if inverse_variance > 0:
-        logdet += float(np.log(inverse_variance))
+    logdet = float(np.sum(np.log(basis.eigenvalues)))
     return ObjectiveValue(logdet_term=logdet, trace_term=trace,
                           total=logdet - trace, eig_count=int(eig_count))

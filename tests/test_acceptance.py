@@ -82,7 +82,7 @@ def test_c2_gradient_fidelity():
         e = np.zeros(n)
         e[s], e[t] = 1.0, -1.0
         plus = rl.objective_value(
-            g.with_edges([(s, t, h)]), X, 0.0, n - 1).total
+            g.with_edges([(s, t, h)]), X, n - 1).total
         # negative-side evaluation of the same truncated objective (the
         # graph type cannot carry a negative weight)
         L_minus = dense_laplacian(g) - h * np.outer(e, e)
@@ -211,8 +211,8 @@ def test_c9_knn_baseline_comparison(grid900_run):
     g, ms, learned, _ = grid900_run
     g_o, _ = rl.init_graph(ms.X, 5)
     g_5nn = rl.edge_scale(g_o, ms.X, ms.Y)
-    f_sgl = rl.objective_value(learned, ms.X, 0.0, 50).total
-    f_5nn = rl.objective_value(g_5nn, ms.X, 0.0, 50).total
+    f_sgl = rl.objective_value(learned, ms.X, 50).total
+    f_5nn = rl.objective_value(g_5nn, ms.X, 50).total
     ok = f_sgl >= f_5nn and learned.edge_count < g_5nn.edge_count
     _report("C9 kNN baseline", ok,
             f"F_sgl={f_sgl:.3f} >= F_5nn={f_5nn:.3f}; "

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -116,15 +117,18 @@ class TestGenerate:
 
 class TestLearn:
     def test_defaults_match_learn_config(self):
-        args = _build_parser().parse_args(["learn", "x.bin"])
-        cfg = LearnConfig()
-        assert args.k == cfg.k == 5
-        assert args.r == cfg.r == 5
-        assert args.tol == cfg.tol == 1e-12
-        assert args.beta == cfg.beta_sample == 1e-3
-        assert args.sigma2_inv == cfg.inverse_variance == 0.0
-        assert args.max_iterations is cfg.max_iterations is None
-        assert args.trace_objective is cfg.record_objective is False
+        # Every LearnConfig field has a learn flag with its default, and
+        # every learn flag but the files, --subsample and --seed is a field,
+        # so a knob and its flag are added or removed together.
+        field_of = {"beta": "beta_sample",
+                    "trace_objective": "record_objective"}
+        args = vars(_build_parser().parse_args(["learn", "x.bin"]))
+        flags = {field_of.get(dest, dest): value
+                 for dest, value in args.items()
+                 if dest not in ("command", "x", "y", "out", "subsample",
+                                 "seed")}
+        assert flags == {f.name: f.default
+                         for f in dataclasses.fields(LearnConfig)}
 
     def test_end_to_end_pipeline(self, grid_mtx, tmp_path):
         gen = tmp_path / "gen"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reslearn.graphs import WeightedGraph, grid_graph
+from reslearn.graphs import WeightedGraph, grid_graph, quadratic_form
 from reslearn.measurements import (
     add_noise,
     generate_currents,
@@ -11,6 +11,7 @@ from reslearn.measurements import (
     simulate_voltages,
     subsample_nodes,
 )
+from reslearn.spectral import objective_value
 
 from _oracles import dense_laplacian, dense_resistance, random_connected_graph
 
@@ -219,3 +220,19 @@ class TestMeasurementSet:
         with pytest.raises(ValueError, match="noise_level"):
             generate_measurement_set(grid_graph(3, 3), 3, 0,
                                      noise_level=level)
+
+
+@pytest.mark.parametrize("call, shape", [
+    (lambda: add_noise(np.arange(4.0), 0.1, 0), r"\(4,\)"),
+    (lambda: add_noise(np.ones((4, 2, 2)), 0.1, 0), r"\(4, 2, 2\)"),
+    (lambda: quadratic_form(grid_graph(3, 3), 3.0), r"\(\)"),
+    (lambda: quadratic_form(grid_graph(3, 3), np.ones((9, 2, 2))),
+     r"\(9, 2, 2\)"),
+    (lambda: objective_value(grid_graph(3, 3), 3.0, 2), r"\(\)"),
+], ids=["noise-vector", "noise-3d", "quadratic-scalar", "quadratic-3d",
+        "objective-scalar"])
+def test_wrong_shape_voltages_are_refused_naming_x(call, shape):
+    # Refused before any code indexes into the missing or extra axis.
+    with pytest.raises(ValueError,
+                       match=f"^X must be an .*got shape {shape}$"):
+        call()

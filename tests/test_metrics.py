@@ -105,6 +105,12 @@ class TestResistanceCorrelation:
         with pytest.raises(ValueError, match="pair_count must be >= 2"):
             resistance_correlation(g, g, count, seed=0)
 
+    def test_rejects_non_integer_pair_count(self):
+        g = grid_graph(20, 20)
+        with pytest.raises(ValueError,
+                           match="pair_count must be an integer, got 2.5"):
+            resistance_correlation(g, g, 2.5, seed=0)
+
     def test_rejects_two_node_graph(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError, match="only 1 pair"):

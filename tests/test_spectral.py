@@ -16,7 +16,6 @@ from reslearn.spectral import (
 
 from _oracles import (
     dense_eigenpairs,
-    dense_laplacian,
     dense_pinv,
     dense_resistance,
     random_connected_graph,
@@ -146,32 +145,17 @@ class TestEmbedding:
         basis = eigensolve_smallest(g, 1)
         assert embedding_distances(basis, 0, 1) == pytest.approx(1.0)
 
-    def test_large_inverse_variance_shrinks(self):
-        basis = eigensolve_smallest(triangle(), 2)
-        z = embedding_distances(basis, np.array([0, 0, 1]),
-                                np.array([1, 2, 2]), inverse_variance=1e12)
-        assert np.all(z < 1e-11)
-
-    @pytest.mark.parametrize("inverse_variance", [0.1, 2.0])
-    def test_full_spectrum_with_prior_is_regularized_resistance(
-            self, inverse_variance):
-        g = random_connected_graph(12, 10, seed=4)
+    @pytest.mark.parametrize("scale", [0.1, 2.0])
+    def test_full_spectrum_is_resistance(self, scale):
+        # all N - 1 modes of a weighted graph give the pinv(L) resistances,
+        # at any overall weight scale
+        g = random_connected_graph(12, 10, seed=4).scaled(scale)
         n = g.node_count
         basis = eigensolve_smallest(g, n - 1)
         s, t = np.triu_indices(n, 1)
-        z = embedding_distances(basis, s, t, inverse_variance)
-        e = np.zeros((n, s.size))
-        e[s, np.arange(s.size)] = 1.0
-        e[t, np.arange(s.size)] = -1.0
-        precision = dense_laplacian(g) + inverse_variance * np.eye(n)
-        expected = np.einsum("ij,ij->j", e, np.linalg.solve(precision, e))
-        np.testing.assert_allclose(z, expected, rtol=1e-10)
-
-    @pytest.mark.parametrize("inverse_variance", [-1e-3, np.nan])
-    def test_rejects_negative_prior(self, inverse_variance):
-        basis = eigensolve_smallest(triangle(), 2)
-        with pytest.raises(ValueError, match="inverse_variance must be >= 0"):
-            embedding_distances(basis, 0, 1, inverse_variance)
+        z = embedding_distances(basis, s, t)
+        np.testing.assert_allclose(z, dense_resistance(g, zip(s, t)),
+                                   rtol=1e-10)
 
     def test_triangle_full_spectrum_matches_resistance(self):
         g = triangle()
@@ -289,16 +273,10 @@ class TestObjectiveValue:
         w = 1.7
         g = WeightedGraph.from_edges(2, [(0, 1, w)])
         X = np.array([[a], [-a]])
-        obj = objective_value(g, X, inverse_variance=0.0, eig_count=1)
+        obj = objective_value(g, X, eig_count=1)
         assert obj.logdet_term == pytest.approx(np.log(2 * w))
         assert obj.trace_term == pytest.approx(4 * a * a * w)
         assert obj.total == pytest.approx(np.log(2 * w) - 4 * a * a * w)
-        # a prior adds sigma^-2 to the eigenvalue, its log for the trivial
-        # mode, and sigma^-2 ||X||_F^2 / M to the trace
-        obj = objective_value(g, X, inverse_variance=0.5, eig_count=1)
-        assert obj.logdet_term == pytest.approx(np.log(2 * w + 0.5)
-                                                + np.log(0.5))
-        assert obj.trace_term == pytest.approx(4 * a * a * w + a * a)
 
     def test_two_node_maximized_at_weight_formula(self):
         # F(w) = log(2w) - 4 a^2 w peaks at w* = 1/(4 a^2) = M / z_data
@@ -309,7 +287,7 @@ class TestObjectiveValue:
 
         def F(w):
             return objective_value(WeightedGraph.from_edges(2, [(0, 1, w)]),
-                                   X, 0.0, 1).total
+                                   X, 1).total
 
         assert w_star == pytest.approx(X.shape[1] / z_data)
         assert F(w_star) > F(w_star * 1.01)
@@ -319,21 +297,15 @@ class TestObjectiveValue:
         g = random_connected_graph(12, 10, seed=4)
         X = np.random.default_rng(0).standard_normal((12, 3))
         k = 6
-        base = objective_value(g, X, 0.0, k)
-        scaled = objective_value(g.scaled(3.0), X, 0.0, k)
+        base = objective_value(g, X, k)
+        scaled = objective_value(g.scaled(3.0), X, k)
         assert scaled.logdet_term - base.logdet_term == pytest.approx(
             k * np.log(3.0), rel=1e-9)
 
     def test_eig_count_out_of_range(self):
         g = triangle()
         with pytest.raises(ValueError):
-            objective_value(g, np.zeros((3, 1)), 0.0, 3)
-
-    @pytest.mark.parametrize("inverse_variance", [-1.0, np.nan])
-    def test_rejects_negative_prior(self, inverse_variance):
-        X = np.random.default_rng(0).standard_normal((9, 3))
-        with pytest.raises(ValueError, match="inverse_variance must be >= 0"):
-            objective_value(grid_graph(3, 3), X, inverse_variance, 2)
+            objective_value(g, np.zeros((3, 1)), 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_voltages(self, bad):
@@ -341,7 +313,7 @@ class TestObjectiveValue:
         X[5, 1] = bad
         with pytest.raises(ValueError,
                            match=r"^X must be finite \(found NaN or inf\)$"):
-            objective_value(grid_graph(4, 4), X, 0.0, 3)
+            objective_value(grid_graph(4, 4), X, 3)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradient_of_existing_edge(self, seed):
@@ -366,7 +338,7 @@ class TestObjectiveValue:
             edges = g.edge_list()
             edges[idx] = (s, t, weight)
             return objective_value(WeightedGraph.from_edges(n, edges), X,
-                                   0.0, n - 1).total
+                                   n - 1).total
 
         fd = (F(w + h) - F(w - h)) / (2 * h)
         assert fd == pytest.approx(analytic, rel=1e-4)
