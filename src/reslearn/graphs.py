@@ -66,9 +66,7 @@ class WeightedGraph:
         if not (w.ndim == 1 and w.size == s.size):
             raise ValueError("sources, targets and weights must be 1-D "
                              "arrays of one length")
-        if (w.size and not (np.issubdtype(w.dtype, np.integer)
-                            or np.issubdtype(w.dtype, np.floating))
-                or _holds_bool(self.weights)):
+        if w.size and w.dtype.kind not in "iuf" or _holds_bool(self.weights):
             raise ValueError("edge weights must be real numbers")
         w = w.astype(np.float64, copy=False)
         if not np.all(np.isfinite(w) & (w > 0)):
@@ -187,20 +185,11 @@ class WeightedGraph:
 def quadratic_form(g, x):
     """Smoothness of the signal ``x``: sum of ``w_{s,t} (x_s - x_t)^2``.
 
-    Equals ``x^T L x`` up to rounding; accepts an (N,) vector or an (N, M)
-    matrix (summed over columns), of finite values only.
+    Equals ``x^T L x`` up to rounding; ``x`` is an (N,) vector or an (N, M)
+    matrix (summed over columns), checked as ``X`` by :func:`_real_matrix`.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2):
-        raise ValueError("X must be an (N,) vector or (N, M) matrix, got "
-                         f"shape {x.shape}")
-    if x.shape[0] != g.node_count:
-        raise ValueError("dimension mismatch")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("X must be finite (found NaN or inf)")
+    x = _real_matrix("X", x, g.node_count, (1, 2)).reshape(g.node_count, -1)
     diff = x[g.sources] - x[g.targets]
-    if diff.ndim == 1:
-        return float(np.dot(g.weights, diff * diff))
     return float(np.dot(g.weights, (diff * diff).sum(axis=1)))
 
 
@@ -224,6 +213,30 @@ def _require_int(name, value, minimum):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _real_matrix(name, a, rows=None, ndims=(2,)):
+    """The one check of measurement matrices and right-hand sides: ``a`` is
+    not ragged, its ``np.asarray`` dtype is integer or floating, its
+    ``ndim`` is in ``ndims``, it has ``rows`` rows when given, and every
+    entry is finite.  Returns float64, float64 input without a copy;
+    raises one ``ValueError`` naming ``name`` per fault otherwise."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy refuses a ragged nested sequence
+        raise ValueError(f"{name} is ragged") from None
+    if a.dtype.kind not in "iuf":  # signed, unsigned integer or floating
+        raise ValueError(f"{name} must hold real numbers, not {a.dtype}")
+    if a.ndim not in ndims:
+        shape = "(N,) vector or (N, M)" if 1 in ndims else "(N, M)"
+        raise ValueError(f"{name} must be an {shape} matrix, got shape "
+                         f"{a.shape}")
+    if rows is not None and a.shape[0] != rows:
+        raise ValueError(f"{name} has {a.shape[0]} rows for {rows} nodes")
+    a = a.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
+    return a
 
 
 def _holds_bool(raw):

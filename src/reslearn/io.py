@@ -136,10 +136,9 @@ def read_matrix_csv(path):
     """Read a comma-separated matrix; a malformed file (ragged rows, a
     non-number) raises ``ValueError`` naming ``path``."""
     try:
-        A = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    return np.asarray(A, dtype=np.float64)
 
 
 @functools.lru_cache

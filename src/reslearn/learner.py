@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import (WeightedGraph, _node_pairs, _require_int,
+from .graphs import (WeightedGraph, _node_pairs, _real_matrix, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
     _outside_range,
@@ -212,28 +212,25 @@ def _connectivity_repair(X, s, t):
         s, t = np.insert(s, at, a), np.insert(t, at, b)
 
 
-def _as_voltages(X):
-    """``X`` as a C-ordered float (N >= 2, M >= 1) matrix of finite entries;
-    one layout, so that sums over it round alike for any input order."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 2 or X.shape[1] < 1:
+def _as_voltages(X, rows=None):
+    """``X`` from :func:`~reslearn.graphs._real_matrix`, C-ordered, (N >= 2,
+    M >= 1); one layout, so sums over it round alike for any input order."""
+    X = np.ascontiguousarray(_real_matrix("X", X, rows))
+    if X.shape[0] < 2 or X.shape[1] < 1:
         raise ValueError("X must be (N >= 2, M >= 1)")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X must be finite (found NaN or inf)")
     return X
 
 
 def _as_currents(Y, X):
-    """``Y`` as a C-ordered float matrix shaped like the checked ``X``: finite,
-    each column nonzero and orthogonal to the all-ones vector.  Every column
-    of ``X`` must be nonzero too, or edge scaling has no ratio to match."""
-    Y = np.ascontiguousarray(Y, dtype=np.float64)
+    """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, C-ordered,
+    shaped like the checked ``X``, each column nonzero and orthogonal to the
+    all-ones vector.  Every column of ``X`` must be nonzero too, or edge
+    scaling has no ratio to match."""
+    Y = np.ascontiguousarray(_real_matrix("Y", Y, X.shape[0]))
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
     if not np.all(np.any(X, axis=0)):
         raise ValueError("zero voltage column: scaling ratio undefined")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must be finite (found NaN or inf)")
     norms = np.linalg.norm(Y, axis=0)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
@@ -242,6 +239,14 @@ def _as_currents(Y, X):
     if _outside_range(Y, norms):
         raise ValueError("current columns not orthogonal to all-ones")
     return Y
+
+
+def _candidate_graph(X, k):
+    """:func:`init_graph`'s candidate graph of the checked ``X`` and its
+    edges' data distances (the pairs are sorted, so the graph keeps them)."""
+    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
+    z = _floored_distances(X, s, t)
+    return WeightedGraph(X.shape[0], s, t, X.shape[1] / z), z
 
 
 def init_graph(X, k):
@@ -253,15 +258,12 @@ def init_graph(X, k):
     pairs.  The seed is the maximum-weight (minimum-distance) spanning tree.
     Duplicate rows are joined with the closest distinct pair's weight.
 
-    Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not an
-    (N >= 2, M >= 1) matrix of finite entries, or if all its rows are
-    identical.
+    Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
+    an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`
+    takes it, or if all its rows are identical.
     """
     _require_int("k", k, 1)
-    X = _as_voltages(X)
-    n, m = X.shape
-    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
-    g_o = WeightedGraph(n, s, t, m / _floored_distances(X, s, t))
+    g_o, _ = _candidate_graph(_as_voltages(X), k)
     return g_o, maximum_spanning_tree(g_o)
 
 
@@ -309,17 +311,14 @@ def score_candidates(basis, X, candidates):
     among the candidates, so distortions stay finite.
 
     Raises ``ValueError`` on candidates that break the node-index contract
-    or an ``X`` that is not a finite matrix with one row per node of the
-    basis.
+    or an ``X`` that :func:`~reslearn.graphs._real_matrix` refuses, one row
+    per node of the basis.
     """
-    X = _as_voltages(X)
     n = basis.eigenvectors.shape[0]
+    X = _as_voltages(X, n)
     s, t = _node_pairs(candidates, n, "candidates")
     if s.size == 0:
         return []
-    if X.shape[0] != n:
-        raise ValueError(f"X has {X.shape[0]} rows but the basis has {n} "
-                         "nodes")
     m = X.shape[1]
     z_data = _floored_distances(X, s, t)
     order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m)
@@ -338,12 +337,12 @@ def edge_scale(g, X, Y):
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
 
-    Raises ``ValueError`` unless ``X`` and ``Y`` are finite matrices of one
-    shape whose columns are all nonzero, with every current column
-    orthogonal to the all-ones vector.  A norm ratio that is not finite and
-    > 0 (``X`` badly scaled) raises it too.
+    Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
+    shape, one row per node of ``g``, whose columns are all nonzero, with
+    every current column orthogonal to the all-ones vector.  A norm ratio
+    that is not finite and > 0 (``X`` badly scaled) raises it too.
     """
-    X = _as_voltages(X)
+    X = _as_voltages(X, g.node_count)
     Y = _as_currents(Y, X)
     ratios = np.empty(X.shape[1])
     # A norm past the float range is refused below, not warned about.
@@ -369,7 +368,8 @@ def learn(X, Y=None, config=None):
     maximum sensitivity.  Terminates when the maximum sensitivity drops to
     ``tol``, the candidate pool runs out, or the iteration cap is reached.
     With ``Y`` given, the final graph is edge-scaled; without it
-    (reduced-network learning) the unscaled weights stand.
+    (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
+    are checked as in :func:`edge_scale`.
     """
     config = config or LearnConfig()
     X = _as_voltages(X)
@@ -379,9 +379,9 @@ def learn(X, Y=None, config=None):
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
-    g_o, graph = init_graph(X, config.k)
+    g_o, pool_z = _candidate_graph(X, config.k)
+    graph = maximum_spanning_tree(g_o)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
-    pool_z = _floored_distances(X, pool_s, pool_t)
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 

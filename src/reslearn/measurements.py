@@ -1,10 +1,11 @@
 """Synthetic voltage/current measurement generation.
 
 Reproducibility contract: every generator is a pure function of its inputs
-and an integer seed.  Randomness is drawn from PCG64 generators seeded
+and an integer seed >= 0.  Randomness is drawn from PCG64 generators seeded
 through ``numpy.random.SeedSequence(seed).spawn(...)`` with one child stream
 per measurement column, so per-column work can be parallelized without
-changing results.
+changing results.  Measurement matrices are checked by
+:func:`reslearn.graphs._real_matrix`, whose errors name them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _require_int
+from .graphs import _real_matrix, _require_int
 from .spectral import solve_laplacian
 
 
@@ -41,6 +42,7 @@ class MeasurementSet:
 
 
 def _column_rngs(seed, count):
+    _require_int("seed", seed, 0)
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.PCG64(c)) for c in children]
 
@@ -69,11 +71,8 @@ def generate_currents(node_count, count, seed):
 
 def simulate_voltages(g, Y):
     """Voltage responses of graph ``g``: solve ``L x_i = y_i`` for every
-    column of ``Y`` in one block solve."""
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim != 2 or Y.shape[0] != g.node_count:
-        raise ValueError("Y must be (node_count, M)")
-    return solve_laplacian(g, Y)
+    column of the (N, M) matrix ``Y`` in one block solve."""
+    return solve_laplacian(g, _real_matrix("Y", Y, g.node_count))
 
 
 def add_noise(X, noise_level, seed):
@@ -83,9 +82,7 @@ def add_noise(X, noise_level, seed):
     """
     if not (np.isfinite(noise_level) and noise_level >= 0):
         raise ValueError("noise_level must be finite and >= 0")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be an (N, M) matrix, got shape {X.shape}")
+    X = _real_matrix("X", X)
     if noise_level == 0:
         return X.copy()
     out = X.copy()
@@ -104,8 +101,7 @@ def jl_measurement_count(node_count, epsilon):
     sketch (Johnson-Lindenstrauss scaling)."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    if node_count < 2:
-        raise ValueError("node_count must be >= 2")
+    _require_int("node_count", node_count, 2)
     return max(1, math.ceil(24.0 * math.log(node_count) / epsilon ** 2))
 
 
@@ -129,10 +125,8 @@ def generate_jl_measurements(g, epsilon, seed):
     for i, rng in enumerate(_column_rngs(seed, m)):
         coeff = (rng.integers(0, 2, size=g.edge_count) * 2 - 1) * scale
         row = coeff * sqrt_w
-        y = np.zeros(n)
-        np.add.at(y, g.sources, row)
-        np.add.at(y, g.targets, -row)
-        Y[:, i] = y
+        np.add.at(Y[:, i], g.sources, row)
+        np.add.at(Y[:, i], g.targets, -row)
     X = simulate_voltages(g, Y)
     return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=0.0)
 
@@ -155,17 +149,14 @@ def subsample_nodes(X, fraction, seed):
     Returns the reduced matrix and the kept row indices (ascending).  Used
     for reduced-network learning, which proceeds from voltages alone.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be an (N, M) matrix, got shape {X.shape}")
+    X = _real_matrix("X", X)
+    _require_int("seed", seed, 0)
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
     n = X.shape[0]
     keep = math.ceil(fraction * n)
     if keep < 2:
         raise ValueError("fraction keeps fewer than 2 nodes")
-    if keep == n:
-        return X.copy(), np.arange(n)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     idx = np.sort(rng.choice(n, size=keep, replace=False))
     return X[idx], idx

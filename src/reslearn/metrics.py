@@ -27,6 +27,7 @@ def compare_spectra(g_true, g_learned, count):
 
 
 def _sample_pairs(n, pair_count, seed):
+    _require_int("seed", seed, 0)
     total = n * (n - 1) // 2
     if total < EXHAUSTIVE_PAIR_LIMIT or pair_count >= total:
         return np.column_stack(np.triu_indices(n, 1))
@@ -56,7 +57,7 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     Returns ``(pairs, r_true, r_learned, pearson_r)``, the pairs an int64
     (k, 2) array and the resistances float64 arrays.  A correlation needs
     at least 2 pairs, so a ``pair_count`` that is not an integer >= 2 raises
-    ``ValueError``, as does a graph with fewer than 2 pairs (2 nodes).
+    ``ValueError``, as do a graph with fewer than 2 pairs and a bad ``seed``.
     """
     if g_true.node_count != g_learned.node_count:
         raise ValueError("graphs must share the node set")

@@ -25,6 +25,7 @@ import scipy.sparse.linalg as spla
 
 from .graphs import (  # DisconnectedGraphError is re-exported
     DisconnectedGraphError,
+    _real_matrix,
     _require_connected,
     _require_int,
     quadratic_form,
@@ -117,8 +118,8 @@ def _arpack_smallest(g, count):
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
-            best = _best_partial_residual(g, exc.eigenvalues,
-                                          exc.eigenvectors)
+            best = float(_eig_residuals(g, 1.0 / exc.eigenvalues,
+                                        exc.eigenvectors).min())
         raise EigensolverError(
             f"eigensolver did not converge within {EIG_MAX_RESTARTS} "
             "restarts",
@@ -130,10 +131,9 @@ def _arpack_smallest(g, count):
     return lam, u
 
 
-def _best_partial_residual(g, mu, u):
-    lam = 1.0 / mu
-    res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
-    return float(res.min())
+def _eig_residuals(g, lam, u):
+    """Residual ``||L u_i - lambda_i u_i||`` of each eigenpair column."""
+    return np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
 
 
 def eigensolve_smallest(g, count):
@@ -166,7 +166,7 @@ def eigensolve_smallest(g, count):
         lam, u = _dense_smallest(g, count)
     else:
         lam, u = _arpack_smallest(g, count)
-    res = np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
+    res = _eig_residuals(g, lam, u)
     limit = EIG_TOL * np.maximum(1.0, lam)
     if np.any(res > limit):
         raise EigensolverError(
@@ -236,29 +236,24 @@ def solve_laplacian(g, b):
     """Solve ``L x = b`` for the Laplacian ``L`` of a connected graph ``g``,
     with ``x`` centered to mean 0.
 
-    ``b`` is an (N,) vector or an (N, M) block whose columns are orthogonal
-    to the all-ones vector (the range of L).  All columns are solved in one
-    call against the graph's cached grounded factor (see
-    :func:`_grounded_factor`), and each must reach relative residual
-    :data:`SOLVE_TOL`.
+    ``b`` is an (N,) vector or an (N, M) block, checked by ``_real_matrix``,
+    whose columns are orthogonal to the all-ones vector (the range of L).
+    All columns are solved in one call against the graph's cached grounded
+    factor (see :func:`_grounded_factor`), and each must reach relative
+    residual :data:`SOLVE_TOL`.
 
     Raises
     ------
     ValueError
-        On a shape mismatch, non-finite entries, or a column with a
-        non-negligible all-ones component.
+        If ``b`` breaks the contract of ``_real_matrix`` (naming ``b``), or
+        a column has a non-negligible all-ones component.
     DisconnectedGraphError
         If the graph has more than one component.
     SolverError
         If the factorization fails or a column's relative residual is above
         :data:`SOLVE_TOL`.
     """
-    n = g.node_count
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
-        raise ValueError("dimension mismatch")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side must be finite")
+    b = _real_matrix("b", b, g.node_count, (1, 2))
     _require_connected(g)
     bnorm = np.linalg.norm(b, axis=0)
     if not np.any(bnorm):
@@ -301,15 +296,15 @@ def objective_value(g, X, eig_count=50):
     nontrivial eigenvalues (over all ``N - 1``, ``log pdet L``);
     ``trace_term`` is the averaged quadratic form ``(1/M) sum_e w_e ||X^T
     e||^2``.  The eigenvalues come from :func:`eigensolve_smallest`, whose
-    backend follows from the size.  Raises ``ValueError`` unless ``X`` is a
-    finite (N,) vector or (N, M) matrix.
+    backend follows from the size.  ``X`` is checked as in
+    :func:`~reslearn.graphs.quadratic_form`.
     """
-    # quadratic_form refuses a malformed X before the eigensolve.
-    trace = quadratic_form(g, X)
+    # quadratic_form refuses a malformed X before the eigensolve; an (N,)
+    # vector is one measurement.
+    trace = quadratic_form(g, X) / (np.size(X) // g.node_count)
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
-    trace /= 1 if np.ndim(X) == 1 else np.shape(X)[1]
     basis = eigensolve_smallest(g, eig_count)
     logdet = float(np.sum(np.log(basis.eigenvalues)))
     return ObjectiveValue(logdet_term=logdet, trace_term=trace,

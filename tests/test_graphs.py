@@ -23,8 +23,18 @@ from reslearn.graphs import (
     maximum_spanning_tree,
     quadratic_form,
 )
-from reslearn.learner import score_candidates
-from reslearn.spectral import eigensolve_smallest, solve_laplacian
+from reslearn.learner import edge_scale, init_graph, learn, score_candidates
+from reslearn.measurements import (
+    add_noise,
+    generate_measurement_set,
+    simulate_voltages,
+    subsample_nodes,
+)
+from reslearn.spectral import (
+    eigensolve_smallest,
+    objective_value,
+    solve_laplacian,
+)
 
 from _oracles import (
     brute_force_mst_weight,
@@ -587,6 +597,94 @@ class TestNodeIndexContract:
         r = effective_resistance(g, pairs)
         assert r.dtype == np.float64 and r.shape == (len(pairs),)
         np.testing.assert_array_equal(effective_resistance(g, as_array), r)
+
+
+_GRID = grid_graph(6, 6)
+_DATA = generate_measurement_set(_GRID, 10, 0)
+_MATRIX, _EITHER = "(N, M)", "(N,) vector or (N, M)"
+# Entry points that take a measurement matrix or right-hand side: the
+# argument's name, the shapes it may take, whether it has one row per node
+# (then a row short is a fault), and a call with the other inputs valid.
+_MATRIX_ENTRY_POINTS = {
+    "learn-X": ("X", _MATRIX, False, lambda X: learn(X)),
+    "learn-Y": ("Y", _MATRIX, True, lambda Y: learn(_DATA.X, Y)),
+    "init_graph": ("X", _MATRIX, False, lambda X: init_graph(X, 5)),
+    "score_candidates": ("X", _MATRIX, True, lambda X: score_candidates(
+        eigensolve_smallest(_GRID, 3), X, [(0, 1)])),
+    "edge_scale-X": ("X", _MATRIX, True,
+                     lambda X: edge_scale(_GRID, X, _DATA.Y)),
+    "edge_scale-Y": ("Y", _MATRIX, True,
+                     lambda Y: edge_scale(_GRID, _DATA.X, Y)),
+    "quadratic_form": ("X", _EITHER, True,
+                       lambda X: quadratic_form(_GRID, X)),
+    "objective_value": ("X", _EITHER, True,
+                        lambda X: objective_value(_GRID, X, 3)),
+    "solve_laplacian": ("b", _EITHER, True,
+                        lambda b: solve_laplacian(_GRID, b)),
+    "simulate_voltages": ("Y", _MATRIX, True,
+                          lambda Y: simulate_voltages(_GRID, Y)),
+    "add_noise": ("X", _MATRIX, False, lambda X: add_noise(X, 0.1, 0)),
+    "subsample_nodes": ("X", _MATRIX, False,
+                        lambda X: subsample_nodes(X, 0.5, 0)),
+}
+
+
+def _with_entry(a, value):
+    a = a.copy()
+    a[3, 2] = value
+    return a
+
+
+def _ragged(a):
+    rows = a.tolist()
+    rows[-1].pop()
+    return rows
+
+
+_REAL = "{} must hold real numbers, not "
+# Fault: (the fault made from a valid (36, 10) input, the message).
+_MATRIX_FAULTS = {
+    "complex": (lambda a: a + 0j, _REAL + "complex128"),
+    "bool": (lambda a: a > 0, _REAL + "bool"),
+    "string": (lambda a: a.astype("U8"), _REAL + "<U8"),
+    "ragged": (_ragged, "{} is ragged"),
+    "3-d": (lambda a: a[:, :, None],
+            "{} must be an {} matrix, got shape (36, 10, 1)"),
+    "rows": (lambda a: a[:-1], "{} has 35 rows for 36 nodes"),
+    "nan": (lambda a: _with_entry(a, np.nan),
+            "{} must be finite (found NaN or inf)"),
+    "inf": (lambda a: _with_entry(a, -np.inf),
+            "{} must be finite (found NaN or inf)"),
+}
+
+
+class TestMeasurementMatrixContract:
+    """One parser checks measurement matrices and right-hand sides wherever
+    they enter, so every entry point refuses each fault with one message,
+    up to the argument name and the shapes it takes."""
+
+    @pytest.mark.parametrize("entry, fault", [
+        (entry, fault) for entry, (_, _, by_node, _)
+        in _MATRIX_ENTRY_POINTS.items()
+        for fault in _MATRIX_FAULTS if by_node or fault != "rows"])
+    def test_every_entry_point_gives_one_message(self, entry, fault):
+        name, shape, _, call = _MATRIX_ENTRY_POINTS[entry]
+        make, message = _MATRIX_FAULTS[fault]
+        with pytest.raises(ValueError) as err:
+            call(make(_DATA.X if name == "X" else _DATA.Y))
+        assert str(err.value) == message.format(name, shape)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
+    def test_real_dtypes_are_taken_as_float64(self, dtype):
+        a = np.arange(6, dtype=dtype).reshape(3, 2)
+        out = graphs._real_matrix("X", a)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, a)
+
+    def test_float64_is_returned_without_a_copy(self):
+        # a strided Fortran-ordered view keeps its layout and its memory
+        a = np.asfortranarray(np.arange(12.0).reshape(4, 3))[:, ::2]
+        assert graphs._real_matrix("X", a) is a
 
 
 class TestMaximumSpanningTree:

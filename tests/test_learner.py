@@ -336,7 +336,7 @@ class TestScoreCandidates:
         g = grid_graph(4, 4)
         ms = generate_measurement_set(g, 5, seed=0)
         basis = eigensolve_smallest(g, 3)
-        with pytest.raises(ValueError, match="15 rows but the basis has 16"):
+        with pytest.raises(ValueError, match="^X has 15 rows for 16 nodes$"):
             score_candidates(basis, ms.X[:-1], [(0, 1)])
         X = ms.X.copy()
         X[3, 1] = np.nan
@@ -664,6 +664,20 @@ class TestLearn:
         assert trace.iterations > 1
         assert is_connected(learned)[0]
         assert calls == []
+
+    def test_pool_data_distances_computed_once(self, monkeypatch):
+        # init_graph's distances over the candidate pool are the loop's too
+        calls = []
+        original = learner._floored_distances
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        ms = generate_measurement_set(grid_graph(6, 6), 10, seed=0)
+        monkeypatch.setattr(learner, "_floored_distances", counting)
+        learn(ms.X, ms.Y)
+        assert len(calls) == 1
 
     def test_objective_recording(self):
         g = grid_graph(5, 5)

@@ -11,6 +11,7 @@ from reslearn.measurements import (
     simulate_voltages,
     subsample_nodes,
 )
+from reslearn.metrics import resistance_correlation
 from reslearn.spectral import objective_value
 
 from _oracles import dense_laplacian, dense_resistance, random_connected_graph
@@ -235,4 +236,31 @@ def test_wrong_shape_voltages_are_refused_naming_x(call, shape):
     # Refused before any code indexes into the missing or extra axis.
     with pytest.raises(ValueError,
                        match=f"^X must be an .*got shape {shape}$"):
+        call()
+
+
+_NOT_AN_INTEGER = "^seed must be an integer, got {}$"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate_currents(36, 3, None), _NOT_AN_INTEGER.format(None)),
+    (lambda: generate_measurement_set(grid_graph(6, 6), 3, None),
+     _NOT_AN_INTEGER.format(None)),
+    (lambda: generate_currents(36, 3, 2.5), _NOT_AN_INTEGER.format(2.5)),
+    (lambda: generate_currents(36, 3, -1), "^seed must be >= 0$"),
+    (lambda: add_noise(np.ones((4, 2)), 0.1, -1), "^seed must be >= 0$"),
+    (lambda: subsample_nodes(np.ones((10, 2)), 0.5, -1),
+     "^seed must be >= 0$"),
+    (lambda: generate_jl_measurements(grid_graph(3, 3), 0.5, -1),
+     "^seed must be >= 0$"),
+    (lambda: resistance_correlation(grid_graph(3, 3), grid_graph(3, 3), 10,
+                                    -1), "^seed must be >= 0$"),
+    (lambda: jl_measurement_count(2.5, 0.5),
+     "^node_count must be an integer, got 2.5$"),
+], ids=["currents-none", "measurement-set-none", "currents-float",
+        "currents-negative", "noise-negative", "subsample-negative",
+        "jl-negative", "resistance-negative", "jl-count-float-nodes"])
+def test_seeds_and_node_counts_are_checked_by_name(call, message):
+    # None would draw from OS entropy; -1 reached numpy's own refusal.
+    with pytest.raises(ValueError, match=message):
         call()
