@@ -241,14 +241,6 @@ def _as_currents(Y, X):
     return Y
 
 
-def _candidate_graph(X, k):
-    """:func:`init_graph`'s candidate graph of the checked ``X`` and its
-    edges' data distances (the pairs are sorted, so the graph keeps them)."""
-    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
-    z = _floored_distances(X, s, t)
-    return WeightedGraph(X.shape[0], s, t, X.shape[1] / z), z
-
-
 def init_graph(X, k):
     """Candidate graph and its maximum spanning tree seed.
 
@@ -263,7 +255,10 @@ def init_graph(X, k):
     takes it, or if all its rows are identical.
     """
     _require_int("k", k, 1)
-    g_o, _ = _candidate_graph(_as_voltages(X), k)
+    X = _as_voltages(X)
+    n, m = X.shape
+    s, t = _connectivity_repair(X, *_knn_pairs(X, k))
+    g_o = WeightedGraph(n, s, t, m / _floored_distances(X, s, t))
     return g_o, maximum_spanning_tree(g_o)
 
 
@@ -379,9 +374,9 @@ def learn(X, Y=None, config=None):
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
-    g_o, pool_z = _candidate_graph(X, config.k)
-    graph = maximum_spanning_tree(g_o)
+    g_o, graph = init_graph(X, config.k)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
+    pool_z = _floored_distances(X, pool_s, pool_t)
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 

@@ -83,6 +83,7 @@ def add_noise(X, noise_level, seed):
     if not (np.isfinite(noise_level) and noise_level >= 0):
         raise ValueError("noise_level must be finite and >= 0")
     X = _real_matrix("X", X)
+    _require_int("seed", seed, 0)
     if noise_level == 0:
         return X.copy()
     out = X.copy()

@@ -297,11 +297,14 @@ def objective_value(g, X, eig_count=50):
     ``trace_term`` is the averaged quadratic form ``(1/M) sum_e w_e ||X^T
     e||^2``.  The eigenvalues come from :func:`eigensolve_smallest`, whose
     backend follows from the size.  ``X`` is checked as in
-    :func:`~reslearn.graphs.quadratic_form`.
+    :func:`~reslearn.graphs.quadratic_form` and needs at least one column.
     """
-    # quadratic_form refuses a malformed X before the eigensolve; an (N,)
-    # vector is one measurement.
-    trace = quadratic_form(g, X) / (np.size(X) // g.node_count)
+    # A malformed X is refused before the eigensolve; an (N,) vector is one
+    # measurement.
+    X = _real_matrix("X", X, g.node_count, (1, 2)).reshape(g.node_count, -1)
+    if X.shape[1] == 0:
+        raise ValueError("X has no columns")
+    trace = quadratic_form(g, X) / X.shape[1]
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")

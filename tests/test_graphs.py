@@ -674,6 +674,11 @@ class TestMeasurementMatrixContract:
             call(make(_DATA.X if name == "X" else _DATA.Y))
         assert str(err.value) == message.format(name, shape)
 
+    def test_objective_value_refuses_zero_columns(self):
+        # its trace term averages over the columns
+        with pytest.raises(ValueError, match="^X has no columns$"):
+            objective_value(_GRID, _DATA.X[:, :0], 3)
+
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
     def test_real_dtypes_are_taken_as_float64(self, dtype):
         a = np.arange(6, dtype=dtype).reshape(3, 2)

@@ -665,20 +665,6 @@ class TestLearn:
         assert is_connected(learned)[0]
         assert calls == []
 
-    def test_pool_data_distances_computed_once(self, monkeypatch):
-        # init_graph's distances over the candidate pool are the loop's too
-        calls = []
-        original = learner._floored_distances
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        ms = generate_measurement_set(grid_graph(6, 6), 10, seed=0)
-        monkeypatch.setattr(learner, "_floored_distances", counting)
-        learn(ms.X, ms.Y)
-        assert len(calls) == 1
-
     def test_objective_recording(self):
         g = grid_graph(5, 5)
         ms = generate_measurement_set(g, 20, seed=10)

@@ -249,6 +249,10 @@ _NOT_AN_INTEGER = "^seed must be an integer, got {}$"
     (lambda: generate_currents(36, 3, 2.5), _NOT_AN_INTEGER.format(2.5)),
     (lambda: generate_currents(36, 3, -1), "^seed must be >= 0$"),
     (lambda: add_noise(np.ones((4, 2)), 0.1, -1), "^seed must be >= 0$"),
+    # checked even when no noise is drawn
+    (lambda: add_noise(np.ones((4, 2)), 0, None),
+     _NOT_AN_INTEGER.format(None)),
+    (lambda: add_noise(np.ones((4, 2)), 0, -1), "^seed must be >= 0$"),
     (lambda: subsample_nodes(np.ones((10, 2)), 0.5, -1),
      "^seed must be >= 0$"),
     (lambda: generate_jl_measurements(grid_graph(3, 3), 0.5, -1),
@@ -258,7 +262,8 @@ _NOT_AN_INTEGER = "^seed must be an integer, got {}$"
     (lambda: jl_measurement_count(2.5, 0.5),
      "^node_count must be an integer, got 2.5$"),
 ], ids=["currents-none", "measurement-set-none", "currents-float",
-        "currents-negative", "noise-negative", "subsample-negative",
+        "currents-negative", "noise-negative", "noiseless-none",
+        "noiseless-negative", "subsample-negative",
         "jl-negative", "resistance-negative", "jl-count-float-nodes"])
 def test_seeds_and_node_counts_are_checked_by_name(call, message):
     # None would draw from OS entropy; -1 reached numpy's own refusal.
