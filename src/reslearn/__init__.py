@@ -49,7 +49,6 @@ from .metrics import (
 )
 from .spectral import (
     EigensolverError,
-    ObjectiveValue,
     SolverError,
     SpectralBasis,
     eigensolve_smallest,
@@ -66,7 +65,6 @@ __all__ = [
     "LearnConfig",
     "LearnTrace",
     "MeasurementSet",
-    "ObjectiveValue",
     "SolverError",
     "SpectralBasis",
     "WeightedGraph",

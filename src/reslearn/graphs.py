@@ -360,9 +360,12 @@ def maximum_spanning_tree(g):
 
 
 def grid_graph(rows, cols):
-    """Rectangular grid graph with unit edge weights (4-neighborhood)."""
-    if rows < 1 or cols < 1:
-        raise ValueError("grid dimensions must be positive")
+    """Rectangular grid graph with unit edge weights (4-neighborhood).
+
+    Raises ``ValueError`` naming ``rows`` or ``cols`` unless it is an
+    integer >= 1."""
+    _require_int("rows", rows, 1)
+    _require_int("cols", cols, 1)
     node = np.arange(rows * cols).reshape(rows, cols)
     s = np.concatenate([node[:, :-1].ravel(), node[:-1].ravel()])
     t = np.concatenate([node[:, 1:].ravel(), node[1:].ravel()])

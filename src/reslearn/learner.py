@@ -406,8 +406,8 @@ def learn(X, Y=None, config=None):
 
         objective = None
         if config.record_objective:
-            objective = objective_value(
-                graph, X, min(OBJECTIVE_EIG_COUNT, n - 1)).total
+            objective = objective_value(graph, X,
+                                        min(OBJECTIVE_EIG_COUNT, n - 1))
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,
             objective=objective, seconds=time.perf_counter() - tick))

@@ -21,20 +21,14 @@ from .spectral import solve_laplacian
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Paired voltage matrix ``X`` and optional current matrix ``Y`` (N x M).
+    """Paired voltage matrix ``X`` and current matrix ``Y`` (N x M).
 
     Column ``i`` of ``X`` is the voltage response to the current excitation
-    in column ``i`` of ``Y``.  ``seed`` and ``noise_level`` record provenance.
+    in column ``i`` of ``Y``.
     """
 
     X: np.ndarray
-    Y: np.ndarray | None = None
-    seed: int | None = None
-    noise_level: float = 0.0
-
-    @property
-    def node_count(self):
-        return self.X.shape[0]
+    Y: np.ndarray
 
     @property
     def measurement_count(self):
@@ -79,6 +73,8 @@ def add_noise(X, noise_level, seed):
     """Per column: ``x + noise_level * ||x|| * eps`` with ``eps`` a Gaussian
     direction normalized to unit 2-norm, so ``||x_noisy - x|| ==
     noise_level * ||x||`` exactly.  ``noise_level == 0`` returns X unchanged.
+    Raises ``ValueError`` if a noisy entry is not finite (``X`` badly
+    scaled).
     """
     if not (np.isfinite(noise_level) and noise_level >= 0):
         raise ValueError("noise_level must be finite and >= 0")
@@ -93,7 +89,12 @@ def add_noise(X, noise_level, seed):
             norm = np.linalg.norm(eps)
             if norm > 0:
                 break
-        out[:, i] += noise_level * np.linalg.norm(X[:, i]) * (eps / norm)
+        # A column past the float range is refused below, not warned about.
+        with np.errstate(over="ignore"):
+            out[:, i] += noise_level * np.linalg.norm(X[:, i]) * (eps / norm)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("badly scaled measurements: a noisy voltage "
+                         "overflows; rescale X")
     return out
 
 
@@ -129,19 +130,14 @@ def generate_jl_measurements(g, epsilon, seed):
         np.add.at(Y[:, i], g.sources, row)
         np.add.at(Y[:, i], g.targets, -row)
     X = simulate_voltages(g, Y)
-    return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=0.0)
+    return MeasurementSet(X=X, Y=Y)
 
 
-def generate_measurement_set(g, count, seed, noise_level=0.0):
-    """Full random-excitation protocol: currents, voltages, optional noise.
-
-    Noise draws from seed ``seed + 1`` so the excitation stream is unchanged
-    by the noise setting.  Raises ``ValueError`` unless ``noise_level`` is
-    finite and >= 0.
-    """
+def generate_measurement_set(g, count, seed):
+    """Random-excitation protocol: :func:`generate_currents` and their
+    noiseless voltages; :func:`add_noise` adds noise to ``X``."""
     Y = generate_currents(g.node_count, count, seed)
-    X = add_noise(simulate_voltages(g, Y), noise_level, seed + 1)
-    return MeasurementSet(X=X, Y=Y, seed=seed, noise_level=float(noise_level))
+    return MeasurementSet(X=simulate_voltages(g, Y), Y=Y)
 
 
 def subsample_nodes(X, fraction, seed):

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .graphs import (  # DisconnectedGraphError is re-exported
-    DisconnectedGraphError,
+from .graphs import (
     _real_matrix,
     _require_connected,
     _require_int,
@@ -273,31 +272,15 @@ def solve_laplacian(g, b):
     return x
 
 
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Truncated log-pseudo-determinant objective split into its two terms.
+def objective_value(g, X, eig_count):
+    """The learning objective ``F = sum log(lambda_i) - (1/M) sum_e w_e ||X^T
+    e||^2`` of graph ``g`` with voltages ``X``, as a float.
 
-    ``total = logdet_term - trace_term``, the combinatorial-Laplacian
-    objective ``log pdet L - tr(X^T L X) / M``; the sparsity penalty weight
-    is fixed to zero (it never changes the edge ranking), so no third term
-    appears.
-    """
-
-    logdet_term: float
-    trace_term: float
-    total: float
-    eig_count: int
-
-
-def objective_value(g, X, eig_count=50):
-    """Evaluate the learning objective on graph ``g`` with voltages ``X``.
-
-    ``logdet_term`` sums ``log(lambda_i)`` over the first ``eig_count``
-    nontrivial eigenvalues (over all ``N - 1``, ``log pdet L``);
-    ``trace_term`` is the averaged quadratic form ``(1/M) sum_e w_e ||X^T
-    e||^2``.  The eigenvalues come from :func:`eigensolve_smallest`, whose
-    backend follows from the size.  ``X`` is checked as in
-    :func:`~reslearn.graphs.quadratic_form` and needs at least one column.
+    The sum runs over the first ``eig_count`` nontrivial eigenvalues (over
+    all ``N - 1``, ``log pdet L``), which come from
+    :func:`eigensolve_smallest`, whose backend follows from the size.  ``X``
+    is checked as in :func:`~reslearn.graphs.quadratic_form` and needs at
+    least one column.
     """
     # A malformed X is refused before the eigensolve; an (N,) vector is one
     # measurement.
@@ -309,6 +292,4 @@ def objective_value(g, X, eig_count=50):
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
     basis = eigensolve_smallest(g, eig_count)
-    logdet = float(np.sum(np.log(basis.eigenvalues)))
-    return ObjectiveValue(logdet_term=logdet, trace_term=trace,
-                          total=logdet - trace, eig_count=int(eig_count))
+    return float(np.sum(np.log(basis.eigenvalues))) - trace

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from reslearn import io, metrics, spectral
+from reslearn import io, measurements, metrics, spectral
 from reslearn.cli import _build_parser, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
@@ -80,9 +80,31 @@ class TestGenerate:
         assert X.shape[1] == math.ceil(24 * math.log(20) / 0.81)
 
     def test_m_and_jl_eps_mutually_exclusive(self, grid_mtx, tmp_path):
-        code = main(["generate", str(grid_mtx), "--m", "5",
-                     "--jl-eps", "0.5", "--out", str(tmp_path / "o")])
-        assert code == 3
+        # 50 is --m's default: an argparse mutually exclusive group would
+        # let "--m 50 --jl-eps 0.5" through
+        for m in ("5", "50"):
+            out = tmp_path / f"o{m}"
+            code = main(["generate", str(grid_mtx), "--m", m,
+                         "--jl-eps", "0.5", "--out", str(out)])
+            assert code == 3
+            assert not out.exists()
+
+    @pytest.mark.parametrize("count", [["--m", "4"], ["--jl-eps", "0.9"]],
+                             ids=["m", "jl-eps"])
+    def test_noise_draws_from_the_next_seed(self, grid_mtx, tmp_path,
+                                            count):
+        out = tmp_path / "o"
+        assert main(["generate", str(grid_mtx), *count, "--seed", "3",
+                     "--noise", "0.2", "--out", str(out)]) == 0
+        g = read_graph_mtx(grid_mtx)
+        clean = (measurements.generate_measurement_set(g, 4, 3)
+                 if count[0] == "--m"
+                 else measurements.generate_jl_measurements(g, 0.9, 3))
+        noisy = measurements.add_noise(clean.X, 0.2, 4)
+        for name, expected in (("X.bin", noisy), ("Y.bin", clean.Y)):
+            got = read_matrix(out / name)
+            assert got.shape == expected.shape
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_csv_output(self, two_node_mtx, tmp_path):
         out = tmp_path / "out"

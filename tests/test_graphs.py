@@ -770,3 +770,16 @@ def test_grid_graph_shape():
     assert g.node_count == 12
     assert g.edge_count == 3 * 3 + 2 * 4  # horizontal + vertical
     assert is_connected(g)[0]
+
+
+@pytest.mark.parametrize("rows, cols, message", [
+    (2.5, 3, "^rows must be an integer, got 2.5$"),
+    (True, 3, "^rows must be an integer, got True$"),
+    (3, 4.0, "^cols must be an integer, got 4.0$"),
+    (0, 3, "^rows must be >= 1$"),
+    (3, -1, "^cols must be >= 1$"),
+], ids=["fractional-rows", "boolean-rows", "float-cols", "zero-rows",
+        "negative-cols"])
+def test_grid_graph_refuses_bad_dimensions_by_name(rows, cols, message):
+    with pytest.raises(ValueError, match=message):
+        grid_graph(rows, cols)

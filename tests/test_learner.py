@@ -672,4 +672,4 @@ class TestLearn:
         assert all(r.objective is not None for r in trace.records)
         # the 50-eigenvalue objective caps at the 24 modes of 25 nodes
         assert trace.records[-1].objective == objective_value(
-            learned, ms.X, 24).total
+            learned, ms.X, 24)

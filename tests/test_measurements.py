@@ -137,6 +137,7 @@ class TestJlSketch:
         m = jl_measurement_count(30, 0.7)
         assert ms.X.shape == (30, m)
         assert ms.Y.shape == (30, m)
+        assert ms.measurement_count == m
 
     def test_single_edge_exact_resistance(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
@@ -205,24 +206,6 @@ class TestSubsample:
         np.testing.assert_array_equal(a, b)
 
 
-class TestMeasurementSet:
-    def test_noise_level_recorded(self):
-        g = grid_graph(4, 4)
-        ms = generate_measurement_set(g, 5, seed=0, noise_level=0.25)
-        assert ms.noise_level == 0.25
-        clean = generate_measurement_set(g, 5, seed=0)
-        assert clean.noise_level == 0.0
-        assert (clean.node_count, clean.measurement_count) == (16, 5)
-        assert not np.array_equal(ms.X, clean.X)
-        np.testing.assert_array_equal(ms.Y, clean.Y)
-
-    @pytest.mark.parametrize("level", [-0.5, np.nan])
-    def test_rejects_bad_noise_level(self, level):
-        with pytest.raises(ValueError, match="noise_level"):
-            generate_measurement_set(grid_graph(3, 3), 3, 0,
-                                     noise_level=level)
-
-
 @pytest.mark.parametrize("call, shape", [
     (lambda: add_noise(np.arange(4.0), 0.1, 0), r"\(4,\)"),
     (lambda: add_noise(np.ones((4, 2, 2)), 0.1, 0), r"\(4, 2, 2\)"),
@@ -240,6 +223,8 @@ def test_wrong_shape_voltages_are_refused_naming_x(call, shape):
 
 
 _NOT_AN_INTEGER = "^seed must be an integer, got {}$"
+_BADLY_SCALED = "^badly scaled measurements: .*rescale X$"
+_GRID_X = generate_measurement_set(grid_graph(6, 6), 10, 0).X
 
 
 @pytest.mark.parametrize("call, message", [
@@ -261,10 +246,14 @@ _NOT_AN_INTEGER = "^seed must be an integer, got {}$"
                                     -1), "^seed must be >= 0$"),
     (lambda: jl_measurement_count(2.5, 0.5),
      "^node_count must be an integer, got 2.5$"),
+    # a column norm past the float range: X is refused, not made inf
+    (lambda: add_noise(_GRID_X * 1e300, 0.1, 0), _BADLY_SCALED),
+    (lambda: add_noise(_GRID_X * 1e306, 0.1, 0), _BADLY_SCALED),
 ], ids=["currents-none", "measurement-set-none", "currents-float",
         "currents-negative", "noise-negative", "noiseless-none",
         "noiseless-negative", "subsample-negative",
-        "jl-negative", "resistance-negative", "jl-count-float-nodes"])
+        "jl-negative", "resistance-negative", "jl-count-float-nodes",
+        "noise-overflow-1e300", "noise-overflow-1e306"])
 def test_seeds_and_node_counts_are_checked_by_name(call, message):
     # None would draw from OS entropy; -1 reached numpy's own refusal.
     with pytest.raises(ValueError, match=message):

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from reslearn import spectral
-from reslearn.graphs import WeightedGraph, effective_resistance, grid_graph
+from reslearn.graphs import (
+    DisconnectedGraphError,
+    WeightedGraph,
+    effective_resistance,
+    grid_graph,
+    quadratic_form,
+)
 from reslearn.learner import learn
 from reslearn.measurements import generate_measurement_set, simulate_voltages
 from reslearn.spectral import (
-    DisconnectedGraphError,
     SolverError,
     eigensolve_smallest,
     embedding_distances,
@@ -273,10 +278,10 @@ class TestObjectiveValue:
         w = 1.7
         g = WeightedGraph.from_edges(2, [(0, 1, w)])
         X = np.array([[a], [-a]])
-        obj = objective_value(g, X, eig_count=1)
-        assert obj.logdet_term == pytest.approx(np.log(2 * w))
-        assert obj.trace_term == pytest.approx(4 * a * a * w)
-        assert obj.total == pytest.approx(np.log(2 * w) - 4 * a * a * w)
+        # lambda_1 = 2 w and quadratic_form = w (2 a)^2, with M = 1
+        assert quadratic_form(g, X) == pytest.approx(4 * a * a * w)
+        assert objective_value(g, X, eig_count=1) == pytest.approx(
+            np.log(2 * w) - quadratic_form(g, X))
 
     def test_two_node_maximized_at_weight_formula(self):
         # F(w) = log(2w) - 4 a^2 w peaks at w* = 1/(4 a^2) = M / z_data
@@ -287,7 +292,7 @@ class TestObjectiveValue:
 
         def F(w):
             return objective_value(WeightedGraph.from_edges(2, [(0, 1, w)]),
-                                   X, 1).total
+                                   X, 1)
 
         assert w_star == pytest.approx(X.shape[1] / z_data)
         assert F(w_star) > F(w_star * 1.01)
@@ -297,10 +302,14 @@ class TestObjectiveValue:
         g = random_connected_graph(12, 10, seed=4)
         X = np.random.default_rng(0).standard_normal((12, 3))
         k = 6
-        base = objective_value(g, X, k)
-        scaled = objective_value(g.scaled(3.0), X, k)
-        assert scaled.logdet_term - base.logdet_term == pytest.approx(
-            k * np.log(3.0), rel=1e-9)
+        trace = quadratic_form(g, X) / X.shape[1]
+        logdet = np.sum(np.log(eigensolve_smallest(g, k).eigenvalues))
+        assert objective_value(g, X, k) == pytest.approx(logdet - trace,
+                                                         rel=1e-12)
+        # tripling every weight adds k log 3 to the log term and triples
+        # the quadratic one
+        assert objective_value(g.scaled(3.0), X, k) == pytest.approx(
+            logdet + k * np.log(3.0) - 3 * trace, rel=1e-9)
 
     def test_eig_count_out_of_range(self):
         g = triangle()
@@ -338,7 +347,7 @@ class TestObjectiveValue:
             edges = g.edge_list()
             edges[idx] = (s, t, weight)
             return objective_value(WeightedGraph.from_edges(n, edges), X,
-                                   n - 1).total
+                                   n - 1)
 
         fd = (F(w + h) - F(w - h)) / (2 * h)
         assert fd == pytest.approx(analytic, rel=1e-4)
