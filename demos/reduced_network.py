@@ -16,7 +16,7 @@ def main():
         X_red, kept = rl.subsample_nodes(ms.X, fraction, seed=3)
         learned, trace = rl.learn(X_red, None)  # voltages only, no scaling
         factor = truth.node_count / learned.node_count
-        connected = rl.is_connected(learned)[0]
+        connected = rl.is_connected(learned)
         lam = rl.eigensolve_smallest(learned, 3).eigenvalues
         print(f"fraction {fraction:.1f}: {learned.node_count} nodes "
               f"({factor:.0f}x smaller), {learned.edge_count} edges, "

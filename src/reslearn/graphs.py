@@ -194,9 +194,8 @@ def quadratic_form(g, x):
 
 
 def is_connected(g):
-    """Whether ``g`` has a single connected component, plus node labels."""
-    n, labels = g._components
-    return n == 1, labels
+    """Whether ``g`` has a single connected component."""
+    return g._components[0] == 1
 
 
 def _require_connected(g):

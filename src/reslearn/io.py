@@ -64,26 +64,26 @@ def _adjacency_graph(coo):
     describes it."""
     if coo.shape[0] != coo.shape[1]:
         raise ValueError("adjacency must be square")
-    n = coo.shape[0]
-    r, c, w = coo.row, coo.col, coo.data
-    nz = w != 0
-    r, c, w = r[nz], c[nz], w[nz]
+    nz = coo.data != 0
+    r, c, w = coo.row[nz], coo.col[nz], coo.data[nz]
     if np.any(w < 0):
         raise ValueError("negative weights are not allowed")
-    lo, hi = np.minimum(r, c), np.maximum(r, c)
-    order = np.lexsort((hi, lo))
-    lo, hi, w = lo[order], hi[order], w[order]
-    keys = lo.astype(np.int64) * n + hi
-    _, start = np.unique(keys, return_index=True)
-    # Mirrored/duplicate entries must agree; reduceat needs one group.
-    if start.size:
-        spread = (np.maximum.reduceat(w, start)
-                  - np.minimum.reduceat(w, start))
-        bad = start[spread > 1e-12 * np.maximum(1.0, np.abs(w[start]))]
-        if bad.size:
-            s, t = int(lo[bad[0]]), int(hi[bad[0]])
-            raise ValueError(f"conflicting weights for edge ({s},{t})")
-    return WeightedGraph(n, lo[start], hi[start], w[start])
+    # Reversed, so that the constructor, which keeps the last of duplicate
+    # entries, keeps each edge's first; every other entry must agree with it.
+    g = WeightedGraph(coo.shape[0], r[::-1], c[::-1], w[::-1])
+    n = g.node_count
+    edge = np.searchsorted(g.sources * n + g.targets,
+                           np.minimum(r, c).astype(np.int64) * n
+                           + np.maximum(r, c))
+    top, bottom = g.weights.copy(), g.weights.copy()
+    np.maximum.at(top, edge, w)
+    np.minimum.at(bottom, edge, w)
+    bad = np.flatnonzero(top - bottom
+                         > 1e-12 * np.maximum(1.0, np.abs(g.weights)))
+    if bad.size:
+        s, t = g.sources[bad[0]], g.targets[bad[0]]
+        raise ValueError(f"conflicting weights for edge ({s},{t})")
+    return g
 
 
 def write_graph_mtx(path, g):

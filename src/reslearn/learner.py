@@ -34,9 +34,6 @@ from .spectral import (
 
 # Nontrivial eigenvalues in the recorded objective, capped at N - 1.
 OBJECTIVE_EIG_COUNT = 50
-# Rows per block of the brute-force bridge search in _connectivity_repair;
-# bounds its memory at O(N * block).
-_REPAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -179,37 +176,38 @@ def _floored_distances(X, s, t):
 
 
 def _connectivity_repair(X, s, t):
-    """Bridge the components of the candidate pairs ``(s, t)`` (sorted
-    arrays, ``s < t``) until they connect every row.
-
-    Each bridge is the globally closest pair of rows in different
-    components, ties going to the smallest ``(s, t)``.  Returns the pairs,
-    still sorted, with the bridges inserted; when they already connect, the
-    input arrays themselves.
+    """Bridge the components of the candidate pairs ``(s, t)`` until they
+    connect every row: C components get C - 1 bridges, the Euclidean
+    minimum spanning tree's edges between them.  Borůvka rounds find them:
+    every component but the largest (each pair across components has an end
+    outside it) takes its closest outside row by one exact k-d tree query,
+    and these bridges join by ascending ``(distance, s, t)`` while their
+    ends are in different components.  Where rows tie, the tree's order
+    decides, as in :func:`_knn_rows`.  Returns the pairs with the bridges
+    (``s < t``) appended, the input arrays when they already connect; raises
+    ``ValueError`` if a bridge distance overflows to inf.
     """
+    from scipy.spatial import cKDTree
+
     n = X.shape[0]
-    sq = np.einsum("ij,ij->i", X, X)
-    while True:
-        pairs = sp.coo_matrix((np.ones(s.size), (s, t)), shape=(n, n))
-        ncomp, labels = connected_components(pairs, directed=False)
-        if ncomp == 1:
-            return s, t
-        best = (np.inf, -1, -1)
-        for lo in range(0, n, _REPAIR_BLOCK):
-            hi = min(lo + _REPAIR_BLOCK, n)
-            d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-            np.maximum(d2, 0.0, out=d2)
-            same = labels[lo:hi, None] == labels[None, :]
-            d2[same] = np.inf
-            flat = np.argmin(d2)
-            row, col = np.unravel_index(flat, d2.shape)
-            a, b = int(lo + row), int(col)
-            cand = (float(d2[row, col]), min(a, b), max(a, b))
-            if cand < best:
-                best = cand
-        _, a, b = best
-        at = np.searchsorted(s * n + t, a * n + b)
-        s, t = np.insert(s, at, a), np.insert(t, at, b)
+    pairs = sp.coo_matrix((np.ones(s.size), (s, t)), shape=(n, n))
+    _, labels = connected_components(pairs, directed=False)
+    while np.any(labels != labels[0]):
+        bridges = []
+        for c in np.setdiff1d(labels, np.argmax(np.bincount(labels))):
+            inside = np.flatnonzero(labels == c)
+            outside = np.flatnonzero(labels != c)
+            dist, nbr = cKDTree(X[outside]).query(X[inside])
+            i = np.argmin(dist)
+            if dist[i] == np.inf:  # the tree's index is then len(outside)
+                raise ValueError("badly scaled measurements: a bridge "
+                                 "distance overflows to inf; rescale X")
+            bridges.append((dist[i], *sorted((inside[i], outside[nbr[i]]))))
+        for _, a, b in sorted(bridges):
+            if labels[a] != labels[b]:
+                labels[labels == labels[a]] = labels[b]
+                s, t = np.append(s, a), np.append(t, b)
+    return s, t
 
 
 def _as_voltages(X, rows=None):
@@ -245,10 +243,11 @@ def init_graph(X, k):
     """Candidate graph and its maximum spanning tree seed.
 
     The candidate graph connects each voltage row to its ``k`` nearest rows
-    (exact, by k-d tree; in either direction) with weight ``M / z_data``; if
-    disconnected it is repaired by bridging the closest inter-component
-    pairs.  The seed is the maximum-weight (minimum-distance) spanning tree.
-    Duplicate rows are joined with the closest distinct pair's weight.
+    (exact, by k-d tree; in either direction) with weight ``M / z_data``;
+    its C components are bridged by the C - 1 Euclidean minimum spanning
+    tree edges between them, rows that tie going by the tree's order.  The
+    seed is the maximum-weight (minimum-distance) spanning tree.  Duplicate
+    rows are joined with the closest distinct pair's weight.
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
     an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`

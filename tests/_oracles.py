@@ -148,3 +148,27 @@ def sample_distinct_pairs(n, count, rng):
         if s != t:
             seen.add((min(s, t), max(s, t)))
     return sorted(seen)
+
+
+def closest_pair_bridges(X, s, t):
+    """The bridges that join the components of the pairs ``(s, t)``, found
+    one per pass over every pair of rows: each is the globally closest pair
+    of rows in different components, by exact squared differences, ties to
+    the smallest ``(s, t)``.  Returns ``(s, t, squared distance)`` triples
+    in the order found."""
+    n = X.shape[0]
+    labels = np.arange(n)
+    for a, b in zip(s.tolist(), t.tolist()):
+        labels[labels == labels[a]] = labels[b]
+    bridges = []
+    while np.any(labels != labels[0]):
+        best = (np.inf, -1, -1)
+        for a in range(n - 1):
+            d = np.sum((X[a + 1:] - X[a]) ** 2, axis=1)
+            d[labels[a + 1:] == labels[a]] = np.inf
+            b = int(np.argmin(d))  # the first of equal minima: smallest t
+            best = min(best, (float(d[b]), a, a + 1 + b))
+        d, a, b = best
+        labels[labels == labels[a]] = labels[b]
+        bridges.append((a, b, d))
+    return bridges

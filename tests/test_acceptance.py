@@ -198,7 +198,7 @@ def test_c8_reduced_learning(grid900_run):
     X_red, kept = rl.subsample_nodes(ms.X, fraction, seed=GRID_SEED)
     learned, trace = rl.learn(X_red, None)
     expected_nodes = math.ceil(fraction * g.node_count)
-    connected = rl.is_connected(learned)[0]
+    connected = rl.is_connected(learned)
     ok = (learned.node_count == expected_nodes and connected
           and trace.status == "converged")
     _report("C8 reduced learning", ok,

@@ -208,7 +208,7 @@ class TestEdgeInvariant:
             t = np.concatenate([node[1:].ravel(), node[:, 1:].ravel(),
                                 node[:, :, 1:].ravel()])
             g = WeightedGraph(900, s, t, np.ones(s.size))
-            assert g.edge_count == 2420 and is_connected(g)[0]
+            assert g.edge_count == 2420 and is_connected(g)
             L = g.laplacian
             L.check_format(full_check=True)
             np.testing.assert_array_equal(L.toarray(), dense_laplacian(g))
@@ -332,7 +332,7 @@ class TestOneLaplacianPerGraph:
         g = grid_graph(6, 6)
         b = np.zeros(36)
         b[[0, 35]] = 1.0, -1.0
-        assert is_connected(g)[0]
+        assert is_connected(g)
         solve_laplacian(g, b)
         effective_resistance(g, [(0, 5), (3, 30)])
         eigensolve_smallest(g, 3)
@@ -351,22 +351,21 @@ class TestOneLaplacianPerGraph:
         g = random_connected_graph(12, 15, seed=5)
         for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)])):
             assert "_components" not in vars(derived)  # g not yet checked
-        assert is_connected(g)[0]
+        assert is_connected(g)
         tree = maximum_spanning_tree(random_connected_graph(9, 9, seed=1))
         for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
                         tree, tree.with_edges([(0, 8, 1.0)]).scaled(0.5)):
-            ok, labels = is_connected(derived)
-            assert ok and not labels.any()
+            assert is_connected(derived)
+            assert not derived._components[1].any()
         assert len(calls) == 1
 
     def test_derived_graphs_of_a_disconnected_graph_are_checked(self):
         g = WeightedGraph.from_edges(
             6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
-        assert not is_connected(g)[0]
-        assert is_connected(g.with_edges([(2, 3, 1.0)]))[1].tolist() == \
+        assert not is_connected(g)
+        assert g.with_edges([(2, 3, 1.0)])._components[1].tolist() == \
             [0, 0, 0, 0, 0, 1]
-        assert is_connected(g.scaled(3.0))[1].tolist() == \
-            [0, 0, 0, 1, 1, 2]
+        assert g.scaled(3.0)._components[1].tolist() == [0, 0, 0, 1, 1, 2]
 
     def test_disconnected_raises_on_every_call(self):
         g = WeightedGraph.from_edges(
@@ -382,7 +381,7 @@ class TestOneLaplacianPerGraph:
             assert err.value.n_components == 3
 
     def test_component_labels_are_read_only(self):
-        _, labels = is_connected(WeightedGraph.from_edges(3, [(0, 1, 1.0)]))
+        _, labels = WeightedGraph.from_edges(3, [(0, 1, 1.0)])._components
         with pytest.raises(ValueError):
             labels[0] = 5
 
@@ -747,29 +746,34 @@ class TestMaximumSpanningTree:
 class TestConnectivity:
     def test_single_edge(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
-        ok, labels = is_connected(g)
-        assert ok and len(set(labels.tolist())) == 1
+        assert is_connected(g)
+        assert len(set(g._components[1].tolist())) == 1
 
     def test_no_edges(self):
         g = WeightedGraph.from_edges(2, [])
-        ok, labels = is_connected(g)
-        assert not ok
-        assert sorted(set(labels.tolist())) == [0, 1]
+        assert not is_connected(g)
+        assert sorted(set(g._components[1].tolist())) == [0, 1]
 
     def test_two_triangles(self):
         g = WeightedGraph.from_edges(
             6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
                 (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
-        ok, labels = is_connected(g)
-        assert not ok
-        assert len(set(labels.tolist())) == 2
+        assert not is_connected(g)
+        assert len(set(g._components[1].tolist())) == 2
+
+    def test_returns_a_bool(self):
+        # a (bool, labels) tuple would always be true, so that
+        # ``if not is_connected(g)`` could never fire
+        g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
+        assert is_connected(g) is False
+        assert is_connected(g.with_edges([(1, 2, 1.0)])) is True
 
 
 def test_grid_graph_shape():
     g = grid_graph(3, 4)
     assert g.node_count == 12
     assert g.edge_count == 3 * 3 + 2 * 4  # horizontal + vertical
-    assert is_connected(g)[0]
+    assert is_connected(g)
 
 
 @pytest.mark.parametrize("rows, cols, message", [

@@ -43,6 +43,7 @@ from reslearn.spectral import (
 
 from _oracles import (
     brute_force_knn_distances,
+    closest_pair_bridges,
     dense_eigenpairs,
     random_connected_graph,
 )
@@ -69,6 +70,42 @@ def knn_inputs(draw):
     return X, draw(st.integers(1, n))
 
 
+@st.composite
+def clustered_inputs(draw):
+    """``(X, k)``: n in 4..60 rows of M in 1..5 columns, each one of 2..5
+    centers on a lattice of spacing 10 plus an offset on a lattice of
+    spacing 0.1 (many tied distances), and k in 1..3, so that the
+    k-nearest-neighbor pairs often leave several components."""
+    n = draw(st.integers(4, 60))
+    m = draw(st.integers(1, 5))
+    c = draw(st.integers(2, 5))
+    centers = draw(hnp.arrays(np.int8, (c, m), elements=st.integers(-9, 9)))
+    labels = draw(hnp.arrays(np.int8, n, elements=st.integers(0, c - 1)))
+    offsets = draw(hnp.arrays(np.int8, (n, m), elements=st.integers(-9, 9)))
+    return 10.0 * centers[labels] + 0.1 * offsets, draw(st.integers(1, 3))
+
+
+def clustered_rows(seed, n, m, clusters, offset=0.0, scale=1.0):
+    """``offset + scale * (centers[lab] + 0.05 * noise)``: n rows of m
+    columns around ``clusters`` standard normal centers, all drawn from
+    ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(clusters, m))
+    lab = rng.integers(0, clusters, n)
+    noise = rng.normal(size=(n, m))
+    return offset + scale * (centers[lab] + 0.05 * noise)
+
+
+def repair_bridges(X, k):
+    """``(s, t, bridges)``: the k-nearest-neighbor pairs and the sorted
+    ``(s, t)`` bridges that :func:`_connectivity_repair` adds to them."""
+    s, t = _knn_pairs(X, k)
+    pairs = list(zip(*(a.tolist() for a in _connectivity_repair(X, s, t))))
+    knn = set(zip(s.tolist(), t.tolist()))
+    assert len(set(pairs)) == len(pairs) and knn <= set(pairs)
+    return s, t, sorted(set(pairs) - knn)
+
+
 class TestKnnPairs:
     @settings(max_examples=100)
     @given(knn_inputs())
@@ -93,15 +130,25 @@ class TestKnnPairs:
         assert set(zip(s.tolist(), t.tolist())) == union
 
     @settings(max_examples=60)
-    @given(knn_inputs())
+    @given(st.one_of(knn_inputs(), clustered_inputs()))
     def test_init_graph_is_connected(self, case):
         X, k = case
         assume(np.ptp(X, axis=0).any())  # not every row identical
         g_o, tree = init_graph(X, k)
-        assert is_connected(g_o)[0]
+        assert is_connected(g_o)
         assert tree.edge_count == X.shape[0] - 1
-        knn = set(zip(*(a.tolist() for a in _knn_pairs(X, k))))
-        assert knn <= set(zip(g_o.sources.tolist(), g_o.targets.tolist()))
+        s, t = _knn_pairs(X, k)
+        knn = set(zip(s.tolist(), t.tolist()))
+        pairs = set(zip(g_o.sources.tolist(), g_o.targets.tolist()))
+        assert knn <= pairs
+        # C components take C - 1 bridges, whose distances are those of
+        # the closest-pair oracle's bridges: a minimum spanning tree's
+        # weights are unique even where its edges are not.
+        oracle = closest_pair_bridges(X, s, t)
+        assert g_o.edge_count == s.size + len(oracle)
+        np.testing.assert_allclose(
+            sorted(np.sum((X[a] - X[b]) ** 2) for a, b in pairs - knn),
+            sorted(d for _, _, d in oracle), rtol=DISTANCE_RTOL, atol=0)
 
     def test_duplicate_rows_keep_k_other_rows(self):
         # five identical rows: the query may return k + 1 copies without the
@@ -131,6 +178,49 @@ class TestKnnPairs:
              " 'scipy.io', 'reslearn.io') if m in sys.modules))"],
             env=env, capture_output=True, text=True, check=True, timeout=60)
         assert out.stdout.strip() == "[]"
+
+
+class TestConnectivityRepair:
+    @pytest.mark.parametrize("seed, n, m, clusters, k", [
+        (0, 300, 10, 3, 2), (1, 500, 50, 5, 3), (2, 800, 10, 8, 2),
+        (3, 1200, 50, 4, 5), (4, 2000, 10, 12, 3), (5, 2000, 50, 6, 5),
+    ])
+    def test_matches_closest_pair_oracle(self, seed, n, m, clusters, k):
+        X = clustered_rows(seed, n, m, clusters)
+        s, t, bridges = repair_bridges(X, k)
+        expected = sorted((a, b) for a, b, _ in closest_pair_bridges(X, s, t))
+        assert len(expected) >= clusters - 1
+        assert bridges == expected
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_near_a_supply_rail_get_the_closest_pairs(self, seed):
+        # 1.8 plus offsets of 1e-7: a Gram form |a|^2 + |b|^2 - 2 a.b of
+        # such rows cancels to rounding noise; exact differences do not
+        X = clustered_rows(seed, 120, 8, 4, offset=1.8, scale=1e-7)
+        s, t, bridges = repair_bridges(X, 2)
+        expected = sorted((a, b) for a, b, _ in closest_pair_bridges(X, s, t))
+        assert bridges == expected
+
+    def test_tied_bridges_make_a_tree(self):
+        # four 2-row clusters at the corners of a square of side 10: each
+        # corner row is 10 from two others, so one round's bridges tie
+        # around a cycle, and only 3 of them may join
+        X = np.array([[0, 0], [-1, -1], [10, 0], [11, -1],
+                      [0, 10], [-1, 11], [10, 10], [11, 11]], dtype=float)
+        s, t, bridges = repair_bridges(X, 1)
+        assert s.size == 4 and len(bridges) == 3
+        g = WeightedGraph(8, *zip(*(list(zip(s, t)) + bridges)),
+                          np.ones(7))
+        assert is_connected(g)
+        oracle = closest_pair_bridges(X, s, t)
+        assert sorted(np.sum((X[a] - X[b]) ** 2) for a, b in bridges) == \
+            sorted(d for _, _, d in oracle)
+
+    def test_overflowing_bridge_is_refused_by_name(self):
+        # the two pairs are 2e154 apart: the squared distance overflows
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2e154, 0.0], [2e154, 1.0]])
+        with pytest.raises(ValueError, match="badly scaled measurements"):
+            init_graph(X, k=1)
 
 
 class TestInitGraph:
@@ -176,7 +266,7 @@ class TestInitGraph:
         # two tight clusters far apart; k=1 keeps each cluster internal
         X = np.array([[0.0], [0.1], [10.0], [10.12]])
         g_o, tree = init_graph(X, k=1)
-        assert is_connected(g_o)[0]
+        assert is_connected(g_o)
         # the bridge must be the closest inter-cluster pair (1, 2)
         assert (1, 2) in {(s, t) for s, t, _ in g_o.edge_list()}
         assert tree.edge_count == 3
@@ -519,7 +609,7 @@ class TestLearn:
                      + rng.normal(0.0, 1.0, size=(n, m)))
         learned, trace = learn(X, None)
         assert trace.status in ("converged", "candidate_pool_exhausted")
-        assert is_connected(learned)[0]
+        assert is_connected(learned)
         g_o, _ = init_graph(X, LearnConfig().k)
         assert set(learned.edge_list()) <= set(g_o.edge_list())
 
@@ -530,7 +620,7 @@ class TestLearn:
         X[1:6] = X[0]
         learned, trace = learn(X, None)
         assert trace.status == "converged"
-        assert is_connected(learned)[0]
+        assert is_connected(learned)
 
     def test_trace_monotonic_edge_counts(self):
         g = grid_graph(7, 7)
@@ -574,7 +664,7 @@ class TestLearn:
         Xr, kept = subsample_nodes(ms.X, 0.25, seed=6)
         learned, trace = learn(Xr, None)
         assert learned.node_count == 16
-        assert is_connected(learned)[0]
+        assert is_connected(learned)
         assert trace.status in ("converged", "candidate_pool_exhausted")
 
     def test_converged_distortion_bound(self):
@@ -662,7 +752,7 @@ class TestLearn:
         monkeypatch.setattr(graphs, "connected_components", counting)
         learned, trace = learn(ms.X, ms.Y)
         assert trace.iterations > 1
-        assert is_connected(learned)[0]
+        assert is_connected(learned)
         assert calls == []
 
     def test_objective_recording(self):
