@@ -95,9 +95,6 @@ def _build_parser():
                      help="seed for --subsample row selection")
     lrn.add_argument("--max-iterations", type=int,
                      default=defaults.max_iterations)
-    lrn.add_argument("--trace-objective", action="store_true",
-                     default=defaults.record_objective,
-                     help="record the objective value every iteration")
     lrn.add_argument("--out", default=".", help="output directory")
 
     ev = sub.add_parser("eval",
@@ -153,8 +150,7 @@ def _cmd_learn(args):
 
     config = learner.LearnConfig(
         k=args.k, r=args.r, tol=args.tol, beta_sample=args.beta,
-        max_iterations=args.max_iterations,
-        record_objective=args.trace_objective)
+        max_iterations=args.max_iterations)
     started = time.perf_counter()
     graph, trace = learner.learn(X, Y, config)
     duration = time.perf_counter() - started
@@ -163,8 +159,8 @@ def _cmd_learn(args):
     graph_path = os.path.join(args.out, "learned.mtx")
     trace_path = os.path.join(args.out, "trace.csv")
     io.write_graph_mtx(graph_path, graph)
-    io.write_table(trace_path, ("iteration", "s_max", "edges", "F"),
-                   ((rec.iteration, rec.s_max, rec.edge_count, rec.objective)
+    io.write_table(trace_path, ("iteration", "s_max", "edges"),
+                   ((rec.iteration, rec.s_max, rec.edge_count)
                     for rec in trace.records))
     _write_manifest(args, {"x": args.x, "y": args.y},
                     {"graph": graph_path, "trace": trace_path},

@@ -24,16 +24,13 @@ from scipy.sparse.csgraph import connected_components
 from .graphs import (WeightedGraph, _node_pairs, _real_matrix, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
+    SolverError,
     _outside_range,
     _squared_row_distances,
     eigensolve_smallest,
     embedding_distances,
-    objective_value,
     solve_laplacian,
 )
-
-# Nontrivial eigenvalues in the recorded objective, capped at N - 1.
-OBJECTIVE_EIG_COUNT = 50
 
 
 @dataclass(frozen=True)
@@ -45,9 +42,8 @@ class LearnConfig:
 
     Defaults follow the reference experimental protocol: 5 nearest
     neighbors, 4 embedding modes (r = 5), sensitivity tolerance 1e-12 and
-    edge sampling ratio 1e-3.  With ``record_objective`` every iteration
-    records the objective over a fixed :data:`OBJECTIVE_EIG_COUNT` (50)
-    nontrivial eigenvalues, capped at ``N - 1``.
+    edge sampling ratio 1e-3.  The loop does not evaluate ``F`` itself;
+    :func:`~reslearn.spectral.objective_value` does, on any graph.
     """
 
     k: int = 5
@@ -55,7 +51,6 @@ class LearnConfig:
     tol: float = 1e-12
     beta_sample: float = 1e-3
     max_iterations: int | None = None
-    record_objective: bool = False
 
     def __post_init__(self):
         _require_int("k", self.k, 1)
@@ -94,16 +89,19 @@ class EdgeCandidate:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration: the largest candidate sensitivity ``s_max``, then the
+    learned graph's edge count after inclusion and the wall-clock seconds."""
+
     iteration: int
     s_max: float
     edge_count: int
-    objective: float | None = None
     seconds: float = 0.0
 
 
 @dataclass
 class LearnTrace:
-    """Per-iteration convergence record plus the terminal status."""
+    """Per-iteration convergence record plus the terminal status:
+    ``"converged"``, ``"candidate_pool_exhausted"`` or ``"max_iterations"``."""
 
     records: list[IterationRecord] = field(default_factory=list)
     status: str = "converged"
@@ -160,18 +158,19 @@ def _floored_distances(X, s, t):
     """Squared data distances ``||X[s] - X[t]||^2`` of the pairs ``(s, t)``,
     zeros (duplicate rows) floored at the smallest positive one: the closest
     distinct pair.  Positive distances are never lifted.  Raises
-    ``ValueError`` if all rows are identical, or if the largest weight
-    ``M / z`` overflows (``X`` badly scaled)."""
+    ``ValueError`` if all rows are identical, or if the square of the
+    largest weight ``M / z`` overflows (``X`` badly scaled): eigenpair
+    residual norms square entries that can reach the weights' size."""
     z = _squared_row_distances(X, s, t)
     positive = z[z > 0]
     if positive.size == 0 and np.array_equal(X[s], X[t]):
         raise ValueError("degenerate measurements: all voltage rows identical")
     floor = positive.min() if positive.size else 0.0
-    if floor < X.shape[1] / np.finfo(np.float64).max:
+    if floor < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
         raise ValueError(
             f"badly scaled measurements: the closest distinct rows are "
-            f"{floor:.3g} apart squared, so the weight M / z overflows; "
-            "rescale X")
+            f"{floor:.3g} apart squared, so the weight M / z squared "
+            "overflows; rescale X")
     return np.maximum(z, floor)
 
 
@@ -334,17 +333,23 @@ def edge_scale(g, X, Y):
     Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
     shape, one row per node of ``g``, whose columns are all nonzero, with
     every current column orthogonal to the all-ones vector.  A norm ratio
-    that is not finite and > 0 (``X`` badly scaled) raises it too.
+    that is not finite and > 0 (``X`` badly scaled) raises it too, as do
+    solved voltages that overflow; any other failed solve raises
+    :class:`~reslearn.spectral.SolverError`.
     """
     X = _as_voltages(X, g.node_count)
     Y = _as_currents(Y, X)
-    ratios = np.empty(X.shape[1])
-    # A norm past the float range is refused below, not warned about.
+    # A norm past the float range, or solved voltages that overflow (their
+    # residual is then not finite), is refused below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(X, axis=0)
-        for i in range(X.shape[1]):
-            solved = solve_laplacian(g, Y[:, i])
-            ratios[i] = (np.linalg.norm(solved) / norms[i]) ** 2
+        try:
+            ratios = np.array([np.linalg.norm(solve_laplacian(g, y)) / norm
+                               for y, norm in zip(Y.T, norms)]) ** 2
+        except SolverError as exc:
+            if exc.residual is None or np.isfinite(exc.residual):
+                raise
+            ratios = np.inf
     if not np.all((ratios > 0) & (ratios < np.inf)):
         raise ValueError("badly scaled measurements: a solved-to-measured "
                          "voltage norm ratio is not finite and positive; "
@@ -403,13 +408,9 @@ def learn(X, Y=None, config=None):
             graph = graph.with_edges(zip(pool_s[take], pool_t[take],
                                          pool_w[take]))
 
-        objective = None
-        if config.record_objective:
-            objective = objective_value(graph, X,
-                                        min(OBJECTIVE_EIG_COUNT, n - 1))
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,
-            objective=objective, seconds=time.perf_counter() - tick))
+            seconds=time.perf_counter() - tick))
         if converged:
             status = "converged"
             break

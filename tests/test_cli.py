@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,8 +143,7 @@ class TestLearn:
         # Every LearnConfig field has a learn flag with its default, and
         # every learn flag but the files, --subsample and --seed is a field,
         # so a knob and its flag are added or removed together.
-        field_of = {"beta": "beta_sample",
-                    "trace_objective": "record_objective"}
+        field_of = {"beta": "beta_sample"}
         args = vars(_build_parser().parse_args(["learn", "x.bin"]))
         flags = {field_of.get(dest, dest): value
                  for dest, value in args.items()
@@ -163,10 +163,8 @@ class TestLearn:
         learned = read_graph_mtx(run / "learned.mtx")
         assert learned.node_count == 36
         trace_lines = (run / "trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "iteration,s_max,edges,F"
+        assert trace_lines[0] == "iteration,s_max,edges"
         assert len(trace_lines) > 1
-        # no --trace-objective: the objective field stays empty
-        assert all(line.endswith(",") for line in trace_lines[1:])
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] in ("converged",
                                       "candidate_pool_exhausted")
@@ -398,3 +396,20 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == (dests - files) | resolved[
             command]
+
+
+def test_readme_pipeline_section_names_every_option():
+    # Every option of generate, learn and eval appears in README's
+    # "Command-line pipeline" section, and every --flag there is an option
+    # of some subcommand, so a flag and its documentation go together.
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split("\n## Command-line pipeline\n")[1]
+    section = section.split("\n## ")[0]
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {flag for name in ("generate", "learn", "eval")
+               for a in sub.choices[name]._actions
+               if not isinstance(a, argparse._HelpAction)
+               for flag in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", section)) == options
