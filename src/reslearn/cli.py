@@ -84,8 +84,6 @@ def _build_parser():
                      help="nearest-neighbor count for the candidate graph")
     lrn.add_argument("--r", type=int, default=defaults.r,
                      help="embedding mode count (r - 1 eigenpairs)")
-    lrn.add_argument("--tol", type=float, default=defaults.tol,
-                     help="maximum-sensitivity convergence tolerance")
     lrn.add_argument("--beta", type=float, default=defaults.beta_sample,
                      help="edge sampling ratio per iteration")
     lrn.add_argument("--subsample", type=float, default=None,
@@ -149,7 +147,7 @@ def _cmd_learn(args):
         X, kept = measurements.subsample_nodes(X, args.subsample, args.seed)
 
     config = learner.LearnConfig(
-        k=args.k, r=args.r, tol=args.tol, beta_sample=args.beta,
+        k=args.k, r=args.r, beta_sample=args.beta,
         max_iterations=args.max_iterations)
     started = time.perf_counter()
     graph, trace = learner.learn(X, Y, config)

@@ -124,8 +124,7 @@ class WeightedGraph:
 
     def scaled(self, factor):
         """Return a copy with every edge weight multiplied by ``factor``."""
-        if not np.isfinite(factor) or factor <= 0:
-            raise ValueError("scale factor must be finite and > 0")
+        _require_real("scale factor", factor, "(0, inf)")
         return self._pass_connected(WeightedGraph(
             self.node_count, self.sources, self.targets,
             self.weights * factor))
@@ -212,6 +211,18 @@ def _require_int(name, value, minimum):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _require_real(name, value, interval):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a real number
+    (Python or numpy, not boolean) in ``interval``, such as ``"[0, inf)"``."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    low, high = (float(b) for b in interval[1:-1].split(","))
+    if not ((value >= low if interval[0] == "[" else value > low)
+            and (value <= high if interval[-1] == "]" else value < high)):
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 def _real_matrix(name, a, rows=None, ndims=(2,)):

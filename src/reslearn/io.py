@@ -143,16 +143,13 @@ def read_matrix_csv(path):
 
 @functools.lru_cache
 def _row_format(types):
-    # "%.0s" consumes a None and prints nothing
-    return ",".join("%.17g" if issubclass(kind, float) else
-                    "%.0s" if kind is type(None) else "%s"
+    return ",".join("%.17g" if issubclass(kind, float) else "%s"
                     for kind in types) + "\n"
 
 
 def write_table(path, header, rows):
     """Write ``rows`` as comma-separated lines under the optional ``header``
-    names: ints as ``str`` gives them, floats with 17 significant digits,
-    ``None`` as an empty field."""
+    names: ints as ``str`` gives them, floats with 17 significant digits."""
     with _replacing(path) as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")

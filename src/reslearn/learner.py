@@ -5,10 +5,10 @@ The loop starts from the maximum spanning tree of an exact k-nearest-neighbor
 candidate graph (one k-d tree query) built on the voltage rows, then
 repeatedly scores every off-graph candidate edge by its objective-gradient
 sensitivity (one array scorer, shared with :func:`score_candidates`) and
-includes the highest-ranked ones until no candidate exceeds the tolerance;
-one boolean mask over the candidate graph's edges tracks which are in.  A
-final global edge scaling matches solved voltage norms to the measured ones
-when current measurements are available.
+includes the highest-ranked ones until no candidate's sensitivity is
+positive; one boolean mask over the candidate graph's edges tracks which
+are in.  A final global edge scaling matches solved voltage norms to the
+measured ones when current measurements are available.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import (WeightedGraph, _node_pairs, _real_matrix, _require_int,
-                     maximum_spanning_tree)
+                     _require_real, maximum_spanning_tree)
 from .spectral import (
     SolverError,
     _outside_range,
@@ -41,24 +41,22 @@ class LearnConfig:
     L(w) - sum_e w_e z_e / M``; ``L`` is the precision, with no prior added.
 
     Defaults follow the reference experimental protocol: 5 nearest
-    neighbors, 4 embedding modes (r = 5), sensitivity tolerance 1e-12 and
-    edge sampling ratio 1e-3.  The loop does not evaluate ``F`` itself;
-    :func:`~reslearn.spectral.objective_value` does, on any graph.
+    neighbors, 4 embedding modes (r = 5) and edge sampling ratio 1e-3; its
+    sensitivity tolerance 1e-12 never bound at unit scale, so the loop
+    stops when no sensitivity is positive.  The loop does not evaluate
+    ``F`` itself; :func:`~reslearn.spectral.objective_value` does, on any
+    graph.
     """
 
     k: int = 5
     r: int = 5
-    tol: float = 1e-12
     beta_sample: float = 1e-3
     max_iterations: int | None = None
 
     def __post_init__(self):
         _require_int("k", self.k, 1)
         _require_int("r", self.r, 2)
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if not 0 < self.beta_sample <= 1:
-            raise ValueError("beta_sample must be in (0, 1]")
+        _require_real("beta_sample", self.beta_sample, "(0, 1]")
         if self.max_iterations is not None:
             _require_int("max_iterations", self.max_iterations, 1)
 
@@ -270,18 +268,17 @@ def perturbation_estimate(eigenvector, delta_weight, s, t):
 
 
 def _top_order(sens, s, t, cap=None):
-    """Indices of the ``cap`` highest ``sens`` (all of them when ``cap`` is
-    ``None``), by ``sens`` descending, ties by ascending ``(s, t)``: the
-    first ``cap`` entries of ``np.lexsort((t, s, -sens))``.
+    """Indices of the ``cap`` (default all) highest of the nonempty ``sens``,
+    by ``sens`` descending, ties by ascending ``(s, t)``: the first ``cap``
+    entries of ``np.lexsort((t, s, -sens))``.
 
-    With a cap, ``np.partition`` finds the cap-th highest value and only
-    the entries at or above it are sorted.
+    ``np.partition`` finds the cap-th highest value and only the entries at
+    or above it are sorted.
     """
-    if cap is not None and cap < sens.size:
-        floor = -np.partition(-sens, cap - 1)[cap - 1]
-        head = np.flatnonzero(sens >= floor)
-        return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
-    return np.lexsort((t, s, -sens))
+    cap = min(sens.size if cap is None else cap, sens.size)
+    floor = -np.partition(-sens, cap - 1)[cap - 1]
+    head = np.flatnonzero(sens >= floor)
+    return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
 
 
 def _rank_candidates(basis, s, t, z_data, m, cap=None):
@@ -363,9 +360,12 @@ def learn(X, Y=None, config=None):
     Per iteration: compute the first ``r - 1`` nontrivial eigenpairs of the
     current graph (capped at ``N - 1``), score all remaining candidates,
     include those ranked in the top ``ceil(N * beta_sample)`` whose
-    sensitivity exceeds ``tol`` (weight ``M / z_data``), and record the
-    maximum sensitivity.  Terminates when the maximum sensitivity drops to
-    ``tol``, the candidate pool runs out, or the iteration cap is reached.
+    sensitivity is positive (weight ``M / z_data``), and record the maximum
+    sensitivity.  Terminates when the maximum sensitivity is at most 0, the
+    candidate pool runs out, or the iteration cap is reached.  Scaling ``X``
+    by ``c`` scales every sensitivity by ``c**2``, so the learned edges do
+    not depend on the units of ``X``; an absolute tolerance would (the
+    reference's 1e-12 never bound at unit scale).
     With ``Y`` given, the final graph is edge-scaled; without it
     (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
     are checked as in :func:`edge_scale`.
@@ -401,9 +401,9 @@ def learn(X, Y=None, config=None):
                                         pool_z[idx], m, include_cap)
         s_max = float(sens[top[0]])
 
-        converged = s_max <= config.tol
+        converged = s_max <= 0
         if not converged:
-            take = idx[top[sens[top] > config.tol]]
+            take = idx[top[sens[top] > 0]]
             in_graph[take] = True
             graph = graph.with_edges(zip(pool_s[take], pool_t[take],
                                          pool_w[take]))

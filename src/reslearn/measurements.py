@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _real_matrix, _require_int
+from .graphs import _real_matrix, _require_int, _require_real
 from .spectral import solve_laplacian
 
 
@@ -53,13 +53,9 @@ def generate_currents(node_count, count, seed):
     n, m = int(node_count), int(count)
     Y = np.empty((n, m))
     for i, rng in enumerate(_column_rngs(seed, m)):
-        while True:
-            y = rng.standard_normal(n)
-            y -= y.mean()
-            norm = np.linalg.norm(y)
-            if norm > 0:
-                break
-        Y[:, i] = y / norm
+        y = rng.standard_normal(n)
+        y -= y.mean()
+        Y[:, i] = y / np.linalg.norm(y)
     return Y
 
 
@@ -76,22 +72,18 @@ def add_noise(X, noise_level, seed):
     Raises ``ValueError`` if a noisy entry is not finite (``X`` badly
     scaled).
     """
-    if not (np.isfinite(noise_level) and noise_level >= 0):
-        raise ValueError("noise_level must be finite and >= 0")
+    _require_real("noise_level", noise_level, "[0, inf)")
     X = _real_matrix("X", X)
     _require_int("seed", seed, 0)
     if noise_level == 0:
         return X.copy()
     out = X.copy()
     for i, rng in enumerate(_column_rngs(seed, X.shape[1])):
-        while True:
-            eps = rng.standard_normal(X.shape[0])
-            norm = np.linalg.norm(eps)
-            if norm > 0:
-                break
+        eps = rng.standard_normal(X.shape[0])
         # A column past the float range is refused below, not warned about.
         with np.errstate(over="ignore"):
-            out[:, i] += noise_level * np.linalg.norm(X[:, i]) * (eps / norm)
+            out[:, i] += (noise_level * np.linalg.norm(X[:, i])
+                          * (eps / np.linalg.norm(eps)))
     if not np.all(np.isfinite(out)):
         raise ValueError("badly scaled measurements: a noisy voltage "
                          "overflows; rescale X")
@@ -101,8 +93,7 @@ def add_noise(X, noise_level, seed):
 def jl_measurement_count(node_count, epsilon):
     """Measurement count ``ceil(24 ln(N) / epsilon^2)`` for the resistance
     sketch (Johnson-Lindenstrauss scaling)."""
-    if not 0 < epsilon < 1:
-        raise ValueError("epsilon must be in (0, 1)")
+    _require_real("epsilon", epsilon, "(0, 1)")
     _require_int("node_count", node_count, 2)
     return max(1, math.ceil(24.0 * math.log(node_count) / epsilon ** 2))
 
@@ -148,8 +139,7 @@ def subsample_nodes(X, fraction, seed):
     """
     X = _real_matrix("X", X)
     _require_int("seed", seed, 0)
-    if not 0 < fraction <= 1:
-        raise ValueError("fraction must be in (0, 1]")
+    _require_real("fraction", fraction, "(0, 1]")
     n = X.shape[0]
     keep = math.ceil(fraction * n)
     if keep < 2:

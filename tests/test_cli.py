@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -168,6 +169,9 @@ class TestLearn:
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["status"] in ("converged",
                                       "candidate_pool_exhausted")
+        assert set(manifest["parameters"]) == {
+            "k", "r", "beta", "max_iterations", "subsample", "seed",
+            "kept_nodes"}
         # trace trends down to convergence
         s_max = [float(line.split(",")[1]) for line in trace_lines[1:]]
         assert min(s_max) <= 1e-12
@@ -234,6 +238,18 @@ class TestLearn:
         with pytest.raises(SystemExit) as exc:
             main(["learn"])
         assert exc.value.code == 3
+
+    def test_removed_tolerance_flag_is_usage_error(self, grid_mtx, tmp_path):
+        # The loop stops when no sensitivity is positive; there is no
+        # tolerance to set.
+        gen = tmp_path / "gen"
+        assert main(["generate", str(grid_mtx), "--m", "4",
+                     "--out", str(gen)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["learn", str(gen / "X.bin"), "--tol", "1e-12",
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 3
+        assert not (tmp_path / "r").exists()
 
     def test_parser_usage_error_is_exit_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -396,6 +412,19 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == (dests - files) | resolved[
             command]
+
+
+def test_readme_key_defaults_name_every_learn_config_field():
+    # README's "Key defaults" sentence gives each LearnConfig field as
+    # `name=default` and no other, so a removed knob cannot stay documented.
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    paragraph = readme.split("Key defaults (`LearnConfig`):")[1]
+    sentence = re.split(r"\.\s", paragraph)[0]
+    documented = {name: ast.literal_eval(value) for name, value in
+                  re.findall(r"`([a-z_]+)=([^`]+)`", sentence)}
+    assert documented == {f.name: f.default
+                          for f in dataclasses.fields(LearnConfig)}
 
 
 def test_readme_pipeline_section_names_every_option():

@@ -137,6 +137,16 @@ class TestWeightedGraph:
         g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
         assert g.scaled(0.5).edge_list() == [(0, 1, 1.0)]
 
+    @pytest.mark.parametrize("factor, match", [
+        (True, "a real number"), ("2", "a real number"),
+        (None, "a real number"), (0.0, r"in \(0, inf\)"),
+        (np.inf, r"in \(0, inf\)"), (np.nan, r"in \(0, inf\)"),
+    ], ids=["boolean", "string", "none", "zero", "inf", "nan"])
+    def test_scaled_refuses_bad_factors_by_name(self, factor, match):
+        g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
+        with pytest.raises(ValueError, match=f"^scale factor must be {match}"):
+            g.scaled(factor)
+
 
 class TestEdgeInvariant:
     """The constructor checks and canonicalises every edge it is given."""

@@ -242,9 +242,8 @@ class TestTable:
         (np.float64(0.1), "0.10000000000000001"),
         (2 ** 60, "1152921504606846976"),
         (np.int64(-7), "-7"),
-        (None, ""),
     ], ids=["float", "negative-zero", "tiny", "largest", "np-float64",
-            "int", "np-int64", "none"])
+            "int", "np-int64"])
     def test_exact_text_reads_back_bit_for_bit(self, tmp_path, header, value,
                                                field):
         path = tmp_path / "t.csv"

@@ -258,3 +258,24 @@ def test_seeds_and_node_counts_are_checked_by_name(call, message):
     # None would draw from OS entropy; -1 reached numpy's own refusal.
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: add_noise(np.ones((4, 2)), v, 0), "noise_level"),
+    (lambda v: subsample_nodes(np.ones((4, 2)), v, 0), "fraction"),
+    (lambda v: jl_measurement_count(10, v), "epsilon"),
+], ids=["noise_level", "fraction", "epsilon"])
+@pytest.mark.parametrize("value", [True, "0.5", None],
+                         ids=["boolean", "string", "none"])
+def test_real_parameters_refuse_non_numbers_by_name(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+        call(value)
+
+
+def test_real_parameters_accept_numpy_scalars():
+    X = np.random.default_rng(4).standard_normal((8, 2))
+    np.testing.assert_array_equal(add_noise(X, np.float32(0.5), 1),
+                                  add_noise(X, 0.5, 1))
+    assert subsample_nodes(X, np.int64(1), 0)[0].shape == (8, 2)
+    assert jl_measurement_count(10, np.float64(0.5)) == \
+        jl_measurement_count(10, 0.5)
