@@ -25,7 +25,6 @@ from .graphs import (
 from .learner import (
     EdgeCandidate,
     IterationRecord,
-    LearnConfig,
     LearnTrace,
     edge_scale,
     init_graph,
@@ -62,7 +61,6 @@ __all__ = [
     "EdgeCandidate",
     "EigensolverError",
     "IterationRecord",
-    "LearnConfig",
     "LearnTrace",
     "MeasurementSet",
     "SolverError",

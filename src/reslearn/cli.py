@@ -4,10 +4,11 @@ a graph from measurements, ``eval`` a learned graph against the truth.
 Commands compose through files only.  Every run writes a ``manifest.json``
 recording every parsed option except the file arguments, overlaid with the
 values the command resolved (such as the measurement count), so outputs are
-reproducible bit-for-bit by re-running with the same arguments.  The
-``learn`` options take their defaults from ``learner.LearnConfig``.  Exit
-codes: 0 success (learning converged or exhausted its candidates), 2
-learning stopped at the iteration cap, 3 input or usage error.
+reproducible bit-for-bit by re-running with the same arguments.  ``learn``
+runs the reference protocol fixed in :mod:`reslearn.learner`; it has no
+option for k, r, the sampling ratio or the iteration cap.  Exit codes: 0
+success (learning converged or exhausted its candidates), 2 learning
+stopped at the iteration cap, 3 input or usage error.
 
 BLAS threads follow ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` set before
 the process starts.
@@ -62,12 +63,13 @@ def _build_parser():
     gen = sub.add_parser("generate",
                          help="generate measurement matrices from a graph")
     gen.add_argument("graph", help="ground-truth graph (.mtx)")
-    gen.add_argument("--m", type=int, default=None,
-                     help="number of random current measurements "
-                          "(default 50; mutually exclusive with --jl-eps)")
-    gen.add_argument("--jl-eps", type=float, default=None,
-                     help="resistance-sketch distortion target; sets the "
-                          "measurement count to ceil(24 ln N / eps^2)")
+    count = gen.add_mutually_exclusive_group()
+    count.add_argument("--m", type=int, default=None,
+                       help="number of random current measurements "
+                            "(default 50; mutually exclusive with --jl-eps)")
+    count.add_argument("--jl-eps", type=float, default=None,
+                       help="resistance-sketch distortion target; sets the "
+                            "measurement count to ceil(24 ln N / eps^2)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--noise", type=float, default=0.0,
                      help="relative voltage noise level")
@@ -79,20 +81,11 @@ def _build_parser():
     lrn.add_argument("x", help="voltage matrix file (binary or CSV)")
     lrn.add_argument("y", nargs="?", default=None,
                      help="current matrix file (enables edge scaling)")
-    defaults = learner.LearnConfig
-    lrn.add_argument("--k", type=int, default=defaults.k,
-                     help="nearest-neighbor count for the candidate graph")
-    lrn.add_argument("--r", type=int, default=defaults.r,
-                     help="embedding mode count (r - 1 eigenpairs)")
-    lrn.add_argument("--beta", type=float, default=defaults.beta_sample,
-                     help="edge sampling ratio per iteration")
     lrn.add_argument("--subsample", type=float, default=None,
                      help="keep this fraction of node rows (reduced "
                           "learning; forbids a current file)")
     lrn.add_argument("--seed", type=int, default=0,
                      help="seed for --subsample row selection")
-    lrn.add_argument("--max-iterations", type=int,
-                     default=defaults.max_iterations)
     lrn.add_argument("--out", default=".", help="output directory")
 
     ev = sub.add_parser("eval",
@@ -109,8 +102,6 @@ def _build_parser():
 
 
 def _cmd_generate(args):
-    if args.m is not None and args.jl_eps is not None:
-        raise ValueError("--m and --jl-eps are mutually exclusive")
     graph = io.read_graph_mtx(args.graph)
     started = time.perf_counter()
     if args.jl_eps is not None:
@@ -146,11 +137,8 @@ def _cmd_learn(args):
                              "do not pass a current file with --subsample")
         X, kept = measurements.subsample_nodes(X, args.subsample, args.seed)
 
-    config = learner.LearnConfig(
-        k=args.k, r=args.r, beta_sample=args.beta,
-        max_iterations=args.max_iterations)
     started = time.perf_counter()
-    graph, trace = learner.learn(X, Y, config)
+    graph, trace = learner.learn(X, Y)
     duration = time.perf_counter() - started
 
     os.makedirs(args.out, exist_ok=True)

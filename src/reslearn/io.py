@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import scipy.io
@@ -107,8 +108,8 @@ def write_matrix_binary(path, A):
 def read_matrix_binary(path):
     """Read a matrix in the raw binary layout described above.
 
-    Raises ``ValueError`` naming ``path`` on a wrong magic, or when the
-    header's N x M float64 values need more bytes than follow it.
+    Raises ``ValueError`` naming ``path`` on a wrong magic, or unless
+    exactly the header's N x M float64 values follow it.
     """
     with open(path, "rb") as fh:
         header = fh.read(24)
@@ -116,8 +117,9 @@ def read_matrix_binary(path):
             raise ValueError(f"{path}: not a measurement matrix file")
         _, n, m = struct.unpack("<8sQQ", header)
         left = os.fstat(fh.fileno()).st_size - len(header)
-        if 8 * n * m > left:
-            raise ValueError(f"{path}: truncated data section: header says "
+        if 8 * n * m != left:
+            kind = "truncated" if 8 * n * m > left else "trailing bytes after"
+            raise ValueError(f"{path}: {kind} data section: header says "
                              f"{n} x {m} float64 values ({8 * n * m} "
                              f"bytes), {left} bytes follow")
         data = np.fromfile(fh, dtype="<f8", count=n * m)
@@ -134,11 +136,17 @@ def write_matrix_csv(path, A):
 
 def read_matrix_csv(path):
     """Read a comma-separated matrix; a malformed file (ragged rows, a
-    non-number) raises ``ValueError`` naming ``path``."""
+    non-number, no data at all) raises ``ValueError`` naming ``path``."""
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is refused below instead.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no")
+            A = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if A.size == 0:
+        raise ValueError(f"{path}: no data")
+    return A
 
 
 @functools.lru_cache

@@ -9,6 +9,10 @@ includes the highest-ranked ones until no candidate's sensitivity is
 positive; one boolean mask over the candidate graph's edges tracks which
 are in.  A final global edge scaling matches solved voltage norms to the
 measured ones when current measurements are available.
+
+The loop runs the paper's reference experimental protocol, fixed in the
+module constants ``KNN_COUNT``, ``MODE_COUNT``, ``BETA_SAMPLE`` and
+``MAX_ITERATIONS``; none of them is an option.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import (WeightedGraph, _node_pairs, _real_matrix, _require_int,
-                     _require_real, maximum_spanning_tree)
+                     maximum_spanning_tree)
 from .spectral import (
     SolverError,
     _outside_range,
@@ -33,38 +37,10 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class LearnConfig:
-    """Knobs of the learning loop.
-
-    The loop raises the combinatorial-Laplacian objective ``F(w) = log pdet
-    L(w) - sum_e w_e z_e / M``; ``L`` is the precision, with no prior added.
-
-    Defaults follow the reference experimental protocol: 5 nearest
-    neighbors, 4 embedding modes (r = 5) and edge sampling ratio 1e-3; its
-    sensitivity tolerance 1e-12 never bound at unit scale, so the loop
-    stops when no sensitivity is positive.  The loop does not evaluate
-    ``F`` itself; :func:`~reslearn.spectral.objective_value` does, on any
-    graph.
-    """
-
-    k: int = 5
-    r: int = 5
-    beta_sample: float = 1e-3
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        _require_int("k", self.k, 1)
-        _require_int("r", self.r, 2)
-        _require_real("beta_sample", self.beta_sample, "(0, 1]")
-        if self.max_iterations is not None:
-            _require_int("max_iterations", self.max_iterations, 1)
-
-    @property
-    def resolved_max_iterations(self):
-        if self.max_iterations is not None:
-            return self.max_iterations
-        return 10 * math.ceil(1.0 / self.beta_sample)
+KNN_COUNT = 5  # nearest neighbors per voltage row in the candidate graph
+MODE_COUNT = 4  # nontrivial eigenpairs per iteration (r = 5)
+BETA_SAMPLE = 1e-3  # inclusion budget per iteration: ceil(N * BETA_SAMPLE)
+MAX_ITERATIONS = 10_000  # 10 * ceil(1 / BETA_SAMPLE)
 
 
 @dataclass(frozen=True)
@@ -354,23 +330,28 @@ def edge_scale(g, X, Y):
     return g.scaled(float(np.sqrt(ratios.mean())))
 
 
-def learn(X, Y=None, config=None):
+def learn(X, Y=None):
     """Run the full learning loop; returns ``(graph, trace)``.
 
-    Per iteration: compute the first ``r - 1`` nontrivial eigenpairs of the
-    current graph (capped at ``N - 1``), score all remaining candidates,
-    include those ranked in the top ``ceil(N * beta_sample)`` whose
-    sensitivity is positive (weight ``M / z_data``), and record the maximum
-    sensitivity.  Terminates when the maximum sensitivity is at most 0, the
-    candidate pool runs out, or the iteration cap is reached.  Scaling ``X``
-    by ``c`` scales every sensitivity by ``c**2``, so the learned edges do
-    not depend on the units of ``X``; an absolute tolerance would (the
-    reference's 1e-12 never bound at unit scale).
+    The loop raises the combinatorial-Laplacian objective ``F(w) = log pdet
+    L(w) - sum_e w_e z_e / M`` (``L`` the precision, no prior added) by the
+    reference protocol, fixed in this module's constants: the seed is
+    :func:`init_graph` with ``KNN_COUNT`` neighbors.  Per iteration:
+    compute the first ``MODE_COUNT`` nontrivial eigenpairs of the current
+    graph (capped at ``N - 1``), score all remaining candidates, include
+    those ranked in the top ``ceil(N * BETA_SAMPLE)`` whose sensitivity is
+    positive (weight ``M / z_data``), and record the maximum sensitivity.
+    Terminates when the maximum sensitivity is at most 0, the candidate pool
+    runs out, or after ``MAX_ITERATIONS`` iterations.  Scaling ``X`` by
+    ``c`` scales every sensitivity by ``c**2``, so the learned edges do not
+    depend on the units of ``X``; an absolute tolerance would (the
+    reference's 1e-12 never bound at unit scale).  The loop does not
+    evaluate ``F``; :func:`~reslearn.spectral.objective_value` does, on any
+    graph.
     With ``Y`` given, the final graph is edge-scaled; without it
     (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
     are checked as in :func:`edge_scale`.
     """
-    config = config or LearnConfig()
     X = _as_voltages(X)
     n, m = X.shape
     if Y is not None:
@@ -378,19 +359,18 @@ def learn(X, Y=None, config=None):
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
-    g_o, graph = init_graph(X, config.k)
+    g_o, graph = init_graph(X, KNN_COUNT)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
     pool_z = _floored_distances(X, pool_s, pool_t)
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 
     trace = LearnTrace()
-    include_cap = math.ceil(n * config.beta_sample)
-    max_iter = config.resolved_max_iterations
-    modes = min(config.r - 1, n - 1)
+    include_cap = math.ceil(n * BETA_SAMPLE)
+    modes = min(MODE_COUNT, n - 1)
 
     status = "max_iterations"
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         tick = time.perf_counter()
         idx = np.flatnonzero(~in_graph)
         if idx.size == 0:

@@ -155,8 +155,7 @@ def test_c5_monotone_convergence_trend(grid900_run):
     s_max = trace.s_max_history
     running_min = np.minimum.accumulate(s_max)
     strictly = bool(np.all(np.diff(running_min) < 0))
-    from reslearn.learner import LearnConfig
-    capped = trace.iterations <= LearnConfig().resolved_max_iterations
+    capped = trace.iterations <= rl.learner.MAX_ITERATIONS
     _report("C5 monotone trend", strictly and capped,
             f"running min strictly decreasing={strictly} over "
             f"{trace.iterations} iterations, within cap={capped}")

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import dataclasses
 import json
 import math
 import re
@@ -9,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reslearn import io, measurements, metrics, spectral
+from reslearn import io, learner, measurements, metrics, spectral
 from reslearn.cli import _build_parser, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
-from reslearn.learner import LearnConfig
 
 
 @pytest.fixture
@@ -82,13 +80,14 @@ class TestGenerate:
         assert X.shape[1] == math.ceil(24 * math.log(20) / 0.81)
 
     def test_m_and_jl_eps_mutually_exclusive(self, grid_mtx, tmp_path):
-        # 50 is --m's default: an argparse mutually exclusive group would
-        # let "--m 50 --jl-eps 0.5" through
+        # --m defaults to None, not to its 50, so the mutually exclusive
+        # group refuses "--m 50 --jl-eps 0.5" as well
         for m in ("5", "50"):
             out = tmp_path / f"o{m}"
-            code = main(["generate", str(grid_mtx), "--m", m,
-                         "--jl-eps", "0.5", "--out", str(out)])
-            assert code == 3
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", str(grid_mtx), "--m", m,
+                      "--jl-eps", "0.5", "--out", str(out)])
+            assert exc.value.code == 3
             assert not out.exists()
 
     @pytest.mark.parametrize("count", [["--m", "4"], ["--jl-eps", "0.9"]],
@@ -140,19 +139,6 @@ class TestGenerate:
 
 
 class TestLearn:
-    def test_defaults_match_learn_config(self):
-        # Every LearnConfig field has a learn flag with its default, and
-        # every learn flag but the files, --subsample and --seed is a field,
-        # so a knob and its flag are added or removed together.
-        field_of = {"beta": "beta_sample"}
-        args = vars(_build_parser().parse_args(["learn", "x.bin"]))
-        flags = {field_of.get(dest, dest): value
-                 for dest, value in args.items()
-                 if dest not in ("command", "x", "y", "out", "subsample",
-                                 "seed")}
-        assert flags == {f.name: f.default
-                         for f in dataclasses.fields(LearnConfig)}
-
     def test_end_to_end_pipeline(self, grid_mtx, tmp_path):
         gen = tmp_path / "gen"
         assert main(["generate", str(grid_mtx), "--m", "25",
@@ -170,8 +156,7 @@ class TestLearn:
         assert manifest["status"] in ("converged",
                                       "candidate_pool_exhausted")
         assert set(manifest["parameters"]) == {
-            "k", "r", "beta", "max_iterations", "subsample", "seed",
-            "kept_nodes"}
+            "subsample", "seed", "kept_nodes"}
         # trace trends down to convergence
         s_max = [float(line.split(",")[1]) for line in trace_lines[1:]]
         assert min(s_max) <= 1e-12
@@ -209,12 +194,13 @@ class TestLearn:
                      "--subsample", "0.5",
                      "--out", str(tmp_path / "r")]) == 3
 
-    def test_max_iterations_exit_code(self, grid_mtx, tmp_path):
+    def test_max_iterations_exit_code(self, grid_mtx, tmp_path, monkeypatch):
         gen = tmp_path / "gen"
         assert main(["generate", str(grid_mtx), "--m", "25",
                      "--seed", "0", "--out", str(gen)]) == 0
+        monkeypatch.setattr(learner, "MAX_ITERATIONS", 1)
         code = main(["learn", str(gen / "X.bin"),
-                     "--max-iterations", "1", "--out", str(tmp_path / "r")])
+                     "--out", str(tmp_path / "r")])
         assert code == 2
 
     def test_shape_mismatch_is_input_error(self, grid_mtx, tmp_path):
@@ -234,19 +220,30 @@ class TestLearn:
         err = capsys.readouterr().err
         assert str(x) in err and "number of columns changed" in err
 
+    def test_empty_csv_names_the_file(self, tmp_path, capsys):
+        x = tmp_path / "empty.csv"
+        x.write_text("")
+        assert main(["learn", str(x), "--out", str(tmp_path / "r")]) == 3
+        assert f"{x}: no data" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_missing_positional_is_exit_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["learn"])
         assert exc.value.code == 3
 
-    def test_removed_tolerance_flag_is_usage_error(self, grid_mtx, tmp_path):
-        # The loop stops when no sensitivity is positive; there is no
-        # tolerance to set.
+    @pytest.mark.parametrize("flag", [
+        ["--tol", "1e-12"], ["--k", "5"], ["--r", "5"], ["--beta", "0.001"],
+        ["--max-iterations", "3"]], ids=lambda flag: flag[0])
+    def test_removed_flag_is_usage_error(self, grid_mtx, tmp_path, flag):
+        # learn runs the reference protocol: the loop stops when no
+        # sensitivity is positive, and k, r, beta and the iteration cap are
+        # learner constants, not options.
         gen = tmp_path / "gen"
         assert main(["generate", str(grid_mtx), "--m", "4",
                      "--out", str(gen)]) == 0
         with pytest.raises(SystemExit) as exc:
-            main(["learn", str(gen / "X.bin"), "--tol", "1e-12",
+            main(["learn", str(gen / "X.bin"), *flag,
                   "--out", str(tmp_path / "r")])
         assert exc.value.code == 3
         assert not (tmp_path / "r").exists()
@@ -414,17 +411,21 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
             command]
 
 
-def test_readme_key_defaults_name_every_learn_config_field():
-    # README's "Key defaults" sentence gives each LearnConfig field as
-    # `name=default` and no other, so a removed knob cannot stay documented.
+def test_readme_protocol_names_every_learner_constant():
+    # README's "Fixed protocol" sentence gives each public upper-case
+    # constant of the learner as `NAME=value` with its value, and no other,
+    # so a constant and its documentation change together.
     readme = (Path(__file__).resolve().parent.parent
               / "README.md").read_text()
-    paragraph = readme.split("Key defaults (`LearnConfig`):")[1]
+    paragraph = readme.split("Fixed protocol (`reslearn.learner`):")[1]
     sentence = re.split(r"\.\s", paragraph)[0]
     documented = {name: ast.literal_eval(value) for name, value in
-                  re.findall(r"`([a-z_]+)=([^`]+)`", sentence)}
-    assert documented == {f.name: f.default
-                          for f in dataclasses.fields(LearnConfig)}
+                  re.findall(r"`([A-Z_]+)=([^`]+)`", sentence)}
+    constants = {name for name in vars(learner)
+                 if name.isupper() and not name.startswith("_")}
+    assert set(documented) == constants
+    for name, value in documented.items():
+        assert value == getattr(learner, name), name
 
 
 def test_readme_pipeline_section_names_every_option():

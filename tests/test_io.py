@@ -198,6 +198,25 @@ class TestMatrixFormats:
         with pytest.raises(ValueError, match="huge.bin: truncated"):
             read_matrix_binary(path)
 
+    @pytest.mark.parametrize("extra", [1, 8, 36 * 8], ids=["byte", "value",
+                                                            "column"])
+    def test_binary_trailing_bytes_rejected(self, tmp_path, extra):
+        # Only the header's N x M values may follow it: one more column
+        # must not be read as the first M columns.
+        path = tmp_path / "x.bin"
+        write_matrix_binary(path, np.ones((36, 10)))
+        path.write_bytes(path.read_bytes() + b"\x00" * extra)
+        with pytest.raises(ValueError, match="x.bin: trailing bytes"):
+            read_matrix_binary(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_csv_without_data_names_the_file(self, tmp_path, text):
+        # refused by name, without numpy's "input contained no data" warning
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty.csv: no data"):
+            read_matrix_csv(path)
+
     def test_csv_round_trip(self, tmp_path):
         A = np.random.default_rng(1).standard_normal((5, 2))
         path = tmp_path / "x.csv"

@@ -17,7 +17,6 @@ from reslearn.graphs import (
 )
 from reslearn import graphs, learner
 from reslearn.learner import (
-    LearnConfig,
     _connectivity_repair,
     _knn_pairs,
     _knn_rows,
@@ -603,10 +602,11 @@ class TestLearn:
         assert learned.edge_list() == init_graph(ms.X, 5)[1].edge_list()
         assert learned.edge_count == g.node_count - 1
 
-    def test_max_iterations_status(self):
+    def test_max_iterations_status(self, monkeypatch):
         g = grid_graph(6, 6)
         ms = generate_measurement_set(g, 20, seed=2)
-        learned, trace = learn(ms.X, None, LearnConfig(max_iterations=2))
+        monkeypatch.setattr(learner, "MAX_ITERATIONS", 2)
+        learned, trace = learn(ms.X, None)
         assert trace.status == "max_iterations"
         assert trace.iterations == 2
 
@@ -628,7 +628,7 @@ class TestLearn:
         g = grid_graph(7, 7)
         ms = generate_measurement_set(g, 20, seed=11)
         learned, _ = learn(ms.X, None)
-        g_o, tree = init_graph(ms.X, LearnConfig().k)
+        g_o, tree = init_graph(ms.X, learner.KNN_COUNT)
         candidates = {(s, t): w for s, t, w in g_o.edge_list()}
         m = ms.X.shape[1]
         for s, t, w in learned.edge_list():
@@ -649,7 +649,7 @@ class TestLearn:
         learned, trace = learn(X, None)
         assert trace.status in ("converged", "candidate_pool_exhausted")
         assert is_connected(learned)
-        g_o, _ = init_graph(X, LearnConfig().k)
+        g_o, _ = init_graph(X, learner.KNN_COUNT)
         assert set(learned.edge_list()) <= set(g_o.edge_list())
 
     def test_grid_with_copied_rows_converges(self):
@@ -731,45 +731,17 @@ class TestLearn:
         g = grid_graph(7, 7)
         n = g.node_count
         ms = generate_measurement_set(g, 30, seed=7)
-        cfg = LearnConfig()
-        learned_scaled, trace = learn(ms.X, ms.Y, cfg)
+        learned_scaled, trace = learn(ms.X, ms.Y)
         assert trace.status == "converged"
-        unscaled, _ = learn(ms.X, None, cfg)
-        g_o, _ = init_graph(ms.X, cfg.k)
+        unscaled, _ = learn(ms.X, None)
+        g_o, _ = init_graph(ms.X, learner.KNN_COUNT)
         in_graph = set(zip(unscaled.sources.tolist(),
                            unscaled.targets.tolist()))
         remaining = [(s, t) for s, t, _ in g_o.edge_list()
                      if (s, t) not in in_graph]
-        basis = eigensolve_smallest(unscaled, cfg.r - 1)
-        m = ms.X.shape[1]
+        basis = eigensolve_smallest(unscaled, learner.MODE_COUNT)
         for cand in score_candidates(basis, ms.X, remaining):
             assert cand.distortion <= 1.0 + 1e-9
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(ValueError):
-            LearnConfig(k=0)
-        with pytest.raises(ValueError):
-            LearnConfig(r=1)
-        with pytest.raises(ValueError):
-            LearnConfig(beta_sample=0.0)
-        with pytest.raises(ValueError):
-            LearnConfig(beta_sample=1.5)
-
-    @pytest.mark.parametrize("field", ["k", "r", "max_iterations"])
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True])
-    def test_rejects_non_integer_counts(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            LearnConfig(**{field: value})
-
-    @pytest.mark.parametrize("value", [True, "0.5", None, np.nan])
-    def test_rejects_non_real_beta_sample(self, value):
-        with pytest.raises(ValueError, match="^beta_sample must be"):
-            LearnConfig(beta_sample=value)
-
-    def test_accepts_numpy_integer_counts(self):
-        cfg = LearnConfig(k=np.int64(3), r=np.int32(4),
-                          max_iterations=np.int64(7))
-        assert cfg.resolved_max_iterations == 7
 
     def test_rejects_mismatched_currents(self):
         g = grid_graph(4, 4)
@@ -792,10 +764,10 @@ class TestLearn:
             learn(ms.X, Y)
 
     def test_mode_count_capped_at_small_graphs(self):
-        # default r = 5 still works on a 3-node truth (modes cap at N - 1)
+        # MODE_COUNT = 4 still works on a 3-node truth (modes cap at N - 1)
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         ms = generate_measurement_set(g, 4, seed=9)
-        learned, trace = learn(ms.X, None, LearnConfig(r=5))
+        learned, trace = learn(ms.X, None)
         assert learned.node_count == 3
         assert trace.status in ("converged", "candidate_pool_exhausted")
 
