@@ -139,6 +139,11 @@ class TestGenerate:
 
 
 class TestLearn:
+    def test_options_are_files_subsample_seed_out(self):
+        # learn runs the reference protocol: no learner knob is an option
+        args = vars(_build_parser().parse_args(["learn", "x.bin"]))
+        assert set(args) == {"command", "x", "y", "subsample", "seed", "out"}
+
     def test_end_to_end_pipeline(self, grid_mtx, tmp_path):
         gen = tmp_path / "gen"
         assert main(["generate", str(grid_mtx), "--m", "25",

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -271,11 +272,20 @@ class TestInitGraph:
         with pytest.raises(ValueError, match="X must be finite"):
             init_graph(X, k=2)
 
-    @pytest.mark.parametrize("k", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, "3", True])
     def test_rejects_bad_k(self, k):
         X = np.arange(12.0).reshape(4, 3)
         with pytest.raises(ValueError, match="k must be"):
             init_graph(X, k)
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.int32(2), np.uint16(2)],
+                             ids=["int64", "int32", "uint16"])
+    def test_accepts_numpy_integer_k(self, k):
+        X = np.arange(12.0).reshape(4, 3)
+        g_o, tree = init_graph(X, k)
+        expected_o, expected_tree = init_graph(X, 2)
+        assert g_o.edge_list() == expected_o.edge_list()
+        assert tree.edge_list() == expected_tree.edge_list()
 
     def test_connectivity_repair_bridges_closest_pair(self):
         # two tight clusters far apart; k=1 keeps each cluster internal
@@ -762,6 +772,48 @@ class TestLearn:
         Y[3, 2] = bad
         with pytest.raises(ValueError, match="Y must be finite"):
             learn(ms.X, Y)
+
+    def test_max_iterations_is_ten_sweeps_of_the_budget(self):
+        # the cap gives every candidate ten chances at the ceil(N * beta)
+        # budget: 10 * ceil(1 / beta)
+        assert learner.MAX_ITERATIONS == 10 * math.ceil(
+            1.0 / learner.BETA_SAMPLE)
+
+    def test_candidate_pool_reads_knn_count(self, monkeypatch):
+        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        pool = set(init_graph(ms.X, 1)[0].edge_list())
+        learned, _ = learn(ms.X, None)
+        assert not set(learned.edge_list()) <= pool
+        monkeypatch.setattr(learner, "KNN_COUNT", 1)
+        learned, _ = learn(ms.X, None)
+        assert set(learned.edge_list()) <= pool
+
+    def test_inclusion_budget_reads_beta_sample(self, monkeypatch):
+        # N = 49: ceil(N * 1e-3) = 1 edge per iteration, ceil(N * 0.1) = 5
+        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        n = ms.X.shape[0]
+        for beta in (learner.BETA_SAMPLE, 0.1):
+            monkeypatch.setattr(learner, "BETA_SAMPLE", beta)
+            _, trace = learn(ms.X, None)
+            counts = [n - 1] + [r.edge_count for r in trace.records]
+            assert max(np.diff(counts)) == math.ceil(n * beta)
+
+    def test_eigenpair_count_reads_mode_count(self, monkeypatch):
+        counts = []
+        original = learner.eigensolve_smallest
+
+        def recording(g, count, *args, **kwargs):
+            counts.append(count)
+            return original(g, count, *args, **kwargs)
+
+        monkeypatch.setattr(learner, "eigensolve_smallest", recording)
+        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        learn(ms.X, None)
+        assert set(counts) == {learner.MODE_COUNT}
+        counts.clear()
+        monkeypatch.setattr(learner, "MODE_COUNT", 2)
+        learn(ms.X, None)
+        assert set(counts) == {2}
 
     def test_mode_count_capped_at_small_graphs(self):
         # MODE_COUNT = 4 still works on a 3-node truth (modes cap at N - 1)
