@@ -127,9 +127,19 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
+def _naming(path, check, *args):
+    """``check(*args)``; a ``ValueError`` it raises names ``path`` first."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_learn(args):
-    X = io.read_matrix(args.x)
-    Y = io.read_matrix(args.y) if args.y else None
+    # A refusal names the current file for Y's checks, else the voltage file.
+    X = _naming(args.x, learner._as_voltages, io.read_matrix(args.x))
+    Y = (_naming(args.y, learner._as_currents, io.read_matrix(args.y), X)
+         if args.y else None)
     kept = None
     if args.subsample is not None:
         if Y is not None:
@@ -138,7 +148,7 @@ def _cmd_learn(args):
         X, kept = measurements.subsample_nodes(X, args.subsample, args.seed)
 
     started = time.perf_counter()
-    graph, trace = learner.learn(X, Y)
+    graph, trace = _naming(args.x, learner.learn, X, Y)
     duration = time.perf_counter() - started
 
     os.makedirs(args.out, exist_ok=True)
@@ -146,8 +156,9 @@ def _cmd_learn(args):
     trace_path = os.path.join(args.out, "trace.csv")
     io.write_graph_mtx(graph_path, graph)
     io.write_table(trace_path, ("iteration", "s_max", "edges"),
-                   ((rec.iteration, rec.s_max, rec.edge_count)
-                    for rec in trace.records))
+                   [rec.iteration for rec in trace.records],
+                   trace.s_max_history,
+                   [rec.edge_count for rec in trace.records])
     _write_manifest(args, {"x": args.x, "y": args.y},
                     {"graph": graph_path, "trace": trace_path},
                     trace.status, duration,
@@ -201,15 +212,14 @@ def _cmd_eval(args):
     }
     io.write_table(paths["spectra"],
                    ("index", "lambda_true", "lambda_learned"),
-                   zip(range(2, args.spectrum_k + 2), lam_t.tolist(),
-                       lam_l.tolist()))
+                   range(2, args.spectrum_k + 2), lam_t, lam_l)
     io.write_table(paths["scatter"], ("s", "t", "r_true", "r_learned"),
-                   zip(*pairs.T.tolist(), r_t.tolist(), r_l.tolist()))
+                   *pairs.T, r_t, r_l)
     for name, basis in (("layout_true", basis_true),
                         ("layout_learned", basis_learned)):
         io.write_table(paths[name], ("node", "x", "y"),
-                       zip(range(g_true.node_count),
-                           *basis.eigenvectors[:, :2].T.tolist()))
+                       range(g_true.node_count),
+                       *basis.eigenvectors[:, :2].T)
     _write_manifest(args, {"truth": args.truth, "learned": args.learned},
                     paths, "ok", time.perf_counter() - started,
                     pearson_r=corr,

@@ -15,7 +15,6 @@ with an 8-byte magic, two uint64 dimensions, and float64 data column-major:
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import struct
@@ -131,7 +130,7 @@ def write_matrix_csv(path, A):
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    write_table(path, None, A.tolist())
+    write_table(path, None, *A.T)
 
 
 def read_matrix_csv(path):
@@ -149,20 +148,24 @@ def read_matrix_csv(path):
     return A
 
 
-@functools.lru_cache
-def _row_format(types):
-    return ",".join("%.17g" if issubclass(kind, float) else "%s"
-                    for kind in types) + "\n"
-
-
-def write_table(path, header, rows):
-    """Write ``rows`` as comma-separated lines under the optional ``header``
-    names: ints as ``str`` gives them, floats with 17 significant digits."""
+def write_table(path, header, *columns):
+    """Write ``columns`` side by side as comma-separated lines under the
+    optional ``header`` names, each formatted by its dtype: integers in
+    decimal, floats with 17 significant digits.  Columns that are not 1-D
+    integer or float arrays of one length raise ``ValueError``."""
+    columns = [np.asarray(c) for c in columns]
+    if (any(c.ndim != 1 or c.dtype.kind not in "iuf" for c in columns)
+            or len({c.size for c in columns}) > 1):
+        raise ValueError("table columns must be 1-D integer or float arrays "
+                         "of one length, got " + ", ".join(
+                             f"{c.shape} {c.dtype}" for c in columns))
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%d"
+                    for c in columns) + "\n"
     with _replacing(path) as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(_row_format(tuple(map(type, row))) % tuple(row))
+        fh.writelines(line % row
+                      for row in zip(*(c.tolist() for c in columns)))
 
 
 def write_json(path, document):

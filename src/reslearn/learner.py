@@ -257,13 +257,13 @@ def _top_order(sens, s, t, cap=None):
     return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
 
 
-def _rank_candidates(basis, s, t, z_data, m, cap=None):
-    """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with data
-    distances ``z_data`` over ``m`` measurements: ``sens = z_emb - z_data /
-    m``; ``order`` ranks the top ``cap`` (default all) descending, ties by
-    ascending ``(s, t)``."""
+def _rank_candidates(basis, s, t, w, cap=None):
+    """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with weights
+    ``w = M / z_data``: ``sens = z_emb - 1 / w``, the data term ``z_data /
+    M`` read off the weight; ``order`` ranks the top ``cap`` (default all)
+    descending, ties by ascending ``(s, t)``."""
     z_emb = embedding_distances(basis, s, t)
-    sens = z_emb - z_data / m
+    sens = z_emb - 1 / w
     return _top_order(sens, s, t, cap), sens, z_emb
 
 
@@ -287,7 +287,7 @@ def score_candidates(basis, X, candidates):
         return []
     m = X.shape[1]
     z_data = _floored_distances(X, s, t)
-    order, sens, z_emb = _rank_candidates(basis, s, t, z_data, m)
+    order, sens, z_emb = _rank_candidates(basis, s, t, m / z_data)
     dist = m * z_emb / z_data
     return [EdgeCandidate(s=int(s[i]), t=int(t[i]), z_data=float(z_data[i]),
                           z_emb=float(z_emb[i]), sensitivity=float(sens[i]),
@@ -343,9 +343,9 @@ def learn(X, Y=None):
     positive (weight ``M / z_data``), and record the maximum sensitivity.
     Terminates when the maximum sensitivity is at most 0, the candidate pool
     runs out, or after ``MAX_ITERATIONS`` iterations.  Scaling ``X`` by
-    ``c`` scales every sensitivity by ``c**2``, so the learned edges do not
-    depend on the units of ``X``; an absolute tolerance would (the
-    reference's 1e-12 never bound at unit scale).  The loop does not
+    ``c`` scales every sensitivity by ``c**2`` and keeps its sign, so no
+    tolerance ties the edges to the units of ``X``, though small enough
+    units make the eigensolves fail (README).  The loop does not
     evaluate ``F``; :func:`~reslearn.spectral.objective_value` does, on any
     graph.
     With ``Y`` given, the final graph is edge-scaled; without it
@@ -353,7 +353,7 @@ def learn(X, Y=None):
     are checked as in :func:`edge_scale`.
     """
     X = _as_voltages(X)
-    n, m = X.shape
+    n = X.shape[0]
     if Y is not None:
         Y = _as_currents(Y, X)
 
@@ -361,7 +361,6 @@ def learn(X, Y=None):
     # the first inclusion replaces it.
     g_o, graph = init_graph(X, KNN_COUNT)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
-    pool_z = _floored_distances(X, pool_s, pool_t)
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
 
@@ -378,7 +377,7 @@ def learn(X, Y=None):
             break
         basis = eigensolve_smallest(graph, modes)
         top, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                        pool_z[idx], m, include_cap)
+                                        pool_w[idx], include_cap)
         s_max = float(sens[top[0]])
 
         converged = s_max <= 0

@@ -1,9 +1,11 @@
-"""Shared test helpers: random graph generation and dense reference oracles.
+"""Shared test helpers: random graph generation, dense reference oracles and
+a file that fills up as a full disk does.
 
 Everything here is deliberately naive (dense LAPACK, explicit loops) and
 independent of the library's own solver paths.
 """
 
+import errno
 import itertools
 
 import numpy as np
@@ -172,3 +174,28 @@ def closest_pair_bridges(X, s, t):
         labels[labels == labels[a]] = labels[b]
         bridges.append((a, b, d))
     return bridges
+
+
+class FullDisk:
+    """A file that takes ``room`` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self._fh, self._room = fh, room
+
+    def write(self, data):
+        if len(data) > self._room:
+            self._fh.write(data[:self._room])
+            self._room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._room -= len(data)
+        return self._fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import builtins
 import json
 import math
 import re
@@ -12,6 +13,8 @@ from reslearn import io, learner, measurements, metrics, spectral
 from reslearn.cli import _build_parser, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
+
+from _oracles import FullDisk
 
 
 @pytest.fixture
@@ -232,6 +235,29 @@ class TestLearn:
         assert f"{x}: no data" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("X, Y, blamed, message", [
+        (np.zeros((0, 3)), None, "X.bin", r"X must be \(N >= 2, M >= 1\)"),
+        (np.full((4, 2), np.nan), None, "X.bin",
+         r"X must be finite \(found NaN or inf\)"),
+        (np.ones((6, 3)), None, "X.bin",
+         "degenerate measurements: all voltage rows identical"),
+        (np.random.default_rng(0).standard_normal((6, 3)), np.ones((6, 3)),
+         "Y.bin", "current columns not orthogonal to all-ones"),
+    ], ids=["empty-X", "nan-X", "identical-X", "constant-Y"])
+    def test_refused_matrix_names_its_file(self, tmp_path, capsys, X, Y,
+                                           blamed, message):
+        # each file reads cleanly, and learn refuses what it holds
+        files = []
+        for name, A in (("X.bin", X), ("Y.bin", Y)):
+            if A is not None:
+                io.write_matrix_binary(tmp_path / name, A)
+                files.append(str(tmp_path / name))
+        assert main(["learn", *files, "--out", str(tmp_path / "r")]) == 3
+        assert re.fullmatch(
+            f"reslearn learn: error: {re.escape(str(tmp_path / blamed))}: "
+            f"{message}\n", capsys.readouterr().err)
+        assert not (tmp_path / "r").exists()
+
     def test_missing_positional_is_exit_3(self):
         with pytest.raises(SystemExit) as exc:
             main(["learn"])
@@ -315,14 +341,13 @@ class TestEval:
                                               monkeypatch, capsys):
         write_table = io.write_table
 
-        def rows_then_full_disk(rows):
-            yield next(iter(rows))
-            raise OSError("No space left on device")
-
-        def failing(path, header, rows):
-            if header[0] == "node":  # the layouts fail after one row
-                rows = rows_then_full_disk(rows)
-            write_table(path, header, rows)
+        def failing(path, header, *columns):
+            if header[0] == "node":  # the layouts fail within one row
+                room = len("node,x,y\n0,")
+                monkeypatch.setattr(io, "open", lambda *args, **kwargs:
+                                    FullDisk(builtins.open(*args, **kwargs),
+                                             room), raising=False)
+            write_table(path, header, *columns)
 
         monkeypatch.setattr(io, "write_table", failing)
         out = tmp_path / "e"

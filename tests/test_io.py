@@ -1,5 +1,4 @@
 import builtins
-import errno
 import json
 import re
 import struct
@@ -23,7 +22,7 @@ from reslearn.io import (
     write_table,
 )
 
-from _oracles import random_connected_graph, reference_mtx_edges
+from _oracles import FullDisk, random_connected_graph, reference_mtx_edges
 
 
 class TestGraphMtx:
@@ -266,7 +265,7 @@ class TestTable:
     def test_exact_text_reads_back_bit_for_bit(self, tmp_path, header, value,
                                                field):
         path = tmp_path / "t.csv"
-        write_table(path, header, [(3, value), (4, value)])
+        write_table(path, header, [3, 4], [value, value])
         head = "" if header is None else "node,value\n"
         assert path.read_text() == f"{head}3,{field}\n4,{field}\n"
         if isinstance(value, float):
@@ -274,12 +273,37 @@ class TestTable:
                               skiprows=int(header is not None))
             assert back[:, 1].tobytes() == np.array([value, value]).tobytes()
 
-    def test_rows_may_be_any_iterable(self, tmp_path):
+    def test_columns_may_be_any_sequence(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ("i", "x"), ((i, x) for i, x in enumerate([0.5])))
+        write_table(path, ("i", "x"), range(1), (0.5,))
         assert path.read_text() == "i,x\n0,0.5\n"
-        write_table(path, None, [])
+        write_table(path, None)
         assert path.read_text() == ""
+
+    def test_format_follows_the_dtype_not_the_value(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, None, np.array([7], np.uint8),
+                    np.array([-7], np.int32), np.array([3.0]))
+        assert path.read_text() == "7,-7,3\n"
+
+    @pytest.mark.parametrize("columns, got", [
+        ((["a", "b"],), "(2,) <U1"),
+        (([True, False],), "(2,) bool"),
+        (([1j],), "(1,) complex128"),
+        ((np.array([1.0], dtype=object),), "(1,) object"),
+        (([[1.0, 2.0]],), "(1, 2) float64"),
+        ((2.0,), "() float64"),
+        (([1, 2], [0.5]), "(2,) int64, (1,) float64"),
+    ], ids=["str", "bool", "complex", "object", "2-D", "scalar", "unequal"])
+    def test_refuses_what_it_cannot_write_exactly(self, tmp_path, columns,
+                                                  got):
+        # zip would cut unequal columns short without a word
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=re.escape(
+                "table columns must be 1-D integer or float arrays of one "
+                f"length, got {got}")):
+            write_table(path, None, *columns)
+        assert not path.exists()
 
     def test_matrix_csv_matches_savetxt(self, tmp_path):
         A = (np.random.default_rng(3).standard_normal((7, 3))
@@ -293,37 +317,12 @@ class TestTable:
         assert read_matrix_csv(ours).tobytes() == A.tobytes()
 
 
-class _FullDisk:
-    """A file that takes ``room`` bytes, then fails as a full disk does."""
-
-    def __init__(self, fh, room):
-        self._fh, self._room = fh, room
-
-    def write(self, data):
-        if len(data) > self._room:
-            self._fh.write(data[:self._room])
-            self._room = 0
-            raise OSError(errno.ENOSPC, "No space left on device")
-        self._room -= len(data)
-        return self._fh.write(data)
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._fh.close()
-
-
 _WRITERS = {
     "graph": ("g.mtx", lambda p: write_graph_mtx(p, grid_graph(4, 4))),
     "binary": ("X.bin", lambda p: write_matrix_binary(p, np.eye(4))),
     "matrix-csv": ("X.csv", lambda p: write_matrix_csv(p, np.eye(4))),
-    "table": ("t.csv", lambda p: write_table(p, ("a", "b"),
-                                             [(1, 0.5), (2, 0.25)])),
+    "table": ("t.csv", lambda p: write_table(p, ("a", "b"), [1, 2],
+                                             [0.5, 0.25])),
     "json": ("m.json", lambda p: write_json(p, {"a": [1, 2], "b": "c"})),
 }
 
@@ -337,7 +336,7 @@ class TestAtomicWrite:
         name, write = _WRITERS[writer]
         target = tmp_path / name
         target.write_bytes(b"previous contents")
-        monkeypatch.setattr(io, "open", lambda *args, **kwargs: _FullDisk(
+        monkeypatch.setattr(io, "open", lambda *args, **kwargs: FullDisk(
             builtins.open(*args, **kwargs), 10), raising=False)
         with pytest.raises(OSError, match="No space left on device"):
             write(target)

@@ -36,6 +36,7 @@ from reslearn.measurements import (
 )
 from reslearn.metrics import resistance_correlation
 from reslearn.spectral import (
+    DENSE_EIG_LIMIT,
     SolverError,
     SpectralBasis,
     eigensolve_smallest,
@@ -99,6 +100,23 @@ def learn_inputs(draw):
         return ms.X, ms.Y if draw(st.booleans()) else None
     n = draw(st.integers(2, 60))
     return np.random.default_rng(seed).normal(size=(n, m)), None
+
+
+@st.composite
+def permuted_clouds(draw):
+    """``(X, p)``: 2..160 standard normal rows of M in 1..8 columns, so that
+    no two distances tie, and a permutation ``p`` of the rows."""
+    n = draw(st.integers(2, 160))
+    m = draw(st.integers(1, 8))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(n, m))
+    return X, np.asarray(draw(st.permutations(range(n))))
+
+
+def relabelled_edges(g, p):
+    """``g.edge_list()`` with node ``i`` renamed ``p[i]``, sorted."""
+    return sorted((min(p[s], p[t]), max(p[s], p[t]), w)
+                  for s, t, w in g.edge_list())
 
 
 def clustered_rows(seed, n, m, clusters, offset=0.0, scale=1.0):
@@ -873,6 +891,47 @@ class TestLearnProperties:
         power = -j if Y is not None else -2 * j
         np.testing.assert_array_equal(g2.weights, g1.weights * 2.0 ** power)
         assert t2.status == t1.status
+
+    @pytest.mark.parametrize("side, m", [(12, 10), (15, 8)])
+    @pytest.mark.parametrize("use_currents", [False, True])
+    @pytest.mark.parametrize("j", [-20, 20])
+    def test_power_of_two_scaling_on_the_lanczos_backend(self, side, m,
+                                                         use_currents, j):
+        # the property above never draws more than DENSE_EIG_LIMIT nodes
+        assert side * side > DENSE_EIG_LIMIT
+        ms = generate_measurement_set(grid_graph(side, side), m, seed=0)
+        Y = ms.Y if use_currents else None
+        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(ms.X * 2.0 ** j, Y)
+        assert g2.edge_count > side * side - 1
+        np.testing.assert_array_equal(g2.sources, g1.sources)
+        np.testing.assert_array_equal(g2.targets, g1.targets)
+        power = -j if use_currents else -2 * j
+        np.testing.assert_array_equal(g2.weights, g1.weights * 2.0 ** power)
+        assert t2.status == t1.status
+
+    @settings(max_examples=10)
+    @given(permuted_clouds())
+    def test_permuting_the_nodes_permutes_the_graph(self, inputs):
+        # Each pool weight is M / z of the same two rows, so it comes back
+        # bit for bit; only the k-d tree's order among tied rows could
+        # differ, and normal rows do not tie.
+        X, p = inputs
+        assert relabelled_edges(learn(X[p])[0], p) == learn(X)[0].edge_list()
+
+    @pytest.mark.parametrize("use_currents", [False, True])
+    def test_permuting_a_grid_permutes_the_graph(self, use_currents):
+        # N = 144 takes Lanczos; with currents, edge scaling sums the
+        # solved voltages in another order, so weights agree to rounding.
+        ms = generate_measurement_set(grid_graph(12, 12), 10, seed=0)
+        p = np.random.default_rng(1).permutation(144)
+        Y = ms.Y if use_currents else None
+        expected = learn(ms.X, Y)[0].edge_list()
+        got = relabelled_edges(
+            learn(ms.X[p], None if Y is None else Y[p])[0], p)
+        assert [e[:2] for e in got] == [e[:2] for e in expected]
+        rtol = 1e-12 if use_currents else 0.0
+        np.testing.assert_allclose([e[2] for e in got],
+                                   [e[2] for e in expected], rtol=rtol)
 
     @settings(max_examples=30)
     @given(learn_inputs())
