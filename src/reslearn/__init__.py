@@ -23,14 +23,11 @@ from .graphs import (
     quadratic_form,
 )
 from .learner import (
-    EdgeCandidate,
     IterationRecord,
     LearnTrace,
     edge_scale,
     init_graph,
     learn,
-    perturbation_estimate,
-    score_candidates,
 )
 from .measurements import (
     MeasurementSet,
@@ -58,7 +55,6 @@ from .spectral import (
 
 __all__ = [
     "DisconnectedGraphError",
-    "EdgeCandidate",
     "EigensolverError",
     "IterationRecord",
     "LearnTrace",
@@ -82,10 +78,8 @@ __all__ = [
     "learn",
     "maximum_spanning_tree",
     "objective_value",
-    "perturbation_estimate",
     "quadratic_form",
     "resistance_correlation",
-    "score_candidates",
     "simulate_voltages",
     "solve_laplacian",
     "subsample_nodes",

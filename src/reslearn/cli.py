@@ -21,7 +21,7 @@ import os
 import sys
 import time
 
-from . import __version__, io, learner, measurements, metrics, spectral
+from . import __version__, graphs, io, learner, measurements, metrics, spectral
 
 EXIT_OK = 0
 EXIT_MAX_ITERATIONS = 2
@@ -101,8 +101,17 @@ def _build_parser():
     return parser
 
 
+def _naming(path, check, *args):
+    """``check(*args)``; a ``ValueError`` it raises names ``path`` first."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cmd_generate(args):
     graph = io.read_graph_mtx(args.graph)
+    _naming(args.graph, graphs._require_connected, graph)
     started = time.perf_counter()
     if args.jl_eps is not None:
         mset = measurements.generate_jl_measurements(graph, args.jl_eps,
@@ -125,14 +134,6 @@ def _cmd_generate(args):
     print(f"wrote {x_path} and {y_path} "
           f"({graph.node_count} nodes, {m} measurements)")
     return EXIT_OK
-
-
-def _naming(path, check, *args):
-    """``check(*args)``; a ``ValueError`` it raises names ``path`` first."""
-    try:
-        return check(*args)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_learn(args):
@@ -184,6 +185,8 @@ def _cmd_eval(args):
     """
     g_true = io.read_graph_mtx(args.truth)
     g_learned = io.read_graph_mtx(args.learned)
+    for path, g in ((args.truth, g_true), (args.learned, g_learned)):
+        _naming(path, graphs._require_connected, g)
     if g_true.node_count != g_learned.node_count:
         raise ValueError(
             f"node counts differ: {g_true.node_count} vs "

@@ -4,11 +4,12 @@ embedding distances encode measured voltage distances.
 The loop starts from the maximum spanning tree of an exact k-nearest-neighbor
 candidate graph (one k-d tree query) built on the voltage rows, then
 repeatedly scores every off-graph candidate edge by its objective-gradient
-sensitivity (one array scorer, shared with :func:`score_candidates`) and
-includes the highest-ranked ones until no candidate's sensitivity is
-positive; one boolean mask over the candidate graph's edges tracks which
-are in.  A final global edge scaling matches solved voltage norms to the
-measured ones when current measurements are available.
+sensitivity ``z_emb - z_data / M`` (one array scorer, which reads ``z_data
+/ M`` off the edge's weight ``M / z_data``) and includes the highest-ranked
+ones until no candidate's sensitivity is positive; one boolean mask over
+the candidate graph's edges tracks which are in.  A final global edge
+scaling matches solved voltage norms to the measured ones when current
+measurements are available.
 
 The loop runs the paper's reference experimental protocol, fixed in the
 module constants ``KNN_COUNT``, ``MODE_COUNT``, ``BETA_SAMPLE`` and
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .graphs import (WeightedGraph, _node_pairs, _real_matrix, _require_int,
+from .graphs import (WeightedGraph, _real_matrix, _require_int,
                      maximum_spanning_tree)
 from .spectral import (
     SolverError,
@@ -41,24 +42,6 @@ KNN_COUNT = 5  # nearest neighbors per voltage row in the candidate graph
 MODE_COUNT = 4  # nontrivial eigenpairs per iteration (r = 5)
 BETA_SAMPLE = 1e-3  # inclusion budget per iteration: ceil(N * BETA_SAMPLE)
 MAX_ITERATIONS = 10_000  # 10 * ceil(1 / BETA_SAMPLE)
-
-
-@dataclass(frozen=True)
-class EdgeCandidate:
-    """A scored candidate edge.
-
-    ``sensitivity = z_emb - z_data / M`` approximates the objective gradient
-    with respect to this edge's weight; ``distortion = M * z_emb / z_data``
-    equals 1 exactly when the edge weight ``M / z_data`` makes embedding and
-    data distances agree.
-    """
-
-    s: int
-    t: int
-    z_data: float
-    z_emb: float
-    sensitivity: float
-    distortion: float
 
 
 @dataclass(frozen=True)
@@ -234,65 +217,28 @@ def init_graph(X, k):
     return g_o, maximum_spanning_tree(g_o)
 
 
-def perturbation_estimate(eigenvector, delta_weight, s, t):
-    """First-order shift of the eigenvalue of the unit-norm ``eigenvector``
-    from adding weight ``delta_weight`` on edge ``(s, t)``:
-    ``delta_weight * (u_s - u_t)^2``."""
-    u = np.asarray(eigenvector, dtype=np.float64)
-    d = float(u[s] - u[t])
-    return float(delta_weight) * d * d
-
-
-def _top_order(sens, s, t, cap=None):
-    """Indices of the ``cap`` (default all) highest of the nonempty ``sens``,
-    by ``sens`` descending, ties by ascending ``(s, t)``: the first ``cap``
-    entries of ``np.lexsort((t, s, -sens))``.
+def _top_order(sens, s, t, cap):
+    """Indices of the ``cap`` highest of the nonempty ``sens``, by ``sens``
+    descending, ties by ascending ``(s, t)``: the first ``cap`` entries of
+    ``np.lexsort((t, s, -sens))``.
 
     ``np.partition`` finds the cap-th highest value and only the entries at
     or above it are sorted.
     """
-    cap = min(sens.size if cap is None else cap, sens.size)
+    cap = min(cap, sens.size)
     floor = -np.partition(-sens, cap - 1)[cap - 1]
     head = np.flatnonzero(sens >= floor)
     return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
 
 
-def _rank_candidates(basis, s, t, w, cap=None):
-    """``(order, sens, z_emb)`` of candidate edges ``(s, t)`` with weights
-    ``w = M / z_data``: ``sens = z_emb - 1 / w``, the data term ``z_data /
-    M`` read off the weight; ``order`` ranks the top ``cap`` (default all)
+def _rank_candidates(basis, s, t, w, cap):
+    """``(order, sens)`` of candidate edges ``(s, t)`` with weights ``w = M /
+    z_data``: ``sens = z_emb - 1 / w``, the objective's gradient in each
+    edge's weight with ``z_emb`` over the eigenpairs ``basis``, the data
+    term ``z_data / M`` read off the weight; ``order`` ranks the top ``cap``
     descending, ties by ascending ``(s, t)``."""
-    z_emb = embedding_distances(basis, s, t)
-    sens = z_emb - 1 / w
-    return _top_order(sens, s, t, cap), sens, z_emb
-
-
-def score_candidates(basis, X, candidates):
-    """Score candidate edges against the eigenpairs ``basis`` and the data.
-
-    ``candidates`` are ``(s, t)`` pairs of distinct node indices of the
-    basis; ``X`` has one row per node.  Returns :class:`EdgeCandidate`
-    objects sorted by sensitivity descending (ties broken by ascending
-    ``(s, t)``).  Zero data distances are floored at the smallest positive one
-    among the candidates, so distortions stay finite.
-
-    Raises ``ValueError`` on candidates that break the node-index contract
-    or an ``X`` that :func:`~reslearn.graphs._real_matrix` refuses, one row
-    per node of the basis.
-    """
-    n = basis.eigenvectors.shape[0]
-    X = _as_voltages(X, n)
-    s, t = _node_pairs(candidates, n, "candidates")
-    if s.size == 0:
-        return []
-    m = X.shape[1]
-    z_data = _floored_distances(X, s, t)
-    order, sens, z_emb = _rank_candidates(basis, s, t, m / z_data)
-    dist = m * z_emb / z_data
-    return [EdgeCandidate(s=int(s[i]), t=int(t[i]), z_data=float(z_data[i]),
-                          z_emb=float(z_emb[i]), sensitivity=float(sens[i]),
-                          distortion=float(dist[i]))
-            for i in order]
+    sens = embedding_distances(basis, s, t) - 1 / w
+    return _top_order(sens, s, t, cap), sens
 
 
 def edge_scale(g, X, Y):
@@ -345,7 +291,8 @@ def learn(X, Y=None):
     runs out, or after ``MAX_ITERATIONS`` iterations.  Scaling ``X`` by
     ``c`` scales every sensitivity by ``c**2`` and keeps its sign, so no
     tolerance ties the edges to the units of ``X``, though small enough
-    units make the eigensolves fail (README).  The loop does not
+    units make the eigensolves fail (README), and units so large that an
+    eigensolve overflows are refused as badly scaled.  The loop does not
     evaluate ``F``; :func:`~reslearn.spectral.objective_value` does, on any
     graph.
     With ``Y`` given, the final graph is edge-scaled; without it
@@ -375,9 +322,15 @@ def learn(X, Y=None):
         if idx.size == 0:
             status = "candidate_pool_exhausted"
             break
-        basis = eigensolve_smallest(graph, modes)
-        top, sens, _ = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                        pool_w[idx], include_cap)
+        try:  # weights so small that L^+ overflows are refused by name
+            with np.errstate(over="raise"):
+                basis = eigensolve_smallest(graph, modes)
+        except FloatingPointError as exc:
+            raise ValueError("badly scaled measurements: the weights M / z "
+                             "are so small that the eigensolve overflows; "
+                             "rescale X") from exc
+        top, sens = _rank_candidates(basis, pool_s[idx], pool_t[idx],
+                                     pool_w[idx], include_cap)
         s_max = float(sens[top[0]])
 
         converged = s_max <= 0

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import reslearn as rl
+from reslearn import learner
 
 from _oracles import dense_laplacian, random_connected_graph, \
     sample_distinct_pairs
@@ -52,7 +53,8 @@ def test_c1_perturbation_theorem_accuracy():
             dense_laplacian(g) + dw * np.outer(e, e))
         for i in range(1, 6):
             exact = vals_after[i] - vals[i]
-            est = rl.perturbation_estimate(vecs[:, i], dw, s, t)
+            # the theorem's first-order shift dw * (u_s - u_t)^2
+            est = dw * (vecs[s, i] - vecs[t, i]) ** 2
             worst = max(worst, abs(est - exact) / abs(exact))
     _report("C1 theorem-1 accuracy", worst <= 0.05,
             f"worst relative error {worst:.2e} <= 5e-2")
@@ -76,7 +78,11 @@ def test_c2_gradient_fidelity():
         Y = rl.generate_currents(n, m, seed=int(rng.integers(1 << 30)))
         X = rl.simulate_voltages(g, Y)
         basis = rl.eigensolve_smallest(g, n - 1)
-        sens = rl.score_candidates(basis, X, [(s, t)])[0].sensitivity
+        # the loop's scorer, at the weight M / z the loop would give (s, t)
+        z = float(np.sum((X[s] - X[t]) ** 2))
+        _, sens = learner._rank_candidates(
+            basis, np.array([s]), np.array([t]), np.array([m / z]), 1)
+        sens = float(sens[0])
 
         h = 1e-6
         e = np.zeros(n)

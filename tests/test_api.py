@@ -1,5 +1,5 @@
-"""The public API: every exported name exists, and the README's library
-quickstart runs."""
+"""The public API: every exported name exists, README names it, and the
+README's library quickstart runs."""
 
 import re
 from pathlib import Path
@@ -20,6 +20,13 @@ def test_star_import():
     namespace = {}
     exec("from reslearn import *", namespace)
     assert set(reslearn.__all__) <= namespace.keys()
+
+
+def test_readme_names_every_exported_name():
+    text = README.read_text(encoding="utf-8")
+    unnamed = [name for name in reslearn.__all__
+               if not re.search(rf"\b{name}\b", text)]
+    assert unnamed == []
 
 
 def test_readme_quickstart_runs():

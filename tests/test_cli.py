@@ -133,12 +133,14 @@ class TestGenerate:
         assert "noise_level" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_disconnected_graph_is_input_error(self, tmp_path):
+    def test_disconnected_graph_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "disc.mtx"
         write_graph_mtx(path, WeightedGraph.from_edges(
             4, [(0, 1, 1.0), (2, 3, 1.0)]))
         assert main(["generate", str(path), "--m", "2",
                      "--out", str(tmp_path / "o")]) == 3
+        assert (f"error: {path}: graph is disconnected (2 components)"
+                in capsys.readouterr().err)
 
 
 class TestLearn:
@@ -332,6 +334,21 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 3
         err = capsys.readouterr().err
         assert f"{bad}: " in err and "banner" in err
+
+    @pytest.mark.parametrize("position", [0, 1], ids=["truth", "learned"])
+    def test_disconnected_graph_names_the_file(self, tmp_path, capsys,
+                                               position):
+        # two 3-node paths, in either position
+        paths = [tmp_path / "t.mtx", tmp_path / "d.mtx"]
+        write_graph_mtx(paths[0], grid_graph(2, 3))
+        write_graph_mtx(paths[1], WeightedGraph.from_edges(
+            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)]))
+        if position == 0:
+            paths.reverse()
+        assert main(["eval", *map(str, paths),
+                     "--out", str(tmp_path / "e")]) == 3
+        assert (f"error: {tmp_path / 'd.mtx'}: graph is disconnected "
+                "(2 components)" in capsys.readouterr().err)
 
     def test_zero_pairs_is_input_error(self, grid_mtx, tmp_path):
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",

@@ -23,7 +23,7 @@ from reslearn.graphs import (
     maximum_spanning_tree,
     quadratic_form,
 )
-from reslearn.learner import edge_scale, init_graph, learn, score_candidates
+from reslearn.learner import edge_scale, init_graph, learn
 from reslearn.measurements import (
     add_noise,
     generate_measurement_set,
@@ -485,16 +485,13 @@ class TestEffectiveResistance:
         with pytest.raises(ValueError, match=match):
             effective_resistance(g, pairs)
 
-    @pytest.mark.parametrize("name", ["pairs", "candidates",
-                                      "edge endpoints"])
+    @pytest.mark.parametrize("name", ["pairs", "edge endpoints"])
     def test_rejects_ragged_pairs_naming_the_argument(self, name):
         # a ragged list must not reach numpy's "inhomogeneous shape" error
         g = grid_graph(3, 3)
         ragged = [(0, 1), (2,)]
         calls = {
             "pairs": lambda: effective_resistance(g, ragged),
-            "candidates": lambda: score_candidates(
-                eigensolve_smallest(g, 8), np.eye(9), ragged),
             "edge endpoints": lambda: WeightedGraph.from_edges(
                 3, [(0, (1, 2), 1.0)]),
         }
@@ -575,8 +572,6 @@ class TestNodeIndexContract:
                               for s, t in zip(*_endpoint_columns(p))])),
         "effective_resistance": ("pairs", lambda p: effective_resistance(
             grid_graph(3, 3), p)),
-        "score_candidates": ("candidates", lambda p: score_candidates(
-            eigensolve_smallest(grid_graph(3, 3), 8), np.eye(9), p)),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -618,8 +613,6 @@ _MATRIX_ENTRY_POINTS = {
     "learn-X": ("X", _MATRIX, False, lambda X: learn(X)),
     "learn-Y": ("Y", _MATRIX, True, lambda Y: learn(_DATA.X, Y)),
     "init_graph": ("X", _MATRIX, False, lambda X: init_graph(X, 5)),
-    "score_candidates": ("X", _MATRIX, True, lambda X: score_candidates(
-        eigensolve_smallest(_GRID, 3), X, [(0, 1)])),
     "edge_scale-X": ("X", _MATRIX, True,
                      lambda X: edge_scale(_GRID, X, _DATA.Y)),
     "edge_scale-Y": ("Y", _MATRIX, True,
