@@ -20,6 +20,7 @@ from reslearn.graphs import (
 from reslearn import graphs, learner
 from reslearn.learner import (
     _connectivity_repair,
+    _floored_distances,
     _knn_pairs,
     _knn_rows,
     _rank_candidates,
@@ -257,6 +258,20 @@ class TestConnectivityRepair:
             init_graph(X, k=1)
 
 
+class TestFlooredDistances:
+    @given(knn_inputs())
+    def test_only_zeros_are_lifted_to_the_closest_distinct_pair(self, inputs):
+        X, _ = inputs
+        assume(np.any(X != X[0]))
+        s, t = np.triu_indices(X.shape[0], 1)
+        z = np.sum((X[s] - X[t]) ** 2, axis=1)
+        floored = _floored_distances(X, s, t)
+        np.testing.assert_allclose(floored, np.where(z > 0, z, z[z > 0].min()),
+                                   rtol=1e-12)
+        # the lifted zeros take the closest distinct pair's distance exactly
+        assert np.all(floored[z == 0] == floored[z > 0].min())
+
+
 class TestInitGraph:
     def test_three_point_line(self):
         # rows at mutual squared distances 1, 4, 9 on a line
@@ -390,6 +405,39 @@ class TestRankCandidates:
         ranked = [(-sens[i], s[i], t[i]) for i in order]
         assert ranked == sorted(ranked)
 
+    def test_consistency_invariant(self):
+        # On the loop's own pool, duplicate rows (floored z) included:
+        # sensitivity = (z_data / M) * (distortion - 1), the distortion
+        # M * z_emb / z_data read against the pool weight M / z_data.
+        g = random_connected_graph(12, 14, seed=0)
+        X = generate_measurement_set(g, 8, seed=1).X
+        X[5] = X[0]
+        g_o, tree = init_graph(X, learner.KNN_COUNT)
+        m = X.shape[1]
+        z_data = m / g_o.weights
+        basis = eigensolve_smallest(tree, 4)
+        _, sens = _rank_candidates(basis, g_o.sources, g_o.targets,
+                                   g_o.weights, 1)
+        distortion = m * embedding_distances(
+            basis, g_o.sources, g_o.targets) / z_data
+        np.testing.assert_allclose(sens, (z_data / m) * (distortion - 1),
+                                   rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("j", [-20, 20])
+    def test_sensitivities_scale_with_the_square_of_x(self, j):
+        # X * 2**j: pool weights M / z by 4**-j, the tree's eigenvalues with
+        # them, and every sensitivity by 4**j, its rank kept.
+        ms = generate_measurement_set(grid_graph(5, 6), 8, seed=2)
+        ranked = []
+        for X in (ms.X, ms.X * 2.0 ** j):
+            g_o, tree = init_graph(X, learner.KNN_COUNT)
+            ranked.append(_rank_candidates(
+                eigensolve_smallest(tree, 6), g_o.sources, g_o.targets,
+                g_o.weights, g_o.edge_count))
+        (order, sens), (order_j, sens_j) = ranked
+        np.testing.assert_array_equal(order_j, order)
+        np.testing.assert_allclose(sens_j, sens * 4.0 ** j, rtol=1e-12)
+
     @given(st.data())
     def test_capped_order_is_head_of_full_order(self, data):
         # Few distinct sensitivities over many pairs: ties at the cut.
@@ -492,6 +540,49 @@ class TestEdgeScale:
             learn(ms.X, Y)
         with pytest.raises(ValueError, match=message):
             edge_scale(g, ms.X, Y)
+
+
+def _with_column(a, j, value):
+    a = a.copy()
+    a[:, j] = value
+    return a
+
+
+class TestMeasurementChecks:
+    """``learn`` and ``edge_scale`` check voltages and currents with one
+    pair of parsers, so each fault gets one message from both."""
+
+    _MS = generate_measurement_set(grid_graph(4, 4), 5, seed=8)
+    ENTRY_POINTS = {
+        "learn": lambda X, Y: learn(X, Y),
+        "edge_scale": lambda X, Y: edge_scale(grid_graph(4, 4), X, Y),
+    }
+    # Fault: ((X, Y) made from valid inputs, the message).
+    CURRENT_FAULTS = {
+        "columns": (lambda X, Y: (X, Y[:, :3]), "X and Y shapes differ"),
+        "not-orthogonal": (lambda X, Y: (X, np.ones_like(Y)),
+                           "current columns not orthogonal to all-ones"),
+        "zero-voltage-column": (lambda X, Y: (_with_column(X, 3, 0.0), Y),
+                                "zero voltage column: scaling ratio "
+                                "undefined"),
+    }
+
+    @pytest.mark.parametrize("fault", CURRENT_FAULTS)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_currents_refused_alike(self, entry, fault):
+        make, message = self.CURRENT_FAULTS[fault]
+        with pytest.raises(ValueError) as err:
+            self.ENTRY_POINTS[entry](*make(self._MS.X, self._MS.Y))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("shape", ["one-row", "no-columns"])
+    @pytest.mark.parametrize("entry", ["learn", "init_graph"])
+    def test_voltage_shape_refused_alike(self, entry, shape):
+        X = self._MS.X[:1] if shape == "one-row" else self._MS.X[:, :0]
+        call = learn if entry == "learn" else lambda X: init_graph(X, 5)
+        with pytest.raises(ValueError) as err:
+            call(X)
+        assert str(err.value) == "X must be (N >= 2, M >= 1)"
 
 
 class TestScaling:

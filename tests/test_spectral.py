@@ -183,6 +183,72 @@ class TestEmbedding:
             prev = z
 
 
+class TestPerturbationTheorem:
+    """The paper's theorem on the basis the loop scores with: adding weight
+    ``dw`` on edge ``(s, t)`` shifts eigenvalue ``lambda_i`` by ``dw * (u_s -
+    u_t)^2`` to first order, so the embedding distance summed over the
+    modes is the rate of their log-determinant."""
+
+    def test_two_node_exact(self):
+        # the rank-one update scales the whole Laplacian: 2 -> 2.2
+        u = eigensolve_smallest(
+            WeightedGraph.from_edges(2, [(0, 1, 1.0)]), 1).eigenvectors[:, 0]
+        shift = 0.1 * (u[0] - u[1]) ** 2
+        assert shift == pytest.approx(0.2)
+        after = eigensolve_smallest(
+            WeightedGraph.from_edges(2, [(0, 1, 1.1)]), 1)
+        assert after.eigenvalues[0] == pytest.approx(2.0 + shift)
+
+    @pytest.mark.parametrize("n", [9, 200], ids=["dense", "lanczos"])
+    def test_constant_on_endpoints(self, n):
+        # Path eigenvectors cos(pi k (j + 1/2) / n) agree at both ends for
+        # even k, so closing the path leaves those modes where they were;
+        # odd k shift by the theorem's amount.  dw is small enough that no
+        # mode passes another.
+        g = grid_graph(1, n)
+        assert (n > spectral.DENSE_EIG_LIMIT) == (n == 200)
+        dw, count = 1e-4, 4
+        before = eigensolve_smallest(g, count)
+        after = eigensolve_smallest(g.with_edges([(0, n - 1, dw)]), count)
+        u = before.eigenvectors
+        shift = dw * (u[0] - u[n - 1]) ** 2
+        np.testing.assert_allclose(shift[1::2], 0.0, atol=1e-12)
+        np.testing.assert_allclose(after.eigenvalues[1::2],
+                                   before.eigenvalues[1::2], rtol=1e-9)
+        np.testing.assert_allclose(after.eigenvalues[::2] - before.eigenvalues[
+            ::2], shift[::2], rtol=0.01)
+
+    @pytest.mark.parametrize("backend", ["dense", "lanczos"])
+    def test_matches_reeigensolve(self, backend, monkeypatch):
+        if backend == "lanczos":
+            monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+        g = random_connected_graph(50, 101, seed=0)
+        s, t = 3, 41
+        assert (s, t) not in set(zip(g.sources.tolist(), g.targets.tolist()))
+        dw = 1e-4
+        before = eigensolve_smallest(g, 5)
+        after = eigensolve_smallest(g.with_edges([(s, t, dw)]), 5)
+        u = before.eigenvectors
+        np.testing.assert_allclose(after.eigenvalues - before.eigenvalues,
+                                   dw * (u[s] - u[t]) ** 2, rtol=1e-3)
+
+    @pytest.mark.parametrize("backend", ["dense", "lanczos"])
+    def test_embedding_distance_is_the_log_det_rate(self, backend,
+                                                    monkeypatch):
+        if backend == "lanczos":
+            monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 0)
+        g = random_connected_graph(50, 101, seed=1)
+        s, t = 7, 30
+        assert (s, t) not in set(zip(g.sources.tolist(), g.targets.tolist()))
+        h = 1e-5
+        before = eigensolve_smallest(g, 5)
+        after = eigensolve_smallest(g.with_edges([(s, t, h)]), 5)
+        rate = np.sum(np.log(after.eigenvalues)
+                      - np.log(before.eigenvalues)) / h
+        z = embedding_distances(before, s, t)
+        assert rate == pytest.approx(z, rel=1e-4)
+
+
 class TestSolveLaplacian:
     def test_two_node(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
