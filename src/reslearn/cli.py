@@ -101,11 +101,14 @@ def _build_parser():
     return parser
 
 
-def _naming(path, check, *args):
-    """``check(*args)``; a ``ValueError`` it raises names ``path`` first."""
+def _naming(path, check, *args, about=""):
+    """``check(*args)``; a ``ValueError`` it raises about ``about`` (such as
+    the parameter that the flag ``path`` sets) names ``path`` first."""
     try:
         return check(*args)
     except ValueError as exc:
+        if not str(exc).startswith(about):
+            raise
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -114,12 +117,14 @@ def _cmd_generate(args):
     _naming(args.graph, graphs._require_connected, graph)
     started = time.perf_counter()
     if args.jl_eps is not None:
-        mset = measurements.generate_jl_measurements(graph, args.jl_eps,
-                                                     args.seed)
+        mset = _naming("--jl-eps", measurements.generate_jl_measurements,
+                       graph, args.jl_eps, args.seed, about="epsilon ")
     else:
-        mset = measurements.generate_measurement_set(
-            graph, args.m if args.m is not None else 50, args.seed)
-    X = measurements.add_noise(mset.X, args.noise, args.seed + 1)
+        mset = _naming("--m", measurements.generate_measurement_set, graph,
+                       args.m if args.m is not None else 50, args.seed,
+                       about="count ")
+    X = _naming("--noise", measurements.add_noise, mset.X, args.noise,
+                args.seed + 1, about="noise_level ")
     Y, m = mset.Y, mset.measurement_count
 
     os.makedirs(args.out, exist_ok=True)
@@ -146,7 +151,8 @@ def _cmd_learn(args):
         if Y is not None:
             raise ValueError("reduced-network learning uses voltages only; "
                              "do not pass a current file with --subsample")
-        X, kept = measurements.subsample_nodes(X, args.subsample, args.seed)
+        X, kept = _naming("--subsample", measurements.subsample_nodes, X,
+                          args.subsample, args.seed, about="fraction ")
 
     started = time.perf_counter()
     graph, trace = _naming(args.x, learner.learn, X, Y)
@@ -199,12 +205,14 @@ def _cmd_eval(args):
     # spectrum_k > N - 1 fails the eigensolve's range check with the
     # message compare_spectra gives.
     basis_true, basis_learned = (
-        spectral.eigensolve_smallest(g, max(args.spectrum_k, 2))
+        _naming("--spectrum-k", spectral.eigensolve_smallest, g,
+                max(args.spectrum_k, 2), about="count ")
         for g in (g_true, g_learned))
     lam_t = basis_true.eigenvalues[:args.spectrum_k]
     lam_l = basis_learned.eigenvalues[:args.spectrum_k]
-    pairs, r_t, r_l, corr = metrics.resistance_correlation(
-        g_true, g_learned, args.pairs, args.seed)
+    pairs, r_t, r_l, corr = _naming(
+        "--pairs", metrics.resistance_correlation, g_true, g_learned,
+        args.pairs, args.seed, about="pair_count ")
 
     os.makedirs(args.out, exist_ok=True)
     paths = {

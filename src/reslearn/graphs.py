@@ -249,6 +249,15 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
     return a
 
 
+def _unit_scale(a, axis=None):
+    """``(a * 2**-e, e)``: ``a`` in unit scale, max |a| in [0.5, 1) over
+    ``a`` or per column (``axis=0``; ``e`` is 0 for a zero column).  On the
+    copy, comparisons, sorts, norms and solves give the same bits, scaled,
+    unless an entry drops below 2**-1022, and none overflow."""
+    _, e = np.frexp(np.abs(a).max(axis=axis))
+    return np.ldexp(a, -e), e
+
+
 def _holds_bool(raw):
     """Whether ``raw``, a 1-D sequence but not an array, holds a boolean."""
     return (not isinstance(raw, np.ndarray)

@@ -27,9 +27,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import (WeightedGraph, _real_matrix, _require_int,
-                     maximum_spanning_tree)
+                     _unit_scale, maximum_spanning_tree)
 from .spectral import (
-    SolverError,
     _outside_range,
     _squared_row_distances,
     eigensolve_smallest,
@@ -47,7 +46,8 @@ MAX_ITERATIONS = 10_000  # 10 * ceil(1 / BETA_SAMPLE)
 @dataclass(frozen=True)
 class IterationRecord:
     """One iteration: the largest candidate sensitivity ``s_max``, then the
-    learned graph's edge count after inclusion and the wall-clock seconds."""
+    learned graph's edge count after inclusion and the wall-clock seconds;
+    ``s_max`` is in unit scale (see :func:`learn`), ``* 4**e`` in X's units."""
 
     iteration: int
     s_max: float
@@ -79,8 +79,7 @@ def _knn_rows(X, k):
     One k-d tree query finds them.  It is exact in distance; where several
     rows tie at a row's k-th distance, the tree's traversal order decides
     which are kept, so the choice is fixed for a given ``X`` but does not
-    follow row index.  Raises ``ValueError`` if a distance overflows to inf
-    (``X`` badly scaled).
+    follow row index.  No distance overflows: ``X`` is in unit scale.
     """
     # Imported here: at module level scipy.spatial slows ``import reslearn``
     # by about 0.1 s.
@@ -88,11 +87,7 @@ def _knn_rows(X, k):
 
     n = X.shape[0]
     k_eff = min(k, n - 1)
-    dist, nbr = cKDTree(X).query(X, k=k_eff + 1)
-    # The tree reports an overflowed distance as inf, with neighbor index N.
-    if not np.all(np.isfinite(dist)):
-        raise ValueError("badly scaled measurements: a nearest-neighbor "
-                         "distance overflows to inf; rescale X")
+    _, nbr = cKDTree(X).query(X, k=k_eff + 1)
     other = nbr != np.arange(n)[:, None]
     # With duplicate rows the query may return k_eff + 1 rows at distance 0
     # without the row itself; keep exactly k_eff other rows either way.
@@ -116,19 +111,18 @@ def _floored_distances(X, s, t):
     zeros (duplicate rows) floored at the smallest positive one: the closest
     distinct pair.  Positive distances are never lifted.  Raises
     ``ValueError`` if all rows are identical, or if the square of the
-    largest weight ``M / z`` overflows (``X`` badly scaled): eigenpair
-    residual norms square entries that can reach the weights' size."""
+    largest weight ``M / z`` overflows (eigenpair residual norms square it):
+    in unit scale, two rows that agree to 77 digits of max |X|."""
     z = _squared_row_distances(X, s, t)
-    positive = z[z > 0]
-    if positive.size == 0 and np.array_equal(X[s], X[t]):
+    i = np.argmin(np.where(z > 0, z, np.inf))  # 0 when no z is positive
+    if z[i] == 0 and np.array_equal(X[s], X[t]):
         raise ValueError("degenerate measurements: all voltage rows identical")
-    floor = positive.min() if positive.size else 0.0
-    if floor < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
+    if z[i] < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
         raise ValueError(
-            f"badly scaled measurements: the closest distinct rows are "
-            f"{floor:.3g} apart squared, so the weight M / z squared "
-            "overflows; rescale X")
-    return np.maximum(z, floor)
+            f"badly scaled measurements: voltage rows {s[i]} and {t[i]} are "
+            f"{np.sqrt(z[i]) / np.abs(X).max():.3g} of max |X| apart, too "
+            "close for their weight M / z to be squared; merge them")
+    return np.maximum(z, z[i])
 
 
 def _connectivity_repair(X, s, t):
@@ -140,8 +134,8 @@ def _connectivity_repair(X, s, t):
     and these bridges join by ascending ``(distance, s, t)`` while their
     ends are in different components.  Where rows tie, the tree's order
     decides, as in :func:`_knn_rows`.  Returns the pairs with the bridges
-    (``s < t``) appended, the input arrays when they already connect; raises
-    ``ValueError`` if a bridge distance overflows to inf.
+    (``s < t``) appended, the input arrays when they already connect; no
+    bridge distance overflows, since ``X`` is in unit scale.
     """
     from scipy.spatial import cKDTree
 
@@ -155,9 +149,6 @@ def _connectivity_repair(X, s, t):
             outside = np.flatnonzero(labels != c)
             dist, nbr = cKDTree(X[outside]).query(X[inside])
             i = np.argmin(dist)
-            if dist[i] == np.inf:  # the tree's index is then len(outside)
-                raise ValueError("badly scaled measurements: a bridge "
-                                 "distance overflows to inf; rescale X")
             bridges.append((dist[i], *sorted((inside[i], outside[nbr[i]]))))
         for _, a, b in sorted(bridges):
             if labels[a] != labels[b]:
@@ -185,12 +176,13 @@ def _as_currents(Y, X):
         raise ValueError("X and Y shapes differ")
     if not np.all(np.any(X, axis=0)):
         raise ValueError("zero voltage column: scaling ratio undefined")
-    norms = np.linalg.norm(Y, axis=0)
+    unit, _ = _unit_scale(Y, axis=0)
+    norms = np.linalg.norm(unit, axis=0)
     zero = np.flatnonzero(norms == 0)
     if zero.size:
         raise ValueError(f"Y column {zero[0]} is all zeros: every current "
                          "column must excite the network")
-    if _outside_range(Y, norms):
+    if _outside_range(unit, norms):
         raise ValueError("current columns not orthogonal to all-ones")
     return Y
 
@@ -203,18 +195,36 @@ def init_graph(X, k):
     its C components are bridged by the C - 1 Euclidean minimum spanning
     tree edges between them, rows that tie going by the tree's order.  The
     seed is the maximum-weight (minimum-distance) spanning tree.  Duplicate
-    rows are joined with the closest distinct pair's weight.
+    rows are joined with the closest distinct pair's weight.  It all runs
+    on ``X * 2**-e`` in unit scale (:func:`~reslearn.graphs._unit_scale`);
+    the weights are returned in X's units, ``* 4**-e``.
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
     an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`
-    takes it, or if all its rows are identical.
+    takes it, if all its rows are identical or two nearly so
+    (:func:`_floored_distances`), or if a weight is not a normal float.
     """
     _require_int("k", k, 1)
-    X = _as_voltages(X)
+    X, e = _unit_scale(_as_voltages(X))
     n, m = X.shape
     s, t = _connectivity_repair(X, *_knn_pairs(X, k))
-    g_o = WeightedGraph(n, s, t, m / _floored_distances(X, s, t))
+    g_o = _in_units(WeightedGraph(n, s, t, m / _floored_distances(X, s, t)),
+                    -2 * e)
     return g_o, maximum_spanning_tree(g_o)
+
+
+def _in_units(g, power):
+    """``g``, learned in unit scale, with every weight times ``2**power``
+    into the caller's units, keeping ``g``'s cached connectivity.  Raises
+    ``ValueError`` unless every weight is then a normal float."""
+    if power == 0:  # already in the caller's units; keep g and its caches
+        return g
+    _, (low, high) = np.frexp([g.weights.min(), g.weights.max()])
+    if not -1022 < low + power <= high + power <= 1024:  # normal exponents
+        raise ValueError("badly scaled measurements: the weights in the "
+                         "units of X are past the float range; rescale X")
+    return g._pass_connected(WeightedGraph(
+        g.node_count, g.sources, g.targets, np.ldexp(g.weights, power)))
 
 
 def _top_order(sens, s, t, cap):
@@ -248,32 +258,26 @@ def edge_scale(g, X, Y):
     triangular solve per column against the graph's cached factor); the
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
+    It is computed on ``X * 2**-e`` and ``Y * 2**-f`` in unit scale and
+    scales the weights by ``2**(f - e)`` more, into the caller's units.
 
     Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
     shape, one row per node of ``g``, whose columns are all nonzero, with
-    every current column orthogonal to the all-ones vector.  A norm ratio
-    that is not finite and > 0 (``X`` badly scaled) raises it too, as do
-    solved voltages that overflow; any other failed solve raises
-    :class:`~reslearn.spectral.SolverError`.
+    every current column orthogonal to the all-ones vector; a norm ratio
+    that is not finite and > 0, solved voltages that overflow, or a weight
+    that is not a normal float raise it too (badly scaled measurements).
+    A failed solve raises :class:`~reslearn.spectral.SolverError`.
     """
-    X = _as_voltages(X, g.node_count)
-    Y = _as_currents(Y, X)
-    # A norm past the float range, or solved voltages that overflow (their
-    # residual is then not finite), is refused below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(X, axis=0)
-        try:
-            ratios = np.array([np.linalg.norm(solve_laplacian(g, y)) / norm
-                               for y, norm in zip(Y.T, norms)]) ** 2
-        except SolverError as exc:
-            if exc.residual is None or np.isfinite(exc.residual):
-                raise
-            ratios = np.inf
+    X, e = _unit_scale(_as_voltages(X, g.node_count))
+    Y, f = _unit_scale(_as_currents(Y, X))
+    norms = np.linalg.norm(X, axis=0)
+    ratios = np.array([np.linalg.norm(solve_laplacian(g, y)) / norm
+                       for y, norm in zip(Y.T, norms)]) ** 2
     if not np.all((ratios > 0) & (ratios < np.inf)):
         raise ValueError("badly scaled measurements: a solved-to-measured "
                          "voltage norm ratio is not finite and positive; "
                          "rescale X")
-    return g.scaled(float(np.sqrt(ratios.mean())))
+    return _in_units(g.scaled(float(np.sqrt(ratios.mean()))), f - e)
 
 
 def learn(X, Y=None):
@@ -288,21 +292,23 @@ def learn(X, Y=None):
     those ranked in the top ``ceil(N * BETA_SAMPLE)`` whose sensitivity is
     positive (weight ``M / z_data``), and record the maximum sensitivity.
     Terminates when the maximum sensitivity is at most 0, the candidate pool
-    runs out, or after ``MAX_ITERATIONS`` iterations.  Scaling ``X`` by
-    ``c`` scales every sensitivity by ``c**2`` and keeps its sign, so no
-    tolerance ties the edges to the units of ``X``, though small enough
-    units make the eigensolves fail (README), and units so large that an
-    eigensolve overflows are refused as badly scaled.  The loop does not
+    runs out, or after ``MAX_ITERATIONS`` iterations.  The loop does not
     evaluate ``F``; :func:`~reslearn.spectral.objective_value` does, on any
     graph.
     With ``Y`` given, the final graph is edge-scaled; without it
     (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
     are checked as in :func:`edge_scale`.
+
+    The seed, the loop and the edge scaling run on ``X * 2**-e`` and ``Y *
+    2**-f`` in unit scale (:func:`~reslearn.graphs._unit_scale`), so data in
+    any units give the same edges and ``s_max`` history.  The weights come
+    back times ``4**-e`` without ``Y``, ``2**(f - e)`` with it, and are
+    refused as badly scaled measurements unless normal floats.
     """
-    X = _as_voltages(X)
+    X, e = _unit_scale(_as_voltages(X))
     n = X.shape[0]
     if Y is not None:
-        Y = _as_currents(Y, X)
+        Y, f = _unit_scale(_as_currents(Y, X))
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
@@ -322,13 +328,7 @@ def learn(X, Y=None):
         if idx.size == 0:
             status = "candidate_pool_exhausted"
             break
-        try:  # weights so small that L^+ overflows are refused by name
-            with np.errstate(over="raise"):
-                basis = eigensolve_smallest(graph, modes)
-        except FloatingPointError as exc:
-            raise ValueError("badly scaled measurements: the weights M / z "
-                             "are so small that the eigensolve overflows; "
-                             "rescale X") from exc
+        basis = eigensolve_smallest(graph, modes)
         top, sens = _rank_candidates(basis, pool_s[idx], pool_t[idx],
                                      pool_w[idx], include_cap)
         s_max = float(sens[top[0]])
@@ -348,6 +348,6 @@ def learn(X, Y=None):
             break
 
     trace.status = status
-    if Y is not None:
-        graph = edge_scale(graph, X, Y)
-    return graph, trace
+    if Y is None:
+        return _in_units(graph, -2 * e), trace
+    return _in_units(edge_scale(graph, X, Y), f - e), trace

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import _real_matrix, _require_int, _require_real
+from .graphs import _real_matrix, _require_int, _require_real, _unit_scale
 from .spectral import solve_laplacian
 
 
@@ -68,9 +68,10 @@ def simulate_voltages(g, Y):
 def add_noise(X, noise_level, seed):
     """Per column: ``x + noise_level * ||x|| * eps`` with ``eps`` a Gaussian
     direction normalized to unit 2-norm, so ``||x_noisy - x|| ==
-    noise_level * ||x||`` exactly.  ``noise_level == 0`` returns X unchanged.
-    Raises ``ValueError`` if a noisy entry is not finite (``X`` badly
-    scaled).
+    noise_level * ||x||`` exactly, ``||x||`` taken in unit scale (see
+    :func:`~reslearn.graphs._unit_scale`) to hold in any units.
+    ``noise_level == 0`` returns X unchanged.  Raises ``ValueError`` if a
+    noisy entry is not finite (``X`` badly scaled).
     """
     _require_real("noise_level", noise_level, "[0, inf)")
     X = _real_matrix("X", X)
@@ -78,11 +79,13 @@ def add_noise(X, noise_level, seed):
     if noise_level == 0:
         return X.copy()
     out = X.copy()
+    unit, e = _unit_scale(X, axis=0)
     for i, rng in enumerate(_column_rngs(seed, X.shape[1])):
         eps = rng.standard_normal(X.shape[0])
-        # A column past the float range is refused below, not warned about.
+        # A noisy value past the float range is refused below, not warned.
         with np.errstate(over="ignore"):
-            out[:, i] += (noise_level * np.linalg.norm(X[:, i])
+            out[:, i] += (noise_level * np.ldexp(np.linalg.norm(unit[:, i]),
+                                                 e[i])
                           * (eps / np.linalg.norm(eps)))
     if not np.all(np.isfinite(out)):
         raise ValueError("badly scaled measurements: a noisy voltage "

@@ -27,6 +27,7 @@ from .graphs import (
     _real_matrix,
     _require_connected,
     _require_int,
+    _unit_scale,
     quadratic_form,
 )
 
@@ -49,14 +50,7 @@ class EigensolverError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """Laplacian solve failed: singular factor or residual above tolerance.
-
-    ``residual`` is the worst relative residual, when one was computed.
-    """
-
-    def __init__(self, message, residual=None):
-        self.residual = residual
-        super().__init__(message)
+    """Laplacian solve failed: singular factor or residual above tolerance."""
 
 
 @dataclass(frozen=True)
@@ -237,26 +231,27 @@ def solve_laplacian(g, b):
 
     ``b`` is an (N,) vector or an (N, M) block, checked by ``_real_matrix``,
     whose columns are orthogonal to the all-ones vector (the range of L).
-    All columns are solved in one call against the graph's cached grounded
-    factor (see :func:`_grounded_factor`), and each must reach relative
-    residual :data:`SOLVE_TOL`.
+    The range check, the solve and the residual check run on ``b`` with
+    each column in unit scale (:func:`~reslearn.graphs._unit_scale`): all
+    columns in one call against the graph's cached grounded factor (see
+    :func:`_grounded_factor`), each to relative residual :data:`SOLVE_TOL`.
+    Scaled back once, ``b * 2**k`` solves to the same bits times ``2**k``.
 
     Raises
     ------
     ValueError
-        If ``b`` breaks the contract of ``_real_matrix`` (naming ``b``), or
-        a column has a non-negligible all-ones component.
+        If ``b`` breaks the contract of ``_real_matrix`` (naming ``b``), a
+        column has a non-negligible all-ones component, or the solution
+        overflows in b's units ("badly scaled measurements").
     DisconnectedGraphError
         If the graph has more than one component.
     SolverError
         If the factorization fails or a column's relative residual is above
         :data:`SOLVE_TOL`.
     """
-    b = _real_matrix("b", b, g.node_count, (1, 2))
+    b, e = _unit_scale(_real_matrix("b", b, g.node_count, (1, 2)), axis=0)
     _require_connected(g)
     bnorm = np.linalg.norm(b, axis=0)
-    if not np.any(bnorm):
-        return np.zeros(b.shape)
     if _outside_range(b, bnorm):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
@@ -265,11 +260,12 @@ def solve_laplacian(g, b):
     rel = (np.linalg.norm(g.laplacian @ x - b, axis=0)
            / np.maximum(bnorm, np.finfo(float).tiny))
     if not np.all(rel <= SOLVE_TOL):
-        worst = float(rel.max())
-        raise SolverError(
-            f"relative residual {worst:.3e} above tolerance {SOLVE_TOL:g}",
-            residual=worst)
-    return x
+        raise SolverError(f"relative residual {rel.max():.3e} above "
+                          f"tolerance {SOLVE_TOL:g}")
+    if np.any(_unit_scale(x, axis=0)[1] + e > np.finfo(float).maxexp):
+        raise ValueError("badly scaled measurements: the solution "
+                         "overflows in the units of b")
+    return np.ldexp(x, e)
 
 
 def objective_value(g, X, eig_count):

@@ -458,6 +458,30 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
             command]
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("generate", "--m", "0", "--m: count must be >= 1"),
+    ("generate", "--noise", "-1", "--noise: noise_level must be in [0, inf)"),
+    ("generate", "--jl-eps", "1.5", "--jl-eps: epsilon must be in (0, 1)"),
+    ("learn", "--subsample", "0", "--subsample: fraction must be in (0, 1]"),
+    ("eval", "--pairs", "1", "--pairs: pair_count must be >= 2"),
+    ("eval", "--spectrum-k", "40",
+     "--spectrum-k: count must be in [1, 35], got 40"),
+], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k"])
+def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flag,
+                                value, message):
+    # The library checks each value; the refusal names the flag it came
+    # from, not the library parameter alone.
+    x_path = tmp_path / "X.bin"
+    io.write_matrix_binary(
+        x_path, measurements.generate_measurement_set(grid_graph(6, 6), 4,
+                                                      0).X)
+    files = {"generate": [str(grid_mtx)], "learn": [str(x_path)],
+             "eval": [str(grid_mtx), str(grid_mtx)]}[command]
+    assert main([command, *files, flag, value,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_readme_protocol_names_every_learner_constant():
     # README's "Fixed protocol" sentence gives each public upper-case
     # constant of the learner as `NAME=value` with its value, and no other,

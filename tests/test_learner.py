@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +111,15 @@ def permuted_clouds(draw):
     X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
         size=(n, m))
     return X, np.asarray(draw(st.permutations(range(n))))
+
+
+def exact_powers_of_two(a):
+    """Strategy for the exponents ``j`` for which ``a * 2**j`` is exact:
+    finite, with every nonzero entry a normal float."""
+    _, exps = np.frexp(np.abs(a[a != 0]))
+    info = np.finfo(np.float64)
+    return st.integers(info.minexp + 1 - exps.min(),
+                       info.maxexp - exps.max())
 
 
 def relabelled_edges(g, p):
@@ -350,11 +358,14 @@ class TestInitGraph:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_weight_is_refused_by_name(self):
-        # z(0, 1) = 1e-320, a subnormal: the weight M / z overflows to inf
+        # in unit scale z(0, 1) is about 6e-322, a subnormal: the weight
+        # M / z overflows to inf, in any units of X
         X = np.array([[0.0, 0.0], [1e-160, 0.0], [1.0, 0.0], [3.0, 0.0]])
-        with pytest.raises(ValueError, match="badly scaled measurements"):
+        message = (r"^badly scaled measurements: voltage rows 0 and 1 are "
+                   r"3\.3\de-161 of max \|X\| apart, .*; merge them$")
+        with pytest.raises(ValueError, match=message):
             init_graph(X, k=3)
-        with pytest.raises(ValueError, match="badly scaled measurements"):
+        with pytest.raises(ValueError, match=message):
             learn(X)
 
 
@@ -587,30 +598,21 @@ class TestMeasurementChecks:
 
 class TestScaling:
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("factor, currents", [
-        (1e155, False),  # a nearest-neighbor distance overflows
-        (1e-200, False),  # every squared row distance underflows to 0
-        (1e150, True),  # the solved voltage norms overflow in edge_scale
-        # the weights M / z reach 4.8e303, whose squares overflow in the
-        # eigenpair residual norms
-        (1e-150, False),
-        # the learned weights are near 1e-307, so edge_scale's solved
-        # voltages overflow and their residual is nan
-        (2e154, True),
-    ], ids=["knn-overflow", "distance-underflow", "norm-overflow",
-            "weight-square-overflow", "solve-overflow"])
-    def test_badly_scaled_voltages_are_refused_by_name(self, factor,
-                                                       currents):
+    @pytest.mark.parametrize("factor", [1e155, 1e-200],
+                             ids=["weights-underflow", "weights-overflow"])
+    def test_weights_past_the_float_range_are_refused_by_name(self, factor):
+        # X learns in unit scale, but its weights in X's units, times about
+        # 1e-310 or 1e400, are not normal floats
         ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
-        with pytest.raises(ValueError, match="^badly scaled measurements"):
-            learn(ms.X * factor, ms.Y if currents else None)
+        with pytest.raises(ValueError, match="^badly scaled measurements: "
+                                             "the weights in the units of X"):
+            learn(ms.X * factor)
 
     def test_genuine_solve_failure_still_raises_solver_error(self,
                                                              monkeypatch):
-        # Only a residual that is not finite means overflow; a finite one
-        # above SOLVE_TOL is the solver's failure and keeps its type.
+        # edge_scale lets a failed solve through with its type.
         def inaccurate(g, b):
-            raise SolverError("relative residual 2e-10", residual=2e-10)
+            raise SolverError("relative residual 2e-10")
 
         monkeypatch.setattr(learner, "solve_laplacian", inaccurate)
         ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
@@ -618,9 +620,7 @@ class TestScaling:
             edge_scale(grid_graph(6, 6), ms.X, ms.Y)
 
     @pytest.mark.parametrize("rows, m, factor", [
-        (6, 10, 1e154), (6, 10, 2e154),
-        # 30x30 takes Lanczos, whose L^+ overflows at 3e153 and 1e154
-        (30, 50, 1e153),
+        (6, 10, 1e154), (6, 10, 2e154), (30, 50, 1e153),
     ], ids=["1e+154", "2e+154", "grid30-1e+153"])
     def test_large_representable_scale_still_converges(self, rows, m,
                                                        factor):
@@ -628,18 +628,55 @@ class TestScaling:
         _, trace = learn(ms.X * factor)
         assert trace.status == "converged"
 
-    @pytest.mark.parametrize("warning_filter", ["error", "ignore"])
-    @pytest.mark.parametrize("currents", [False, True])
-    def test_overflowing_eigensolve_is_refused_by_name(self, currents,
-                                                       warning_filter):
-        # The weights M / z of a 30x30 grid are then about 1e-305, so L^+,
-        # which Lanczos applies, overflows.
-        ms = generate_measurement_set(grid_graph(30, 30), 50, 0)
-        with warnings.catch_warnings():
-            warnings.simplefilter(warning_filter)
-            with pytest.raises(ValueError,
-                               match="^badly scaled measurements"):
-                learn(ms.X * 1e154, ms.Y if currents else None)
+    @pytest.mark.parametrize("rows, m, factor, currents", [
+        # Each was refused while learning ran in the units of X:
+        # edge_scale's voltage norms overflowed
+        (6, 10, 1e150, True),
+        # the weights M / z reached 4.8e303, whose squares overflowed in
+        # the eigenpair residual norms
+        (6, 10, 1e-150, False),
+        # edge_scale's solved voltages overflowed on weights near 1e-307
+        (6, 10, 2e154, True),
+        # L^+ overflowed in Lanczos on weights near 1e-305, or edge_scale
+        # refused the loop's result
+        (30, 50, 1e153, True), (30, 50, 1e154, False), (30, 50, 1e154, True),
+        (30, 50, 1e-150, False),
+    ], ids=["norm-overflow", "weight-square-overflow", "solve-overflow",
+            "grid30-1e+153-currents", "grid30-1e+154",
+            "grid30-1e+154-currents", "grid30-1e-150"])
+    def test_off_unit_scales_learn_the_unit_scale_edges(self, rows, m,
+                                                        factor, currents):
+        ms = generate_measurement_set(grid_graph(rows, rows), m, 0)
+        Y = ms.Y if currents else None
+        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(ms.X * factor, Y)
+        np.testing.assert_array_equal(g2.sources, g1.sources)
+        np.testing.assert_array_equal(g2.targets, g1.targets)
+        np.testing.assert_allclose(
+            g2.weights, g1.weights / factor ** (1 if currents else 2),
+            rtol=1e-9)
+        assert t2.status == t1.status == "converged"
+
+    @pytest.mark.parametrize("j", [-26, -30, -100])
+    def test_small_units_learn_the_unit_scale_graph(self, j):
+        # in the units of X, the eigensolves failed from X * 1.5e-8 down
+        ms = generate_measurement_set(grid_graph(40, 40), 50, seed=0)
+        (g1, t1), (g2, t2) = learn(ms.X), learn(np.ldexp(ms.X, j))
+        np.testing.assert_array_equal(g2.sources, g1.sources)
+        np.testing.assert_array_equal(g2.targets, g1.targets)
+        np.testing.assert_array_equal(g2.weights, np.ldexp(g1.weights, -2 * j))
+        np.testing.assert_array_equal(t2.s_max_history, t1.s_max_history)
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e-160, 1e250])
+    def test_currents_in_any_units_scale_the_weights(self, factor):
+        # in the units of Y, Y * 1e-300 read as all zeros, 1e-160 gave no
+        # finite norm ratio and 1e250 overflowed
+        ms = generate_measurement_set(grid_graph(6, 6), 8, seed=0)
+        (g1, t1), (g2, t2) = learn(ms.X, ms.Y), learn(ms.X, ms.Y * factor)
+        np.testing.assert_array_equal(g2.sources, g1.sources)
+        np.testing.assert_array_equal(g2.targets, g1.targets)
+        np.testing.assert_allclose(g2.weights, g1.weights * factor,
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(t2.s_max_history, t1.s_max_history)
 
 
 class TestLearn:
@@ -915,33 +952,50 @@ class TestLearnProperties:
         assert counts == sorted(counts)
 
     @settings(max_examples=30)
-    @given(learn_inputs(), st.integers(-30, 30))
-    def test_scaling_x_by_a_power_of_two_scales_the_weights(self, inputs, j):
-        # Sensitivities scale by 4**j and keep their signs and ranks; edge
-        # scaling then divides by the 2**j that X carries.
+    @given(learn_inputs(), st.data())
+    def test_scaling_x_by_a_power_of_two_scales_the_weights(self, inputs,
+                                                            data):
+        # X and Y learn in unit scale, so every power of two that keeps
+        # them exact gives the same edges and s_max history; the weights
+        # come back times 4**-j without Y and 2**(k - j) with it, or are
+        # refused where that leaves the normal floats.
         X, Y = inputs
-        (g1, t1), (g2, t2) = learn(X, Y), learn(X * 2.0 ** j, Y)
+        j = data.draw(exact_powers_of_two(X), label="j")
+        k = 0 if Y is None else data.draw(exact_powers_of_two(Y), label="k")
+        Y2 = None if Y is None else np.ldexp(Y, k)
+        g1, t1 = learn(X, Y)
+        power = -2 * j if Y is None else k - j
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(g1.weights, power)
+        if not np.all((expected >= np.finfo(float).tiny)
+                      & (expected < np.inf)):
+            with pytest.raises(ValueError,
+                               match="^badly scaled measurements"):
+                learn(np.ldexp(X, j), Y2)
+            return
+        g2, t2 = learn(np.ldexp(X, j), Y2)
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
-        power = -j if Y is not None else -2 * j
-        np.testing.assert_array_equal(g2.weights, g1.weights * 2.0 ** power)
+        np.testing.assert_array_equal(g2.weights, expected)
+        np.testing.assert_array_equal(t2.s_max_history, t1.s_max_history)
         assert t2.status == t1.status
 
     @pytest.mark.parametrize("side, m", [(12, 10), (15, 8)])
     @pytest.mark.parametrize("use_currents", [False, True])
-    @pytest.mark.parametrize("j", [-20, 20])
+    @pytest.mark.parametrize("j", [-500, -20, 20, 500])
     def test_power_of_two_scaling_on_the_lanczos_backend(self, side, m,
                                                          use_currents, j):
         # the property above never draws more than DENSE_EIG_LIMIT nodes
         assert side * side > DENSE_EIG_LIMIT
         ms = generate_measurement_set(grid_graph(side, side), m, seed=0)
         Y = ms.Y if use_currents else None
-        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(ms.X * 2.0 ** j, Y)
+        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(np.ldexp(ms.X, j), Y)
         assert g2.edge_count > side * side - 1
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
         power = -j if use_currents else -2 * j
-        np.testing.assert_array_equal(g2.weights, g1.weights * 2.0 ** power)
+        np.testing.assert_array_equal(g2.weights, np.ldexp(g1.weights, power))
+        np.testing.assert_array_equal(t2.s_max_history, t1.s_max_history)
         assert t2.status == t1.status
 
     @settings(max_examples=10)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reslearn.graphs import WeightedGraph, grid_graph, quadratic_form
 from reslearn.measurements import (
@@ -105,6 +107,29 @@ class TestAddNoise:
         X = np.random.default_rng(3).standard_normal((8, 2))
         with pytest.raises(ValueError):
             add_noise(X, level, seed=1)
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-300])
+    def test_voltages_in_any_units_get_the_full_noise(self, factor):
+        # taken in X's units, the column norms overflowed at 1e160 and
+        # underflowed (11% of the noise lost) at 1e-300
+        ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
+        X = ms.X * factor
+        shift = -int(np.round(np.log2(factor)))
+        noise = np.ldexp(add_noise(X, 0.1, 0) - X, shift)
+        np.testing.assert_allclose(
+            np.linalg.norm(noise, axis=0),
+            0.1 * np.linalg.norm(np.ldexp(X, shift), axis=0), rtol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-1000, 1000]),
+           st.sampled_from([0.01, 0.1, 2.0]))
+    def test_displacement_holds_at_extreme_powers_of_two(self, seed, j,
+                                                         zeta):
+        X = np.random.default_rng(seed).standard_normal((20, 4))
+        scaled = np.ldexp(X, j)
+        noise = np.ldexp(add_noise(scaled, zeta, seed) - scaled, -j)
+        np.testing.assert_allclose(np.linalg.norm(noise, axis=0),
+                                   zeta * np.linalg.norm(X, axis=0),
+                                   rtol=1e-12)
 
     def test_deterministic(self):
         X = np.random.default_rng(2).standard_normal((12, 3))
@@ -246,14 +271,14 @@ _GRID_X = generate_measurement_set(grid_graph(6, 6), 10, 0).X
                                     -1), "^seed must be >= 0$"),
     (lambda: jl_measurement_count(2.5, 0.5),
      "^node_count must be an integer, got 2.5$"),
-    # a column norm past the float range: X is refused, not made inf
-    (lambda: add_noise(_GRID_X * 1e300, 0.1, 0), _BADLY_SCALED),
-    (lambda: add_noise(_GRID_X * 1e306, 0.1, 0), _BADLY_SCALED),
+    # a noisy value past the float range: X is refused, not made inf
+    (lambda: add_noise(_GRID_X / np.abs(_GRID_X).max() * 1.7e308, 0.5, 0),
+     _BADLY_SCALED),
 ], ids=["currents-none", "measurement-set-none", "currents-float",
         "currents-negative", "noise-negative", "noiseless-none",
         "noiseless-negative", "subsample-negative",
         "jl-negative", "resistance-negative", "jl-count-float-nodes",
-        "noise-overflow-1e300", "noise-overflow-1e306"])
+        "noise-overflow"])
 def test_seeds_and_node_counts_are_checked_by_name(call, message):
     # None would draw from OS entropy; -1 reached numpy's own refusal.
     with pytest.raises(ValueError, match=message):

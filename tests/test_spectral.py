@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from reslearn import spectral
 from reslearn.graphs import (
@@ -10,7 +12,11 @@ from reslearn.graphs import (
     quadratic_form,
 )
 from reslearn.learner import learn
-from reslearn.measurements import generate_measurement_set, simulate_voltages
+from reslearn.measurements import (
+    generate_currents,
+    generate_measurement_set,
+    simulate_voltages,
+)
 from reslearn.spectral import (
     SolverError,
     eigensolve_smallest,
@@ -330,6 +336,44 @@ class TestSolveLaplacian:
             effective_resistance(g, [(0, 2)])
         with pytest.raises(SolverError):
             simulate_voltages(g, b[:, None])
+
+    @pytest.mark.parametrize("factor", [1e-300, 1e300])
+    def test_currents_in_any_units_solve_to_scaled_voltages(self, factor):
+        # solved in b's units, Y * 1e-300 came back all zeros and Y * 1e300
+        # raised a residual of nan
+        g = grid_graph(6, 6)
+        Y = generate_currents(36, 3, 0)
+        x = solve_laplacian(g, Y)
+        for got in solve_laplacian(g, Y * factor), simulate_voltages(
+                g, Y * factor):
+            np.testing.assert_allclose(got / factor, x, rtol=0,
+                                       atol=1e-12 * np.abs(x).max())
+
+    def test_overflowing_solution_is_refused_by_name(self):
+        # b is representable; L^+ b, times 1e10 on these weights, is not
+        g = grid_graph(6, 6).scaled(1e-10)
+        b = generate_currents(36, 2, 0) * 1e300
+        with pytest.raises(ValueError, match="^badly scaled measurements: "
+                                             "the solution overflows"):
+            solve_laplacian(g, b)
+
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.data())
+    def test_power_of_two_columns_solve_to_the_same_bits(self, n, seed,
+                                                         data):
+        # every column is solved in unit scale and scaled back once
+        g = random_connected_graph(n, (n - 1) * (n - 2) // 4, seed,
+                                   w_range=(1e-3, 1e3))
+        b = generate_currents(n, 3, seed)
+        k = np.array(data.draw(st.lists(st.integers(-1000, 1000),
+                                        min_size=3, max_size=3)))
+        scaled = np.ldexp(b, k)
+        # representable: exact, with no subnormal entry
+        assume(np.array_equal(np.ldexp(scaled, -k), b))
+        assume(np.all((scaled == 0)
+                      | (np.abs(scaled) >= np.finfo(float).tiny)))
+        # |x| stays below 2**24 on these weights, so x * 2**k is finite
+        np.testing.assert_array_equal(solve_laplacian(g, scaled),
+                                      np.ldexp(solve_laplacian(g, b), k))
 
 
 class TestObjectiveValue:
