@@ -114,6 +114,7 @@ def _naming(path, check, *args, about=""):
 
 def _cmd_generate(args):
     graph = io.read_graph_mtx(args.graph)
+    _naming(args.graph, graphs._require_int, "node_count", graph.node_count, 2)
     _naming(args.graph, graphs._require_connected, graph)
     started = time.perf_counter()
     if args.jl_eps is not None:

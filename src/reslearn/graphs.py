@@ -289,20 +289,6 @@ def _index_pairs(columns, n, name):
     return s, t
 
 
-def _node_pairs(pairs, n, name):
-    """Endpoint arrays ``(s, t)`` of the (k, 2) node pairs ``pairs``,
-    checked by :func:`_index_pairs`: an array gives its two columns without
-    a copy, any other iterable of ``(s, t)`` pairs is transposed so each
-    endpoint keeps its own type.  No pairs gives empty arrays."""
-    if isinstance(pairs, np.ndarray):
-        return _index_pairs(pairs.T if pairs.size else ((), ()), n, name)
-    try:
-        columns = list(zip(*pairs, strict=True)) or [(), ()]
-    except (TypeError, ValueError):  # not pairs, or of unequal lengths
-        columns = ()
-    return _index_pairs(columns, n, name)
-
-
 def _edge_arrays(edges):
     """Lists ``(s, t, w)`` split from the ``(s, t, w)`` triples ``edges``,
     each weight a real scalar; raises ``ValueError`` otherwise.  The
@@ -317,14 +303,16 @@ def _edge_arrays(edges):
     return s, t, w
 
 
-def effective_resistance(g, pairs):
-    """Effective resistance ``e_{s,t}^T L^+ e_{s,t}`` for each node pair.
+def effective_resistance(g, sources, targets):
+    """Effective resistance ``e_{s,t}^T L^+ e_{s,t}`` of each node pair
+    ``(sources[i], targets[i])``.
 
-    ``pairs`` are k node pairs as :func:`_node_pairs` takes them, an int
-    array as it is.  The columns ``e_s - e_t`` are solved through
+    The endpoints are checked by :func:`_index_pairs`, int arrays taken as
+    they are.  The columns ``e_s - e_t`` are solved through
     :func:`reslearn.spectral.solve_laplacian`, at most ``_RESISTANCE_BLOCK``
     pairs per call, so every block shares the graph's one grounded factor
-    of L and memory stays O(N * block).  Returns a float64 array of k.
+    of L and memory stays O(N * block).  Returns a float64 array, one
+    resistance per pair.
 
     Raises
     ------
@@ -333,12 +321,13 @@ def effective_resistance(g, pairs):
     SolverError
         If the Laplacian solve fails (see ``solve_laplacian``).
     ValueError
-        If ``pairs`` breaks the node-index contract of :func:`_index_pairs`.
+        If the endpoints break the node-index contract of
+        :func:`_index_pairs` (naming ``pairs``).
     """
     from .spectral import solve_laplacian
 
     n = g.node_count
-    src, dst = _node_pairs(pairs, n, "pairs")
+    src, dst = _index_pairs((sources, targets), n, "pairs")
     out = np.empty(src.size)
     for start in range(0, src.size, _RESISTANCE_BLOCK):
         s, t = (v[start:start + _RESISTANCE_BLOCK] for v in (src, dst))

@@ -258,26 +258,29 @@ def edge_scale(g, X, Y):
     triangular solve per column against the graph's cached factor); the
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
-    It is computed on ``X * 2**-e`` and ``Y * 2**-f`` in unit scale and
-    scales the weights by ``2**(f - e)`` more, into the caller's units.
+    Each column of ``X`` and ``Y``, and each solved column, is taken in unit
+    scale (:func:`~reslearn.graphs._unit_scale`) with its power of two kept
+    apart, so no norm, ratio or square overflows, whatever the units of the
+    data or of ``g``'s weights; the weights are scaled into X's units once.
 
     Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
     shape, one row per node of ``g``, whose columns are all nonzero, with
-    every current column orthogonal to the all-ones vector; a norm ratio
-    that is not finite and > 0, solved voltages that overflow, or a weight
-    that is not a normal float raise it too (badly scaled measurements).
-    A failed solve raises :class:`~reslearn.spectral.SolverError`.
+    every current column orthogonal to the all-ones vector; solved voltages
+    that overflow, or a weight that is not a normal float, raise it too
+    (badly scaled measurements).  A failed solve raises
+    :class:`~reslearn.spectral.SolverError`.
     """
-    X, e = _unit_scale(_as_voltages(X, g.node_count))
-    Y, f = _unit_scale(_as_currents(Y, X))
-    norms = np.linalg.norm(X, axis=0)
-    ratios = np.array([np.linalg.norm(solve_laplacian(g, y)) / norm
-                       for y, norm in zip(Y.T, norms)]) ** 2
-    if not np.all((ratios > 0) & (ratios < np.inf)):
-        raise ValueError("badly scaled measurements: a solved-to-measured "
-                         "voltage norm ratio is not finite and positive; "
-                         "rescale X")
-    return _in_units(g.scaled(float(np.sqrt(ratios.mean()))), f - e)
+    X = _as_voltages(X, g.node_count)
+    Y, f = _unit_scale(_as_currents(Y, X), axis=0)
+    X, e = _unit_scale(X, axis=0)
+    solved = [_unit_scale(solve_laplacian(g, y)) for y in Y.T]
+    ratios = (np.array([np.linalg.norm(x) for x, _ in solved])
+              / np.linalg.norm(X, axis=0))
+    # ratio j in X's units is ratios[j] * 2**shift[j]
+    shift = np.array([k for _, k in solved]) + f - e
+    top = shift.max()
+    factor = np.sqrt(np.ldexp(ratios ** 2, 2 * (shift - top)).mean())
+    return _in_units(g.scaled(float(factor)), top)
 
 
 def learn(X, Y=None):
@@ -299,20 +302,21 @@ def learn(X, Y=None):
     (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
     are checked as in :func:`edge_scale`.
 
-    The seed, the loop and the edge scaling run on ``X * 2**-e`` and ``Y *
-    2**-f`` in unit scale (:func:`~reslearn.graphs._unit_scale`), so data in
-    any units give the same edges and ``s_max`` history.  The weights come
-    back times ``4**-e`` without ``Y``, ``2**(f - e)`` with it, and are
-    refused as badly scaled measurements unless normal floats.
+    The seed and the loop run on ``X * 2**-e`` in unit scale
+    (:func:`~reslearn.graphs._unit_scale`), so data in any units give the
+    same edges and ``s_max`` history.  The weights come back in X's units:
+    times ``4**-e`` without ``Y``; with it, :func:`edge_scale` on the
+    caller's ``X`` and ``Y`` scales them there.  Either way they are refused
+    as badly scaled measurements unless normal floats.
     """
-    X, e = _unit_scale(_as_voltages(X))
-    n = X.shape[0]
+    X_unit, e = _unit_scale(_as_voltages(X))
+    n = X_unit.shape[0]
     if Y is not None:
-        Y, f = _unit_scale(_as_currents(Y, X))
+        _as_currents(Y, X_unit)  # refuse bad currents before the loop
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it.
-    g_o, graph = init_graph(X, KNN_COUNT)
+    g_o, graph = init_graph(X_unit, KNN_COUNT)
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)
@@ -350,4 +354,4 @@ def learn(X, Y=None):
     trace.status = status
     if Y is None:
         return _in_units(graph, -2 * e), trace
-    return _in_units(edge_scale(graph, X, Y), f - e), trace
+    return edge_scale(graph, X, Y), trace

@@ -55,20 +55,20 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     Pairs are sampled without replacement; below
     :data:`EXHAUSTIVE_PAIR_LIMIT` total pairs the enumeration is exhaustive.
     Returns ``(pairs, r_true, r_learned, pearson_r)``, the pairs an int64
-    (k, 2) array and the resistances float64 arrays.  A correlation needs
-    at least 2 pairs, so a ``pair_count`` that is not an integer >= 2 raises
-    ``ValueError``, as do a graph with fewer than 2 pairs and a bad ``seed``.
+    (k, 2) array, whose columns go to :func:`effective_resistance` as its
+    endpoints, and the resistances float64 arrays.  A correlation needs at
+    least 2 pairs, so a ``pair_count`` that is not an integer >= 2 raises
+    ``ValueError``, as do a graph with fewer than 2 pairs (one or two
+    nodes) and a bad ``seed``.
     """
     if g_true.node_count != g_learned.node_count:
         raise ValueError("graphs must share the node set")
     n = g_true.node_count
-    if n < 2:
-        raise ValueError("need at least 2 nodes")
     _require_int("pair_count", pair_count, 2)
     pairs = _sample_pairs(n, pair_count, seed)
     if len(pairs) < 2:
         raise ValueError(f"a {n}-node graph has only {len(pairs)} pair")
-    r_true = effective_resistance(g_true, pairs)
-    r_learned = effective_resistance(g_learned, pairs)
+    r_true = effective_resistance(g_true, *pairs.T)
+    r_learned = effective_resistance(g_learned, *pairs.T)
     return pairs, r_true, r_learned, pearson(r_true, r_learned)
 

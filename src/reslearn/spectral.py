@@ -82,9 +82,7 @@ def _project_out_ones(vecs):
 
 def _dense_smallest(g, count):
     vals, vecs = np.linalg.eigh(g.laplacian.toarray())
-    lam = vals[1:count + 1]
-    u = _fix_signs(_project_out_ones(vecs[:, 1:count + 1]))
-    return lam, u
+    return vals[1:count + 1], vecs[:, 1:count + 1]
 
 
 def _arpack_smallest(g, count):
@@ -119,9 +117,7 @@ def _arpack_smallest(g, count):
             best_residual=best) from exc
     lam = 1.0 / mu
     order = np.argsort(lam)
-    lam = np.maximum(lam[order], 0.0)
-    u = _fix_signs(_project_out_ones(u[:, order]))
-    return lam, u
+    return np.maximum(lam[order], 0.0), u[:, order]
 
 
 def _eig_residuals(g, lam, u):
@@ -141,6 +137,8 @@ def eigensolve_smallest(g, count):
     restarts.  Lanczos stops at tolerance ``max(0.1 * EIG_TOL / (2 * max
     weighted degree), machine epsilon)``: ARPACK's test on ``L^+`` then
     bounds ``||L u - lambda u||`` by ``||L|| * tol <= 0.1 * EIG_TOL``.
+    Either backend's vectors are then centered, normalized and signed (the
+    largest-magnitude entry positive) in one step.
 
     Residuals ``||L u - lambda u||`` are verified against
     ``EIG_TOL * max(1, lambda)`` per pair, with :data:`EIG_TOL` = 1e-8;
@@ -159,6 +157,7 @@ def eigensolve_smallest(g, count):
         lam, u = _dense_smallest(g, count)
     else:
         lam, u = _arpack_smallest(g, count)
+    u = _fix_signs(_project_out_ones(u))
     res = _eig_residuals(g, lam, u)
     limit = EIG_TOL * np.maximum(1.0, lam)
     if np.any(res > limit):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from reslearn import io, learner, measurements, metrics, spectral
-from reslearn.cli import _build_parser, main
+from reslearn.cli import _build_parser, _naming, main
 from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
 
@@ -141,6 +141,17 @@ class TestGenerate:
                      "--out", str(tmp_path / "o")]) == 3
         assert (f"error: {path}: graph is disconnected (2 components)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("count", [["--m", "2"], ["--jl-eps", "0.9"]],
+                             ids=["m", "jl-eps"])
+    def test_one_node_graph_names_the_file(self, tmp_path, capsys, count):
+        path = tmp_path / "one.mtx"
+        write_graph_mtx(path, WeightedGraph(1, [], [], []))
+        out = tmp_path / "o"
+        assert main(["generate", str(path), *count, "--out", str(out)]) == 3
+        assert (f"error: {path}: node_count must be >= 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestLearn:
@@ -480,6 +491,18 @@ def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flag,
     assert main([command, *files, flag, value,
                  "--out", str(tmp_path / "o")]) == 3
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_naming_passes_other_value_errors_unchanged():
+    # a refusal that is not about the flag's parameter is not the flag's
+    refusal = ValueError("seed must be >= 0")
+
+    def check():
+        raise refusal
+
+    with pytest.raises(ValueError) as err:
+        _naming("--m", check, about="count ")
+    assert err.value is refusal
 
 
 def test_readme_protocol_names_every_learner_constant():

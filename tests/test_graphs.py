@@ -344,7 +344,7 @@ class TestOneLaplacianPerGraph:
         b[[0, 35]] = 1.0, -1.0
         assert is_connected(g)
         solve_laplacian(g, b)
-        effective_resistance(g, [(0, 5), (3, 30)])
+        effective_resistance(g, [0, 3], [5, 30])
         eigensolve_smallest(g, 3)
         assert len(calls) == 1
 
@@ -450,48 +450,48 @@ class TestQuadraticForm:
 class TestEffectiveResistance:
     def test_series_path(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert effective_resistance(g, [(0, 2)])[0] == pytest.approx(2.0)
+        assert effective_resistance(g, [0], [2])[0] == pytest.approx(2.0)
 
     def test_single_edge_inverse_weight(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
-        assert effective_resistance(g, [(0, 1)])[0] == pytest.approx(0.5)
+        assert effective_resistance(g, [0], [1])[0] == pytest.approx(0.5)
 
     def test_triangle_parallel(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
-        for pair in [(0, 1), (1, 2), (0, 2)]:
-            assert effective_resistance(g, [pair])[0] == pytest.approx(2 / 3)
+        for s, t in [(0, 1), (1, 2), (0, 2)]:
+            assert effective_resistance(g, [s], [t])[0] == pytest.approx(2 / 3)
 
     def test_disconnected_raises(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
-            effective_resistance(g, [(0, 2)])
+            effective_resistance(g, [0], [2])
 
     def test_same_node_raises(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
-            effective_resistance(g, [(1, 1)])
+            effective_resistance(g, [1], [1])
 
-    @pytest.mark.parametrize("pairs, match", [
-        ([(0.7, 1)], "pairs of integer node indices"),
-        ([(True, 2)], "pairs of integer node indices"),
-        ([(0, 1, 2)], "pairs of integer node indices"),
-        ([(0, 3)], "out of range"),
-        ([(-1, 1)], "out of range"),
-        ([(0, 1), (2, 2)], "joins a node to itself"),
-        (np.array([[True, False]]), "pairs of integer node indices"),
-    ])
-    def test_rejects_bad_pairs(self, pairs, match):
+    @pytest.mark.parametrize("sources, targets, match", [
+        ([0.7], [1], "pairs of integer node indices"),
+        ([True], [2], "pairs of integer node indices"),
+        ([0, 1], [1], "pairs of integer node indices"),
+        ([0], [3], "out of range"),
+        ([-1], [1], "out of range"),
+        ([0, 2], [1, 2], "joins a node to itself"),
+        (np.array([True]), np.array([False]), "pairs of integer node indices"),
+    ], ids=["float", "bool", "unequal-lengths", "out-of-range", "negative",
+            "self-pair", "bool-array"])
+    def test_rejects_bad_pairs(self, sources, targets, match):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match=match):
-            effective_resistance(g, pairs)
+            effective_resistance(g, sources, targets)
 
     @pytest.mark.parametrize("name", ["pairs", "edge endpoints"])
     def test_rejects_ragged_pairs_naming_the_argument(self, name):
         # a ragged list must not reach numpy's "inhomogeneous shape" error
         g = grid_graph(3, 3)
-        ragged = [(0, 1), (2,)]
         calls = {
-            "pairs": lambda: effective_resistance(g, ragged),
+            "pairs": lambda: effective_resistance(g, [0, 2], [1, (0, 1)]),
             "edge endpoints": lambda: WeightedGraph.from_edges(
                 3, [(0, (1, 2), 1.0)]),
         }
@@ -502,8 +502,8 @@ class TestEffectiveResistance:
     def test_accepts_integer_arrays(self):
         g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
         pairs = np.array([[0, 2], [2, 1]], dtype=np.int32)
-        assert effective_resistance(g, pairs) == pytest.approx([2.0, 1.0])
-        none = effective_resistance(g, [])
+        assert effective_resistance(g, *pairs.T) == pytest.approx([2.0, 1.0])
+        none = effective_resistance(g, [], [])
         assert none.dtype == np.float64 and none.shape == (0,)
 
     def test_metric_properties(self):
@@ -513,7 +513,7 @@ class TestEffectiveResistance:
             nodes = rng.choice(18, size=3, replace=False)
             a, b, c = (int(v) for v in nodes)
             rab, rba, rbc, rac = effective_resistance(
-                g, [(a, b), (b, a), (b, c), (a, c)])
+                g, [a, b, b, a], [b, a, c, c])
             assert rab == pytest.approx(rba, rel=1e-10)
             assert rab > 0
             assert rac <= rab + rbc + 1e-10
@@ -527,24 +527,26 @@ class TestEffectiveResistance:
                 s, t = (int(v) for v in rng.integers(0, 14, 2))
                 if s != t and (min(s, t), max(s, t)) not in existing:
                     break
-            pairs = [(i, j) for i in range(14) for j in range(i + 1, 14)]
-            before = effective_resistance(g, pairs)
+            pairs = np.triu_indices(14, 1)
+            before = effective_resistance(g, *pairs)
             after = effective_resistance(
-                g.with_edges([(s, t, 1.0)]), pairs)
+                g.with_edges([(s, t, 1.0)]), *pairs)
             assert np.all(np.asarray(after) <= np.asarray(before) + 1e-10)
 
     def test_matches_dense_oracle(self):
         g = random_connected_graph(25, 40, seed=8)
         pairs = [(0, 1), (3, 17), (5, 24), (10, 11)]
-        np.testing.assert_allclose(effective_resistance(g, pairs),
-                                   dense_resistance(g, pairs), rtol=1e-9)
+        np.testing.assert_allclose(
+            effective_resistance(g, *_endpoint_columns(pairs)),
+            dense_resistance(g, pairs), rtol=1e-9)
 
     def test_more_pairs_than_one_block(self):
         g = random_connected_graph(40, 60, seed=12)
         pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
         assert len(pairs) > graphs._RESISTANCE_BLOCK
-        np.testing.assert_allclose(effective_resistance(g, pairs),
-                                   dense_resistance(g, pairs), rtol=1e-9)
+        np.testing.assert_allclose(
+            effective_resistance(g, *_endpoint_columns(pairs)),
+            dense_resistance(g, pairs), rtol=1e-9)
 
 
 def _endpoint_columns(pairs):
@@ -552,8 +554,7 @@ def _endpoint_columns(pairs):
     two lists whose elements keep their types."""
     if isinstance(pairs, np.ndarray):
         return pairs[:, 0], pairs[:, 1]
-    s, t = zip(*pairs)
-    return list(s), list(t)
+    return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 class TestNodeIndexContract:
@@ -571,7 +572,7 @@ class TestNodeIndexContract:
             3, 3).with_edges([(s, t, 1.0)
                               for s, t in zip(*_endpoint_columns(p))])),
         "effective_resistance": ("pairs", lambda p: effective_resistance(
-            grid_graph(3, 3), p)),
+            grid_graph(3, 3), *_endpoint_columns(p))),
     }
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -598,9 +599,10 @@ class TestNodeIndexContract:
     def test_array_and_tuple_pairs_agree(self, pairs, dtype):
         g = grid_graph(3, 3)
         as_array = np.array(pairs, dtype=dtype).reshape(-1, 2)
-        r = effective_resistance(g, pairs)
+        r = effective_resistance(g, *_endpoint_columns(pairs))
         assert r.dtype == np.float64 and r.shape == (len(pairs),)
-        np.testing.assert_array_equal(effective_resistance(g, as_array), r)
+        np.testing.assert_array_equal(
+            effective_resistance(g, *_endpoint_columns(as_array)), r)
 
 
 _GRID = grid_graph(6, 6)

@@ -173,6 +173,14 @@ class TestMatrixFormats:
         back = read_matrix_binary(path)
         assert np.array_equal(back, A)
 
+    @pytest.mark.parametrize("write", [write_matrix_binary, write_matrix_csv],
+                             ids=["binary", "csv"])
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)], ids=["1-D", "3-D"])
+    def test_write_refuses_other_than_2d(self, tmp_path, write, shape):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix$"):
+            write(tmp_path / "a", np.ones(shape))
+        assert list(tmp_path.iterdir()) == []
+
     def test_binary_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

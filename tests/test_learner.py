@@ -517,6 +517,15 @@ class TestEdgeScale:
         restored = edge_scale(g.scaled(c), ms.X, ms.Y)
         np.testing.assert_allclose(restored.weights, g.weights, rtol=1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", [1e-290, 1e-200, 1e200])
+    def test_restores_weights_in_any_units(self, s):
+        # the solved voltages' norms overflowed at 1e-290 and 1e-200, and
+        # underflowed to 0 at 1e200
+        ms = generate_measurement_set(grid_graph(6, 6), 4, 0)
+        restored = edge_scale(grid_graph(6, 6).scaled(s), ms.X, ms.Y)
+        np.testing.assert_allclose(restored.weights, 1.0, rtol=1e-12)
+
     def test_zero_voltage_column_rejected(self):
         g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
         X = np.zeros((2, 1))

@@ -133,6 +133,13 @@ class TestEigensolve:
         assert err.value.best_residual is None or \
             err.value.best_residual >= 0.0
 
+    def test_restart_cap_reports_the_best_residual(self, monkeypatch):
+        monkeypatch.setattr(spectral, "EIG_MAX_RESTARTS", 1)
+        with pytest.raises(spectral.EigensolverError,
+                           match="within 1 restarts$") as err:
+            eigensolve_smallest(grid_graph(20, 20), 60)
+        assert 0.0 <= err.value.best_residual < spectral.EIG_TOL
+
     def test_disconnected_rejected(self):
         g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError):
@@ -324,6 +331,16 @@ class TestSolveLaplacian:
         lu = learn(ms.X, ms.Y)[0]._factor
         np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
 
+    def test_residual_above_tolerance_raises_solver_error(self):
+        # weights spread over about 1e16: the factor exists, but its solve
+        # misses the residual check
+        g = grid_graph(6, 6)
+        w = np.random.default_rng(26).lognormal(0, 6, g.edge_count)
+        g = WeightedGraph(36, g.sources, g.targets, w)
+        with pytest.raises(SolverError, match=r"^relative residual \S+ above "
+                                              "tolerance 1e-10$"):
+            simulate_voltages(g, generate_currents(36, 3, 0))
+
     def test_unresolvable_weight_range_raises_solver_error(self):
         # 1e-20 + 1e20 rounds to 1e20, so the grounded factor is singular;
         # every solve-backed entry point must say so instead of leaking a
@@ -333,7 +350,7 @@ class TestSolveLaplacian:
         with pytest.raises(SolverError):
             solve_laplacian(g, b)
         with pytest.raises(SolverError):
-            effective_resistance(g, [(0, 2)])
+            effective_resistance(g, [0], [2])
         with pytest.raises(SolverError):
             simulate_voltages(g, b[:, None])
 
