@@ -23,8 +23,8 @@ def random_connected_graph(n, extra, seed):
         a, b = (int(v) for v in rng.integers(0, n, 2))
         if a != b and (min(a, b), max(a, b)) not in edges:
             edges[(min(a, b), max(a, b))] = rng.uniform(0.5, 2.0)
-    return WeightedGraph.from_edges(
-        n, [(s, t, w) for (s, t), w in edges.items()])
+    return WeightedGraph(n, [s for s, _ in edges], [t for _, t in edges],
+                         list(edges.values()))
 
 
 def main():

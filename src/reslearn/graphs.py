@@ -84,37 +84,15 @@ class WeightedGraph:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
-    @classmethod
-    def from_edges(cls, node_count, edges):
-        """Build a graph from an iterable of ``(s, t, w)`` triples.
-
-        Endpoints may appear in either order; they are canonicalized to
-        ``s < t``.  A duplicate ``(s, t)`` pair replaces the earlier weight
-        (last one wins), so re-inserting an edge updates it in place.  Only
-        the constructor checks the endpoints.
-
-        Raises
-        ------
-        ValueError
-            If an edge is not an ``(s, t, w)`` triple with a scalar weight,
-            or the constructor refuses the split edges.
-        """
-        return cls(node_count, *_edge_arrays(edges))
-
     @property
     def edge_count(self):
         return self.sources.shape[0]
 
-    def edge_list(self):
-        """Edges as a list of ``(s, t, w)`` tuples in canonical order."""
-        return list(zip(self.sources.tolist(), self.targets.tolist(),
-                        self.weights.tolist()))
-
-    def with_edges(self, edges):
-        """Return a new graph with ``edges`` inserted (duplicates replace):
-        the union of this graph and ``from_edges(node_count, edges)``, which
-        checks the ``(s, t, w)`` triples and raises as it does."""
-        new = WeightedGraph.from_edges(self.node_count, edges)
+    def with_edges(self, sources, targets, weights):
+        """Return a new graph with the edges ``(sources[i], targets[i])`` of
+        weight ``weights[i]`` inserted, checked by the constructor as given;
+        an edge given again, here or in this graph, keeps its last weight."""
+        new = WeightedGraph(self.node_count, sources, targets, weights)
         if not new.edge_count:
             return self
         return self._pass_connected(WeightedGraph(
@@ -287,20 +265,6 @@ def _index_pairs(columns, n, name):
     if np.any(s == t):
         raise ValueError(f"{name}: a pair joins a node to itself")
     return s, t
-
-
-def _edge_arrays(edges):
-    """Lists ``(s, t, w)`` split from the ``(s, t, w)`` triples ``edges``,
-    each weight a real scalar; raises ``ValueError`` otherwise.  The
-    endpoints are left to the constructor to check."""
-    edges = list(edges)
-    if not all(len(e) == 3 for e in edges):
-        raise ValueError("edges must be (s, t, w) triples")
-    s, t, w = ([e[i] for e in edges] for i in range(3))
-    if not all(isinstance(v, (int, float, np.integer, np.floating))
-               for v in w):
-        raise ValueError("edge weights must be real numbers")
-    return s, t, w
 
 
 def effective_resistance(g, sources, targets):

@@ -341,8 +341,8 @@ def learn(X, Y=None):
         if not converged:
             take = idx[top[sens[top] > 0]]
             in_graph[take] = True
-            graph = graph.with_edges(zip(pool_s[take], pool_t[take],
-                                         pool_w[take]))
+            graph = graph.with_edges(pool_s[take], pool_t[take],
+                                     pool_w[take])
 
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,

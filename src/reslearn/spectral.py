@@ -92,7 +92,9 @@ def _arpack_smallest(g, count):
     # x -> L^+ x: the constant vector maps to 0 and the range onto itself, so
     # the largest eigenvalues mu of this operator are 1 / lambda, unshifted.
     def matvec(x):
-        return _grounded_solve(lu, x - x.sum() / n)
+        x = _grounded_solve(lu, x - x.sum() / n)
+        x -= x.sum() / n  # sum / n, not mean(): this runs once per step
+        return x
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
     v0 = np.random.default_rng(0x5EED).standard_normal(n)
@@ -207,13 +209,12 @@ def _grounded_factor(L):
 
 
 def _grounded_solve(lu, b):
-    """``L^+ b`` for ``b`` in range(L), an (N,) vector or (N, M) block: solve
-    with node 0 grounded, then re-center every column to mean 0."""
+    """Solve ``L x = b`` for ``b`` in range(L), an (N,) vector or (N, M)
+    block, with node 0 grounded (``x[0] = 0``); centering each column of
+    ``x`` to mean 0 gives ``L^+ b``."""
     x = np.empty(b.shape)
     x[0] = 0.0
     x[1:] = lu.solve(b[1:])
-    # sum / N rather than mean(): this runs once per Lanczos step.
-    x -= x.sum(axis=0) / x.shape[0]
     return x
 
 
@@ -233,8 +234,10 @@ def solve_laplacian(g, b):
     The range check, the solve and the residual check run on ``b`` with
     each column in unit scale (:func:`~reslearn.graphs._unit_scale`): all
     columns in one call against the graph's cached grounded factor (see
-    :func:`_grounded_factor`), each to relative residual :data:`SOLVE_TOL`.
-    Scaled back once, ``b * 2**k`` solves to the same bits times ``2**k``.
+    :func:`_grounded_factor`), each to relative residual :data:`SOLVE_TOL`;
+    each solved column is centered in its own unit scale, so its sum cannot
+    overflow.  Scaled back once, ``b * 2**k`` solves to the same bits times
+    ``2**k``.
 
     Raises
     ------
@@ -255,7 +258,10 @@ def solve_laplacian(g, b):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
     b = b - b.mean(axis=0)
-    x = _grounded_solve(g._factor, b)
+    # Centered in unit scale: entries near the float maximum are finite
+    # where their sum is not.
+    x, f = _unit_scale(_grounded_solve(g._factor, b), axis=0)
+    x = np.ldexp(x - x.sum(axis=0) / x.shape[0], f)
     rel = (np.linalg.norm(g.laplacian @ x - b, axis=0)
            / np.maximum(bnorm, np.finfo(float).tiny))
     if not np.all(rel <= SOLVE_TOL):

@@ -26,13 +26,19 @@ def random_connected_graph(n, extra_edges, seed, w_range=(0.5, 2.0)):
         a, b = (int(v) for v in rng.integers(0, n, 2))
         if a != b and (min(a, b), max(a, b)) not in edges:
             edges[(min(a, b), max(a, b))] = rng.uniform(*w_range)
-    return WeightedGraph.from_edges(
-        n, [(s, t, w) for (s, t), w in sorted(edges.items())])
+    pairs = sorted(edges)
+    return WeightedGraph(n, [s for s, _ in pairs], [t for _, t in pairs],
+                         [edges[p] for p in pairs])
+
+
+def edge_columns(g):
+    """The edges of ``g`` as lists ``(sources, targets, weights)``."""
+    return g.sources.tolist(), g.targets.tolist(), g.weights.tolist()
 
 
 def dense_laplacian(g):
     L = np.zeros((g.node_count, g.node_count))
-    for s, t, w in g.edge_list():
+    for s, t, w in zip(*edge_columns(g)):
         L[s, s] += w
         L[t, t] += w
         L[s, t] -= w
@@ -61,7 +67,7 @@ def brute_force_mst_weight(g):
     """Maximum total spanning-tree weight by enumerating all edge subsets
     of size N - 1.  Exponential; only for tiny graphs."""
     n = g.node_count
-    edges = g.edge_list()
+    edges = list(zip(*edge_columns(g)))
     best = -np.inf
     for subset in itertools.combinations(edges, n - 1):
         parent = list(range(n))
@@ -99,7 +105,8 @@ def reference_maximum_spanning_tree(g):
         return a
 
     kept = []
-    for s, t, w in sorted(g.edge_list(), key=lambda e: (-e[2], e[0], e[1])):
+    for s, t, w in sorted(zip(*edge_columns(g)),
+                          key=lambda e: (-e[2], e[0], e[1])):
         ra, rb = find(s), find(t)
         if ra != rb:
             parent[ra] = rb

@@ -87,7 +87,7 @@ def test_c2_gradient_fidelity():
         h = 1e-6
         e = np.zeros(n)
         e[s], e[t] = 1.0, -1.0
-        plus = rl.objective_value(g.with_edges([(s, t, h)]), X, n - 1)
+        plus = rl.objective_value(g.with_edges([s], [t], [h]), X, n - 1)
         # negative-side evaluation of the same truncated objective (the
         # graph type cannot carry a negative weight)
         L_minus = dense_laplacian(g) - h * np.outer(e, e)

@@ -1,6 +1,11 @@
-"""The public API: every exported name exists, README names it, and the
-README's library quickstart runs."""
+"""The public API: every exported name exists, README names it, every
+name README gives the code exists, and the README's library quickstart
+runs."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -27,6 +32,28 @@ def test_readme_names_every_exported_name():
     unnamed = [name for name in reslearn.__all__
                if not re.search(rf"\b{name}\b", text)]
     assert unnamed == []
+
+
+def test_readme_names_only_what_the_code_has():
+    # A lowercase backticked identifier with an underscore, `name` or
+    # `name(...)`, is a module attribute, an attribute or field of an
+    # exported class, or a parameter of an exported function; a README
+    # that still names deleted API fails here.
+    text = README.read_text(encoding="utf-8")
+    named = {name for name in re.findall(r"`([a-z_][a-z0-9_]*)[`(]", text)
+             if "_" in name}
+    modules = [reslearn] + [importlib.import_module(f"reslearn.{m.name}")
+                            for m in pkgutil.iter_modules(reslearn.__path__)]
+    exported = [getattr(reslearn, name) for name in reslearn.__all__]
+    known = set().union(*map(dir, modules))
+    for obj in exported:
+        if isinstance(obj, type):
+            known |= set(dir(obj))
+            if dataclasses.is_dataclass(obj):
+                known |= {f.name for f in dataclasses.fields(obj)}
+        elif inspect.isfunction(obj):
+            known |= set(inspect.signature(obj).parameters)
+    assert sorted(named - known) == []
 
 
 def test_readme_quickstart_runs():

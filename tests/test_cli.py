@@ -20,7 +20,7 @@ from _oracles import FullDisk
 @pytest.fixture
 def two_node_mtx(tmp_path):
     path = tmp_path / "truth.mtx"
-    write_graph_mtx(path, WeightedGraph.from_edges(2, [(0, 1, 1.0)]))
+    write_graph_mtx(path, WeightedGraph(2, [0], [1], [1.0]))
     return path
 
 
@@ -71,11 +71,11 @@ class TestGenerate:
     def test_jl_mode_column_count(self, tmp_path):
         path = tmp_path / "g.mtx"
         rng = np.random.default_rng(0)
-        edges = [(i, i + 1, 1.0) for i in range(19)]
-        edges += [(int(a), int(b), 1.0)
-                  for a, b in rng.integers(0, 20, (30, 2))
-                  if a != b and abs(a - b) > 1]
-        write_graph_mtx(path, WeightedGraph.from_edges(20, edges))
+        pairs = rng.integers(0, 20, (30, 2))
+        pairs = pairs[np.abs(pairs[:, 0] - pairs[:, 1]) > 1]
+        s = np.concatenate([np.arange(19), pairs[:, 0]])
+        t = np.concatenate([np.arange(1, 20), pairs[:, 1]])
+        write_graph_mtx(path, WeightedGraph(20, s, t, np.ones(s.size)))
         out = tmp_path / "out"
         assert main(["generate", str(path), "--jl-eps", "0.9",
                      "--out", str(out)]) == 0
@@ -135,8 +135,7 @@ class TestGenerate:
 
     def test_disconnected_graph_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "disc.mtx"
-        write_graph_mtx(path, WeightedGraph.from_edges(
-            4, [(0, 1, 1.0), (2, 3, 1.0)]))
+        write_graph_mtx(path, WeightedGraph(4, [0, 2], [1, 3], [1.0, 1.0]))
         assert main(["generate", str(path), "--m", "2",
                      "--out", str(tmp_path / "o")]) == 3
         assert (f"error: {path}: graph is disconnected (2 components)"
@@ -352,8 +351,8 @@ class TestEval:
         # two 3-node paths, in either position
         paths = [tmp_path / "t.mtx", tmp_path / "d.mtx"]
         write_graph_mtx(paths[0], grid_graph(2, 3))
-        write_graph_mtx(paths[1], WeightedGraph.from_edges(
-            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)]))
+        write_graph_mtx(paths[1], WeightedGraph(6, [0, 1, 3, 4], [1, 2, 4, 5],
+                                                [1.0] * 4))
         if position == 0:
             paths.reverse()
         assert main(["eval", *map(str, paths),
@@ -389,7 +388,7 @@ class TestEval:
     def grid_pair(self, tmp_path):
         # 144 nodes: above the dense limit, so both graphs take Lanczos.
         truth = grid_graph(12, 12)
-        learned = truth.with_edges([(0, 13, 1.0), (20, 45, 0.5)])
+        learned = truth.with_edges([0, 20], [13, 45], [1.0, 0.5])
         paths = tmp_path / "truth.mtx", tmp_path / "learned.mtx"
         for path, g in zip(paths, (truth, learned)):
             write_graph_mtx(path, g)

@@ -40,6 +40,7 @@ from _oracles import (
     brute_force_mst_weight,
     dense_laplacian,
     dense_resistance,
+    edge_columns,
     random_connected_graph,
     reference_maximum_spanning_tree,
 )
@@ -63,79 +64,78 @@ def tied_graphs(draw):
             if a != b:
                 pairs.add((min(a, b), max(a, b)))
     weight = st.sampled_from([1.0, 2.0])
-    return WeightedGraph.from_edges(
-        n, [(s, t, draw(weight)) for s, t in sorted(pairs)])
+    pairs = sorted(pairs)
+    return WeightedGraph(n, [s for s, _ in pairs], [t for _, t in pairs],
+                         [draw(weight) for _ in pairs])
 
 
 class TestWeightedGraph:
     def test_canonical_orientation(self):
-        g = WeightedGraph.from_edges(3, [(2, 0, 1.5), (1, 0, 2.0)])
-        assert g.edge_list() == [(0, 1, 2.0), (0, 2, 1.5)]
+        g = WeightedGraph(3, [2, 1], [0, 0], [1.5, 2.0])
+        assert edge_columns(g) == ([0, 0], [1, 2], [2.0, 1.5])
 
     def test_duplicate_replaces_last_wins(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 0, 3.0)])
-        assert g.edge_list() == [(0, 1, 3.0)]
+        g = WeightedGraph(3, [0, 1], [1, 0], [1.0, 3.0])
+        assert edge_columns(g) == ([0], [1], [3.0])
 
     def test_with_edges_replaces(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)])
-        g2 = g.with_edges([(0, 1, 5.0), (0, 2, 1.0)])
-        assert g2.edge_list() == [(0, 1, 5.0), (0, 2, 1.0), (1, 2, 2.0)]
+        # (0, 1) is in g; (0, 2) is given twice, the last time reversed
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 2.0])
+        g2 = g.with_edges([0, 0, 2], [1, 2, 0], [5.0, 1.0, 3.0])
+        assert edge_columns(g2) == ([0, 0, 1], [1, 2, 2], [5.0, 3.0, 2.0])
         # original untouched
-        assert g.edge_list() == [(0, 1, 1.0), (1, 2, 2.0)]
+        assert edge_columns(g) == ([0, 1], [1, 2], [1.0, 2.0])
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            WeightedGraph.from_edges(2, [(1, 1, 1.0)])
+            WeightedGraph(2, [1], [1], [1.0])
 
     def test_rejects_bad_weight(self):
         with pytest.raises(ValueError):
-            WeightedGraph.from_edges(2, [(0, 1, 0.0)])
+            WeightedGraph(2, [0], [1], [0.0])
         with pytest.raises(ValueError):
-            WeightedGraph.from_edges(2, [(0, 1, -2.0)])
+            WeightedGraph(2, [0], [1], [-2.0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            WeightedGraph.from_edges(2, [(0, 2, 1.0)])
+            WeightedGraph(2, [0], [2], [1.0])
 
-    @pytest.mark.parametrize("edges, match", [
-        ([(0.7, 1, 1.0)], "integer node indices"),
-        ([(True, 2, 1.0)], "integer node indices"),
-        ([(0, 1, "2")], "weights must be real numbers"),
-        ([(0, 1, 1.0), (1, 2, True)], "weights must be real numbers"),
-        ([(0, 1, [1.0])], "weights must be real numbers"),
-        ([(0, 1)], r"\(s, t, w\) triples"),
-    ], ids=["fractional-endpoint", "boolean-endpoint", "string-weight",
-            "boolean-weight", "sequence-weight", "pair"])
-    def test_rejects_malformed_edges(self, edges, match):
-        with pytest.raises(ValueError, match=match):
-            WeightedGraph.from_edges(3, edges)
-
-    def test_with_edges_rejects_fractional_endpoint(self):
-        with pytest.raises(ValueError, match="integer node indices"):
-            grid_graph(2, 2).with_edges([(0.9, 3, 1.0)])
+    @pytest.mark.parametrize("s, t, w, match", [
+        ([0.9], [3], [1.0], "^edge endpoints must be"),
+        ([True], [3], [1.0], "^edge endpoints must be"),
+        ([0, 1], [2], [1.0, 1.0], "^edge endpoints must be"),
+        ([0], [3], [0.0], "^edge weights must be finite and > 0"),
+        ([0], [3], [np.nan], "^edge weights must be finite and > 0"),
+        ([0], [4], [1.0], r"^edge endpoints: node index out of range"),
+    ], ids=["fractional-endpoint", "boolean-endpoint", "unequal-lengths",
+            "zero-weight", "nan-weight", "out-of-range"])
+    def test_with_edges_refuses_as_the_constructor(self, s, t, w, match):
+        g = grid_graph(2, 2)
+        for call in (lambda: g.with_edges(s, t, w),
+                     lambda: WeightedGraph(4, s, t, w)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     @pytest.mark.parametrize("node_count", [2.5, True])
     def test_rejects_non_integer_node_count(self, node_count):
         with pytest.raises(ValueError, match="node_count must be an integer"):
-            WeightedGraph.from_edges(node_count, [(0, 1, 1.0)])
-        with pytest.raises(ValueError, match="node_count must be an integer"):
             WeightedGraph(node_count, [0], [1], [1.0])
 
     def test_accepts_numpy_integers_and_no_edges(self):
-        g = WeightedGraph.from_edges(np.int64(3), [(np.int32(2), 0, 1),
-                                                  (1, 2, np.float32(0.5))])
-        assert g.edge_list() == [(0, 2, 1.0), (1, 2, 0.5)]
-        assert g.with_edges([]) is g
-        assert WeightedGraph.from_edges(3, []).edge_count == 0
+        g = WeightedGraph(np.int64(3), [np.int32(2), 1], [0, 2],
+                          [1, np.float32(0.5)])
+        assert edge_columns(g) == ([0, 1], [2, 2], [1.0, 0.5])
+        assert g.with_edges([], [], []) is g
+        assert WeightedGraph(3, [], [], []).edge_count == 0
 
     def test_immutability(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         with pytest.raises(ValueError):
             g.weights[0] = 7.0
 
     def test_scaled(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
-        assert g.scaled(0.5).edge_list() == [(0, 1, 1.0)]
+        g = WeightedGraph(2, [0], [1], [2.0])
+        assert edge_columns(g.scaled(0.5)) == ([0], [1], [1.0])
 
     @pytest.mark.parametrize("factor, match", [
         (True, "a real number"), ("2", "a real number"),
@@ -143,7 +143,7 @@ class TestWeightedGraph:
         (np.inf, r"in \(0, inf\)"), (np.nan, r"in \(0, inf\)"),
     ], ids=["boolean", "string", "none", "zero", "inf", "nan"])
     def test_scaled_refuses_bad_factors_by_name(self, factor, match):
-        g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
+        g = WeightedGraph(2, [0], [1], [2.0])
         with pytest.raises(ValueError, match=f"^scale factor must be {match}"):
             g.scaled(factor)
 
@@ -153,21 +153,19 @@ class TestEdgeInvariant:
 
     @pytest.mark.parametrize("as_arrays", [True, False], ids=["arrays",
                                                                "lists"])
-    def test_raw_edges_match_from_edges(self, as_arrays):
+    def test_raw_edges_are_stored_canonically(self, as_arrays):
         # reversed, out of order, and (1, 3), (0, 4), (0, 2) given twice
-        triples = [(3, 1, 0.5), (0, 4, 2.0), (1, 3, 1.5), (2, 0, 3.0),
-                   (4, 0, 0.25), (1, 2, 1.0), (0, 2, 7.0)]
-        s, t, w = (list(v) for v in zip(*triples))
+        s, t = [3, 0, 1, 2, 4, 1, 0], [1, 4, 3, 0, 0, 2, 2]
+        w = [0.5, 2.0, 1.5, 3.0, 0.25, 1.0, 7.0]
         if as_arrays:
             s, t, w = np.array(s, np.int32), np.array(t), np.array(w)
         g = WeightedGraph(5, s, t, w)
-        ref = WeightedGraph.from_edges(5, triples)
-        for name in ("sources", "targets", "weights"):
-            got, want = getattr(g, name), getattr(ref, name)
-            assert got.dtype == want.dtype and not got.flags.writeable
-            np.testing.assert_array_equal(got, want)
-        assert ref.edge_list() == [(0, 2, 7.0), (0, 4, 0.25), (1, 2, 1.0),
-                                   (1, 3, 1.5)]
+        for name, dtype in (("sources", np.int64), ("targets", np.int64),
+                            ("weights", np.float64)):
+            got = getattr(g, name)
+            assert got.dtype == dtype and not got.flags.writeable
+        assert edge_columns(g) == ([0, 0, 1, 1], [2, 4, 2, 3],
+                                   [7.0, 0.25, 1.0, 1.5])
         if as_arrays:  # the caller's arrays are neither reordered nor frozen
             assert s.flags.writeable and s.tolist() == [3, 0, 1, 2, 4, 1, 0]
 
@@ -240,7 +238,8 @@ class TestEdgeInvariant:
             lambda p: p[0] < p[1]), max_size=3 * n))
         weight = st.floats(1e-3, 1e3)
         triples = [(s, t, data.draw(weight)) for s, t in sorted(pairs)]
-        canonical = WeightedGraph.from_edges(n, triples)
+        canonical = WeightedGraph(n, *([e[i] for e in triples]
+                                       for i in range(3)))
 
         raw = data.draw(st.permutations(triples))
         raw = [(t, s, w) if data.draw(st.booleans()) else (s, t, w)
@@ -260,7 +259,7 @@ class TestEdgeInvariant:
 
 class TestLaplacian:
     def test_two_node_apply(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         np.testing.assert_allclose(g.laplacian @ np.array([1.0, -1.0]),
                                    [2.0, -2.0])
 
@@ -270,7 +269,7 @@ class TestLaplacian:
                                    atol=1e-12)
 
     def test_triangle_apply(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(g.laplacian @ np.array([1.0, 0.0, 0.0]),
                                    [2.0, -1.0, -1.0])
 
@@ -322,7 +321,7 @@ class TestOneLaplacianPerGraph:
         x = solve_laplacian(g, b)
         halved = solve_laplacian(g.scaled(2.0), b)
         np.testing.assert_allclose(halved, x / 2, rtol=1e-10, atol=1e-14)
-        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
+        for derived in (g.scaled(2.0), g.with_edges([0], [11], [3.0]),
                         maximum_spanning_tree(g)):
             solve_laplacian(derived, b)
             assert derived.laplacian is not g.laplacian
@@ -359,27 +358,25 @@ class TestOneLaplacianPerGraph:
 
         monkeypatch.setattr(graphs, "connected_components", counting)
         g = random_connected_graph(12, 15, seed=5)
-        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)])):
+        for derived in (g.scaled(2.0), g.with_edges([0], [11], [3.0])):
             assert "_components" not in vars(derived)  # g not yet checked
         assert is_connected(g)
         tree = maximum_spanning_tree(random_connected_graph(9, 9, seed=1))
-        for derived in (g.scaled(2.0), g.with_edges([(0, 11, 3.0)]),
-                        tree, tree.with_edges([(0, 8, 1.0)]).scaled(0.5)):
+        for derived in (g.scaled(2.0), g.with_edges([0], [11], [3.0]),
+                        tree, tree.with_edges([0], [8], [1.0]).scaled(0.5)):
             assert is_connected(derived)
             assert not derived._components[1].any()
         assert len(calls) == 1
 
     def test_derived_graphs_of_a_disconnected_graph_are_checked(self):
-        g = WeightedGraph.from_edges(
-            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        g = WeightedGraph(6, [0, 1, 3], [1, 2, 4], [1.0, 1.0, 1.0])
         assert not is_connected(g)
-        assert g.with_edges([(2, 3, 1.0)])._components[1].tolist() == \
+        assert g.with_edges([2], [3], [1.0])._components[1].tolist() == \
             [0, 0, 0, 0, 0, 1]
         assert g.scaled(3.0)._components[1].tolist() == [0, 0, 0, 1, 1, 2]
 
     def test_disconnected_raises_on_every_call(self):
-        g = WeightedGraph.from_edges(
-            6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        g = WeightedGraph(6, [0, 1, 3], [1, 2, 4], [1.0, 1.0, 1.0])
         b = np.zeros(6)
         b[[0, 2]] = 1.0, -1.0
         for _ in range(2):
@@ -391,7 +388,7 @@ class TestOneLaplacianPerGraph:
             assert err.value.n_components == 3
 
     def test_component_labels_are_read_only(self):
-        _, labels = WeightedGraph.from_edges(3, [(0, 1, 1.0)])._components
+        _, labels = WeightedGraph(3, [0], [1], [1.0])._components
         with pytest.raises(ValueError):
             labels[0] = 5
 
@@ -412,7 +409,7 @@ class TestOneLaplacianPerGraph:
 
 class TestQuadraticForm:
     def test_two_node(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         assert quadratic_form(g, [0.0, 1.0]) == pytest.approx(1.0)
 
     def test_constant_signal(self):
@@ -420,11 +417,11 @@ class TestQuadraticForm:
         assert quadratic_form(g, np.full(9, 3.7)) == 0.0
 
     def test_triangle_hand_value(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
         assert quadratic_form(g, [1.0, 2.0, 4.0]) == pytest.approx(14.0)
 
     def test_dimension_mismatch(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         with pytest.raises(ValueError):
             quadratic_form(g, [1.0, 2.0, 3.0])
 
@@ -449,25 +446,25 @@ class TestQuadraticForm:
 
 class TestEffectiveResistance:
     def test_series_path(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         assert effective_resistance(g, [0], [2])[0] == pytest.approx(2.0)
 
     def test_single_edge_inverse_weight(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 2.0)])
+        g = WeightedGraph(2, [0], [1], [2.0])
         assert effective_resistance(g, [0], [1])[0] == pytest.approx(0.5)
 
     def test_triangle_parallel(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
         for s, t in [(0, 1), (1, 2), (0, 2)]:
             assert effective_resistance(g, [s], [t])[0] == pytest.approx(2 / 3)
 
     def test_disconnected_raises(self):
-        g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = WeightedGraph(4, [0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(DisconnectedGraphError):
             effective_resistance(g, [0], [2])
 
     def test_same_node_raises(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         with pytest.raises(ValueError):
             effective_resistance(g, [1], [1])
 
@@ -482,7 +479,7 @@ class TestEffectiveResistance:
     ], ids=["float", "bool", "unequal-lengths", "out-of-range", "negative",
             "self-pair", "bool-array"])
     def test_rejects_bad_pairs(self, sources, targets, match):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         with pytest.raises(ValueError, match=match):
             effective_resistance(g, sources, targets)
 
@@ -492,15 +489,15 @@ class TestEffectiveResistance:
         g = grid_graph(3, 3)
         calls = {
             "pairs": lambda: effective_resistance(g, [0, 2], [1, (0, 1)]),
-            "edge endpoints": lambda: WeightedGraph.from_edges(
-                3, [(0, (1, 2), 1.0)]),
+            "edge endpoints": lambda: WeightedGraph(
+                3, [0, 2], [1, (0, 1)], [1.0, 1.0]),
         }
         with pytest.raises(ValueError, match=f"^{name} must be \\(s, t\\) "
                                              "pairs of integer node indices"):
             calls[name]()
 
     def test_accepts_integer_arrays(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         pairs = np.array([[0, 2], [2, 1]], dtype=np.int32)
         assert effective_resistance(g, *pairs.T) == pytest.approx([2.0, 1.0])
         none = effective_resistance(g, [], [])
@@ -530,7 +527,7 @@ class TestEffectiveResistance:
             pairs = np.triu_indices(14, 1)
             before = effective_resistance(g, *pairs)
             after = effective_resistance(
-                g.with_edges([(s, t, 1.0)]), *pairs)
+                g.with_edges([s], [t], [1.0]), *pairs)
             assert np.all(np.asarray(after) <= np.asarray(before) + 1e-10)
 
     def test_matches_dense_oracle(self):
@@ -566,11 +563,8 @@ class TestNodeIndexContract:
     ENTRY_POINTS = {
         "constructor": ("edge endpoints", lambda p: WeightedGraph(
             9, *_endpoint_columns(p), [1.0] * len(p))),
-        "from_edges": ("edge endpoints", lambda p: WeightedGraph.from_edges(
-            9, [(s, t, 1.0) for s, t in zip(*_endpoint_columns(p))])),
         "with_edges": ("edge endpoints", lambda p: grid_graph(
-            3, 3).with_edges([(s, t, 1.0)
-                              for s, t in zip(*_endpoint_columns(p))])),
+            3, 3).with_edges(*_endpoint_columns(p), [1.0] * len(p))),
         "effective_resistance": ("pairs", lambda p: effective_resistance(
             grid_graph(3, 3), *_endpoint_columns(p))),
     }
@@ -698,19 +692,18 @@ class TestMeasurementMatrixContract:
 
 class TestMaximumSpanningTree:
     def test_triangle_keeps_heaviest(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 3.0), (1, 2, 2.0), (0, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [3.0, 2.0, 1.0])
         t = maximum_spanning_tree(g)
-        assert t.edge_list() == [(0, 1, 3.0), (1, 2, 2.0)]
+        assert edge_columns(t) == ([0, 1], [1, 2], [3.0, 2.0])
 
     def test_tree_input_identity(self):
-        g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (1, 2, 5.0), (1, 3, 2.0)])
-        assert maximum_spanning_tree(g).edge_list() == g.edge_list()
+        g = WeightedGraph(4, [0, 1, 1], [1, 2, 3], [1.0, 5.0, 2.0])
+        assert edge_columns(maximum_spanning_tree(g)) == edge_columns(g)
 
     def test_four_cycle_drops_lightest(self):
-        g = WeightedGraph.from_edges(
-            4, [(0, 1, 5.0), (1, 2, 1.0), (2, 3, 4.0), (0, 3, 3.0)])
+        g = WeightedGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [5.0, 1.0, 4.0, 3.0])
         t = maximum_spanning_tree(g)
-        assert (1, 2, 1.0) not in t.edge_list()
+        assert (1, 2, 1.0) not in zip(*edge_columns(t))
         assert t.edge_count == 3
 
     def test_matches_brute_force(self):
@@ -722,19 +715,18 @@ class TestMaximumSpanningTree:
 
     def test_deterministic_tie_break(self):
         # all weights equal: prefer lexicographically smaller (s, t)
-        g = WeightedGraph.from_edges(
-            3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 0, 1], [1, 2, 2], [1.0, 1.0, 1.0])
         t = maximum_spanning_tree(g)
-        assert t.edge_list() == [(0, 1, 1.0), (0, 2, 1.0)]
+        assert edge_columns(t) == ([0, 0], [1, 2], [1.0, 1.0])
 
     def test_disconnected_reports_components(self):
-        g = WeightedGraph.from_edges(5, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = WeightedGraph(5, [0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(DisconnectedGraphError) as err:
             maximum_spanning_tree(g)
         assert err.value.n_components == 3
 
     def test_single_node(self):
-        t = maximum_spanning_tree(WeightedGraph.from_edges(1, []))
+        t = maximum_spanning_tree(WeightedGraph(1, [], [], []))
         assert t.node_count == 1 and t.edge_count == 0
 
     @given(tied_graphs())
@@ -745,33 +737,32 @@ class TestMaximumSpanningTree:
                 maximum_spanning_tree(g)
             assert err.value.n_components == components
         else:
-            assert maximum_spanning_tree(g).edge_list() == kept
+            assert list(zip(*edge_columns(maximum_spanning_tree(g)))) == kept
 
 
 class TestConnectivity:
     def test_single_edge(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         assert is_connected(g)
         assert len(set(g._components[1].tolist())) == 1
 
     def test_no_edges(self):
-        g = WeightedGraph.from_edges(2, [])
+        g = WeightedGraph(2, [], [], [])
         assert not is_connected(g)
         assert sorted(set(g._components[1].tolist())) == [0, 1]
 
     def test_two_triangles(self):
-        g = WeightedGraph.from_edges(
-            6, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-                (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)])
+        g = WeightedGraph(6, [0, 1, 0, 3, 4, 3], [1, 2, 2, 4, 5, 5],
+                          [1.0] * 6)
         assert not is_connected(g)
         assert len(set(g._components[1].tolist())) == 2
 
     def test_returns_a_bool(self):
         # a (bool, labels) tuple would always be true, so that
         # ``if not is_connected(g)`` could never fire
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0)])
+        g = WeightedGraph(3, [0], [1], [1.0])
         assert is_connected(g) is False
-        assert is_connected(g.with_edges([(1, 2, 1.0)])) is True
+        assert is_connected(g.with_edges([1], [2], [1.0])) is True
 
 
 def test_grid_graph_shape():

@@ -22,7 +22,12 @@ from reslearn.io import (
     write_table,
 )
 
-from _oracles import FullDisk, random_connected_graph, reference_mtx_edges
+from _oracles import (
+    FullDisk,
+    edge_columns,
+    random_connected_graph,
+    reference_mtx_edges,
+)
 
 
 class TestGraphMtx:
@@ -32,7 +37,7 @@ class TestGraphMtx:
         write_graph_mtx(path, g)
         back = read_graph_mtx(path)
         assert back.node_count == g.node_count
-        assert back.edge_list() == g.edge_list()
+        assert edge_columns(back) == edge_columns(g)
 
     def test_reads_upper_triangle_general(self, tmp_path):
         path = tmp_path / "upper.mtx"
@@ -42,7 +47,7 @@ class TestGraphMtx:
             "1 2 1.5\n"
             "2 3 2.5\n")
         g = read_graph_mtx(path)
-        assert g.edge_list() == [(0, 1, 1.5), (1, 2, 2.5)]
+        assert edge_columns(g) == ([0, 1], [1, 2], [1.5, 2.5])
 
     def test_reads_lower_triangle_symmetric(self, tmp_path):
         path = tmp_path / "lower.mtx"
@@ -52,7 +57,7 @@ class TestGraphMtx:
             "2 1 1.5\n"
             "3 2 2.5\n")
         g = read_graph_mtx(path)
-        assert g.edge_list() == [(0, 1, 1.5), (1, 2, 2.5)]
+        assert edge_columns(g) == ([0, 1], [1, 2], [1.5, 2.5])
 
     def test_reads_both_triangles_when_consistent(self, tmp_path):
         path = tmp_path / "both.mtx"
@@ -61,7 +66,7 @@ class TestGraphMtx:
             "2 2 2\n"
             "1 2 1.5\n"
             "2 1 1.5\n")
-        assert read_graph_mtx(path).edge_list() == [(0, 1, 1.5)]
+        assert edge_columns(read_graph_mtx(path)) == ([0], [1], [1.5])
 
     def test_rejects_conflicting_mirror(self, tmp_path):
         path = tmp_path / "conflict.mtx"
@@ -107,10 +112,10 @@ class TestGraphMtx:
                     "conflicting weights for edge ({},{})".format(*expected))):
                 read_graph_mtx(path)
         else:
-            assert read_graph_mtx(path).edge_list() == expected
+            assert list(zip(*edge_columns(read_graph_mtx(path)))) == expected
 
     def test_edgeless_round_trip(self, tmp_path):
-        g = WeightedGraph.from_edges(4, [])
+        g = WeightedGraph(4, [], [], [])
         path = tmp_path / "empty.mtx"
         write_graph_mtx(path, g)
         back = read_graph_mtx(path)
@@ -141,7 +146,7 @@ class TestGraphMtx:
             "3 3 2\n"
             "1 2 0.0\n"
             "2 3 1.0\n")
-        assert read_graph_mtx(path).edge_list() == [(1, 2, 1.0)]
+        assert edge_columns(read_graph_mtx(path)) == ([1], [2], [1.0])
 
     @pytest.mark.parametrize("body, match", [
         ("0 0 0\n", "node_count must be >= 1"),

@@ -46,6 +46,7 @@ from reslearn.spectral import (
 from _oracles import (
     brute_force_knn_distances,
     closest_pair_bridges,
+    edge_columns,
     random_connected_graph,
 )
 
@@ -123,9 +124,11 @@ def exact_powers_of_two(a):
 
 
 def relabelled_edges(g, p):
-    """``g.edge_list()`` with node ``i`` renamed ``p[i]``, sorted."""
-    return sorted((min(p[s], p[t]), max(p[s], p[t]), w)
-                  for s, t, w in g.edge_list())
+    """The edges of ``g`` with node ``i`` renamed ``p[i]``, as columns
+    sorted by ``(s, t)``."""
+    edges = sorted((min(p[s], p[t]), max(p[s], p[t]), w)
+                   for s, t, w in zip(*edge_columns(g)))
+    return tuple([e[i] for e in edges] for i in range(3))
 
 
 def clustered_rows(seed, n, m, clusters, offset=0.0, scale=1.0):
@@ -285,22 +288,22 @@ class TestInitGraph:
         # rows at mutual squared distances 1, 4, 9 on a line
         X = np.array([[0.0], [1.0], [3.0]])
         g_o, tree = init_graph(X, k=1)
-        assert [(s, t) for s, t, _ in g_o.edge_list()] == [(0, 1), (1, 2)]
-        assert tree.edge_list() == g_o.edge_list()
+        assert edge_columns(g_o)[:2] == ([0, 1], [1, 2])
+        assert edge_columns(tree) == edge_columns(g_o)
 
     def test_weight_formula(self):
         # z_data = 4 with M = 50 columns gives weight 12.5
         X = np.zeros((2, 50))
         X[1, 0] = 2.0
         g_o, _ = init_graph(X, k=1)
-        assert g_o.edge_list() == [(0, 1, 12.5)]
+        assert edge_columns(g_o) == ([0], [1], [12.5])
 
     def test_two_node_truth(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         ms = generate_measurement_set(g, 5, seed=0)
         g_o, tree = init_graph(ms.X, k=5)
         assert g_o.edge_count == 1
-        assert tree.edge_list() == g_o.edge_list()
+        assert edge_columns(tree) == edge_columns(g_o)
 
     def test_degenerate_rows_rejected(self):
         with pytest.raises(ValueError, match="all voltage rows identical"):
@@ -325,8 +328,8 @@ class TestInitGraph:
         X = np.arange(12.0).reshape(4, 3)
         g_o, tree = init_graph(X, k)
         expected_o, expected_tree = init_graph(X, 2)
-        assert g_o.edge_list() == expected_o.edge_list()
-        assert tree.edge_list() == expected_tree.edge_list()
+        assert edge_columns(g_o) == edge_columns(expected_o)
+        assert edge_columns(tree) == edge_columns(expected_tree)
 
     def test_connectivity_repair_bridges_closest_pair(self):
         # two tight clusters far apart; k=1 keeps each cluster internal
@@ -334,7 +337,7 @@ class TestInitGraph:
         g_o, tree = init_graph(X, k=1)
         assert is_connected(g_o)
         # the bridge must be the closest inter-cluster pair (1, 2)
-        assert (1, 2) in {(s, t) for s, t, _ in g_o.edge_list()}
+        assert (1, 2) in zip(*edge_columns(g_o)[:2])
         assert tree.edge_count == 3
 
     def test_duplicate_rows_get_floored_weight(self):
@@ -342,10 +345,10 @@ class TestInitGraph:
         # M / 1, as the closest distinct pair does, not M / median
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         g_o, tree = init_graph(X, k=3)
-        weights = {(s, t): w for s, t, w in g_o.edge_list()}
+        weights = {(s, t): w for s, t, w in zip(*edge_columns(g_o))}
         assert weights[(0, 1)] == 2.0 / 1.0
         assert weights[(0, 1)] == g_o.weights.max()
-        assert (0, 1, 2.0) in tree.edge_list()
+        assert (0, 1, 2.0) in zip(*edge_columns(tree))
 
     def test_tiny_positive_distance_is_not_lifted(self):
         # z = 1e-14 lies below 1e-12 of the median pool distance; only a zero
@@ -353,7 +356,7 @@ class TestInitGraph:
         X = np.array([[0.0, 0.0], [1e-7, 0.0], [1.0, 1.0], [2.0, 0.0]])
         g_o, _ = init_graph(X, k=3)
         d = X[0] - X[1]
-        weights = {(s, t): w for s, t, w in g_o.edge_list()}
+        weights = {(s, t): w for s, t, w in zip(*edge_columns(g_o))}
         assert weights[(0, 1)] == 2.0 / float(d @ d)
 
     @pytest.mark.filterwarnings("error")
@@ -375,7 +378,7 @@ class TestRankCandidates:
         m = 4
         z_data = 0.8
         w = m / z_data
-        g = WeightedGraph.from_edges(2, [(0, 1, w)])
+        g = WeightedGraph(2, [0], [1], [w])
         a = np.sqrt(z_data / (4 * m))
         X = np.tile([[a], [-a]], (1, m))  # each column [a, -a]
         s, t = np.array([0]), np.array([1])
@@ -518,16 +521,18 @@ class TestEdgeScale:
         np.testing.assert_allclose(restored.weights, g.weights, rtol=1e-8)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("s", [1e-290, 1e-200, 1e200])
+    @pytest.mark.parametrize("s", [2.0 ** -1021, 1e-307, 1e-290, 1e-200,
+                                   1e200])
     def test_restores_weights_in_any_units(self, s):
         # the solved voltages' norms overflowed at 1e-290 and 1e-200, and
-        # underflowed to 0 at 1e200
+        # underflowed to 0 at 1e200; at 1e-307 and 2**-1021 the sum that
+        # centered them overflowed
         ms = generate_measurement_set(grid_graph(6, 6), 4, 0)
         restored = edge_scale(grid_graph(6, 6).scaled(s), ms.X, ms.Y)
         np.testing.assert_allclose(restored.weights, 1.0, rtol=1e-12)
 
     def test_zero_voltage_column_rejected(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         X = np.zeros((2, 1))
         Y = np.array([[1.0], [-1.0]])
         with pytest.raises(ValueError):
@@ -690,13 +695,12 @@ class TestScaling:
 
 class TestLearn:
     def test_two_node_truth_recovered(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.3)])
+        g = WeightedGraph(2, [0], [1], [1.3])
         ms = generate_measurement_set(g, 5, seed=0)
         learned, trace = learn(ms.X, ms.Y)
         assert learned.edge_count == 1
-        s, t, w = learned.edge_list()[0]
-        assert (s, t) == (0, 1)
-        assert w == pytest.approx(1.3, rel=1e-6)
+        assert edge_columns(learned)[:2] == ([0], [1])
+        assert learned.weights[0] == pytest.approx(1.3, rel=1e-6)
         assert trace.status == "candidate_pool_exhausted"
 
     def test_tree_truth_converges_at_first_iteration(self):
@@ -708,7 +712,7 @@ class TestLearn:
         assert trace.status == "converged"
         assert trace.iterations == 1
         assert trace.records[0].s_max < 0
-        assert learned.edge_list() == init_graph(ms.X, 5)[1].edge_list()
+        assert edge_columns(learned) == edge_columns(init_graph(ms.X, 5)[1])
         assert learned.edge_count == g.node_count - 1
 
     def test_max_iterations_status(self, monkeypatch):
@@ -738,13 +742,14 @@ class TestLearn:
         ms = generate_measurement_set(g, 20, seed=11)
         learned, _ = learn(ms.X, None)
         g_o, tree = init_graph(ms.X, learner.KNN_COUNT)
-        candidates = {(s, t): w for s, t, w in g_o.edge_list()}
+        candidates = {(s, t): w for s, t, w in zip(*edge_columns(g_o))}
         m = ms.X.shape[1]
-        for s, t, w in learned.edge_list():
+        for s, t, w in zip(*edge_columns(learned)):
             assert candidates[(s, t)] == w
             z_data = np.sum((ms.X[s] - ms.X[t]) ** 2)
             assert w == pytest.approx(m / z_data, rel=1e-12)
-        assert set(tree.edge_list()) <= set(learned.edge_list())
+        assert set(zip(*edge_columns(tree))) <= set(
+            zip(*edge_columns(learned)))
         assert learned.edge_count > tree.edge_count
 
     @pytest.mark.parametrize("seed", range(20))
@@ -759,7 +764,8 @@ class TestLearn:
         assert trace.status in ("converged", "candidate_pool_exhausted")
         assert is_connected(learned)
         g_o, _ = init_graph(X, learner.KNN_COUNT)
-        assert set(learned.edge_list()) <= set(g_o.edge_list())
+        assert set(zip(*edge_columns(learned))) <= set(
+            zip(*edge_columns(g_o)))
 
     def test_grid_with_copied_rows_converges(self):
         # five rows equal to row 0: electrically equivalent nodes
@@ -784,7 +790,7 @@ class TestLearn:
         ms = generate_measurement_set(g, 25, seed=4)
         g1, t1 = learn(ms.X, ms.Y)
         g2, t2 = learn(ms.X, ms.Y)
-        assert g1.edge_list() == g2.edge_list()
+        assert edge_columns(g1) == edge_columns(g2)
         assert t1.s_max_history.tolist() == t2.s_max_history.tolist()
 
     def test_memory_layout_leaves_the_bits_alone(self):
@@ -794,7 +800,7 @@ class TestLearn:
         X, Y = np.ascontiguousarray(ms.X), np.ascontiguousarray(ms.Y)
         g_c, _ = learn(X, Y)
         g_f, _ = learn(np.asfortranarray(X), np.asfortranarray(Y))
-        assert g_f.edge_list() == g_c.edge_list()
+        assert edge_columns(g_f) == edge_columns(g_c)
 
     def test_grid30_learns_alike_in_small_units(self):
         # Every sensitivity scales by c**2 with X and keeps its sign, so the
@@ -818,8 +824,7 @@ class TestLearn:
         Y = ms.Y if use_currents else None
         g1, _ = learn(ms.X, Y)
         g2, _ = learn(factor * ms.X, Y)
-        assert [(s, t) for s, t, _ in g1.edge_list()] == \
-               [(s, t) for s, t, _ in g2.edge_list()]
+        assert edge_columns(g1)[:2] == edge_columns(g2)[:2]
         assert g2.edge_count > g.node_count - 1
         np.testing.assert_allclose(
             g2.weights, g1.weights / factor ** (1 if use_currents else 2),
@@ -880,12 +885,12 @@ class TestLearn:
 
     def test_candidate_pool_reads_knn_count(self, monkeypatch):
         ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
-        pool = set(init_graph(ms.X, 1)[0].edge_list())
+        pool = set(zip(*edge_columns(init_graph(ms.X, 1)[0])))
         learned, _ = learn(ms.X, None)
-        assert not set(learned.edge_list()) <= pool
+        assert not set(zip(*edge_columns(learned))) <= pool
         monkeypatch.setattr(learner, "KNN_COUNT", 1)
         learned, _ = learn(ms.X, None)
-        assert set(learned.edge_list()) <= pool
+        assert set(zip(*edge_columns(learned))) <= pool
 
     def test_inclusion_budget_reads_beta_sample(self, monkeypatch):
         # N = 49: ceil(N * 1e-3) = 1 edge per iteration, ceil(N * 0.1) = 5
@@ -916,7 +921,7 @@ class TestLearn:
 
     def test_mode_count_capped_at_small_graphs(self):
         # MODE_COUNT = 4 still works on a 3-node truth (modes cap at N - 1)
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         ms = generate_measurement_set(g, 4, seed=9)
         learned, trace = learn(ms.X, None)
         assert learned.node_count == 3
@@ -1014,7 +1019,8 @@ class TestLearnProperties:
         # bit for bit; only the k-d tree's order among tied rows could
         # differ, and normal rows do not tie.
         X, p = inputs
-        assert relabelled_edges(learn(X[p])[0], p) == learn(X)[0].edge_list()
+        assert relabelled_edges(learn(X[p])[0], p) == edge_columns(
+            learn(X)[0])
 
     @pytest.mark.parametrize("use_currents", [False, True])
     def test_permuting_a_grid_permutes_the_graph(self, use_currents):
@@ -1023,13 +1029,12 @@ class TestLearnProperties:
         ms = generate_measurement_set(grid_graph(12, 12), 10, seed=0)
         p = np.random.default_rng(1).permutation(144)
         Y = ms.Y if use_currents else None
-        expected = learn(ms.X, Y)[0].edge_list()
+        expected = edge_columns(learn(ms.X, Y)[0])
         got = relabelled_edges(
             learn(ms.X[p], None if Y is None else Y[p])[0], p)
-        assert [e[:2] for e in got] == [e[:2] for e in expected]
+        assert got[:2] == expected[:2]
         rtol = 1e-12 if use_currents else 0.0
-        np.testing.assert_allclose([e[2] for e in got],
-                                   [e[2] for e in expected], rtol=rtol)
+        np.testing.assert_allclose(got[2], expected[2], rtol=rtol)
 
     @settings(max_examples=30)
     @given(learn_inputs())
@@ -1038,6 +1043,6 @@ class TestLearnProperties:
         X, _ = inputs
         graph, _ = learn(X)
         pool, _ = init_graph(X, 5)
-        weight = {(s, t): w for s, t, w in pool.edge_list()}
-        for s, t, w in graph.edge_list():
+        weight = {(s, t): w for s, t, w in zip(*edge_columns(pool))}
+        for s, t, w in zip(*edge_columns(graph)):
             assert weight[(s, t)] == w

@@ -63,7 +63,7 @@ class TestGenerateCurrents:
 
 class TestSimulateVoltages:
     def test_two_node_eigenmode(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         y = np.array([[1.0], [-1.0]]) / np.sqrt(2)
         np.testing.assert_allclose(simulate_voltages(g, y), y / 2, rtol=1e-9)
 
@@ -73,7 +73,7 @@ class TestSimulateVoltages:
                                       np.zeros((9, 2)))
 
     def test_path_hand_case(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         y = np.array([[1.0], [0.0], [-1.0]]) / np.sqrt(2)
         np.testing.assert_allclose(simulate_voltages(g, y), y, atol=1e-9)
 
@@ -165,7 +165,7 @@ class TestJlSketch:
         assert ms.measurement_count == m
 
     def test_single_edge_exact_resistance(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         ms = generate_jl_measurements(g, 0.9, seed=3)
         z = ((ms.X[0] - ms.X[1]) ** 2).sum()
         assert z == pytest.approx(1.0, abs=1e-9)

@@ -112,7 +112,7 @@ class TestResistanceCorrelation:
             resistance_correlation(g, g, 2.5, seed=0)
 
     def test_rejects_two_node_graph(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         with pytest.raises(ValueError, match="only 1 pair"):
             resistance_correlation(g, g, 10, seed=0)
 
@@ -137,14 +137,13 @@ class TestLayout:
     """The 2-D layouts eval writes: the first two nontrivial eigenvectors."""
 
     def test_path_fiedler_monotone(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         coords = eigensolve_smallest(g, 2).eigenvectors
         x = coords[:, 0]
         assert np.all(np.diff(x) > 0) or np.all(np.diff(x) < 0)
 
     def test_four_cycle_circle_subspace(self):
-        g = WeightedGraph.from_edges(
-            4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+        g = WeightedGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0] * 4)
         coords = eigensolve_smallest(g, 2).eigenvectors
         vals, vecs = dense_eigenpairs(g)
         # degenerate pair: compare the spanned subspaces via projectors
@@ -184,7 +183,7 @@ def test_eval_factors_each_graph_once(monkeypatch):
     monkeypatch.setattr(spectral.spla, "splu", counting_splu)
     monkeypatch.setattr(graphs, "connected_components", counting_components)
     truth = grid_graph(12, 12)  # 144 nodes > DENSE_EIG_LIMIT
-    learned = truth.with_edges([(0, 13, 1.0), (20, 45, 0.5)])
+    learned = truth.with_edges([0, 20], [13, 45], [1.0, 0.5])
     compare_spectra(truth, learned, 10)
     resistance_correlation(truth, learned, 200, seed=0)
     eigensolve_smallest(truth, 2)

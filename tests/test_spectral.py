@@ -29,18 +29,17 @@ from _oracles import (
     dense_eigenpairs,
     dense_pinv,
     dense_resistance,
+    edge_columns,
     random_connected_graph,
 )
 
 
 def triangle():
-    return WeightedGraph.from_edges(
-        3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)])
+    return WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
 
 
 def four_cycle():
-    return WeightedGraph.from_edges(
-        4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
+    return WeightedGraph(4, [0, 1, 2, 0], [1, 2, 3, 3], [1.0] * 4)
 
 
 @pytest.fixture
@@ -52,7 +51,7 @@ def lanczos(monkeypatch):
 
 class TestEigensolve:
     def test_two_node(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         basis = eigensolve_smallest(g, 1)
         assert basis.eigenvalues[0] == pytest.approx(2.0)
         u = basis.eigenvectors[:, 0]
@@ -120,7 +119,7 @@ class TestEigensolve:
         np.testing.assert_allclose(gram, np.eye(4), atol=1e-8)
 
     def test_count_out_of_range(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         with pytest.raises(ValueError):
             eigensolve_smallest(g, 2)
 
@@ -141,7 +140,7 @@ class TestEigensolve:
         assert 0.0 <= err.value.best_residual < spectral.EIG_TOL
 
     def test_disconnected_rejected(self):
-        g = WeightedGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = WeightedGraph(4, [0, 2], [1, 3], [1.0, 1.0])
         with pytest.raises(DisconnectedGraphError):
             eigensolve_smallest(g, 1)
 
@@ -159,7 +158,7 @@ class TestEigensolve:
 
 class TestEmbedding:
     def test_two_node_full_embedding_is_resistance(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         basis = eigensolve_smallest(g, 1)
         assert embedding_distances(basis, 0, 1) == pytest.approx(1.0)
 
@@ -178,7 +177,7 @@ class TestEmbedding:
     def test_triangle_full_spectrum_matches_resistance(self):
         g = triangle()
         basis = eigensolve_smallest(g, 2)
-        for s, t, _ in g.edge_list():
+        for s, t in zip(g.sources, g.targets):
             assert embedding_distances(basis, s, t) == pytest.approx(2 / 3)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -205,11 +204,11 @@ class TestPerturbationTheorem:
     def test_two_node_exact(self):
         # the rank-one update scales the whole Laplacian: 2 -> 2.2
         u = eigensolve_smallest(
-            WeightedGraph.from_edges(2, [(0, 1, 1.0)]), 1).eigenvectors[:, 0]
+            WeightedGraph(2, [0], [1], [1.0]), 1).eigenvectors[:, 0]
         shift = 0.1 * (u[0] - u[1]) ** 2
         assert shift == pytest.approx(0.2)
         after = eigensolve_smallest(
-            WeightedGraph.from_edges(2, [(0, 1, 1.1)]), 1)
+            WeightedGraph(2, [0], [1], [1.1]), 1)
         assert after.eigenvalues[0] == pytest.approx(2.0 + shift)
 
     @pytest.mark.parametrize("n", [9, 200], ids=["dense", "lanczos"])
@@ -222,7 +221,7 @@ class TestPerturbationTheorem:
         assert (n > spectral.DENSE_EIG_LIMIT) == (n == 200)
         dw, count = 1e-4, 4
         before = eigensolve_smallest(g, count)
-        after = eigensolve_smallest(g.with_edges([(0, n - 1, dw)]), count)
+        after = eigensolve_smallest(g.with_edges([0], [n - 1], [dw]), count)
         u = before.eigenvectors
         shift = dw * (u[0] - u[n - 1]) ** 2
         np.testing.assert_allclose(shift[1::2], 0.0, atol=1e-12)
@@ -240,7 +239,7 @@ class TestPerturbationTheorem:
         assert (s, t) not in set(zip(g.sources.tolist(), g.targets.tolist()))
         dw = 1e-4
         before = eigensolve_smallest(g, 5)
-        after = eigensolve_smallest(g.with_edges([(s, t, dw)]), 5)
+        after = eigensolve_smallest(g.with_edges([s], [t], [dw]), 5)
         u = before.eigenvectors
         np.testing.assert_allclose(after.eigenvalues - before.eigenvalues,
                                    dw * (u[s] - u[t]) ** 2, rtol=1e-3)
@@ -255,7 +254,7 @@ class TestPerturbationTheorem:
         assert (s, t) not in set(zip(g.sources.tolist(), g.targets.tolist()))
         h = 1e-5
         before = eigensolve_smallest(g, 5)
-        after = eigensolve_smallest(g.with_edges([(s, t, h)]), 5)
+        after = eigensolve_smallest(g.with_edges([s], [t], [h]), 5)
         rate = np.sum(np.log(after.eigenvalues)
                       - np.log(before.eigenvalues)) / h
         z = embedding_distances(before, s, t)
@@ -264,7 +263,7 @@ class TestPerturbationTheorem:
 
 class TestSolveLaplacian:
     def test_two_node(self):
-        g = WeightedGraph.from_edges(2, [(0, 1, 1.0)])
+        g = WeightedGraph(2, [0], [1], [1.0])
         x = solve_laplacian(g, np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], rtol=1e-9)
 
@@ -274,9 +273,26 @@ class TestSolveLaplacian:
             solve_laplacian(g, np.zeros(3)), np.zeros(3))
 
     def test_path_hand_case(self):
-        g = WeightedGraph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
         x = solve_laplacian(g, np.array([1.0, 0.0, -1.0]))
         np.testing.assert_allclose(x, [1.0, 0.0, -1.0], atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, 500, 1000, 1010,
+                                   1018, 1019, 1020, 1021])
+    def test_weights_scaled_by_a_power_of_two(self, k):
+        # Down to 2**-1010 the solution scales exactly; nearer the bottom of
+        # the normal floats the factor may lose bits, but the solve returns
+        # or refuses the scale by name, with no overflow in its centering.
+        g, b = grid_graph(6, 6), generate_currents(36, 1, 0)[:, 0]
+        if k <= 1010:
+            np.testing.assert_array_equal(solve_laplacian(g.scaled(
+                2.0 ** -k), b), np.ldexp(solve_laplacian(g, b), k))
+            return
+        try:
+            solve_laplacian(g.scaled(2.0 ** -k), b)
+        except ValueError as exc:
+            assert "badly scaled" in str(exc)
 
     def test_rejects_rhs_outside_range(self):
         g = triangle()
@@ -345,7 +361,7 @@ class TestSolveLaplacian:
         # 1e-20 + 1e20 rounds to 1e20, so the grounded factor is singular;
         # every solve-backed entry point must say so instead of leaking a
         # bare RuntimeError or returning a wrong resistance.
-        g = WeightedGraph.from_edges(3, [(0, 1, 1e-20), (1, 2, 1e20)])
+        g = WeightedGraph(3, [0, 1], [1, 2], [1e-20, 1e20])
         b = np.array([1.0, 0.0, -1.0])
         with pytest.raises(SolverError):
             solve_laplacian(g, b)
@@ -403,7 +419,7 @@ class TestObjectiveValue:
     def test_two_node_closed_form(self):
         a = 0.3
         w = 1.7
-        g = WeightedGraph.from_edges(2, [(0, 1, w)])
+        g = WeightedGraph(2, [0], [1], [w])
         X = np.array([[a], [-a]])
         # lambda_1 = 2 w and quadratic_form = w (2 a)^2, with M = 1
         assert quadratic_form(g, X) == pytest.approx(4 * a * a * w)
@@ -418,7 +434,7 @@ class TestObjectiveValue:
         X = np.array([[a], [-a]])
 
         def F(w):
-            return objective_value(WeightedGraph.from_edges(2, [(0, 1, w)]),
+            return objective_value(WeightedGraph(2, [0], [1], [w]),
                                    X, 1)
 
         assert w_star == pytest.approx(X.shape[1] / z_data)
@@ -460,7 +476,7 @@ class TestObjectiveValue:
         g = random_connected_graph(n, int(rng.integers(2, n)), seed=seed)
         X = rng.standard_normal((n, 6))
         idx = int(rng.integers(g.edge_count))
-        s, t, w = g.edge_list()[idx]
+        s, t, w = (c[idx] for c in edge_columns(g))
 
         vals, vecs = dense_eigenpairs(g)
         e = np.zeros(n)
@@ -471,9 +487,7 @@ class TestObjectiveValue:
         h = 1e-6 * max(1.0, w)
 
         def F(weight):
-            edges = g.edge_list()
-            edges[idx] = (s, t, weight)
-            return objective_value(WeightedGraph.from_edges(n, edges), X,
+            return objective_value(g.with_edges([s], [t], [weight]), X,
                                    n - 1)
 
         fd = (F(w + h) - F(w - h)) / (2 * h)
