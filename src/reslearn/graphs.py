@@ -40,8 +40,9 @@ class WeightedGraph:
     The constructor sets up the one edge invariant every routine relies on:
     three parallel read-only arrays (int64 endpoints, float64 weights) with
     ``sources[i] < targets[i]``, sorted by ``(s, t)``, no duplicates, all
-    weights finite and strictly positive.  It takes edges in any order and
-    orientation; a duplicate ``(s, t)`` pair keeps its last weight.
+    weights finite, positive and normal.  Edges come in any order and
+    orientation; a duplicate ``(s, t)`` pair keeps its last weight.  The
+    ``(s, t)`` order is the one tie rule: rankings of edges break ties by it.
     Instances are immutable; mutating operations return new graphs.
 
     Raises
@@ -49,7 +50,7 @@ class WeightedGraph:
     ValueError
         If ``node_count`` is not an integer >= 1, the endpoints break the
         node-index contract of :func:`_index_pairs` (naming ``edge
-        endpoints``), or the weights are not 1-D, as many, real, finite, > 0.
+        endpoints``), or the weights are not 1-D, as many, normal floats > 0.
     """
 
     node_count: int
@@ -71,6 +72,9 @@ class WeightedGraph:
         w = w.astype(np.float64, copy=False)
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("edge weights must be finite and > 0")
+        if np.any(w < np.finfo(float).tiny):
+            raise ValueError("edge weights must be normal floats, at least "
+                             f"{np.finfo(float).tiny}")
         lo, hi = np.minimum(s, t), np.maximum(s, t)
         # Stable sort by (s, t); of each run of duplicates keep the last.
         keys = lo * n + hi
@@ -116,14 +120,6 @@ class WeightedGraph:
             # cached_property reads the instance dict first.
             other.__dict__["_components"] = cached
         return other
-
-    def adjacency(self):
-        """Symmetric weighted adjacency as CSR."""
-        n = self.node_count
-        rows = np.concatenate([self.sources, self.targets])
-        cols = np.concatenate([self.targets, self.sources])
-        vals = np.concatenate([self.weights, self.weights])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     @cached_property
     def laplacian(self):
@@ -308,14 +304,14 @@ def maximum_spanning_tree(g):
     """Maximum-weight spanning tree of a connected graph; raises
     :class:`DisconnectedGraphError` with the component count otherwise.
 
-    Ties are broken toward the lexicographically smaller ``(s, t)`` pair so
-    repeated runs are bit-identical: each edge's rank in the order (weight
-    descending, then ``(s, t)`` ascending) is a distinct weight, whose unique
-    minimum spanning tree is the tree Kruskal's algorithm keeps scanning
-    that order.
+    Equal weights go by the graph's canonical ``(s, t)`` order, so repeated
+    runs are bit-identical: each edge's rank in the order (weight descending,
+    a stable sort keeping ties in that order) is a distinct weight, whose
+    unique minimum spanning tree is the tree Kruskal's algorithm keeps
+    scanning that order.
     """
     n = g.node_count
-    order = np.lexsort((g.targets, g.sources, -g.weights))
+    order = np.argsort(-g.weights, kind="stable")
     rank = np.empty(order.size)
     rank[order] = np.arange(1, order.size + 1)  # 0 would mean "no edge"
     ranked = sp.coo_matrix((rank, (g.sources, g.targets)), shape=(n, n))

@@ -87,9 +87,12 @@ def _adjacency_graph(coo):
 
 
 def write_graph_mtx(path, g):
-    """Write the adjacency in symmetric Matrix Market coordinate format."""
+    """Write the adjacency in symmetric Matrix Market coordinate format, one
+    line per canonical edge ``(s, t)``, at row ``t``, column ``s``."""
+    n = g.node_count
+    lower = sp.csr_matrix((g.weights, (g.targets, g.sources)), shape=(n, n))
     with _replacing(path, binary=True) as fh:
-        scipy.io.mmwrite(fh, g.adjacency(), field="real", precision=17,
+        scipy.io.mmwrite(fh, lower, field="real", precision=17,
                          symmetry="symmetric")
 
 

@@ -227,10 +227,10 @@ def _in_units(g, power):
         g.node_count, g.sources, g.targets, np.ldexp(g.weights, power)))
 
 
-def _top_order(sens, s, t, cap):
+def _top_order(sens, cap):
     """Indices of the ``cap`` highest of the nonempty ``sens``, by ``sens``
-    descending, ties by ascending ``(s, t)``: the first ``cap`` entries of
-    ``np.lexsort((t, s, -sens))``.
+    descending, ties by position: the first ``cap`` entries of
+    ``np.argsort(-sens, kind="stable")``.
 
     ``np.partition`` finds the cap-th highest value and only the entries at
     or above it are sorted.
@@ -238,7 +238,7 @@ def _top_order(sens, s, t, cap):
     cap = min(cap, sens.size)
     floor = -np.partition(-sens, cap - 1)[cap - 1]
     head = np.flatnonzero(sens >= floor)
-    return head[np.lexsort((t[head], s[head], -sens[head]))][:cap]
+    return head[np.argsort(-sens[head], kind="stable")][:cap]
 
 
 def _rank_candidates(basis, s, t, w, cap):
@@ -246,9 +246,9 @@ def _rank_candidates(basis, s, t, w, cap):
     z_data``: ``sens = z_emb - 1 / w``, the objective's gradient in each
     edge's weight with ``z_emb`` over the eigenpairs ``basis``, the data
     term ``z_data / M`` read off the weight; ``order`` ranks the top ``cap``
-    descending, ties by ascending ``(s, t)``."""
+    descending, ties by position, which is ``(s, t)`` order in the loop."""
     sens = embedding_distances(basis, s, t) - 1 / w
-    return _top_order(sens, s, t, cap), sens
+    return _top_order(sens, cap), sens
 
 
 def edge_scale(g, X, Y):

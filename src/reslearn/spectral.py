@@ -155,7 +155,7 @@ def eigensolve_smallest(g, count):
     if not count <= n - 1:
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
     _require_connected(g)
-    if n <= DENSE_EIG_LIMIT or count > n // 2 or count >= n - 2:
+    if n <= DENSE_EIG_LIMIT or count > n // 2:
         lam, u = _dense_smallest(g, count)
     else:
         lam, u = _arpack_smallest(g, count)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -193,6 +194,20 @@ class TestEdgeInvariant:
         with pytest.raises(ValueError, match=match):
             WeightedGraph(3, s, t, w)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1023, 1024, 1074])
+    def test_refuses_subnormal_weights_naming_the_bound(self, k):
+        # Solving on weights of 2**-1024 once overflowed to inf and warned
+        # in the centering; the constructor now refuses them by name.
+        match = ("^edge weights must be normal floats, at least "
+                 r"2\.2250738585072014e-308$")
+        with pytest.raises(ValueError, match=match):
+            grid_graph(6, 6).scaled(2.0 ** -k)
+        with pytest.raises(ValueError, match=match):
+            WeightedGraph(3, [0, 1], [1, 2], [1.0, 2.0 ** -k])
+        tiny = WeightedGraph(2, [0], [1], [np.finfo(float).tiny])
+        assert tiny.weights.tolist() == [2.0 ** -1022]
+
     def test_unsorted_edges_give_a_valid_laplacian(self):
         g = WeightedGraph(3, [1, 0], [2, 1], [1.0, 2.0])
         L = g.laplacian
@@ -285,7 +300,10 @@ class TestLaplacian:
         # last bit.
         g = random_connected_graph(30, extra, seed=extra,
                                    w_range=(1e-3, 1e3))
-        adj = g.adjacency()
+        adj = sp.coo_matrix(
+            (np.concatenate([g.weights, g.weights]),
+             (np.concatenate([g.sources, g.targets]),
+              np.concatenate([g.targets, g.sources]))), shape=(30, 30)).tocsr()
         L = g.laplacian
         assert L.has_sorted_indices
         in_column_order = [
@@ -718,6 +736,26 @@ class TestMaximumSpanningTree:
         g = WeightedGraph(3, [0, 0, 1], [1, 2, 2], [1.0, 1.0, 1.0])
         t = maximum_spanning_tree(g)
         assert edge_columns(t) == ([0, 0], [1, 2], [1.0, 1.0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("make", [
+        lambda seed: grid_graph(6, 6),
+        lambda seed: random_connected_graph(20, 30, seed=seed),
+    ], ids=["unit-grid", "random"])
+    def test_tree_follows_canonical_order_not_input_order(self, make, seed):
+        # The same edges handed over permuted, some as (t, s): the
+        # constructor stores them alike, so the tree is the same; on the
+        # unit grid every weight ties and the (s, t) order alone decides.
+        g = make(seed)
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(g.edge_count)
+        flip = rng.random(g.edge_count) < 0.5
+        s, t = g.sources[perm], g.targets[perm]
+        shuffled = WeightedGraph(g.node_count, np.where(flip, t, s),
+                                 np.where(flip, s, t), g.weights[perm])
+        tree = edge_columns(maximum_spanning_tree(g))
+        assert edge_columns(maximum_spanning_tree(shuffled)) == tree
+        assert list(zip(*tree)) == reference_maximum_spanning_tree(g)[0]
 
     def test_disconnected_reports_components(self):
         g = WeightedGraph(5, [0, 2], [1, 3], [1.0, 1.0])

@@ -39,6 +39,22 @@ class TestGraphMtx:
         assert back.node_count == g.node_count
         assert edge_columns(back) == edge_columns(g)
 
+    def test_exact_text(self, tmp_path):
+        # Edges given out of (s, t) order, one reversed: the file lists the
+        # lower triangle row by row, 17 significant digits each.
+        g = WeightedGraph(3, [2, 1, 0], [0, 2, 1], [0.1, 2.5, 1 / 3])
+        path = tmp_path / "g.mtx"
+        write_graph_mtx(path, g)
+        assert path.read_text() == (
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "%\n"
+            "3 3 3\n"
+            "2 1 3.3333333333333331e-01\n"
+            "3 1 1.0000000000000001e-01\n"
+            "3 2 2.5000000000000000e+00\n")
+        assert edge_columns(read_graph_mtx(path)) == edge_columns(g)
+        assert edge_columns(g) == ([0, 0, 1], [1, 2, 2], [1 / 3, 0.1, 2.5])
+
     def test_reads_upper_triangle_general(self, tmp_path):
         path = tmp_path / "upper.mtx"
         path.write_text(

@@ -454,18 +454,27 @@ class TestRankCandidates:
 
     @given(st.data())
     def test_capped_order_is_head_of_full_order(self, data):
-        # Few distinct sensitivities over many pairs: ties at the cut.
+        # Few distinct sensitivities over many pairs: ties at the cut.  The
+        # pairs come in (s, t) order, as the loop's candidates do, so ties
+        # by position are ties by ascending (s, t).
         size = data.draw(st.integers(1, 60))
         sens = data.draw(hnp.arrays(np.float64, size,
                                     elements=st.sampled_from(
                                         [-1.0, -0.0, 0.0, 0.5, 2.0])))
-        pairs = data.draw(st.lists(
+        pairs = sorted(data.draw(st.lists(
             st.tuples(st.integers(0, 9), st.integers(0, 9)),
-            min_size=size, max_size=size))
+            min_size=size, max_size=size)))
         s, t = (np.asarray(v, dtype=np.int64) for v in zip(*pairs))
         cap = data.draw(st.integers(1, size + 2))
         full = np.lexsort((t, s, -sens))
-        np.testing.assert_array_equal(_top_order(sens, s, t, cap), full[:cap])
+        np.testing.assert_array_equal(_top_order(sens, cap), full[:cap])
+
+    @pytest.mark.parametrize("size, cap", [(1, 1), (7, 3), (7, 7), (5, 9)])
+    def test_ties_go_by_position(self, size, cap):
+        for value in (-1.0, 0.0, 2.0):
+            np.testing.assert_array_equal(
+                _top_order(np.full(size, value), cap),
+                np.arange(min(cap, size)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_difference_gradient(self, seed):

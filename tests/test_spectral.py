@@ -279,7 +279,7 @@ class TestSolveLaplacian:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [0, 500, 1000, 1010,
-                                   1018, 1019, 1020, 1021])
+                                   1018, 1019, 1020, 1021, 1022])
     def test_weights_scaled_by_a_power_of_two(self, k):
         # Down to 2**-1010 the solution scales exactly; nearer the bottom of
         # the normal floats the factor may lose bits, but the solve returns
