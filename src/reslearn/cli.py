@@ -116,6 +116,7 @@ def _cmd_generate(args):
     graph = io.read_graph_mtx(args.graph)
     _naming(args.graph, graphs._require_int, "node_count", graph.node_count, 2)
     _naming(args.graph, graphs._require_connected, graph)
+    _naming("--seed", graphs._require_int, "seed", args.seed, 0)
     started = time.perf_counter()
     if args.jl_eps is not None:
         mset = _naming("--jl-eps", measurements.generate_jl_measurements,
@@ -152,6 +153,7 @@ def _cmd_learn(args):
         if Y is not None:
             raise ValueError("reduced-network learning uses voltages only; "
                              "do not pass a current file with --subsample")
+        _naming("--seed", graphs._require_int, "seed", args.seed, 0)
         X, kept = _naming("--subsample", measurements.subsample_nodes, X,
                           args.subsample, args.seed, about="fraction ")
 
@@ -202,6 +204,7 @@ def _cmd_eval(args):
         raise ValueError("layout needs at least 3 nodes")
     if args.spectrum_k < 1:
         raise ValueError(f"--spectrum-k must be >= 1, got {args.spectrum_k}")
+    _naming("--seed", graphs._require_int, "seed", args.seed, 0)
     started = time.perf_counter()
     # spectrum_k > N - 1 fails the eigensolve's range check with the
     # message compare_spectra gives.

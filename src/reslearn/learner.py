@@ -4,12 +4,12 @@ embedding distances encode measured voltage distances.
 The loop starts from the maximum spanning tree of an exact k-nearest-neighbor
 candidate graph (one k-d tree query) built on the voltage rows, then
 repeatedly scores every off-graph candidate edge by its objective-gradient
-sensitivity ``z_emb - z_data / M`` (one array scorer, which reads ``z_data
-/ M`` off the edge's weight ``M / z_data``) and includes the highest-ranked
-ones until no candidate's sensitivity is positive; one boolean mask over
-the candidate graph's edges tracks which are in.  A final global edge
-scaling matches solved voltage norms to the measured ones when current
-measurements are available.
+sensitivity ``R - z_data / M`` (one array scorer, which takes resistances
+``R``, in the loop the embedding distances ``z_emb``, and reads ``z_data /
+M`` off the weight ``M / z_data``) and includes the highest-ranked ones
+until no candidate's sensitivity is positive; one boolean mask over the
+candidate graph's edges tracks which are in.  A final global edge scaling
+matches solved voltage norms to measured ones when currents are given.
 
 The loop runs the paper's reference experimental protocol, fixed in the
 module constants ``KNN_COUNT``, ``MODE_COUNT``, ``BETA_SAMPLE`` and
@@ -182,7 +182,7 @@ def _as_currents(Y, X):
     if zero.size:
         raise ValueError(f"Y column {zero[0]} is all zeros: every current "
                          "column must excite the network")
-    if _outside_range(unit, norms):
+    if _outside_range(unit.sum(axis=0), norms, unit.shape[0]):
         raise ValueError("current columns not orthogonal to all-ones")
     return Y
 
@@ -241,13 +241,13 @@ def _top_order(sens, cap):
     return head[np.argsort(-sens[head], kind="stable")][:cap]
 
 
-def _rank_candidates(basis, s, t, w, cap):
-    """``(order, sens)`` of candidate edges ``(s, t)`` with weights ``w = M /
-    z_data``: ``sens = z_emb - 1 / w``, the objective's gradient in each
-    edge's weight with ``z_emb`` over the eigenpairs ``basis``, the data
-    term ``z_data / M`` read off the weight; ``order`` ranks the top ``cap``
-    descending, ties by position, which is ``(s, t)`` order in the loop."""
-    sens = embedding_distances(basis, s, t) - 1 / w
+def _rank_candidates(r, w, cap):
+    """``(order, sens)`` of candidate edges with resistances ``r`` (any
+    estimate; the loop passes embedding distances) and weights ``w = M /
+    z_data``: ``sens = r - 1 / w``, the objective's gradient in each edge's
+    weight; ``order`` ranks the top ``cap`` descending, ties by position,
+    which is ``(s, t)`` order in the loop."""
+    sens = r - 1 / w
     return _top_order(sens, cap), sens
 
 
@@ -332,9 +332,9 @@ def learn(X, Y=None):
         if idx.size == 0:
             status = "candidate_pool_exhausted"
             break
-        basis = eigensolve_smallest(graph, modes)
-        top, sens = _rank_candidates(basis, pool_s[idx], pool_t[idx],
-                                     pool_w[idx], include_cap)
+        r = embedding_distances(eigensolve_smallest(graph, modes),
+                                pool_s[idx], pool_t[idx])
+        top, sens = _rank_candidates(r, pool_w[idx], include_cap)
         s_max = float(sens[top[0]])
 
         converged = s_max <= 0

@@ -218,11 +218,10 @@ def _grounded_solve(lu, b):
     return x
 
 
-def _outside_range(b, norms):
-    """Whether a column of ``b`` (an (N,) vector or (N, M) block, column
-    norms ``norms``) is outside range(L): ``|sum| > 1e-8 * sqrt(N) * norm``."""
-    return bool(np.any(np.abs(b.sum(axis=0))
-                       > 1e-8 * np.sqrt(b.shape[0]) * norms))
+def _outside_range(sums, norms, n):
+    """Whether a column with sum ``sums`` and norm ``norms`` over ``n`` rows
+    is outside range(L): ``|sum| > 1e-8 * sqrt(n) * norm``, column-wise."""
+    return bool(np.any(np.abs(sums) > 1e-8 * np.sqrt(n) * norms))
 
 
 def solve_laplacian(g, b):
@@ -253,21 +252,22 @@ def solve_laplacian(g, b):
     """
     b, e = _unit_scale(_real_matrix("b", b, g.node_count, (1, 2)), axis=0)
     _require_connected(g)
-    bnorm = np.linalg.norm(b, axis=0)
-    if _outside_range(b, bnorm):
+    n, bsum, bnorm = b.shape[0], b.sum(axis=0), np.linalg.norm(b, axis=0)
+    if _outside_range(bsum, bnorm, n):
         raise ValueError("right-hand side is not orthogonal to the "
                          "all-ones vector (b is outside range(L))")
-    b = b - b.mean(axis=0)
+    b = b - bsum / n
     # Centered in unit scale: entries near the float maximum are finite
     # where their sum is not.
     x, f = _unit_scale(_grounded_solve(g._factor, b), axis=0)
-    x = np.ldexp(x - x.sum(axis=0) / x.shape[0], f)
+    x = np.ldexp(x - x.sum(axis=0) / n, f)
     rel = (np.linalg.norm(g.laplacian @ x - b, axis=0)
            / np.maximum(bnorm, np.finfo(float).tiny))
     if not np.all(rel <= SOLVE_TOL):
         raise SolverError(f"relative residual {rel.max():.3e} above "
                           f"tolerance {SOLVE_TOL:g}")
-    if np.any(_unit_scale(x, axis=0)[1] + e > np.finfo(float).maxexp):
+    if np.any(np.frexp(np.abs(x).max(axis=0))[1] + e
+              > np.finfo(float).maxexp):
         raise ValueError("badly scaled measurements: the solution "
                          "overflows in the units of b")
     return np.ldexp(x, e)

@@ -77,11 +77,11 @@ def test_c2_gradient_fidelity():
         m = 10
         Y = rl.generate_currents(n, m, seed=int(rng.integers(1 << 30)))
         X = rl.simulate_voltages(g, Y)
-        basis = rl.eigensolve_smallest(g, n - 1)
         # the loop's scorer, at the weight M / z the loop would give (s, t)
+        # and the exact resistance, so C2 checks the gradient formula
         z = float(np.sum((X[s] - X[t]) ** 2))
         _, sens = learner._rank_candidates(
-            basis, np.array([s]), np.array([t]), np.array([m / z]), 1)
+            rl.effective_resistance(g, [s], [t]), np.array([m / z]), 1)
         sens = float(sens[0])
 
         h = 1e-6

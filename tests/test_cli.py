@@ -468,17 +468,24 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
             command]
 
 
-@pytest.mark.parametrize("command, flag, value, message", [
-    ("generate", "--m", "0", "--m: count must be >= 1"),
-    ("generate", "--noise", "-1", "--noise: noise_level must be in [0, inf)"),
-    ("generate", "--jl-eps", "1.5", "--jl-eps: epsilon must be in (0, 1)"),
-    ("learn", "--subsample", "0", "--subsample: fraction must be in (0, 1]"),
-    ("eval", "--pairs", "1", "--pairs: pair_count must be >= 2"),
-    ("eval", "--spectrum-k", "40",
+@pytest.mark.parametrize("command, flags, message", [
+    ("generate", ["--m", "0"], "--m: count must be >= 1"),
+    ("generate", ["--noise", "-1"],
+     "--noise: noise_level must be in [0, inf)"),
+    ("generate", ["--jl-eps", "1.5"], "--jl-eps: epsilon must be in (0, 1)"),
+    ("learn", ["--subsample", "0"],
+     "--subsample: fraction must be in (0, 1]"),
+    ("eval", ["--pairs", "1"], "--pairs: pair_count must be >= 2"),
+    ("eval", ["--spectrum-k", "40"],
      "--spectrum-k: count must be in [1, 35], got 40"),
-], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k"])
-def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flag,
-                                value, message):
+    ("generate", ["--seed", "-1"], "--seed: seed must be >= 0"),
+    ("learn", ["--subsample", "0.5", "--seed", "-1"],
+     "--seed: seed must be >= 0"),
+    ("eval", ["--seed", "-1"], "--seed: seed must be >= 0"),
+], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k",
+        "generate-seed", "learn-seed", "eval-seed"])
+def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flags,
+                                message):
     # The library checks each value; the refusal names the flag it came
     # from, not the library parameter alone.
     x_path = tmp_path / "X.bin"
@@ -487,7 +494,7 @@ def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flag,
                                                       0).X)
     files = {"generate": [str(grid_mtx)], "learn": [str(x_path)],
              "eval": [str(grid_mtx), str(grid_mtx)]}[command]
-    assert main([command, *files, flag, value,
+    assert main([command, *files, *flags,
                  "--out", str(tmp_path / "o")]) == 3
     assert f"error: {message}" in capsys.readouterr().err
 

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 import reslearn
 from reslearn.graphs import (
     WeightedGraph,
+    effective_resistance,
     grid_graph,
     is_connected,
 )
@@ -38,7 +39,6 @@ from reslearn.metrics import resistance_correlation
 from reslearn.spectral import (
     DENSE_EIG_LIMIT,
     SolverError,
-    SpectralBasis,
     eigensolve_smallest,
     embedding_distances,
 )
@@ -385,15 +385,13 @@ class TestRankCandidates:
         assert float(np.sum((X[0] - X[1]) ** 2)) == pytest.approx(z_data)
         basis = eigensolve_smallest(g, 1)
         assert embedding_distances(basis, s, t)[0] == pytest.approx(1.0 / w)
-        _, sens = _rank_candidates(basis, s, t, np.array([w]), 1)
+        _, sens = _rank_candidates(embedding_distances(basis, s, t),
+                                   np.array([w]), 1)
         assert sens[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_arithmetic_from_definitions(self):
-        # z_emb = 1/2, z_data = 10, M = 50 (w = 5) -> sensitivity 0.3
-        basis = SpectralBasis(eigenvalues=np.array([2.0]),
-                              eigenvectors=np.array([[1.0], [0.0]]))
-        _, sens = _rank_candidates(basis, np.array([0]), np.array([1]),
-                                   np.array([50 / 10.0]), 1)
+        # r = 1/2, z_data = 10, M = 50 (w = 5) -> sensitivity 0.3
+        _, sens = _rank_candidates(np.array([0.5]), np.array([50 / 10.0]), 1)
         assert sens[0] == pytest.approx(0.3)
 
     def test_sensitivity_underestimates_with_fewer_modes(self):
@@ -403,8 +401,8 @@ class TestRankCandidates:
         w = ms.X.shape[1] / np.sum((ms.X[s] - ms.X[t]) ** 2, axis=1)
         prev = np.full(s.size, -np.inf)
         for modes in (2, 5, 10, 19):  # 19 = full spectrum
-            _, sens = _rank_candidates(eigensolve_smallest(g, modes), s, t,
-                                       w, s.size)
+            r = embedding_distances(eigensolve_smallest(g, modes), s, t)
+            _, sens = _rank_candidates(r, w, s.size)
             assert np.all(sens >= prev - 1e-12)
             prev = sens
 
@@ -414,7 +412,8 @@ class TestRankCandidates:
         basis = eigensolve_smallest(g, 3)
         s, t = np.triu_indices(10, 1)
         w = ms.X.shape[1] / np.sum((ms.X[s] - ms.X[t]) ** 2, axis=1)
-        order, sens = _rank_candidates(basis, s, t, w, s.size)
+        order, sens = _rank_candidates(embedding_distances(basis, s, t), w,
+                                       s.size)
         assert sorted(order) == list(range(s.size))
         ranked = [(-sens[i], s[i], t[i]) for i in order]
         assert ranked == sorted(ranked)
@@ -430,10 +429,9 @@ class TestRankCandidates:
         m = X.shape[1]
         z_data = m / g_o.weights
         basis = eigensolve_smallest(tree, 4)
-        _, sens = _rank_candidates(basis, g_o.sources, g_o.targets,
-                                   g_o.weights, 1)
-        distortion = m * embedding_distances(
-            basis, g_o.sources, g_o.targets) / z_data
+        z_emb = embedding_distances(basis, g_o.sources, g_o.targets)
+        _, sens = _rank_candidates(z_emb, g_o.weights, 1)
+        distortion = m * z_emb / z_data
         np.testing.assert_allclose(sens, (z_data / m) * (distortion - 1),
                                    rtol=1e-12, atol=1e-15)
 
@@ -445,8 +443,8 @@ class TestRankCandidates:
         ranked = []
         for X in (ms.X, ms.X * 2.0 ** j):
             g_o, tree = init_graph(X, learner.KNN_COUNT)
-            ranked.append(_rank_candidates(
-                eigensolve_smallest(tree, 6), g_o.sources, g_o.targets,
+            ranked.append(_rank_candidates(embedding_distances(
+                eigensolve_smallest(tree, 6), g_o.sources, g_o.targets),
                 g_o.weights, g_o.edge_count))
         (order, sens), (order_j, sens_j) = ranked
         np.testing.assert_array_equal(order_j, order)
@@ -478,8 +476,8 @@ class TestRankCandidates:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_difference_gradient(self, seed):
-        # full-spectrum sensitivity of a zero-weight candidate equals the
-        # derivative of the objective at w -> 0+
+        # the sensitivity of a zero-weight candidate, at its exact
+        # resistance, equals the derivative of the objective at w -> 0+
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 16))
         g = random_connected_graph(n, 3, seed=seed)
@@ -490,9 +488,8 @@ class TestRankCandidates:
         m = 6
         Y = generate_currents(n, m, seed=seed)
         X = simulate_voltages(g, Y)
-        basis = eigensolve_smallest(g, n - 1)
         z = float(np.sum((X[s] - X[t]) ** 2))
-        _, sens = _rank_candidates(basis, np.array([s]), np.array([t]),
+        _, sens = _rank_candidates(effective_resistance(g, [s], [t]),
                                    np.array([m / z]), 1)
 
         e = np.zeros(n)
@@ -862,8 +859,9 @@ class TestLearn:
                        unscaled.sources * n + unscaled.targets)
         assert np.any(out)
         basis = eigensolve_smallest(unscaled, learner.MODE_COUNT)
-        _, sens = _rank_candidates(basis, g_o.sources[out], g_o.targets[out],
-                                   g_o.weights[out], 1)
+        _, sens = _rank_candidates(
+            embedding_distances(basis, g_o.sources[out], g_o.targets[out]),
+            g_o.weights[out], 1)
         assert np.all(sens <= 0)
 
     def test_rejects_mismatched_currents(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from reslearn import spectral
+from reslearn import learner, spectral
 from reslearn.graphs import (
     DisconnectedGraphError,
     WeightedGraph,
@@ -11,7 +11,7 @@ from reslearn.graphs import (
     grid_graph,
     quadratic_form,
 )
-from reslearn.learner import learn
+from reslearn.learner import init_graph, learn
 from reslearn.measurements import (
     generate_currents,
     generate_measurement_set,
@@ -180,19 +180,31 @@ class TestEmbedding:
         for s, t in zip(g.sources, g.targets):
             assert embedding_distances(basis, s, t) == pytest.approx(2 / 3)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_mode_count_monotonicity(self, seed):
-        g = random_connected_graph(25, 35, seed=seed)
-        pairs = [(0, 12), (3, 20), (7, 8)]
-        reff = dense_resistance(g, pairs)
-        prev = np.zeros(len(pairs))
-        for count in (2, 6, 12, 24):
-            basis = eigensolve_smallest(g, count)
-            z = np.asarray([embedding_distances(basis, s, t)
-                            for s, t in pairs])
+    @pytest.mark.parametrize("case", [0, 1, 2, "seed-tree", "learned"])
+    def test_mode_count_monotonicity(self, case):
+        if isinstance(case, int):
+            g = random_connected_graph(25, 35, seed=case)
+            s, t = np.array([0, 3, 7]), np.array([12, 20, 8])
+            reff = np.asarray(dense_resistance(g, zip(s, t)))
+            counts = (2, 6, 12, 24)
+        else:
+            # The estimate the loop hands its scorer, on the loop's own
+            # graphs (weights M / z spanning decades) and pool pairs.
+            X = generate_measurement_set(grid_graph(7, 7), 8, 7).X
+            g_o, g = init_graph(X, learner.KNN_COUNT)
+            if case == "learned":
+                g, _ = learn(X, None)
+            s, t = g_o.sources, g_o.targets
+            reff = effective_resistance(g, s, t)
+            counts = (learner.MODE_COUNT, g.node_count - 1)
+        prev = np.zeros(s.size)
+        for count in counts:
+            z = embedding_distances(eigensolve_smallest(g, count), s, t)
             assert np.all(z >= prev - 1e-12)
-            assert np.all(z <= np.asarray(reff) + 1e-9)
+            assert np.all(z <= reff + 1e-9)
             prev = z
+        if not isinstance(case, int):  # all N - 1 modes: the resistance
+            np.testing.assert_allclose(z, reff, rtol=1e-10)
 
 
 class TestPerturbationTheorem:
