@@ -34,7 +34,7 @@ def main():
     print(f"graph: {n} nodes, {g.edge_count} edges; eps = {eps} "
           f"-> M = ceil(24 ln N / eps^2) = {m}")
 
-    ms = rl.generate_jl_measurements(g, eps, seed=0)
+    X, _ = rl.generate_jl_measurements(g, eps, seed=0)
     pinv = np.linalg.pinv(g.laplacian.toarray(), hermitian=True)
     rng = np.random.default_rng(1)
     ratios = []
@@ -43,7 +43,7 @@ def main():
         if s == t:
             continue
         reff = pinv[s, s] + pinv[t, t] - 2 * pinv[s, t]
-        z = ((ms.X[s] - ms.X[t]) ** 2).sum()
+        z = ((X[s] - X[t]) ** 2).sum()
         ratios.append(z / reff)
     ratios = np.asarray(ratios)
     inside = ((ratios >= 1 - eps) & (ratios <= 1 + eps)).mean()

@@ -15,11 +15,11 @@ def main():
     print(f"ground truth: {truth.node_count} nodes, "
           f"{truth.edge_count} edges (unit weights)")
 
-    ms = rl.generate_measurement_set(truth, 50, seed=0)
-    print(f"measurements: X is {ms.X.shape[0]}x{ms.X.shape[1]} "
+    X, Y = rl.generate_measurement_set(truth, 50, seed=0)
+    print(f"measurements: X is {X.shape[0]}x{X.shape[1]} "
           f"(one voltage column per unit current excitation)")
 
-    learned, trace = rl.learn(ms.X, ms.Y)
+    learned, trace = rl.learn(X, Y)
     tree_edges = truth.node_count - 1
     print(f"\nlearning {trace.status} after {trace.iterations} iterations")
     print(f"learned graph: {learned.edge_count} edges "
@@ -40,7 +40,7 @@ def main():
     print(f"\neffective-resistance correlation over "
           f"{len(r_true)} node pairs: pearson r = {corr:.4f}")
 
-    coords = rl.eigensolve_smallest(learned, 2).eigenvectors
+    coords = rl.eigensolve_smallest(learned, 2)[1]
     print(f"spectral layout coordinates span "
           f"x in [{coords[:, 0].min():.3f}, {coords[:, 0].max():.3f}], "
           f"y in [{coords[:, 1].min():.3f}, {coords[:, 1].max():.3f}]")

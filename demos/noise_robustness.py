@@ -12,14 +12,14 @@ import reslearn as rl
 
 def main():
     truth = rl.grid_graph(15, 15)
-    ms = rl.generate_measurement_set(truth, 50, seed=0)
+    X, Y = rl.generate_measurement_set(truth, 50, seed=0)
     print(f"truth: 15x15 grid, {truth.edge_count} edges; "
-          f"M = {ms.measurement_count} measurements\n")
+          f"M = {Y.shape[1]} measurements\n")
     print(f"{'zeta':>6} {'pearson':>9} {'lambda ratios (first 3)':>28} "
           f"{'edges':>6}")
     for zeta in (0.0, 0.1, 0.25, 0.5):
-        X = rl.add_noise(ms.X, zeta, seed=1) if zeta else ms.X
-        learned, trace = rl.learn(X, ms.Y)
+        noisy = rl.add_noise(X, zeta, seed=1) if zeta else X
+        learned, trace = rl.learn(noisy, Y)
         _, _, _, corr = rl.resistance_correlation(truth, learned, 800, seed=0)
         lam_t, lam_l, _ = rl.compare_spectra(truth, learned, 3)
         ratios = np.round(lam_l / lam_t, 3)

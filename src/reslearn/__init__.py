@@ -30,7 +30,6 @@ from .learner import (
     learn,
 )
 from .measurements import (
-    MeasurementSet,
     add_noise,
     generate_currents,
     generate_jl_measurements,
@@ -46,7 +45,6 @@ from .metrics import (
 from .spectral import (
     EigensolverError,
     SolverError,
-    SpectralBasis,
     eigensolve_smallest,
     embedding_distances,
     objective_value,
@@ -58,9 +56,7 @@ __all__ = [
     "EigensolverError",
     "IterationRecord",
     "LearnTrace",
-    "MeasurementSet",
     "SolverError",
-    "SpectralBasis",
     "WeightedGraph",
     "add_noise",
     "compare_spectra",

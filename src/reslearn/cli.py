@@ -119,15 +119,15 @@ def _cmd_generate(args):
     _naming("--seed", graphs._require_int, "seed", args.seed, 0)
     started = time.perf_counter()
     if args.jl_eps is not None:
-        mset = _naming("--jl-eps", measurements.generate_jl_measurements,
+        X, Y = _naming("--jl-eps", measurements.generate_jl_measurements,
                        graph, args.jl_eps, args.seed, about="epsilon ")
     else:
-        mset = _naming("--m", measurements.generate_measurement_set, graph,
+        X, Y = _naming("--m", measurements.generate_measurement_set, graph,
                        args.m if args.m is not None else 50, args.seed,
                        about="count ")
-    X = _naming("--noise", measurements.add_noise, mset.X, args.noise,
+    X = _naming("--noise", measurements.add_noise, X, args.noise,
                 args.seed + 1, about="noise_level ")
-    Y, m = mset.Y, mset.measurement_count
+    m = Y.shape[1]
 
     os.makedirs(args.out, exist_ok=True)
     ext = "csv" if args.csv else "bin"
@@ -208,12 +208,10 @@ def _cmd_eval(args):
     started = time.perf_counter()
     # spectrum_k > N - 1 fails the eigensolve's range check with the
     # message compare_spectra gives.
-    basis_true, basis_learned = (
+    (lam_t, u_t), (lam_l, u_l) = (
         _naming("--spectrum-k", spectral.eigensolve_smallest, g,
                 max(args.spectrum_k, 2), about="count ")
         for g in (g_true, g_learned))
-    lam_t = basis_true.eigenvalues[:args.spectrum_k]
-    lam_l = basis_learned.eigenvalues[:args.spectrum_k]
     pairs, r_t, r_l, corr = _naming(
         "--pairs", metrics.resistance_correlation, g_true, g_learned,
         args.pairs, args.seed, about="pair_count ")
@@ -227,14 +225,13 @@ def _cmd_eval(args):
     }
     io.write_table(paths["spectra"],
                    ("index", "lambda_true", "lambda_learned"),
-                   range(2, args.spectrum_k + 2), lam_t, lam_l)
+                   range(2, args.spectrum_k + 2), lam_t[:args.spectrum_k],
+                   lam_l[:args.spectrum_k])
     io.write_table(paths["scatter"], ("s", "t", "r_true", "r_learned"),
                    *pairs.T, r_t, r_l)
-    for name, basis in (("layout_true", basis_true),
-                        ("layout_learned", basis_learned)):
+    for name, u in (("layout_true", u_t), ("layout_learned", u_l)):
         io.write_table(paths[name], ("node", "x", "y"),
-                       range(g_true.node_count),
-                       *basis.eigenvectors[:, :2].T)
+                       range(g_true.node_count), *u[:, :2].T)
     _write_manifest(args, {"truth": args.truth, "learned": args.learned},
                     paths, "ok", time.perf_counter() - started,
                     pearson_r=corr,

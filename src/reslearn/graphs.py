@@ -125,7 +125,7 @@ class WeightedGraph:
     def laplacian(self):
         """The CSR Laplacian ``L = D - W``, assembled on first use and cached;
         derived graphs (``scaled``, ``with_edges``, ...) are new graphs with
-        their own."""
+        their own.  Raises ``ValueError`` if a weighted degree overflows."""
         n, s, t, w = self.node_count, self.sources, self.targets, self.weights
         nodes = np.arange(n)
         # SciPy sums and sorts COO entries given in any order.  Listed as
@@ -134,6 +134,9 @@ class WeightedGraph:
         # with j > i; and bincount sums each degree in that column order.
         degree = np.bincount(np.concatenate([t, s]), np.concatenate([w, w]),
                              minlength=n)
+        if not np.all(np.isfinite(degree)):
+            raise ValueError("badly scaled graph: a weighted degree "
+                             "overflows; rescale the weights")
         return sp.csr_matrix((np.concatenate([-w, degree, -w]),
                               (np.concatenate([t, nodes, s]),
                                np.concatenate([s, nodes, t]))), shape=(n, n))

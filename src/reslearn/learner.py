@@ -40,7 +40,7 @@ from .spectral import (
 KNN_COUNT = 5  # nearest neighbors per voltage row in the candidate graph
 MODE_COUNT = 4  # nontrivial eigenpairs per iteration (r = 5)
 BETA_SAMPLE = 1e-3  # inclusion budget per iteration: ceil(N * BETA_SAMPLE)
-MAX_ITERATIONS = 10_000  # 10 * ceil(1 / BETA_SAMPLE)
+MAX_ITERATIONS = 10 * math.ceil(1 / BETA_SAMPLE)
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def _floored_distances(X, s, t):
     """Squared data distances ``||X[s] - X[t]||^2`` of the pairs ``(s, t)``,
     zeros (duplicate rows) floored at the smallest positive one: the closest
     distinct pair.  Positive distances are never lifted.  Raises
-    ``ValueError`` if all rows are identical, or if the square of the
-    largest weight ``M / z`` overflows (eigenpair residual norms square it):
-    in unit scale, two rows that agree to 77 digits of max |X|."""
+    ``ValueError`` if all rows are identical, or if two rows are too close
+    to weigh: the square of their weight ``M / z`` would overflow, which in
+    unit scale means they agree to 77 digits of max |X|."""
     z = _squared_row_distances(X, s, t)
     i = np.argmin(np.where(z > 0, z, np.inf))  # 0 when no z is positive
     if z[i] == 0 and np.array_equal(X[s], X[t]):

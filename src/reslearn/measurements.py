@@ -11,28 +11,11 @@ changing results.  Measurement matrices are checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import _real_matrix, _require_int, _require_real, _unit_scale
 from .spectral import solve_laplacian
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Paired voltage matrix ``X`` and current matrix ``Y`` (N x M).
-
-    Column ``i`` of ``X`` is the voltage response to the current excitation
-    in column ``i`` of ``Y``.
-    """
-
-    X: np.ndarray
-    Y: np.ndarray
-
-    @property
-    def measurement_count(self):
-        return self.X.shape[1]
 
 
 def _column_rngs(seed, count):
@@ -102,7 +85,9 @@ def jl_measurement_count(node_count, epsilon):
 
 
 def generate_jl_measurements(g, epsilon, seed):
-    """Measurement set whose voltage distances sketch effective resistances.
+    """Voltages ``X`` and currents ``Y`` (N x M, column ``i`` of ``X``
+    answering column ``i`` of ``Y``) whose voltage distances sketch
+    effective resistances.
 
     Currents are random +-1/sqrt(M) combinations of the weighted incidence
     rows: ``Y^T = C W^{1/2} B`` with ``C`` an (M x |E|) Rademacher matrix
@@ -123,15 +108,16 @@ def generate_jl_measurements(g, epsilon, seed):
         row = coeff * sqrt_w
         np.add.at(Y[:, i], g.sources, row)
         np.add.at(Y[:, i], g.targets, -row)
-    X = simulate_voltages(g, Y)
-    return MeasurementSet(X=X, Y=Y)
+    return simulate_voltages(g, Y), Y
 
 
 def generate_measurement_set(g, count, seed):
-    """Random-excitation protocol: :func:`generate_currents` and their
-    noiseless voltages; :func:`add_noise` adds noise to ``X``."""
+    """Random-excitation protocol: ``(X, Y)``, the currents ``Y`` of
+    :func:`generate_currents` and their noiseless voltages ``X``, column
+    ``i`` of ``X`` answering column ``i`` of ``Y``; :func:`add_noise` adds
+    noise to ``X``."""
     Y = generate_currents(g.node_count, count, seed)
-    return MeasurementSet(X=simulate_voltages(g, Y), Y=Y)
+    return simulate_voltages(g, Y), Y
 
 
 def subsample_nodes(X, fraction, seed):

@@ -20,8 +20,8 @@ def compare_spectra(g_true, g_learned, count):
     node set."""
     if g_true.node_count != g_learned.node_count:
         raise ValueError("graphs must share the node set")
-    lam_true = eigensolve_smallest(g_true, count).eigenvalues
-    lam_learned = eigensolve_smallest(g_learned, count).eigenvalues
+    lam_true = eigensolve_smallest(g_true, count)[0]
+    lam_learned = eigensolve_smallest(g_learned, count)[0]
     rel = np.abs(lam_learned - lam_true) / lam_true
     return lam_true, lam_learned, rel
 

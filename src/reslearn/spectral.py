@@ -18,8 +18,6 @@ max weighted degree)``, clamped below at machine epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse.linalg as spla
 
@@ -51,20 +49,6 @@ class EigensolverError(RuntimeError):
 
 class SolverError(RuntimeError):
     """Laplacian solve failed: singular factor or residual above tolerance."""
-
-
-@dataclass(frozen=True)
-class SpectralBasis:
-    """First nontrivial Laplacian eigenpairs.
-
-    ``eigenvalues`` are ascending and positive (the trivial zero mode is
-    excluded); ``eigenvectors`` columns are unit norm and orthogonal to the
-    all-ones vector.  :func:`embedding_distances` derives the embedding
-    from them.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _fix_signs(vecs):
@@ -103,7 +87,8 @@ def _arpack_smallest(g, count):
     # ARPACK stops once ||L^+ u - mu u|| <= tol * mu, which gives ||L u -
     # lambda u|| <= ||L|| * tol; ||L|| <= 2 * max degree (Gershgorin), so
     # this tol lands every pair ten times inside the EIG_TOL check.
-    tol = max(0.1 * EIG_TOL / (2.0 * g.laplacian.diagonal().max()),
+    # Divided in two steps, 2 * max degree cannot overflow.
+    tol = max(0.1 * EIG_TOL / 2.0 / g.laplacian.diagonal().max(),
               np.finfo(float).eps)
     try:
         mu, u = spla.eigsh(op, k=count, which="LM", v0=v0, ncv=ncv,
@@ -123,13 +108,17 @@ def _arpack_smallest(g, count):
 
 
 def _eig_residuals(g, lam, u):
-    """Residual ``||L u_i - lambda_i u_i||`` of each eigenpair column."""
-    return np.linalg.norm(g.laplacian @ u - u * lam, axis=0)
+    """Residual ``||L u_i - lambda_i u_i||`` of each eigenpair column, its
+    norm taken in unit scale so that no square overflows."""
+    r, e = _unit_scale(g.laplacian @ u - u * lam, axis=0)
+    return np.ldexp(np.linalg.norm(r, axis=0), e)
 
 
 def eigensolve_smallest(g, count):
-    """Compute the ``count`` smallest nontrivial eigenpairs of the Laplacian
-    of graph ``g``.
+    """The ``count`` smallest nontrivial eigenpairs ``(lam, u)`` of the
+    Laplacian of graph ``g``, as ``numpy.linalg.eigh`` returns them:
+    eigenvalues ``lam`` ascending and positive, and ``u`` with one unit-norm
+    column per eigenvalue, each orthogonal to the all-ones vector.
 
     The trivial pair (eigenvalue 0, constant vector) is removed by deflation
     against the all-ones vector.  The backend follows from the size alone:
@@ -147,8 +136,9 @@ def eigensolve_smallest(g, count):
     failure raises :class:`EigensolverError` carrying the best residual
     reached.
 
-    Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``,
-    and :class:`DisconnectedGraphError` unless ``g`` is connected.
+    Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``
+    or if a weighted degree overflows ("badly scaled graph"), and
+    :class:`DisconnectedGraphError` unless ``g`` is connected.
     """
     n = g.node_count
     _require_int("count", count, 1)
@@ -162,11 +152,11 @@ def eigensolve_smallest(g, count):
     u = _fix_signs(_project_out_ones(u))
     res = _eig_residuals(g, lam, u)
     limit = EIG_TOL * np.maximum(1.0, lam)
-    if np.any(res > limit):
+    if not np.all(res <= limit):
         raise EigensolverError(
             f"eigenpair residual {res.max():.3e} exceeds tolerance",
             best_residual=float(res.min()))
-    return SpectralBasis(eigenvalues=lam, eigenvectors=u)
+    return lam, u
 
 
 def _squared_row_distances(A, s, t):
@@ -179,9 +169,12 @@ def _squared_row_distances(A, s, t):
 
 def embedding_distances(basis, sources, targets):
     """Squared distances ``||U^T (e_s - e_t)||^2`` (vectorized) in the
-    embedding ``U`` with columns ``u_i / sqrt(lambda_i)``; over all ``N - 1``
-    modes, the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``."""
-    emb = basis.eigenvectors / np.sqrt(basis.eigenvalues)
+    embedding ``U`` with columns ``u_i / sqrt(lambda_i)`` of the eigenpairs
+    ``basis = (lam, u)`` that :func:`eigensolve_smallest` returns; over all
+    ``N - 1`` modes, the effective resistance ``(e_s - e_t)^T L^+ (e_s -
+    e_t)``."""
+    lam, u = basis
+    emb = u / np.sqrt(lam)
     return _squared_row_distances(emb, sources, targets)
 
 
@@ -292,5 +285,5 @@ def objective_value(g, X, eig_count):
     _require_int("eig_count", eig_count, 1)
     if not eig_count <= g.node_count - 1:
         raise ValueError("eig_count out of range")
-    basis = eigensolve_smallest(g, eig_count)
-    return float(np.sum(np.log(basis.eigenvalues))) - trace
+    lam = eigensolve_smallest(g, eig_count)[0]
+    return float(np.sum(np.log(lam))) - trace

@@ -29,9 +29,9 @@ def _report(name, ok, detail):
 @pytest.fixture(scope="module")
 def grid900_run():
     g = rl.grid_graph(30, 30)
-    ms = rl.generate_measurement_set(g, 50, seed=GRID_SEED)
-    learned, trace = rl.learn(ms.X, ms.Y)
-    return g, ms, learned, trace
+    X, Y = rl.generate_measurement_set(g, 50, seed=GRID_SEED)
+    learned, trace = rl.learn(X, Y)
+    return g, (X, Y), learned, trace
 
 
 def test_c1_perturbation_theorem_accuracy():
@@ -109,14 +109,14 @@ def test_c3_jl_resistance_sandwich():
     worst_fraction = 1.0
     for seed in range(5):
         g = random_connected_graph(n, 400, seed=seed)
-        ms = rl.generate_jl_measurements(g, eps, seed=seed)
+        X, _ = rl.generate_jl_measurements(g, eps, seed=seed)
         pinv = np.linalg.pinv(dense_laplacian(g), hermitian=True)
         rng = np.random.default_rng(99 + seed)
         pairs = sample_distinct_pairs(n, 1000, rng)
         inside = 0
         for s, t in pairs:
             reff = pinv[s, s] + pinv[t, t] - 2 * pinv[s, t]
-            z = ((ms.X[s] - ms.X[t]) ** 2).sum()
+            z = ((X[s] - X[t]) ** 2).sum()
             inside += (1 - eps) * reff <= z <= (1 + eps) * reff
         worst_fraction = min(worst_fraction, inside / len(pairs))
     _report("C3 JL sandwich", worst_fraction >= 0.99,
@@ -171,9 +171,9 @@ def test_c6_scaling_identity():
     worst = 0.0
     for seed, extra in ((0, 0), (1, 6)):  # a tree and a loopy graph
         g = random_connected_graph(18, extra, seed=seed)
-        ms = rl.generate_measurement_set(g, 12, seed=seed)
+        X, Y = rl.generate_measurement_set(g, 12, seed=seed)
         for c in (0.1, 0.5, 2.0, 10.0):
-            restored = rl.edge_scale(g.scaled(c), ms.X, ms.Y)
+            restored = rl.edge_scale(g.scaled(c), X, Y)
             worst = max(worst, float(np.max(
                 np.abs(restored.weights - g.weights) / g.weights)))
     _report("C6 scaling identity", worst <= 1e-8,
@@ -181,13 +181,13 @@ def test_c6_scaling_identity():
 
 
 def test_c7_noise_robustness(grid900_run):
-    g, ms, _, _ = grid900_run
-    noisy1 = rl.add_noise(ms.X, 0.1, seed=GRID_SEED + 1)
-    learned1, _ = rl.learn(noisy1, ms.Y)
+    g, (X, Y), _, _ = grid900_run
+    noisy1 = rl.add_noise(X, 0.1, seed=GRID_SEED + 1)
+    learned1, _ = rl.learn(noisy1, Y)
     _, _, _, corr = rl.resistance_correlation(g, learned1, 1000, seed=0)
 
-    noisy5 = rl.add_noise(ms.X, 0.5, seed=GRID_SEED + 2)
-    learned5, _ = rl.learn(noisy5, ms.Y)
+    noisy5 = rl.add_noise(X, 0.5, seed=GRID_SEED + 2)
+    learned5, _ = rl.learn(noisy5, Y)
     lam_t, lam_l, _ = rl.compare_spectra(g, learned5, 3)
     ratios = lam_l / lam_t
     ok_corr = corr >= 0.8
@@ -198,9 +198,9 @@ def test_c7_noise_robustness(grid900_run):
 
 
 def test_c8_reduced_learning(grid900_run):
-    g, ms, _, _ = grid900_run
+    g, (X, _), _, _ = grid900_run
     fraction = 0.2
-    X_red, kept = rl.subsample_nodes(ms.X, fraction, seed=GRID_SEED)
+    X_red, kept = rl.subsample_nodes(X, fraction, seed=GRID_SEED)
     learned, trace = rl.learn(X_red, None)
     expected_nodes = math.ceil(fraction * g.node_count)
     connected = rl.is_connected(learned)
@@ -212,11 +212,11 @@ def test_c8_reduced_learning(grid900_run):
 
 
 def test_c9_knn_baseline_comparison(grid900_run):
-    g, ms, learned, _ = grid900_run
-    g_o, _ = rl.init_graph(ms.X, 5)
-    g_5nn = rl.edge_scale(g_o, ms.X, ms.Y)
-    f_sgl = rl.objective_value(learned, ms.X, 50)
-    f_5nn = rl.objective_value(g_5nn, ms.X, 50)
+    g, (X, Y), learned, _ = grid900_run
+    g_o, _ = rl.init_graph(X, 5)
+    g_5nn = rl.edge_scale(g_o, X, Y)
+    f_sgl = rl.objective_value(learned, X, 50)
+    f_5nn = rl.objective_value(g_5nn, X, 50)
     ok = f_sgl >= f_5nn and learned.edge_count < g_5nn.edge_count
     _report("C9 kNN baseline", ok,
             f"F_sgl={f_sgl:.3f} >= F_5nn={f_5nn:.3f}; "
@@ -230,9 +230,9 @@ def test_c10_scaling_smoke(grid900_run):
     statuses = [trace900.status]
     for rows in (50, 100):
         g = rl.grid_graph(rows, rows)
-        ms = rl.generate_measurement_set(g, 50, seed=GRID_SEED)
+        X, Y = rl.generate_measurement_set(g, 50, seed=GRID_SEED)
         started = time.perf_counter()
-        _, trace = rl.learn(ms.X, ms.Y)
+        _, trace = rl.learn(X, Y)
         elapsed = time.perf_counter() - started
         sizes.append(g.node_count)
         med_secs.append(float(np.median([r.seconds for r in trace.records])))

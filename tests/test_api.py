@@ -7,6 +7,8 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import reslearn
@@ -25,6 +27,19 @@ def test_star_import():
     namespace = {}
     exec("from reslearn import *", namespace)
     assert set(reslearn.__all__) <= namespace.keys()
+
+
+def test_import_leaves_the_slow_modules_unloaded():
+    # scipy.spatial alone costs about 0.1 s of import time; the k-d tree,
+    # the file formats and the CLI are loaded where they are used.
+    src = Path(reslearn.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, reslearn; print(*sys.modules)"],
+        cwd=src, capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "reslearn" in loaded
+    assert loaded.isdisjoint({"scipy.spatial", "scipy.io", "reslearn.io",
+                              "reslearn.cli"})
 
 
 def test_readme_names_every_exported_name():

@@ -618,19 +618,19 @@ class TestNodeIndexContract:
 
 
 _GRID = grid_graph(6, 6)
-_DATA = generate_measurement_set(_GRID, 10, 0)
+_X, _Y = generate_measurement_set(_GRID, 10, 0)
 _MATRIX, _EITHER = "(N, M)", "(N,) vector or (N, M)"
 # Entry points that take a measurement matrix or right-hand side: the
 # argument's name, the shapes it may take, whether it has one row per node
 # (then a row short is a fault), and a call with the other inputs valid.
 _MATRIX_ENTRY_POINTS = {
     "learn-X": ("X", _MATRIX, False, lambda X: learn(X)),
-    "learn-Y": ("Y", _MATRIX, True, lambda Y: learn(_DATA.X, Y)),
+    "learn-Y": ("Y", _MATRIX, True, lambda Y: learn(_X, Y)),
     "init_graph": ("X", _MATRIX, False, lambda X: init_graph(X, 5)),
     "edge_scale-X": ("X", _MATRIX, True,
-                     lambda X: edge_scale(_GRID, X, _DATA.Y)),
+                     lambda X: edge_scale(_GRID, X, _Y)),
     "edge_scale-Y": ("Y", _MATRIX, True,
-                     lambda Y: edge_scale(_GRID, _DATA.X, Y)),
+                     lambda Y: edge_scale(_GRID, _X, Y)),
     "quadratic_form": ("X", _EITHER, True,
                        lambda X: quadratic_form(_GRID, X)),
     "objective_value": ("X", _EITHER, True,
@@ -687,13 +687,13 @@ class TestMeasurementMatrixContract:
         name, shape, _, call = _MATRIX_ENTRY_POINTS[entry]
         make, message = _MATRIX_FAULTS[fault]
         with pytest.raises(ValueError) as err:
-            call(make(_DATA.X if name == "X" else _DATA.Y))
+            call(make(_X if name == "X" else _Y))
         assert str(err.value) == message.format(name, shape)
 
     def test_objective_value_refuses_zero_columns(self):
         # its trace term averages over the columns
         with pytest.raises(ValueError, match="^X has no columns$"):
-            objective_value(_GRID, _DATA.X[:, :0], 3)
+            objective_value(_GRID, _X[:, :0], 3)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.float32])
     def test_real_dtypes_are_taken_as_float64(self, dtype):

@@ -97,8 +97,8 @@ def learn_inputs(draw):
     if draw(st.booleans()):
         rows = draw(st.integers(1, 6))
         cols = draw(st.integers(2, 60 // rows))
-        ms = generate_measurement_set(grid_graph(rows, cols), m, seed)
-        return ms.X, ms.Y if draw(st.booleans()) else None
+        X, Y = generate_measurement_set(grid_graph(rows, cols), m, seed)
+        return X, Y if draw(st.booleans()) else None
     n = draw(st.integers(2, 60))
     return np.random.default_rng(seed).normal(size=(n, m)), None
 
@@ -300,8 +300,8 @@ class TestInitGraph:
 
     def test_two_node_truth(self):
         g = WeightedGraph(2, [0], [1], [1.0])
-        ms = generate_measurement_set(g, 5, seed=0)
-        g_o, tree = init_graph(ms.X, k=5)
+        X, _ = generate_measurement_set(g, 5, seed=0)
+        g_o, tree = init_graph(X, k=5)
         assert g_o.edge_count == 1
         assert edge_columns(tree) == edge_columns(g_o)
 
@@ -396,9 +396,9 @@ class TestRankCandidates:
 
     def test_sensitivity_underestimates_with_fewer_modes(self):
         g = random_connected_graph(20, 25, seed=3)
-        ms = generate_measurement_set(g, 8, seed=3)
+        X, _ = generate_measurement_set(g, 8, seed=3)
         s, t = np.array([0, 4, 2]), np.array([11, 17, 9])
-        w = ms.X.shape[1] / np.sum((ms.X[s] - ms.X[t]) ** 2, axis=1)
+        w = X.shape[1] / np.sum((X[s] - X[t]) ** 2, axis=1)
         prev = np.full(s.size, -np.inf)
         for modes in (2, 5, 10, 19):  # 19 = full spectrum
             r = embedding_distances(eigensolve_smallest(g, modes), s, t)
@@ -408,10 +408,10 @@ class TestRankCandidates:
 
     def test_sorted_descending_with_tie_break(self):
         g = random_connected_graph(10, 10, seed=2)
-        ms = generate_measurement_set(g, 5, seed=2)
+        X, _ = generate_measurement_set(g, 5, seed=2)
         basis = eigensolve_smallest(g, 3)
         s, t = np.triu_indices(10, 1)
-        w = ms.X.shape[1] / np.sum((ms.X[s] - ms.X[t]) ** 2, axis=1)
+        w = X.shape[1] / np.sum((X[s] - X[t]) ** 2, axis=1)
         order, sens = _rank_candidates(embedding_distances(basis, s, t), w,
                                        s.size)
         assert sorted(order) == list(range(s.size))
@@ -423,7 +423,7 @@ class TestRankCandidates:
         # sensitivity = (z_data / M) * (distortion - 1), the distortion
         # M * z_emb / z_data read against the pool weight M / z_data.
         g = random_connected_graph(12, 14, seed=0)
-        X = generate_measurement_set(g, 8, seed=1).X
+        X = generate_measurement_set(g, 8, seed=1)[0]
         X[5] = X[0]
         g_o, tree = init_graph(X, learner.KNN_COUNT)
         m = X.shape[1]
@@ -439,9 +439,9 @@ class TestRankCandidates:
     def test_sensitivities_scale_with_the_square_of_x(self, j):
         # X * 2**j: pool weights M / z by 4**-j, the tree's eigenvalues with
         # them, and every sensitivity by 4**j, its rank kept.
-        ms = generate_measurement_set(grid_graph(5, 6), 8, seed=2)
+        X0, _ = generate_measurement_set(grid_graph(5, 6), 8, seed=2)
         ranked = []
-        for X in (ms.X, ms.X * 2.0 ** j):
+        for X in (X0, X0 * 2.0 ** j):
             g_o, tree = init_graph(X, learner.KNN_COUNT)
             ranked.append(_rank_candidates(embedding_distances(
                 eigensolve_smallest(tree, 6), g_o.sources, g_o.targets),
@@ -509,21 +509,21 @@ class TestRankCandidates:
 class TestEdgeScale:
     def test_identity_at_truth(self):
         g = random_connected_graph(12, 10, seed=1)
-        ms = generate_measurement_set(g, 6, seed=1)
-        scaled = edge_scale(g, ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 6, seed=1)
+        scaled = edge_scale(g, X, Y)
         np.testing.assert_allclose(scaled.weights, g.weights, rtol=1e-9)
 
     def test_restores_doubled_weights(self):
         g = random_connected_graph(10, 8, seed=2)
-        ms = generate_measurement_set(g, 5, seed=2)
-        restored = edge_scale(g.scaled(2.0), ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 5, seed=2)
+        restored = edge_scale(g.scaled(2.0), X, Y)
         np.testing.assert_allclose(restored.weights, g.weights, rtol=1e-9)
 
     @pytest.mark.parametrize("c", [0.1, 0.5, 2.0, 10.0])
     def test_restores_tree_scale(self, c):
         g = random_connected_graph(15, 0, seed=3)  # a tree
-        ms = generate_measurement_set(g, 10, seed=3)
-        restored = edge_scale(g.scaled(c), ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 10, seed=3)
+        restored = edge_scale(g.scaled(c), X, Y)
         np.testing.assert_allclose(restored.weights, g.weights, rtol=1e-8)
 
     @pytest.mark.filterwarnings("error")
@@ -533,8 +533,8 @@ class TestEdgeScale:
         # the solved voltages' norms overflowed at 1e-290 and 1e-200, and
         # underflowed to 0 at 1e200; at 1e-307 and 2**-1021 the sum that
         # centered them overflowed
-        ms = generate_measurement_set(grid_graph(6, 6), 4, 0)
-        restored = edge_scale(grid_graph(6, 6).scaled(s), ms.X, ms.Y)
+        X, Y = generate_measurement_set(grid_graph(6, 6), 4, 0)
+        restored = edge_scale(grid_graph(6, 6).scaled(s), X, Y)
         np.testing.assert_allclose(restored.weights, 1.0, rtol=1e-12)
 
     def test_zero_voltage_column_rejected(self):
@@ -550,11 +550,10 @@ class TestEdgeScale:
             raise AssertionError("learn eigensolved before checking X")
 
         monkeypatch.setattr(learner, "eigensolve_smallest", no_eigensolve)
-        ms = generate_measurement_set(grid_graph(6, 6), 5, seed=0)
-        X = ms.X.copy()
+        X, Y = generate_measurement_set(grid_graph(6, 6), 5, seed=0)
         X[:, 3] = 0.0
         with pytest.raises(ValueError, match="zero voltage column"):
-            learn(X, ms.Y)
+            learn(X, Y)
 
     @pytest.mark.parametrize("zeroed, first", [([2], 2), (slice(None), 0)],
                              ids=["one_column", "all_columns"])
@@ -563,14 +562,13 @@ class TestEdgeScale:
         # the check, one zeroed column of five shrank every learned weight
         # by 0.93, and an all-zero Y failed only at the scale factor.
         g = grid_graph(6, 6)
-        ms = generate_measurement_set(g, 5, seed=0)
-        Y = ms.Y.copy()
+        X, Y = generate_measurement_set(g, 5, seed=0)
         Y[:, zeroed] = 0.0
         message = f"Y column {first} is all zeros"
         with pytest.raises(ValueError, match=message):
-            learn(ms.X, Y)
+            learn(X, Y)
         with pytest.raises(ValueError, match=message):
-            edge_scale(g, ms.X, Y)
+            edge_scale(g, X, Y)
 
 
 def _with_column(a, j, value):
@@ -583,7 +581,7 @@ class TestMeasurementChecks:
     """``learn`` and ``edge_scale`` check voltages and currents with one
     pair of parsers, so each fault gets one message from both."""
 
-    _MS = generate_measurement_set(grid_graph(4, 4), 5, seed=8)
+    _X, _Y = generate_measurement_set(grid_graph(4, 4), 5, seed=8)
     ENTRY_POINTS = {
         "learn": lambda X, Y: learn(X, Y),
         "edge_scale": lambda X, Y: edge_scale(grid_graph(4, 4), X, Y),
@@ -603,13 +601,13 @@ class TestMeasurementChecks:
     def test_currents_refused_alike(self, entry, fault):
         make, message = self.CURRENT_FAULTS[fault]
         with pytest.raises(ValueError) as err:
-            self.ENTRY_POINTS[entry](*make(self._MS.X, self._MS.Y))
+            self.ENTRY_POINTS[entry](*make(self._X, self._Y))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("shape", ["one-row", "no-columns"])
     @pytest.mark.parametrize("entry", ["learn", "init_graph"])
     def test_voltage_shape_refused_alike(self, entry, shape):
-        X = self._MS.X[:1] if shape == "one-row" else self._MS.X[:, :0]
+        X = self._X[:1] if shape == "one-row" else self._X[:, :0]
         call = learn if entry == "learn" else lambda X: init_graph(X, 5)
         with pytest.raises(ValueError) as err:
             call(X)
@@ -623,10 +621,10 @@ class TestScaling:
     def test_weights_past_the_float_range_are_refused_by_name(self, factor):
         # X learns in unit scale, but its weights in X's units, times about
         # 1e-310 or 1e400, are not normal floats
-        ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
+        X, _ = generate_measurement_set(grid_graph(6, 6), 10, 0)
         with pytest.raises(ValueError, match="^badly scaled measurements: "
                                              "the weights in the units of X"):
-            learn(ms.X * factor)
+            learn(X * factor)
 
     def test_genuine_solve_failure_still_raises_solver_error(self,
                                                              monkeypatch):
@@ -635,17 +633,17 @@ class TestScaling:
             raise SolverError("relative residual 2e-10")
 
         monkeypatch.setattr(learner, "solve_laplacian", inaccurate)
-        ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
+        X, Y = generate_measurement_set(grid_graph(6, 6), 10, 0)
         with pytest.raises(SolverError, match="relative residual 2e-10"):
-            edge_scale(grid_graph(6, 6), ms.X, ms.Y)
+            edge_scale(grid_graph(6, 6), X, Y)
 
     @pytest.mark.parametrize("rows, m, factor", [
         (6, 10, 1e154), (6, 10, 2e154), (30, 50, 1e153),
     ], ids=["1e+154", "2e+154", "grid30-1e+153"])
     def test_large_representable_scale_still_converges(self, rows, m,
                                                        factor):
-        ms = generate_measurement_set(grid_graph(rows, rows), m, 0)
-        _, trace = learn(ms.X * factor)
+        X, _ = generate_measurement_set(grid_graph(rows, rows), m, 0)
+        _, trace = learn(X * factor)
         assert trace.status == "converged"
 
     @pytest.mark.parametrize("rows, m, factor, currents", [
@@ -666,9 +664,9 @@ class TestScaling:
             "grid30-1e+154-currents", "grid30-1e-150"])
     def test_off_unit_scales_learn_the_unit_scale_edges(self, rows, m,
                                                         factor, currents):
-        ms = generate_measurement_set(grid_graph(rows, rows), m, 0)
-        Y = ms.Y if currents else None
-        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(ms.X * factor, Y)
+        X, Y = generate_measurement_set(grid_graph(rows, rows), m, 0)
+        Y = Y if currents else None
+        (g1, t1), (g2, t2) = learn(X, Y), learn(X * factor, Y)
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
         np.testing.assert_allclose(
@@ -679,8 +677,8 @@ class TestScaling:
     @pytest.mark.parametrize("j", [-26, -30, -100])
     def test_small_units_learn_the_unit_scale_graph(self, j):
         # in the units of X, the eigensolves failed from X * 1.5e-8 down
-        ms = generate_measurement_set(grid_graph(40, 40), 50, seed=0)
-        (g1, t1), (g2, t2) = learn(ms.X), learn(np.ldexp(ms.X, j))
+        X, _ = generate_measurement_set(grid_graph(40, 40), 50, seed=0)
+        (g1, t1), (g2, t2) = learn(X), learn(np.ldexp(X, j))
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
         np.testing.assert_array_equal(g2.weights, np.ldexp(g1.weights, -2 * j))
@@ -690,8 +688,8 @@ class TestScaling:
     def test_currents_in_any_units_scale_the_weights(self, factor):
         # in the units of Y, Y * 1e-300 read as all zeros, 1e-160 gave no
         # finite norm ratio and 1e250 overflowed
-        ms = generate_measurement_set(grid_graph(6, 6), 8, seed=0)
-        (g1, t1), (g2, t2) = learn(ms.X, ms.Y), learn(ms.X, ms.Y * factor)
+        X, Y = generate_measurement_set(grid_graph(6, 6), 8, seed=0)
+        (g1, t1), (g2, t2) = learn(X, Y), learn(X, Y * factor)
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
         np.testing.assert_allclose(g2.weights, g1.weights * factor,
@@ -702,8 +700,8 @@ class TestScaling:
 class TestLearn:
     def test_two_node_truth_recovered(self):
         g = WeightedGraph(2, [0], [1], [1.3])
-        ms = generate_measurement_set(g, 5, seed=0)
-        learned, trace = learn(ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 5, seed=0)
+        learned, trace = learn(X, Y)
         assert learned.edge_count == 1
         assert edge_columns(learned)[:2] == ([0], [1])
         assert learned.weights[0] == pytest.approx(1.3, rel=1e-6)
@@ -713,19 +711,19 @@ class TestLearn:
         # The seed spanning tree of a path's voltages is the path; no
         # candidate's sensitivity is then positive.
         g = grid_graph(1, 20)
-        ms = generate_measurement_set(g, 20, seed=1)
-        learned, trace = learn(ms.X, None)
+        X, _ = generate_measurement_set(g, 20, seed=1)
+        learned, trace = learn(X, None)
         assert trace.status == "converged"
         assert trace.iterations == 1
         assert trace.records[0].s_max < 0
-        assert edge_columns(learned) == edge_columns(init_graph(ms.X, 5)[1])
+        assert edge_columns(learned) == edge_columns(init_graph(X, 5)[1])
         assert learned.edge_count == g.node_count - 1
 
     def test_max_iterations_status(self, monkeypatch):
         g = grid_graph(6, 6)
-        ms = generate_measurement_set(g, 20, seed=2)
+        X, _ = generate_measurement_set(g, 20, seed=2)
         monkeypatch.setattr(learner, "MAX_ITERATIONS", 2)
-        learned, trace = learn(ms.X, None)
+        learned, trace = learn(X, None)
         assert trace.status == "max_iterations"
         assert trace.iterations == 2
 
@@ -733,8 +731,8 @@ class TestLearn:
         # 8x8 grid protocol: converged, near-tree density, resistances
         # correlated with the truth (frozen floor from the dense oracle)
         g = grid_graph(8, 8)
-        ms = generate_measurement_set(g, 50, seed=0)
-        learned, trace = learn(ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 50, seed=0)
+        learned, trace = learn(X, Y)
         assert trace.status == "converged"
         assert trace.records[-1].s_max <= 1e-12
         assert learned.edge_count <= 2 * g.node_count
@@ -745,14 +743,14 @@ class TestLearn:
         # every learned edge is a candidate edge with weight M / z_data, and
         # the seed tree survives
         g = grid_graph(7, 7)
-        ms = generate_measurement_set(g, 20, seed=11)
-        learned, _ = learn(ms.X, None)
-        g_o, tree = init_graph(ms.X, learner.KNN_COUNT)
+        X, _ = generate_measurement_set(g, 20, seed=11)
+        learned, _ = learn(X, None)
+        g_o, tree = init_graph(X, learner.KNN_COUNT)
         candidates = {(s, t): w for s, t, w in zip(*edge_columns(g_o))}
-        m = ms.X.shape[1]
+        m = X.shape[1]
         for s, t, w in zip(*edge_columns(learned)):
             assert candidates[(s, t)] == w
-            z_data = np.sum((ms.X[s] - ms.X[t]) ** 2)
+            z_data = np.sum((X[s] - X[t]) ** 2)
             assert w == pytest.approx(m / z_data, rel=1e-12)
         assert set(zip(*edge_columns(tree))) <= set(
             zip(*edge_columns(learned)))
@@ -775,8 +773,7 @@ class TestLearn:
 
     def test_grid_with_copied_rows_converges(self):
         # five rows equal to row 0: electrically equivalent nodes
-        ms = generate_measurement_set(grid_graph(6, 6), 10, 0)
-        X = ms.X.copy()
+        X, _ = generate_measurement_set(grid_graph(6, 6), 10, 0)
         X[1:6] = X[0]
         learned, trace = learn(X, None)
         assert trace.status == "converged"
@@ -784,8 +781,8 @@ class TestLearn:
 
     def test_trace_monotonic_edge_counts(self):
         g = grid_graph(7, 7)
-        ms = generate_measurement_set(g, 30, seed=3)
-        _, trace = learn(ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 30, seed=3)
+        _, trace = learn(X, Y)
         counts = [r.edge_count for r in trace.records]
         assert counts == sorted(counts)
         assert [r.iteration for r in trace.records] == list(
@@ -793,17 +790,17 @@ class TestLearn:
 
     def test_determinism(self):
         g = grid_graph(6, 6)
-        ms = generate_measurement_set(g, 25, seed=4)
-        g1, t1 = learn(ms.X, ms.Y)
-        g2, t2 = learn(ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 25, seed=4)
+        g1, t1 = learn(X, Y)
+        g2, t2 = learn(X, Y)
         assert edge_columns(g1) == edge_columns(g2)
         assert t1.s_max_history.tolist() == t2.s_max_history.tolist()
 
     def test_memory_layout_leaves_the_bits_alone(self):
         # The CLI reads column-major matrices; the library is usually handed
         # row-major ones.
-        ms = generate_measurement_set(grid_graph(6, 6), 8, seed=1)
-        X, Y = np.ascontiguousarray(ms.X), np.ascontiguousarray(ms.Y)
+        X, Y = map(np.ascontiguousarray,
+                   generate_measurement_set(grid_graph(6, 6), 8, seed=1))
         g_c, _ = learn(X, Y)
         g_f, _ = learn(np.asfortranarray(X), np.asfortranarray(Y))
         assert edge_columns(g_f) == edge_columns(g_c)
@@ -811,9 +808,9 @@ class TestLearn:
     def test_grid30_learns_alike_in_small_units(self):
         # Every sensitivity scales by c**2 with X and keeps its sign, so the
         # loop stops at the same iteration in any units.
-        ms = generate_measurement_set(grid_graph(30, 30), 50, seed=0)
-        g1, t1 = learn(ms.X, None)
-        g2, t2 = learn(ms.X * 2.0 ** -20, None)
+        X, _ = generate_measurement_set(grid_graph(30, 30), 50, seed=0)
+        g1, t1 = learn(X, None)
+        g2, t2 = learn(X * 2.0 ** -20, None)
         assert g2.edge_count == g1.edge_count == 921
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
@@ -826,10 +823,10 @@ class TestLearn:
         # At 1e-6 every sensitivity is below 1e-12 in magnitude, so a loop
         # with an absolute tolerance of that size would keep the seed tree.
         g = grid_graph(6, 6)
-        ms = generate_measurement_set(g, 25, seed=5)
-        Y = ms.Y if use_currents else None
-        g1, _ = learn(ms.X, Y)
-        g2, _ = learn(factor * ms.X, Y)
+        X, Y = generate_measurement_set(g, 25, seed=5)
+        Y = Y if use_currents else None
+        g1, _ = learn(X, Y)
+        g2, _ = learn(factor * X, Y)
         assert edge_columns(g1)[:2] == edge_columns(g2)[:2]
         assert g2.edge_count > g.node_count - 1
         np.testing.assert_allclose(
@@ -838,8 +835,8 @@ class TestLearn:
 
     def test_reduced_learning_without_currents(self):
         g = grid_graph(8, 8)
-        ms = generate_measurement_set(g, 50, seed=6)
-        Xr, kept = subsample_nodes(ms.X, 0.25, seed=6)
+        X, _ = generate_measurement_set(g, 50, seed=6)
+        Xr, kept = subsample_nodes(X, 0.25, seed=6)
         learned, trace = learn(Xr, None)
         assert learned.node_count == 16
         assert is_connected(learned)
@@ -850,11 +847,11 @@ class TestLearn:
         # a positive sensitivity (distortion M * z_emb / z_data above 1).
         g = grid_graph(7, 7)
         n = g.node_count
-        ms = generate_measurement_set(g, 30, seed=7)
-        _, trace = learn(ms.X, ms.Y)
+        X, Y = generate_measurement_set(g, 30, seed=7)
+        _, trace = learn(X, Y)
         assert trace.status == "converged"
-        unscaled, _ = learn(ms.X, None)
-        g_o, _ = init_graph(ms.X, learner.KNN_COUNT)
+        unscaled, _ = learn(X, None)
+        g_o, _ = init_graph(X, learner.KNN_COUNT)
         out = ~np.isin(g_o.sources * n + g_o.targets,
                        unscaled.sources * n + unscaled.targets)
         assert np.any(out)
@@ -866,23 +863,22 @@ class TestLearn:
 
     def test_rejects_mismatched_currents(self):
         g = grid_graph(4, 4)
-        ms = generate_measurement_set(g, 5, seed=8)
+        X, Y = generate_measurement_set(g, 5, seed=8)
         with pytest.raises(ValueError):
-            learn(ms.X, ms.Y[:, :3])
+            learn(X, Y[:, :3])
         with pytest.raises(ValueError):
-            learn(ms.X, np.ones_like(ms.Y))
+            learn(X, np.ones_like(Y))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_measurements(self, bad):
         g = grid_graph(4, 4)
-        ms = generate_measurement_set(g, 5, seed=8)
-        X, Y = ms.X.copy(), ms.Y.copy()
+        X, Y = generate_measurement_set(g, 5, seed=8)
+        Y[3, 2] = bad
+        with pytest.raises(ValueError, match="Y must be finite"):
+            learn(X, Y)
         X[3, 2] = bad
         with pytest.raises(ValueError, match="X must be finite"):
             learn(X, None)
-        Y[3, 2] = bad
-        with pytest.raises(ValueError, match="Y must be finite"):
-            learn(ms.X, Y)
 
     def test_max_iterations_is_ten_sweeps_of_the_budget(self):
         # the cap gives every candidate ten chances at the ceil(N * beta)
@@ -891,21 +887,21 @@ class TestLearn:
             1.0 / learner.BETA_SAMPLE)
 
     def test_candidate_pool_reads_knn_count(self, monkeypatch):
-        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
-        pool = set(zip(*edge_columns(init_graph(ms.X, 1)[0])))
-        learned, _ = learn(ms.X, None)
+        X, _ = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        pool = set(zip(*edge_columns(init_graph(X, 1)[0])))
+        learned, _ = learn(X, None)
         assert not set(zip(*edge_columns(learned))) <= pool
         monkeypatch.setattr(learner, "KNN_COUNT", 1)
-        learned, _ = learn(ms.X, None)
+        learned, _ = learn(X, None)
         assert set(zip(*edge_columns(learned))) <= pool
 
     def test_inclusion_budget_reads_beta_sample(self, monkeypatch):
         # N = 49: ceil(N * 1e-3) = 1 edge per iteration, ceil(N * 0.1) = 5
-        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
-        n = ms.X.shape[0]
+        X, _ = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        n = X.shape[0]
         for beta in (learner.BETA_SAMPLE, 0.1):
             monkeypatch.setattr(learner, "BETA_SAMPLE", beta)
-            _, trace = learn(ms.X, None)
+            _, trace = learn(X, None)
             counts = [n - 1] + [r.edge_count for r in trace.records]
             assert max(np.diff(counts)) == math.ceil(n * beta)
 
@@ -918,19 +914,19 @@ class TestLearn:
             return original(g, count, *args, **kwargs)
 
         monkeypatch.setattr(learner, "eigensolve_smallest", recording)
-        ms = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
-        learn(ms.X, None)
+        X, _ = generate_measurement_set(grid_graph(7, 7), 20, seed=3)
+        learn(X, None)
         assert set(counts) == {learner.MODE_COUNT}
         counts.clear()
         monkeypatch.setattr(learner, "MODE_COUNT", 2)
-        learn(ms.X, None)
+        learn(X, None)
         assert set(counts) == {2}
 
     def test_mode_count_capped_at_small_graphs(self):
         # MODE_COUNT = 4 still works on a 3-node truth (modes cap at N - 1)
         g = WeightedGraph(3, [0, 1], [1, 2], [1.0, 1.0])
-        ms = generate_measurement_set(g, 4, seed=9)
-        learned, trace = learn(ms.X, None)
+        X, _ = generate_measurement_set(g, 4, seed=9)
+        learned, trace = learn(X, None)
         assert learned.node_count == 3
         assert trace.status in ("converged", "candidate_pool_exhausted")
 
@@ -944,9 +940,9 @@ class TestLearn:
             calls.append(1)
             return original(*args, **kwargs)
 
-        ms = generate_measurement_set(grid_graph(12, 12), 8, seed=0)
+        X, Y = generate_measurement_set(grid_graph(12, 12), 8, seed=0)
         monkeypatch.setattr(graphs, "connected_components", counting)
-        learned, trace = learn(ms.X, ms.Y)
+        learned, trace = learn(X, Y)
         assert trace.iterations > 1
         assert is_connected(learned)
         assert calls == []
@@ -1008,9 +1004,9 @@ class TestLearnProperties:
                                                          use_currents, j):
         # the property above never draws more than DENSE_EIG_LIMIT nodes
         assert side * side > DENSE_EIG_LIMIT
-        ms = generate_measurement_set(grid_graph(side, side), m, seed=0)
-        Y = ms.Y if use_currents else None
-        (g1, t1), (g2, t2) = learn(ms.X, Y), learn(np.ldexp(ms.X, j), Y)
+        X, Y = generate_measurement_set(grid_graph(side, side), m, seed=0)
+        Y = Y if use_currents else None
+        (g1, t1), (g2, t2) = learn(X, Y), learn(np.ldexp(X, j), Y)
         assert g2.edge_count > side * side - 1
         np.testing.assert_array_equal(g2.sources, g1.sources)
         np.testing.assert_array_equal(g2.targets, g1.targets)
@@ -1033,12 +1029,12 @@ class TestLearnProperties:
     def test_permuting_a_grid_permutes_the_graph(self, use_currents):
         # N = 144 takes Lanczos; with currents, edge scaling sums the
         # solved voltages in another order, so weights agree to rounding.
-        ms = generate_measurement_set(grid_graph(12, 12), 10, seed=0)
+        X, Y = generate_measurement_set(grid_graph(12, 12), 10, seed=0)
         p = np.random.default_rng(1).permutation(144)
-        Y = ms.Y if use_currents else None
-        expected = edge_columns(learn(ms.X, Y)[0])
+        Y = Y if use_currents else None
+        expected = edge_columns(learn(X, Y)[0])
         got = relabelled_edges(
-            learn(ms.X[p], None if Y is None else Y[p])[0], p)
+            learn(X[p], None if Y is None else Y[p])[0], p)
         assert got[:2] == expected[:2]
         rtol = 1e-12 if use_currents else 0.0
         np.testing.assert_allclose(got[2], expected[2], rtol=rtol)
