@@ -5,8 +5,8 @@ positive edge weights (conductances).  The ``WeightedGraph`` constructor is
 the one place that checks edges and stores them canonically, as ``s < t``
 arrays sorted lexicographically, which makes every construction
 deterministic and bit-reproducible.  Each graph owns its Laplacian: the
-matrix (assembled by SciPy from its edges), its connected components and its
-grounded factor are built on first use and cached on the graph, and every
+matrix (assembled by SciPy from its edges), its connected component count and
+its grounded factor are built on first use and cached on the graph, and every
 Laplacian routine takes the graph.
 """
 
@@ -113,12 +113,12 @@ class WeightedGraph:
 
     def _pass_connected(self, other):
         """``other``, a graph on these nodes that holds every edge of this
-        one: when this graph's cached components say it is connected, so is
-        ``other``, which takes them without a components pass of its own."""
-        cached = self.__dict__.get("_components")
-        if cached is not None and cached[0] == 1:
+        one: when this graph's cached component count says it is connected,
+        so is ``other``, which takes it without a components pass of its
+        own."""
+        if self.__dict__.get("_components") == 1:
             # cached_property reads the instance dict first.
-            other.__dict__["_components"] = cached
+            other.__dict__["_components"] = 1
         return other
 
     @cached_property
@@ -143,11 +143,8 @@ class WeightedGraph:
 
     @cached_property
     def _components(self):
-        """``(count, labels)``: connected components, labels ``0..count-1``
-        in a read-only array."""
-        count, labels = connected_components(self.laplacian, directed=False)
-        labels.setflags(write=False)
-        return int(count), labels
+        """The number of connected components."""
+        return int(connected_components(self.laplacian, directed=False)[0])
 
     @cached_property
     def _factor(self):
@@ -171,14 +168,13 @@ def quadratic_form(g, x):
 
 def is_connected(g):
     """Whether ``g`` has a single connected component."""
-    return g._components[0] == 1
+    return g._components == 1
 
 
 def _require_connected(g):
     """Raise :class:`DisconnectedGraphError` unless ``g`` is connected."""
-    n, _ = g._components
-    if n != 1:
-        raise DisconnectedGraphError(n)
+    if g._components != 1:
+        raise DisconnectedGraphError(g._components)
 
 
 def _require_int(name, value, minimum):
@@ -324,9 +320,7 @@ def maximum_spanning_tree(g):
     keep = order[forest.data.astype(np.int64) - 1]
     tree = WeightedGraph(n, g.sources[keep], g.targets[keep], g.weights[keep])
     # n - 1 edges spanning n nodes: a tree is connected by construction.
-    labels = np.zeros(n, dtype=np.int32)
-    labels.setflags(write=False)
-    tree.__dict__["_components"] = (1, labels)
+    tree.__dict__["_components"] = 1
     return tree
 
 

@@ -72,9 +72,11 @@ class LearnTrace:
         return np.asarray([r.s_max for r in self.records])
 
 
-def _knn_rows(X, k):
-    """Each row's ``min(k, N - 1)`` nearest other rows in Euclidean distance,
-    as an (N, min(k, N - 1)) index array, nearest first.
+def _knn_pairs(X, k):
+    """k-nearest-neighbor pairs ``(i, j)`` as int64 arrays: each row ``i``,
+    ascending, with its ``min(k, N - 1)`` nearest other rows ``j`` in
+    Euclidean distance, nearest first.  A pair found from both ends comes
+    back twice, once from each.
 
     One k-d tree query finds them.  It is exact in distance; where several
     rows tie at a row's k-th distance, the tree's traversal order decides
@@ -92,18 +94,8 @@ def _knn_rows(X, k):
     # With duplicate rows the query may return k_eff + 1 rows at distance 0
     # without the row itself; keep exactly k_eff other rows either way.
     other &= np.cumsum(other, axis=1) <= k_eff
-    return nbr[other].reshape(n, k_eff)
-
-
-def _knn_pairs(X, k):
-    """k-nearest-neighbor pairs as ``(s, t)`` int64 arrays, ``s < t``, sorted
-    by ``(s, t)``: the union over both directions of :func:`_knn_rows`."""
-    nbr = _knn_rows(X, k)
-    n, k_eff = nbr.shape
-    i = np.repeat(np.arange(n, dtype=np.int64), k_eff)
-    j = nbr.ravel().astype(np.int64)
-    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
-    return keys // n, keys % n
+    return (np.repeat(np.arange(n, dtype=np.int64), k_eff),
+            nbr[other].astype(np.int64))
 
 
 def _floored_distances(X, s, t):
@@ -118,8 +110,9 @@ def _floored_distances(X, s, t):
     if z[i] == 0 and np.array_equal(X[s], X[t]):
         raise ValueError("degenerate measurements: all voltage rows identical")
     if z[i] < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
+        a, b = sorted((s[i], t[i]))
         raise ValueError(
-            f"badly scaled measurements: voltage rows {s[i]} and {t[i]} are "
+            f"badly scaled measurements: voltage rows {a} and {b} are "
             f"{np.sqrt(z[i]) / np.abs(X).max():.3g} of max |X| apart, too "
             "close for their weight M / z to be squared; merge them")
     return np.maximum(z, z[i])
@@ -133,7 +126,7 @@ def _connectivity_repair(X, s, t):
     outside it) takes its closest outside row by one exact k-d tree query,
     and these bridges join by ascending ``(distance, s, t)`` while their
     ends are in different components.  Where rows tie, the tree's order
-    decides, as in :func:`_knn_rows`.  Returns the pairs with the bridges
+    decides, as in :func:`_knn_pairs`.  Returns the pairs with the bridges
     (``s < t``) appended, the input arrays when they already connect; no
     bridge distance overflows, since ``X`` is in unit scale.
     """

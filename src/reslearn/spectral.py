@@ -91,8 +91,14 @@ def _arpack_smallest(g, count):
     tol = max(0.1 * EIG_TOL / 2.0 / g.laplacian.diagonal().max(),
               np.finfo(float).eps)
     try:
-        mu, u = spla.eigsh(op, k=count, which="LM", v0=v0, ncv=ncv,
-                           maxiter=EIG_MAX_RESTARTS, tol=tol)
+        # Weights near the smallest normal float put L^+ x past the float
+        # range; stop there, not at an ARPACK error that hides the cause.
+        with np.errstate(over="raise", invalid="raise"):
+            mu, u = spla.eigsh(op, k=count, which="LM", v0=v0, ncv=ncv,
+                               maxiter=EIG_MAX_RESTARTS, tol=tol)
+    except FloatingPointError as exc:
+        raise ValueError(f"badly scaled graph: {exc} applying L^+; rescale "
+                         "the weights") from None
     except spla.ArpackNoConvergence as exc:
         best = None
         if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -137,7 +143,8 @@ def eigensolve_smallest(g, count):
     reached.
 
     Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``
-    or if a weighted degree overflows ("badly scaled graph"), and
+    or if a weighted degree or a Lanczos iterate overflows ("badly scaled
+    graph"), and
     :class:`DisconnectedGraphError` unless ``g`` is connected.
     """
     n = g.node_count

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import reslearn
 from reslearn.graphs import (
     WeightedGraph,
     effective_resistance,
@@ -22,7 +17,6 @@ from reslearn.learner import (
     _connectivity_repair,
     _floored_distances,
     _knn_pairs,
-    _knn_rows,
     _rank_candidates,
     _top_order,
     edge_scale,
@@ -142,14 +136,26 @@ def clustered_rows(seed, n, m, clusters, offset=0.0, scale=1.0):
     return offset + scale * (centers[lab] + 0.05 * noise)
 
 
+def knn_edges(X, k):
+    """The k-nearest-neighbor pairs as a set of ``(s, t)`` with ``s < t``."""
+    return {(min(i, j), max(i, j))
+            for i, j in zip(*(a.tolist() for a in _knn_pairs(X, k)))}
+
+
 def repair_bridges(X, k):
-    """``(s, t, bridges)``: the k-nearest-neighbor pairs and the sorted
-    ``(s, t)`` bridges that :func:`_connectivity_repair` adds to them."""
-    s, t = _knn_pairs(X, k)
-    pairs = list(zip(*(a.tolist() for a in _connectivity_repair(X, s, t))))
-    knn = set(zip(s.tolist(), t.tolist()))
-    assert len(set(pairs)) == len(pairs) and knn <= set(pairs)
-    return s, t, sorted(set(pairs) - knn)
+    """``(s, t, bridges)``: the k-nearest-neighbor pairs, ``s < t`` sorted,
+    and the sorted ``(s, t)`` bridges that :func:`_connectivity_repair`
+    appends to them."""
+    i, j = _knn_pairs(X, k)
+    rs, rt = _connectivity_repair(X, i, j)
+    np.testing.assert_array_equal(rs[:i.size], i)
+    np.testing.assert_array_equal(rt[:j.size], j)
+    bridges = list(zip(rs[i.size:].tolist(), rt[j.size:].tolist()))
+    knn = knn_edges(X, k)
+    assert all(a < b for a, b in bridges)
+    assert len(set(bridges)) == len(bridges) and not knn & set(bridges)
+    s, t = (np.array(c, dtype=np.int64) for c in zip(*sorted(knn)))
+    return s, t, sorted(bridges)
 
 
 class TestKnnPairs:
@@ -159,21 +165,20 @@ class TestKnnPairs:
         X, k = case
         n = X.shape[0]
         k_eff = min(k, n - 1)
-        nbr = _knn_rows(X, k)
-        assert nbr.shape == (n, k_eff)
+        rows, cols = _knn_pairs(X, k)
+        assert rows.dtype == cols.dtype == np.int64
+        np.testing.assert_array_equal(
+            rows, np.repeat(np.arange(n), k_eff))  # row ascending
+        nbr = cols.reshape(n, k_eff)
         nearest = brute_force_knn_distances(X, k_eff)
         for i in range(n):
             assert i not in nbr[i] and len(set(nbr[i])) == k_eff
-            # Ties make the chosen rows ambiguous, so compare distances.
-            d = np.sort(np.sum((X[nbr[i]] - X[i]) ** 2, axis=1))
+            # Nearest first; ties make the chosen rows ambiguous, so compare
+            # distances.
+            d = np.sum((X[nbr[i]] - X[i]) ** 2, axis=1)
+            assert np.all(np.diff(d) >= 0)
             np.testing.assert_allclose(d, nearest[i], rtol=DISTANCE_RTOL,
                                        atol=0)
-        s, t = _knn_pairs(X, k)
-        assert s.dtype == t.dtype == np.int64
-        assert np.all(np.diff(s * n + t) > 0)  # sorted, no duplicates
-        union = {(min(i, j), max(i, j)) for i in range(n)
-                 for j in nbr[i].tolist()}
-        assert set(zip(s.tolist(), t.tolist())) == union
 
     @settings(max_examples=60)
     @given(st.one_of(knn_inputs(), clustered_inputs()))
@@ -183,15 +188,14 @@ class TestKnnPairs:
         g_o, tree = init_graph(X, k)
         assert is_connected(g_o)
         assert tree.edge_count == X.shape[0] - 1
-        s, t = _knn_pairs(X, k)
-        knn = set(zip(s.tolist(), t.tolist()))
+        knn = knn_edges(X, k)
         pairs = set(zip(g_o.sources.tolist(), g_o.targets.tolist()))
         assert knn <= pairs
         # C components take C - 1 bridges, whose distances are those of
         # the closest-pair oracle's bridges: a minimum spanning tree's
         # weights are unique even where its edges are not.
-        oracle = closest_pair_bridges(X, s, t)
-        assert g_o.edge_count == s.size + len(oracle)
+        oracle = closest_pair_bridges(X, *_knn_pairs(X, k))
+        assert g_o.edge_count == len(knn) + len(oracle)
         np.testing.assert_allclose(
             sorted(np.sum((X[a] - X[b]) ** 2) for a, b in pairs - knn),
             sorted(d for _, _, d in oracle), rtol=DISTANCE_RTOL, atol=0)
@@ -201,29 +205,15 @@ class TestKnnPairs:
         # row itself; each row still gets exactly k other rows
         X = np.zeros((6, 2))
         X[5] = 1.0
-        nbr = _knn_rows(X, 2)
-        assert nbr.shape == (6, 2)
-        assert not np.any(nbr == np.arange(6)[:, None])
+        rows, cols = _knn_pairs(X, 2)
+        np.testing.assert_array_equal(rows, np.repeat(np.arange(6), 2))
+        assert not np.any(rows == cols)
 
     def test_connected_pairs_come_back_unchanged(self):
         X = np.array([[0.0], [1.0], [3.0]])
         s, t = np.array([0, 1]), np.array([1, 2])
         rs, rt = _connectivity_repair(X, s, t)
         assert rs is s and rt is t
-
-    def test_import_leaves_scipy_spatial_unloaded(self):
-        # the k-d tree is imported on first use and the file formats only
-        # by the CLI, keeping ``import reslearn`` fast
-        src = str(Path(reslearn.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, reslearn; print(sorted(m for m in ('scipy.spatial',"
-             " 'scipy.io', 'reslearn.io') if m in sys.modules))"],
-            env=env, capture_output=True, text=True, check=True, timeout=60)
-        assert out.stdout.strip() == "[]"
 
 
 class TestConnectivityRepair:
@@ -261,6 +251,18 @@ class TestConnectivityRepair:
         oracle = closest_pair_bridges(X, s, t)
         assert sorted(np.sum((X[a] - X[b]) ** 2) for a, b in bridges) == \
             sorted(d for _, _, d in oracle)
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_distance_bridge_is_floored(self):
+        # rows 0-3 coincide, so the bridge between the components {0, 1}
+        # and {2, 3, 4} is at distance 0, and the floor lifts it with the
+        # duplicate pairs to the one distinct pair's distance
+        X = np.array([[0.0, 0.0]] * 4 + [[1.0, 0.0]])
+        s, t = _connectivity_repair(X, np.array([0, 2, 3]),
+                                    np.array([1, 3, 4]))
+        assert s.size == 4 and s[3] in (0, 1) and t[3] in (2, 3)
+        np.testing.assert_array_equal(_floored_distances(X, s, t),
+                                      [1.0, 1.0, 1.0, 1.0])
 
     def test_overflowing_bridge_is_refused_by_name(self):
         # the two pairs are 2e154 apart: the squared distance overflows
@@ -370,6 +372,15 @@ class TestInitGraph:
             init_graph(X, k=3)
         with pytest.raises(ValueError, match=message):
             learn(X)
+
+    def test_too_close_pair_is_named_low_row_first(self):
+        # row 2 finds row 0 or its copy 1, neither finds row 2: the pair
+        # comes only as (2, j), and is named as (j, 2)
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1e-160, 0.0], [1.0, 0.0],
+                      [3.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^badly scaled measurements: "
+                           r"voltage rows [01] and 2 are "):
+            init_graph(X, k=1)
 
 
 class TestRankCandidates:

@@ -163,6 +163,20 @@ class TestEigensolve:
         np.testing.assert_allclose(
             lam, np.ldexp(eigensolve_smallest(g, 3)[0], k), rtol=1e-12)
 
+    @pytest.mark.parametrize("k", [-1015, -1018, -1022])
+    def test_overflowing_lanczos_iterates_are_refused(self, k):
+        # L^+ x outgrows the float range, as 2**-k times the unit grid's:
+        # ARPACK failed to build its factorization instead.
+        g = grid_graph(15, 15).scaled(2.0 ** k)
+        with pytest.raises(ValueError, match="^badly scaled graph: "):
+            eigensolve_smallest(g, 3)
+
+    def test_weights_near_the_smallest_normal_float(self):
+        g = grid_graph(15, 15)
+        lam, _ = eigensolve_smallest(g.scaled(2.0 ** -1014), 3)
+        np.testing.assert_allclose(
+            lam, np.ldexp(eigensolve_smallest(g, 3)[0], -1014), rtol=1e-12)
+
     @pytest.mark.parametrize("side", [6, 15], ids=["dense", "iterative"])
     def test_overflowing_degrees_are_refused(self, side):
         # Weights of 2**1022 are finite, the degree 4 * 2**1022 of an inner
