@@ -224,10 +224,14 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
 
 def _unit_scale(a, axis=None):
     """``(a * 2**-e, e)``: ``a`` in unit scale, max |a| in [0.5, 1) over
-    ``a`` or per column (``axis=0``; ``e`` is 0 for a zero column).  On the
-    copy, comparisons, sorts, norms and solves give the same bits, scaled,
-    unless an entry drops below 2**-1022, and none overflow."""
-    _, e = np.frexp(np.abs(a).max(axis=axis))
+    ``a`` or per column (``axis=0``; ``e`` is 0 for a zero column).  On it,
+    comparisons, sorts, norms and solves give the same bits, scaled, unless
+    an entry drops below 2**-1022, and none overflow.  ``a`` itself comes
+    back when every ``e`` is 0, a scaled copy otherwise, so callers only
+    read the result."""
+    _, e = np.frexp(np.maximum(a.max(axis=axis), -a.min(axis=axis)))
+    if not np.any(e):
+        return a, e
     return np.ldexp(a, -e), e
 
 

@@ -101,13 +101,18 @@ def _knn_pairs(X, k):
 def _floored_distances(X, s, t):
     """Squared data distances ``||X[s] - X[t]||^2`` of the pairs ``(s, t)``,
     zeros (duplicate rows) floored at the smallest positive one: the closest
-    distinct pair.  Positive distances are never lifted.  Raises
+    distinct pair.  Positive distances are never lifted.  The pairs must
+    connect every row, as the repaired pool does: then they all join equal
+    rows only if every row equals row 0, which is checked on ``X`` itself,
+    not on copies of the pairs' rows.  Memory is O(pairs) plus one block of
+    :func:`~reslearn.spectral._squared_row_distances`.  Raises
     ``ValueError`` if all rows are identical, or if two rows are too close
     to weigh: the square of their weight ``M / z`` would overflow, which in
-    unit scale means they agree to 77 digits of max |X|."""
+    unit scale means they agree to 77 digits of max |X|; rows whose only
+    distance underflows to 0 are too close, not identical."""
     z = _squared_row_distances(X, s, t)
     i = np.argmin(np.where(z > 0, z, np.inf))  # 0 when no z is positive
-    if z[i] == 0 and np.array_equal(X[s], X[t]):
+    if z[i] == 0 and np.all(X == X[0]):
         raise ValueError("degenerate measurements: all voltage rows identical")
     if z[i] < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
         a, b = sorted((s[i], t[i]))
@@ -143,10 +148,13 @@ def _connectivity_repair(X, s, t):
             dist, nbr = cKDTree(X[outside]).query(X[inside])
             i = np.argmin(dist)
             bridges.append((dist[i], *sorted((inside[i], outside[nbr[i]]))))
+        joined = []
         for _, a, b in sorted(bridges):
             if labels[a] != labels[b]:
                 labels[labels == labels[a]] = labels[b]
-                s, t = np.append(s, a), np.append(t, b)
+                joined.append((a, b))
+        a, b = np.array(joined, dtype=np.int64).T
+        s, t = np.concatenate((s, a)), np.concatenate((t, b))
     return s, t
 
 
@@ -189,8 +197,11 @@ def init_graph(X, k):
     tree edges between them, rows that tie going by the tree's order.  The
     seed is the maximum-weight (minimum-distance) spanning tree.  Duplicate
     rows are joined with the closest distinct pair's weight.  It all runs
-    on ``X * 2**-e`` in unit scale (:func:`~reslearn.graphs._unit_scale`);
-    the weights are returned in X's units, ``* 4**-e``.
+    on ``X * 2**-e`` in unit scale (:func:`~reslearn.graphs._unit_scale`;
+    ``X`` itself when already there); the weights are returned in X's
+    units, ``* 4**-e``.  Beyond ``X`` and the k-d tree, working memory is
+    O(N * k) for the pairs plus one block of row differences
+    (:func:`~reslearn.spectral._squared_row_distances`), never pairs times M.
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
     an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`

@@ -37,6 +37,9 @@ EIG_MAX_RESTARTS = 5000
 SOLVE_TOL = 1e-10
 # Dense LAPACK path up to this size; the iterative path is the scalable one.
 DENSE_EIG_LIMIT = 128
+# Elements per block of row differences in _squared_row_distances (256 KB
+# of float64); bounds its memory at O(pairs + block).
+_DISTANCE_BLOCK = 2**15
 
 
 class EigensolverError(RuntimeError):
@@ -167,11 +170,28 @@ def eigensolve_smallest(g, count):
 
 
 def _squared_row_distances(A, s, t):
-    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows."""
-    diff = A[s] - A[t]
-    if diff.ndim == 1:
+    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows: a
+    float for one pair, an array for arrays of pairs.
+
+    Pairs are taken in blocks of ``_DISTANCE_BLOCK // A.shape[1]`` rows (at
+    least two), each written into the one output, so memory is the output
+    plus one block of differences, whatever the pair count and row width.
+    einsum reduces each row of a block of two or more alone, so the blocks
+    give the one-shot bits."""
+    if np.ndim(s) == 0:
+        diff = A[s] - A[t]
         return float(np.dot(diff, diff))
-    return np.einsum("ij,ij->i", diff, diff)
+    n = len(s)
+    out = np.empty(n)
+    rows = max(2, _DISTANCE_BLOCK // A.shape[1])
+    for start in range(0, n, rows):
+        # A last block of one row takes the row before it along: einsum
+        # sums a lone row wider than numpy's 8192-element buffer in another
+        # order than the same row among others.
+        lo, stop = max(0, min(start, n - 2)), start + rows
+        diff = A[s[lo:stop]] - A[t[lo:stop]]
+        out[lo:stop] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def embedding_distances(basis, sources, targets):

@@ -702,6 +702,33 @@ class TestMeasurementMatrixContract:
         assert graphs._real_matrix("X", a) is a
 
 
+class TestUnitScale:
+    @pytest.mark.parametrize("axis", [None, 0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_scale_of_max_abs(self, axis, seed):
+        # columns led by a negative entry, a positive one, exact powers of
+        # two and zeros, in units far from 1
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((7, 5)) * 2.0 ** rng.integers(-300, 300, 5)
+        a[0, 0], a[0, 1], a[:, 2], a[3, 3] = -1e200, 2.0 ** 40, 0.0, -0.5
+        _, e = np.frexp(np.abs(a).max(axis=axis))
+        unit, got = graphs._unit_scale(a, axis=axis)
+        np.testing.assert_array_equal(got, e)
+        np.testing.assert_array_equal(unit, np.ldexp(a, -e))
+
+    @pytest.mark.parametrize("axis", [None, 0])
+    def test_unit_scale_input_comes_back_uncopied(self, axis):
+        a = np.array([[0.5, -0.75, 0.0], [-0.999, 0.25, 0.0]])
+        unit, e = graphs._unit_scale(a, axis=axis)
+        assert unit is a and not np.any(e)
+
+    def test_scaled_input_is_left_unchanged(self):
+        a = np.array([[3.0, -0.75], [-0.5, 0.25]])
+        unit, e = graphs._unit_scale(a, axis=0)
+        assert unit is not a and list(e) == [2, 0]
+        np.testing.assert_array_equal(a, [[3.0, -0.75], [-0.5, 0.25]])
+
+
 class TestMaximumSpanningTree:
     def test_triangle_keeps_heaviest(self):
         g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [3.0, 2.0, 1.0])

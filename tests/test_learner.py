@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ class TestFlooredDistances:
         # the lifted zeros take the closest distinct pair's distance exactly
         assert np.all(floored[z == 0] == floored[z > 0].min())
 
+    def test_memory_is_the_pairs_plus_one_block(self):
+        # 20,000 pairs of 64 columns: one (pairs x M) array alone would
+        # be 10 MB, the differences of all pairs at once 30 MB
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((2000, 64))
+        s = np.repeat(np.arange(2000), 10)
+        t = (s + rng.integers(1, 2000, s.size)) % 2000
+        tracemalloc.start()
+        try:
+            floored = _floored_distances(X, s, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = X[s] - X[t]
+        np.testing.assert_array_equal(floored, np.einsum("ij,ij->i", d, d))
+        assert peak < 3 * 2**20
+
 
 class TestInitGraph:
     def test_three_point_line(self):
@@ -310,6 +328,14 @@ class TestInitGraph:
     def test_degenerate_rows_rejected(self):
         with pytest.raises(ValueError, match="all voltage rows identical"):
             init_graph(np.ones((5, 3)), k=2)
+
+    def test_underflowing_distance_is_too_close_not_identical(self):
+        # the rows differ, but their squared distance underflows to 0
+        X = [[1.0, 0.0], [1.0, 2.0 ** -600]]
+        with pytest.raises(ValueError, match=r"^badly scaled measurements: "
+                           r"voltage rows 0 and 1 are 0 of max \|X\| apart, "
+                           "too close"):
+            init_graph(X, k=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_voltages(self, bad):

@@ -242,6 +242,41 @@ class TestEmbedding:
             np.testing.assert_allclose(z, reff, rtol=1e-10)
 
 
+class TestSquaredRowDistances:
+    @staticmethod
+    def one_shot(A, s, t):
+        d = A[s] - A[t]
+        return np.einsum("ij,ij->i", d, d)
+
+    @pytest.mark.parametrize("width", [4, 50])
+    @pytest.mark.parametrize("blocks, extra",
+                             [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_give_the_one_shot_bits(self, width, blocks, extra):
+        count = blocks * (spectral._DISTANCE_BLOCK // width) + extra
+        rng = np.random.default_rng(width)
+        A = rng.standard_normal((300, width))
+        s, t = rng.integers(0, 300, (2, count))
+        got = spectral._squared_row_distances(A, s, t)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, self.one_shot(A, s, t))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_rows_wider_than_the_budget(self, count):
+        # two pairs per block, and a lone last pair is taken with the one
+        # before it: numpy sums a lone row this wide in another order
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((count + 1, spectral._DISTANCE_BLOCK + 5))
+        s, t = np.arange(count), np.arange(count) + 1
+        np.testing.assert_array_equal(
+            spectral._squared_row_distances(A, s, t), self.one_shot(A, s, t))
+
+    def test_one_pair_gives_a_float(self):
+        A = np.random.default_rng(2).standard_normal((5, 50))
+        got = spectral._squared_row_distances(A, np.int64(1), 4)
+        d = A[1] - A[4]
+        assert type(got) is float and got == np.dot(d, d)
+
+
 class TestPerturbationTheorem:
     """The paper's theorem on the basis the loop scores with: adding weight
     ``dw`` on edge ``(s, t)`` shifts eigenvalue ``lambda_i`` by ``dw * (u_s -
