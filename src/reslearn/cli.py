@@ -8,7 +8,10 @@ reproducible bit-for-bit by re-running with the same arguments.  ``learn``
 runs the reference protocol fixed in :mod:`reslearn.learner`; it has no
 option for k, r, the sampling ratio or the iteration cap.  Exit codes: 0
 success (learning converged or exhausted its candidates), 2 learning
-stopped at the iteration cap, 3 input or usage error.
+stopped at the iteration cap, 3 input or usage error: a ``ValueError``
+(which covers ``DisconnectedGraphError``), an ``OSError``, or a failed
+solve or eigensolve (``SolverError``, ``EigensolverError``).  Any other
+exception is a bug and propagates with its traceback.
 
 BLAS threads follow ``OPENBLAS_NUM_THREADS``/``OMP_NUM_THREADS`` set before
 the process starts.
@@ -249,7 +252,10 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except Exception as exc:  # input/data errors map to a scriptable code
+    # The documented failures map to a scriptable code; anything else is a
+    # bug and keeps its traceback.
+    except (ValueError, OSError, spectral.SolverError,
+            spectral.EigensolverError) as exc:
         print(f"reslearn {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

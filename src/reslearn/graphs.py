@@ -202,7 +202,8 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
     """The one check of measurement matrices and right-hand sides: ``a`` is
     not ragged, its ``np.asarray`` dtype is integer or floating, its
     ``ndim`` is in ``ndims``, it has ``rows`` rows when given, and every
-    entry is finite.  Returns float64, float64 input without a copy;
+    entry is finite.  Returns C-ordered float64, so sums over it round
+    alike for any input layout, C-ordered float64 input without a copy;
     raises one ``ValueError`` naming ``name`` per fault otherwise."""
     try:
         a = np.asarray(a)
@@ -216,7 +217,7 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
                          f"{a.shape}")
     if rows is not None and a.shape[0] != rows:
         raise ValueError(f"{name} has {a.shape[0]} rows for {rows} nodes")
-    a = a.astype(np.float64, copy=False)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} must be finite (found NaN or inf)")
     return a

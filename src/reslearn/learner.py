@@ -116,10 +116,14 @@ def _floored_distances(X, s, t):
         raise ValueError("degenerate measurements: all voltage rows identical")
     if z[i] < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
         a, b = sorted((s[i], t[i]))
+        # The rows' gap from their difference in unit scale, as z[i] may
+        # have underflowed.
+        d, k = _unit_scale(X[a] - X[b])
+        gap = np.ldexp(np.linalg.norm(d), k) / max(X.max(), -X.min())
         raise ValueError(
             f"badly scaled measurements: voltage rows {a} and {b} are "
-            f"{np.sqrt(z[i]) / np.abs(X).max():.3g} of max |X| apart, too "
-            "close for their weight M / z to be squared; merge them")
+            f"{gap:.3g} of max |X| apart, too close for their weight M / z "
+            "to be squared; merge them")
     return np.maximum(z, z[i])
 
 
@@ -159,20 +163,19 @@ def _connectivity_repair(X, s, t):
 
 
 def _as_voltages(X, rows=None):
-    """``X`` from :func:`~reslearn.graphs._real_matrix`, C-ordered, (N >= 2,
-    M >= 1); one layout, so sums over it round alike for any input order."""
-    X = np.ascontiguousarray(_real_matrix("X", X, rows))
+    """``X`` from :func:`~reslearn.graphs._real_matrix`, (N >= 2, M >= 1)."""
+    X = _real_matrix("X", X, rows)
     if X.shape[0] < 2 or X.shape[1] < 1:
         raise ValueError("X must be (N >= 2, M >= 1)")
     return X
 
 
 def _as_currents(Y, X):
-    """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, C-ordered,
-    shaped like the checked ``X``, each column nonzero and orthogonal to the
+    """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, shaped
+    like the checked ``X``, each column nonzero and orthogonal to the
     all-ones vector.  Every column of ``X`` must be nonzero too, or edge
     scaling has no ratio to match."""
-    Y = np.ascontiguousarray(_real_matrix("Y", Y, X.shape[0]))
+    Y = _real_matrix("Y", Y, X.shape[0])
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
     if not np.all(np.any(X, axis=0)):
@@ -319,8 +322,10 @@ def learn(X, Y=None):
         _as_currents(Y, X_unit)  # refuse bad currents before the loop
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
-    # the first inclusion replaces it.
+    # the first inclusion replaces it; the loop reads only the pool, so the
+    # unit-scale copy of X goes now.
     g_o, graph = init_graph(X_unit, KNN_COUNT)
+    del X_unit
     pool_s, pool_t, pool_w = g_o.sources, g_o.targets, g_o.weights
     # Which of g_o's edges the learned graph holds; it only ever gains them.
     in_graph = np.isin(pool_s * n + pool_t, graph.sources * n + graph.targets)

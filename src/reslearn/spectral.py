@@ -286,7 +286,7 @@ def solve_laplacian(g, b):
     if not np.all(rel <= SOLVE_TOL):
         raise SolverError(f"relative residual {rel.max():.3e} above "
                           f"tolerance {SOLVE_TOL:g}")
-    if np.any(np.frexp(np.abs(x).max(axis=0))[1] + e
+    if np.any(np.frexp(np.maximum(x.max(axis=0), -x.min(axis=0)))[1] + e
               > np.finfo(float).maxexp):
         raise ValueError("badly scaled measurements: the solution "
                          "overflows in the units of b")

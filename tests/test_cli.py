@@ -45,6 +45,17 @@ class TestGenerate:
         assert manifest["parameters"]["m"] == 1
         assert manifest["parameters"]["seed"] == 7
 
+    def test_saved_currents_solve_to_the_saved_voltages(self, grid_mtx,
+                                                        tmp_path):
+        # the files are column-major; the solve of the read Y still gives
+        # the written X bit for bit
+        out = tmp_path / "out"
+        assert main(["generate", str(grid_mtx), "--m", "4",
+                     "--out", str(out)]) == 0
+        X, Y = (read_matrix(out / f"{name}.bin") for name in "XY")
+        np.testing.assert_array_equal(
+            measurements.simulate_voltages(read_graph_mtx(grid_mtx), Y), X)
+
     def test_reproducible_bytes(self, grid_mtx, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -205,6 +216,30 @@ class TestLearn:
         assert learned.node_count == math.ceil(0.2 * 36)
         manifest = json.loads((run / "manifest.json").read_text())
         assert len(manifest["parameters"]["kept_nodes"]) == 8
+
+    @pytest.mark.parametrize("error, code", [
+        (ValueError, 3), (OSError, 3), (spectral.SolverError, 3),
+        (spectral.EigensolverError, 3), (IndexError, None)])
+    def test_only_documented_failures_exit_3(self, grid_mtx, tmp_path,
+                                             monkeypatch, capsys, error,
+                                             code):
+        # anything else raised inside learn is a bug: it propagates with its
+        # traceback instead of being reported as bad input
+        gen = tmp_path / "gen"
+        assert main(["generate", str(grid_mtx), "--m", "4",
+                     "--out", str(gen)]) == 0
+
+        def failing(X, Y):
+            raise error("injected")
+
+        monkeypatch.setattr(learner, "learn", failing)
+        argv = ["learn", str(gen / "X.bin"), "--out", str(tmp_path / "r")]
+        if code is None:
+            with pytest.raises(error, match="^injected$"):
+                main(argv)
+        else:
+            assert main(argv) == code
+            assert capsys.readouterr().err.endswith("injected\n")
 
     def test_subsample_forbids_currents(self, grid_mtx, tmp_path):
         gen = tmp_path / "gen"

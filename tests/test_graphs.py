@@ -696,10 +696,14 @@ class TestMeasurementMatrixContract:
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, a)
 
-    def test_float64_is_returned_without_a_copy(self):
-        # a strided Fortran-ordered view keeps its layout and its memory
-        a = np.asfortranarray(np.arange(12.0).reshape(4, 3))[:, ::2]
+    def test_c_ordered_float64_alone_is_returned_without_a_copy(self):
+        a = np.arange(12.0).reshape(4, 3)
         assert graphs._real_matrix("X", a) is a
+        # a strided Fortran-ordered view comes back as a C-ordered copy
+        view = np.asfortranarray(a)[:, ::2]
+        out = graphs._real_matrix("X", view)
+        assert out.flags.c_contiguous and not np.shares_memory(out, view)
+        np.testing.assert_array_equal(out, view)
 
 
 class TestUnitScale:

@@ -330,11 +330,12 @@ class TestInitGraph:
             init_graph(np.ones((5, 3)), k=2)
 
     def test_underflowing_distance_is_too_close_not_identical(self):
-        # the rows differ, but their squared distance underflows to 0
+        # the rows differ, but their squared distance underflows to 0; the
+        # message gives their true gap, 2**-600 of max |X|
         X = [[1.0, 0.0], [1.0, 2.0 ** -600]]
         with pytest.raises(ValueError, match=r"^badly scaled measurements: "
-                           r"voltage rows 0 and 1 are 0 of max \|X\| apart, "
-                           "too close"):
+                           r"voltage rows 0 and 1 are 2\.41e-181 of max "
+                           r"\|X\| apart, too close"):
             init_graph(X, k=1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -755,6 +756,33 @@ class TestLearn:
         assert trace.records[0].s_max < 0
         assert edge_columns(learned) == edge_columns(init_graph(X, 5)[1])
         assert learned.edge_count == g.node_count - 1
+
+    def test_loop_holds_no_unit_scale_copy_of_x(self, monkeypatch):
+        # X * 4 differs from X, in unit scale, by a power of two alone: learn
+        # works on a scaled copy of it and does X's work bit for bit.  Once
+        # init_graph returns, the loop holds no more memory than on X.
+        X, _ = generate_measurement_set(grid_graph(20, 20), 100, seed=0)
+        X, _ = graphs._unit_scale(X)
+        X4 = X * 4
+        held = []
+        eigensolve = learner.eigensolve_smallest
+
+        def tracing(g, count):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return eigensolve(g, count)
+
+        monkeypatch.setattr(learner, "eigensolve_smallest", tracing)
+        learn(X)  # first-use allocations happen outside the trace
+        first = []
+        tracemalloc.start()
+        try:
+            for A in (X, X4):
+                held.clear()
+                learn(A)
+                first.append(held[0])
+        finally:
+            tracemalloc.stop()
+        assert first[1] - first[0] < X.nbytes / 2
 
     def test_max_iterations_status(self, monkeypatch):
         g = grid_graph(6, 6)

@@ -346,6 +346,16 @@ class TestSolveLaplacian:
         x = solve_laplacian(g, np.array([1.0, -1.0]))
         np.testing.assert_allclose(x, [0.5, -0.5], rtol=1e-9)
 
+    def test_solution_bits_do_not_depend_on_layout(self):
+        # column sums round by memory order; every layout of b is solved as
+        # its C-ordered copy
+        g = grid_graph(6, 6)
+        b = generate_currents(36, 6, 0)
+        wide = np.asfortranarray(np.repeat(b, 2, axis=1))
+        x = solve_laplacian(g, b)
+        for view in (np.asfortranarray(b), wide[:, ::2]):
+            np.testing.assert_array_equal(solve_laplacian(g, view), x)
+
     def test_zero_rhs(self):
         g = triangle()
         np.testing.assert_array_equal(
