@@ -104,7 +104,7 @@ def write_matrix_binary(path, A):
     n, m = A.shape
     with _replacing(path, binary=True) as fh:
         fh.write(struct.pack("<8sQQ", MATRIX_MAGIC, n, m))
-        fh.write(np.asfortranarray(A).tobytes(order="F"))
+        fh.write(A.tobytes(order="F"))
 
 
 def read_matrix_binary(path):

@@ -106,14 +106,19 @@ def _floored_distances(X, s, t):
     rows only if every row equals row 0, which is checked on ``X`` itself,
     not on copies of the pairs' rows.  Memory is O(pairs) plus one block of
     :func:`~reslearn.spectral._squared_row_distances`.  Raises
-    ``ValueError`` if all rows are identical, or if two rows are too close
-    to weigh: the square of their weight ``M / z`` would overflow, which in
-    unit scale means they agree to 77 digits of max |X|; rows whose only
-    distance underflows to 0 are too close, not identical."""
+    ``ValueError`` if all rows are identical, which on ``X`` in unit scale
+    bounds the caller's rows to agree within 2**-1073 of max |X| (scaling
+    rounds an entry by at most 2**-1075, max |X| is then at least 1/2), or
+    if two rows are too close to weigh: the square of their weight ``M /
+    z`` would overflow, which in unit scale means they agree to 77 digits
+    of max |X|; rows whose only distance underflows to 0 are too close, not
+    identical."""
     z = _squared_row_distances(X, s, t)
     i = np.argmin(np.where(z > 0, z, np.inf))  # 0 when no z is positive
     if z[i] == 0 and np.all(X == X[0]):
-        raise ValueError("degenerate measurements: all voltage rows identical")
+        raise ValueError("degenerate measurements: all voltage rows "
+                         "identical, every entry to within 2**-1073 of max "
+                         "|X|")
     if z[i] < X.shape[1] / np.sqrt(np.finfo(np.float64).max):
         a, b = sorted((s[i], t[i]))
         # The rows' gap from their difference in unit scale, as z[i] may
@@ -208,8 +213,9 @@ def init_graph(X, k):
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
     an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`
-    takes it, if all its rows are identical or two nearly so
-    (:func:`_floored_distances`), or if a weight is not a normal float.
+    takes it, if all its rows are identical (to within 2**-1073 of max
+    |X|) or two nearly so (:func:`_floored_distances`), or if a weight is
+    not a normal float.
     """
     _require_int("k", k, 1)
     X, e = _unit_scale(_as_voltages(X))
@@ -316,10 +322,13 @@ def learn(X, Y=None):
     caller's ``X`` and ``Y`` scales them there.  Either way they are refused
     as badly scaled measurements unless normal floats.
     """
-    X_unit, e = _unit_scale(_as_voltages(X))
-    n = X_unit.shape[0]
+    X_unit = _as_voltages(X)
     if Y is not None:
-        _as_currents(Y, X_unit)  # refuse bad currents before the loop
+        # Refuse bad currents before the loop, judged against the caller's
+        # voltages: unit scaling may flush a column of X to zero.
+        _as_currents(Y, X_unit)
+    X_unit, e = _unit_scale(X_unit)
+    n = X_unit.shape[0]
 
     # The seed tree is bound only to ``graph``, so its factor is freed once
     # the first inclusion replaces it; the loop reads only the pool, so the

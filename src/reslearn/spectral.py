@@ -22,6 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .graphs import (
+    _index_pairs,
     _real_matrix,
     _require_connected,
     _require_int,
@@ -170,17 +171,14 @@ def eigensolve_smallest(g, count):
 
 
 def _squared_row_distances(A, s, t):
-    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows: a
-    float for one pair, an array for arrays of pairs.
+    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows, one
+    per pair of the int64 index arrays ``s, t``.
 
     Pairs are taken in blocks of ``_DISTANCE_BLOCK // A.shape[1]`` rows (at
     least two), each written into the one output, so memory is the output
     plus one block of differences, whatever the pair count and row width.
     einsum reduces each row of a block of two or more alone, so the blocks
     give the one-shot bits."""
-    if np.ndim(s) == 0:
-        diff = A[s] - A[t]
-        return float(np.dot(diff, diff))
     n = len(s)
     out = np.empty(n)
     rows = max(2, _DISTANCE_BLOCK // A.shape[1])
@@ -195,14 +193,15 @@ def _squared_row_distances(A, s, t):
 
 
 def embedding_distances(basis, sources, targets):
-    """Squared distances ``||U^T (e_s - e_t)||^2`` (vectorized) in the
-    embedding ``U`` with columns ``u_i / sqrt(lambda_i)`` of the eigenpairs
-    ``basis = (lam, u)`` that :func:`eigensolve_smallest` returns; over all
-    ``N - 1`` modes, the effective resistance ``(e_s - e_t)^T L^+ (e_s -
-    e_t)``."""
+    """Squared distances ``||U^T (e_s - e_t)||^2`` of the node pairs
+    ``(sources[i], targets[i])``, checked as by
+    :func:`~reslearn.graphs.effective_resistance`, in the embedding ``U``
+    with columns ``u_i / sqrt(lambda_i)`` of the eigenpairs ``basis = (lam,
+    u)`` that :func:`eigensolve_smallest` returns; over all ``N - 1`` modes,
+    the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``."""
     lam, u = basis
-    emb = u / np.sqrt(lam)
-    return _squared_row_distances(emb, sources, targets)
+    s, t = _index_pairs((sources, targets), u.shape[0], "pairs")
+    return _squared_row_distances(u / np.sqrt(lam), s, t)
 
 
 def _grounded_factor(L):

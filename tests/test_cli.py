@@ -287,7 +287,8 @@ class TestLearn:
         (np.full((4, 2), np.nan), None, "X.bin",
          r"X must be finite \(found NaN or inf\)"),
         (np.ones((6, 3)), None, "X.bin",
-         "degenerate measurements: all voltage rows identical"),
+         r"degenerate measurements: all voltage rows identical, every "
+         r"entry to within 2\*\*-1073 of max \|X\|"),
         (np.random.default_rng(0).standard_normal((6, 3)), np.ones((6, 3)),
          "Y.bin", "current columns not orthogonal to all-ones"),
     ], ids=["empty-X", "nan-X", "identical-X", "constant-Y"])

@@ -338,6 +338,18 @@ class TestInitGraph:
                            r"\|X\| apart, too close"):
             init_graph(X, k=1)
 
+    @pytest.mark.parametrize("entry", ["init_graph", "learn"])
+    def test_identical_refusal_states_what_it_can_verify(self, entry):
+        # unit scaling flushes the 1e-100 to 0, so the rows compare equal:
+        # they agree to within 2**-1073 of max |X|, not exactly
+        X = [[1e300, 0.0], [1e300, 1e-100]]
+        call = learn if entry == "learn" else lambda X: init_graph(X, 1)
+        with pytest.raises(ValueError) as err:
+            call(X)
+        assert str(err.value) == ("degenerate measurements: all voltage rows "
+                                  "identical, every entry to within "
+                                  "2**-1073 of max |X|")
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_voltages(self, bad):
         X = np.arange(12.0).reshape(4, 3)
@@ -641,6 +653,22 @@ class TestMeasurementChecks:
         with pytest.raises(ValueError) as err:
             self.ENTRY_POINTS[entry](*make(self._X, self._Y))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_column_flushed_by_unit_scale_accepted_alike(self, entry):
+        # in unit scale of the whole X, column 1 (2**-300 against 2**900)
+        # flushes to zero; the currents are judged on the caller's X
+        g = grid_graph(6, 6)
+        X, Y = generate_measurement_set(g, 4, 0)
+        X[:, 0] *= 2.0 ** 900
+        X[:, 1] *= 2.0 ** -300
+        assert not np.any(graphs._unit_scale(X)[0][:, 1])
+        if entry == "learn":
+            learned, trace = learn(X, Y)
+            assert trace.status == "converged"
+        else:
+            learned = edge_scale(g, X, Y)
+        assert learned.node_count == g.node_count
 
     @pytest.mark.parametrize("shape", ["one-row", "no-columns"])
     @pytest.mark.parametrize("entry", ["learn", "init_graph"])
