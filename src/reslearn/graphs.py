@@ -22,6 +22,8 @@ from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 # Pairs per block of right-hand sides in effective_resistance; bounds its
 # memory at O(N * block).
 _RESISTANCE_BLOCK = 256
+# Elements per block of row differences in _squared_row_distances (256 KB).
+_DISTANCE_BLOCK = 2**15
 
 
 class DisconnectedGraphError(ValueError):
@@ -160,10 +162,10 @@ def quadratic_form(g, x):
 
     Equals ``x^T L x`` up to rounding; ``x`` is an (N,) vector or an (N, M)
     matrix (summed over columns), checked as ``X`` by :func:`_real_matrix`.
+    Sums per edge through :func:`_squared_row_distances`: O(E + block) memory.
     """
     x = _real_matrix("X", x, g.node_count, (1, 2)).reshape(g.node_count, -1)
-    diff = x[g.sources] - x[g.targets]
-    return float(np.dot(g.weights, (diff * diff).sum(axis=1)))
+    return float(g.weights @ _squared_row_distances(x, g.sources, g.targets))
 
 
 def is_connected(g):
@@ -234,6 +236,27 @@ def _unit_scale(a, axis=None):
     if not np.any(e):
         return a, e
     return np.ldexp(a, -e), e
+
+
+def _squared_row_distances(A, s, t):
+    """The one per-pair squared difference ``||A[s] - A[t]||^2`` between
+    rows, for the int64 index arrays ``s, t``.  Pairs are taken in blocks
+    of ``_DISTANCE_BLOCK // A.shape[1]`` rows (at least two; width 0 counts
+    as 1), each written into the one output, so memory is the output plus
+    one block of differences, whatever the pair count and row width.
+    einsum reduces each row of a block of two or more alone, so the blocks
+    give the one-shot bits."""
+    n = len(s)
+    out = np.empty(n)
+    rows = max(2, _DISTANCE_BLOCK // max(1, A.shape[1]))
+    for start in range(0, n, rows):
+        # A last block of one row takes the row before it along: einsum
+        # sums a lone row wider than numpy's 8192-element buffer in another
+        # order than the same row among others.
+        lo, stop = max(0, min(start, n - 2)), start + rows
+        diff = A[s[lo:stop]] - A[t[lo:stop]]
+        out[lo:stop] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _holds_bool(raw):

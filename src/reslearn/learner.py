@@ -27,10 +27,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .graphs import (WeightedGraph, _real_matrix, _require_int,
-                     _unit_scale, maximum_spanning_tree)
+                     _squared_row_distances, _unit_scale,
+                     maximum_spanning_tree)
 from .spectral import (
     _outside_range,
-    _squared_row_distances,
     eigensolve_smallest,
     embedding_distances,
     solve_laplacian,
@@ -105,7 +105,7 @@ def _floored_distances(X, s, t):
     connect every row, as the repaired pool does: then they all join equal
     rows only if every row equals row 0, which is checked on ``X`` itself,
     not on copies of the pairs' rows.  Memory is O(pairs) plus one block of
-    :func:`~reslearn.spectral._squared_row_distances`.  Raises
+    :func:`~reslearn.graphs._squared_row_distances`.  Raises
     ``ValueError`` if all rows are identical, which on ``X`` in unit scale
     bounds the caller's rows to agree within 2**-1073 of max |X| (scaling
     rounds an entry by at most 2**-1075, max |X| is then at least 1/2), or
@@ -209,7 +209,7 @@ def init_graph(X, k):
     ``X`` itself when already there); the weights are returned in X's
     units, ``* 4**-e``.  Beyond ``X`` and the k-d tree, working memory is
     O(N * k) for the pairs plus one block of row differences
-    (:func:`~reslearn.spectral._squared_row_distances`), never pairs times M.
+    (:func:`~reslearn.graphs._squared_row_distances`), never pairs times M.
 
     Raises ``ValueError`` if ``k`` is not an integer >= 1, if ``X`` is not
     an (N >= 2, M >= 1) matrix as :func:`~reslearn.graphs._real_matrix`

@@ -26,6 +26,7 @@ from .graphs import (
     _real_matrix,
     _require_connected,
     _require_int,
+    _squared_row_distances,
     _unit_scale,
     quadratic_form,
 )
@@ -38,9 +39,6 @@ EIG_MAX_RESTARTS = 5000
 SOLVE_TOL = 1e-10
 # Dense LAPACK path up to this size; the iterative path is the scalable one.
 DENSE_EIG_LIMIT = 128
-# Elements per block of row differences in _squared_row_distances (256 KB
-# of float64); bounds its memory at O(pairs + block).
-_DISTANCE_BLOCK = 2**15
 
 
 class EigensolverError(RuntimeError):
@@ -170,36 +168,31 @@ def eigensolve_smallest(g, count):
     return lam, u
 
 
-def _squared_row_distances(A, s, t):
-    """Squared Euclidean distances ``||A[s] - A[t]||^2`` between rows, one
-    per pair of the int64 index arrays ``s, t``.
-
-    Pairs are taken in blocks of ``_DISTANCE_BLOCK // A.shape[1]`` rows (at
-    least two), each written into the one output, so memory is the output
-    plus one block of differences, whatever the pair count and row width.
-    einsum reduces each row of a block of two or more alone, so the blocks
-    give the one-shot bits."""
-    n = len(s)
-    out = np.empty(n)
-    rows = max(2, _DISTANCE_BLOCK // A.shape[1])
-    for start in range(0, n, rows):
-        # A last block of one row takes the row before it along: einsum
-        # sums a lone row wider than numpy's 8192-element buffer in another
-        # order than the same row among others.
-        lo, stop = max(0, min(start, n - 2)), start + rows
-        diff = A[s[lo:stop]] - A[t[lo:stop]]
-        out[lo:stop] = np.einsum("ij,ij->i", diff, diff)
-    return out
-
-
 def embedding_distances(basis, sources, targets):
     """Squared distances ``||U^T (e_s - e_t)||^2`` of the node pairs
     ``(sources[i], targets[i])``, checked as by
     :func:`~reslearn.graphs.effective_resistance`, in the embedding ``U``
     with columns ``u_i / sqrt(lambda_i)`` of the eigenpairs ``basis = (lam,
     u)`` that :func:`eigensolve_smallest` returns; over all ``N - 1`` modes,
-    the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``."""
-    lam, u = basis
+    the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``.
+
+    ``lam`` must be a 1-D real array, finite and > 0, and ``u`` a finite
+    real (N, ``lam.size``) matrix, checked as by
+    :func:`~reslearn.graphs._real_matrix`; arrays of that form are used as
+    they are, other sequences through ``np.asarray``.  Raises one
+    ``ValueError`` naming ``basis`` per fault otherwise."""
+    try:
+        lam, u = basis
+        lam = np.asarray(lam)
+    except (TypeError, ValueError):  # not a pair, or a ragged lam
+        raise ValueError("basis must be a pair (lam, u) of arrays") from None
+    u = _real_matrix("basis u", u)
+    if lam.dtype.kind not in "iuf" or lam.shape != u.shape[1:]:
+        raise ValueError(f"basis lam must be a real ({u.shape[1]},) vector "
+                         f"for u of shape {u.shape}, got {lam.dtype} of "
+                         f"shape {lam.shape}")
+    if not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("basis lam must be finite and > 0")
     s, t = _index_pairs((sources, targets), u.shape[0], "pairs")
     return _squared_row_distances(u / np.sqrt(lam), s, t)
 

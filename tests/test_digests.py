@@ -1,0 +1,82 @@
+"""Pinned output digests: ``learn`` and the CLI pipeline reproduce their
+pinned bits.
+
+Each digest is the first 12 hex digits of a sha256.  Floating-point bits
+depend on the numpy and scipy builds, so these tests run only on the
+versions the digests were pinned on and skip elsewhere.  A change that
+moves the outputs on purpose re-pins them here and says so in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+import scipy
+
+from reslearn.cli import main
+from reslearn.graphs import grid_graph
+from reslearn.io import write_graph_mtx
+from reslearn.learner import learn
+from reslearn.measurements import generate_measurement_set
+
+PINNED_ON = ("2.4.6", "1.17.1")
+pytestmark = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != PINNED_ON,
+    reason="output digests are pinned on numpy {} and scipy {}".format(
+        *PINNED_ON))
+
+
+def digest(*chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:12]
+
+
+def learn_digest(X, Y):
+    """X, then the learned sources, targets and weights, then the ``s_max``
+    history, each as its raw bytes."""
+    g, trace = learn(X, Y)
+    return digest(*(a.tobytes() for a in (X, g.sources, g.targets,
+                                          g.weights, trace.s_max_history)))
+
+
+@pytest.mark.parametrize("seed, expected", enumerate(
+    ["3cdabcdb4dd1", "f68788f1c169", "eee9069d9702"]))
+def test_learn_with_currents(seed, expected):
+    X, Y = generate_measurement_set(grid_graph(45, 45), 8, seed)
+    assert learn_digest(X, Y) == expected
+
+
+@pytest.mark.parametrize("seed, expected", enumerate(
+    ["e6da3a19a151", "3b7afc1f613d", "d9999146bdb1", "d8dc6cf38482",
+     "89c737d51d2c", "4d69b5c1c5f6"]))
+def test_learn_from_voltages(seed, expected):
+    X = generate_measurement_set(grid_graph(40, 40), 50, seed)[0]
+    assert learn_digest(X, None) == expected
+
+
+def test_cli_pipeline(tmp_path):
+    # generate, learn with currents, then eval, on the 45x45 grid
+    truth = tmp_path / "truth.mtx"
+    write_graph_mtx(truth, grid_graph(45, 45))
+    gen, run, report = (tmp_path / name for name in ("gen", "run", "report"))
+    assert main(["generate", str(truth), "--m", "8", "--seed", "0",
+                 "--out", str(gen)]) == 0
+    assert main(["learn", str(gen / "X.bin"), str(gen / "Y.bin"),
+                 "--out", str(run)]) == 0
+    assert main(["eval", str(truth), str(run / "learned.mtx"),
+                 "--pairs", "4", "--spectrum-k", "10", "--seed", "0",
+                 "--out", str(report)]) == 0
+    expected = {
+        gen / "X.bin": "0f2312419fb6",
+        gen / "Y.bin": "4449afc84bb2",
+        run / "learned.mtx": "88f7770c4ded",
+        run / "trace.csv": "875c9c9251f5",
+        report / "spectra.csv": "c3c31b6c91fe",
+        report / "resistance_scatter.csv": "4cc83b2d93b0",
+        report / "layout_true.csv": "a5d0424a9a71",
+        report / "layout_learned.csv": "efea23c246f9",
+    }
+    got = {path: digest(path.read_bytes()) for path in expected}
+    assert got == expected

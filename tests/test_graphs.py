@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -424,9 +425,11 @@ class TestQuadraticForm:
         g = WeightedGraph(2, [0], [1], [1.0])
         assert quadratic_form(g, [0.0, 1.0]) == pytest.approx(1.0)
 
-    def test_constant_signal(self):
+    @pytest.mark.parametrize("x", [np.full(9, 3.7), np.zeros((9, 0))],
+                             ids=["constant", "no-columns"])
+    def test_constant_signal(self, x):
         g = random_connected_graph(9, 5, seed=2)
-        assert quadratic_form(g, np.full(9, 3.7)) == 0.0
+        assert quadratic_form(g, x) == 0.0
 
     def test_triangle_hand_value(self):
         g = WeightedGraph(3, [0, 1, 0], [1, 2, 2], [1.0, 1.0, 1.0])
@@ -454,6 +457,49 @@ class TestQuadraticForm:
             qf = quadratic_form(g, x)
             assert qf == pytest.approx(x @ (g.laplacian @ x),
                                        rel=1e-10)
+
+    def test_memory_is_the_edges_plus_one_block(self):
+        # 19,800 edges of 64 columns: one (E x M) array alone is 10 MB
+        X = np.random.default_rng(0).standard_normal((10_000, 64))
+        g = grid_graph(100, 100)
+        tracemalloc.start()
+        try:
+            qf = quadratic_form(g, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d = X[g.sources] - X[g.targets]
+        assert qf == pytest.approx(g.weights @ (d * d).sum(axis=1), rel=1e-12)
+        assert peak < 3 * 2**20
+
+
+class TestSquaredRowDistances:
+    @staticmethod
+    def one_shot(A, s, t):
+        d = A[s] - A[t]
+        return np.einsum("ij,ij->i", d, d)
+
+    @pytest.mark.parametrize("width", [4, 50])
+    @pytest.mark.parametrize("blocks, extra",
+                             [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_blocks_give_the_one_shot_bits(self, width, blocks, extra):
+        count = blocks * (graphs._DISTANCE_BLOCK // width) + extra
+        rng = np.random.default_rng(width)
+        A = rng.standard_normal((300, width))
+        s, t = rng.integers(0, 300, (2, count))
+        got = graphs._squared_row_distances(A, s, t)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        np.testing.assert_array_equal(got, self.one_shot(A, s, t))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_rows_wider_than_the_budget(self, count):
+        # two pairs per block, and a lone last pair is taken with the one
+        # before it: numpy sums a lone row this wide in another order
+        rng = np.random.default_rng(1)
+        A = rng.standard_normal((count + 1, graphs._DISTANCE_BLOCK + 5))
+        s, t = np.arange(count), np.arange(count) + 1
+        np.testing.assert_array_equal(
+            graphs._squared_row_distances(A, s, t), self.one_shot(A, s, t))
 
 
 class TestEffectiveResistance:

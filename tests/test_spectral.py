@@ -233,6 +233,35 @@ class TestEmbedding:
             embedding_distances(eigensolve_smallest(g, 4), sources, targets)
         assert str(embedded.value) == str(exact.value)
 
+    @pytest.mark.parametrize("form, fault", [
+        (lambda lam, u: (-lam, u), r"lam must be finite and > 0"),
+        (lambda lam, u: (np.r_[0.0, lam[1:]], u),
+         r"lam must be finite and > 0"),
+        (lambda lam, u: (np.r_[np.nan, lam[1:]], u),
+         r"lam must be finite and > 0"),
+        (lambda lam, u: (lam, np.where(u == u[0, 0], np.nan, u)),
+         r"u must be finite"),
+        (lambda lam, u: (lam[None], u), r"lam must be a real \(3,\) vector"),
+        (lambda lam, u: (lam, u[:, :2]), r"lam must be a real \(2,\) vector"),
+        (lambda lam, u: (lam[:1], u[:, 0]), r"u must be an \(N, M\) matrix"),
+        (lambda lam, u: u, r"must be a pair \(lam, u\)"),
+        (lambda lam, u: (lam.tolist(), u.tolist()), None),
+    ], ids=["negative", "zero-eigenvalue", "nan-eigenvalue", "nan-vector",
+            "2-D-lam", "too-few-vectors", "1-D-u", "bare-u", "lists"])
+    def test_basis_contract(self, form, fault):
+        # lam a finite positive (k,) vector, u a finite (N, k) matrix; any
+        # other basis is refused by name, not met as a NaN or numpy error
+        g = grid_graph(6, 6)
+        lam, u = eigensolve_smallest(g, 3)
+        basis = form(lam, u)
+        if fault is None:
+            np.testing.assert_array_equal(
+                embedding_distances(basis, g.sources, g.targets),
+                embedding_distances((lam, u), g.sources, g.targets))
+            return
+        with pytest.raises(ValueError, match=r"^basis " + fault):
+            embedding_distances(basis, g.sources, g.targets)
+
     @pytest.mark.parametrize("case", [0, 1, 2, "seed-tree", "learned"])
     def test_mode_count_monotonicity(self, case):
         if isinstance(case, int):
@@ -258,35 +287,6 @@ class TestEmbedding:
             prev = z
         if not isinstance(case, int):  # all N - 1 modes: the resistance
             np.testing.assert_allclose(z, reff, rtol=1e-10)
-
-
-class TestSquaredRowDistances:
-    @staticmethod
-    def one_shot(A, s, t):
-        d = A[s] - A[t]
-        return np.einsum("ij,ij->i", d, d)
-
-    @pytest.mark.parametrize("width", [4, 50])
-    @pytest.mark.parametrize("blocks, extra",
-                             [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
-    def test_blocks_give_the_one_shot_bits(self, width, blocks, extra):
-        count = blocks * (spectral._DISTANCE_BLOCK // width) + extra
-        rng = np.random.default_rng(width)
-        A = rng.standard_normal((300, width))
-        s, t = rng.integers(0, 300, (2, count))
-        got = spectral._squared_row_distances(A, s, t)
-        assert got.dtype == np.float64 and got.shape == (count,)
-        np.testing.assert_array_equal(got, self.one_shot(A, s, t))
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 5])
-    def test_rows_wider_than_the_budget(self, count):
-        # two pairs per block, and a lone last pair is taken with the one
-        # before it: numpy sums a lone row this wide in another order
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((count + 1, spectral._DISTANCE_BLOCK + 5))
-        s, t = np.arange(count), np.arange(count) + 1
-        np.testing.assert_array_equal(
-            spectral._squared_row_distances(A, s, t), self.one_shot(A, s, t))
 
 
 class TestPerturbationTheorem:
