@@ -52,7 +52,8 @@ class WeightedGraph:
     ValueError
         If ``node_count`` is not an integer >= 1, the endpoints break the
         node-index contract of :func:`_index_pairs` (naming ``edge
-        endpoints``), or the weights are not 1-D, as many, normal floats > 0.
+        endpoints``), the weights break that of :func:`_real_matrix` (naming
+        ``edge weights``), or they are not 1-D, as many, normal floats > 0.
     """
 
     node_count: int
@@ -65,15 +66,12 @@ class WeightedGraph:
         n = int(self.node_count)
         object.__setattr__(self, "node_count", n)
         s, t = _index_pairs((self.sources, self.targets), n, "edge endpoints")
-        w = np.asarray(self.weights)
-        if not (w.ndim == 1 and w.size == s.size):
+        w = _real_matrix("edge weights", self.weights, ndims=(1,))
+        if w.size != s.size:
             raise ValueError("sources, targets and weights must be 1-D "
                              "arrays of one length")
-        if w.size and w.dtype.kind not in "iuf" or _holds_bool(self.weights):
-            raise ValueError("edge weights must be real numbers")
-        w = w.astype(np.float64, copy=False)
-        if not np.all(np.isfinite(w) & (w > 0)):
-            raise ValueError("edge weights must be finite and > 0")
+        if not np.all(w > 0):
+            raise ValueError("edge weights must be > 0")
         if np.any(w < np.finfo(float).tiny):
             raise ValueError("edge weights must be normal floats, at least "
                              f"{np.finfo(float).tiny}")
@@ -201,12 +199,15 @@ def _require_real(name, value, interval):
 
 
 def _real_matrix(name, a, rows=None, ndims=(2,)):
-    """The one check of measurement matrices and right-hand sides: ``a`` is
-    not ragged, its ``np.asarray`` dtype is integer or floating, its
+    """The one check of real-valued arrays (measurements, right-hand sides,
+    edge weights, eigenvalues): ``a`` holds no boolean (:func:`_holds_bool`),
+    is not ragged, its ``np.asarray`` dtype is integer or floating, its
     ``ndim`` is in ``ndims``, it has ``rows`` rows when given, and every
     entry is finite.  Returns C-ordered float64, so sums over it round
     alike for any input layout, C-ordered float64 input without a copy;
     raises one ``ValueError`` naming ``name`` per fault otherwise."""
+    if _holds_bool(a):
+        raise ValueError(f"{name} must hold real numbers, not a boolean")
     try:
         a = np.asarray(a)
     except ValueError:  # numpy refuses a ragged nested sequence
@@ -214,9 +215,9 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
     if a.dtype.kind not in "iuf":  # signed, unsigned integer or floating
         raise ValueError(f"{name} must hold real numbers, not {a.dtype}")
     if a.ndim not in ndims:
-        shape = "(N,) vector or (N, M)" if 1 in ndims else "(N, M)"
-        raise ValueError(f"{name} must be an {shape} matrix, got shape "
-                         f"{a.shape}")
+        shape = {(1,): "a 1-D array", (2,): "an (N, M) matrix",
+                 (1, 2): "an (N,) vector or (N, M) matrix"}[ndims]
+        raise ValueError(f"{name} must be {shape}, got shape {a.shape}")
     if rows is not None and a.shape[0] != rows:
         raise ValueError(f"{name} has {a.shape[0]} rows for {rows} nodes")
     a = np.ascontiguousarray(a, dtype=np.float64)
@@ -260,9 +261,10 @@ def _squared_row_distances(A, s, t):
 
 
 def _holds_bool(raw):
-    """Whether ``raw``, a 1-D sequence but not an array, holds a boolean."""
-    return (not isinstance(raw, np.ndarray)
-            and any(isinstance(v, (bool, np.bool_)) for v in raw))
+    """Whether ``raw`` is a boolean or a list or tuple holding one at any
+    depth, which numpy would take as a number; arrays go by their dtype."""
+    return (isinstance(raw, (bool, np.bool_)) or isinstance(raw, (list, tuple))
+            and any(map(_holds_bool, raw)))
 
 
 def _index_pairs(columns, n, name):
@@ -280,7 +282,7 @@ def _index_pairs(columns, n, name):
         raise malformed from None
     integer = all(np.issubdtype(a.dtype, np.integer) for a in (s, t))
     if (s.ndim != 1 or s.shape != t.shape or s.size and not integer
-            or any(map(_holds_bool, columns))):
+            or _holds_bool(columns)):
         raise malformed
     s, t = s.astype(np.int64, copy=False), t.astype(np.int64, copy=False)
     if s.size and (min(s.min(), t.min()) < 0 or max(s.max(), t.max()) >= n):

@@ -21,7 +21,7 @@ from .spectral import solve_laplacian
 def _column_rngs(seed, count):
     _require_int("seed", seed, 0)
     children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.PCG64(c)) for c in children]
+    return [np.random.default_rng(c) for c in children]
 
 
 def generate_currents(node_count, count, seed):
@@ -133,6 +133,6 @@ def subsample_nodes(X, fraction, seed):
     keep = math.ceil(fraction * n)
     if keep < 2:
         raise ValueError("fraction keeps fewer than 2 nodes")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=keep, replace=False))
     return X[idx], idx

@@ -176,23 +176,21 @@ def embedding_distances(basis, sources, targets):
     u)`` that :func:`eigensolve_smallest` returns; over all ``N - 1`` modes,
     the effective resistance ``(e_s - e_t)^T L^+ (e_s - e_t)``.
 
-    ``lam`` must be a 1-D real array, finite and > 0, and ``u`` a finite
-    real (N, ``lam.size``) matrix, checked as by
-    :func:`~reslearn.graphs._real_matrix`; arrays of that form are used as
-    they are, other sequences through ``np.asarray``.  Raises one
+    ``u`` must be a real (N, k) matrix and ``lam`` a real 1-D array, both
+    checked by :func:`~reslearn.graphs._real_matrix` (naming ``basis u``
+    and ``basis lam``), with ``lam`` of shape (k,) and > 0.  Raises one
     ``ValueError`` naming ``basis`` per fault otherwise."""
     try:
         lam, u = basis
-        lam = np.asarray(lam)
-    except (TypeError, ValueError):  # not a pair, or a ragged lam
+    except (TypeError, ValueError):  # not a pair
         raise ValueError("basis must be a pair (lam, u) of arrays") from None
     u = _real_matrix("basis u", u)
-    if lam.dtype.kind not in "iuf" or lam.shape != u.shape[1:]:
-        raise ValueError(f"basis lam must be a real ({u.shape[1]},) vector "
-                         f"for u of shape {u.shape}, got {lam.dtype} of "
-                         f"shape {lam.shape}")
-    if not np.all(np.isfinite(lam) & (lam > 0)):
-        raise ValueError("basis lam must be finite and > 0")
+    lam = _real_matrix("basis lam", lam, ndims=(1,))
+    if lam.shape != u.shape[1:]:
+        raise ValueError(f"basis lam must be a ({u.shape[1]},) vector for u "
+                         f"of shape {u.shape}, got shape {lam.shape}")
+    if not np.all(lam > 0):
+        raise ValueError("basis lam must be > 0")
     s, t = _index_pairs((sources, targets), u.shape[0], "pairs")
     return _squared_row_distances(u / np.sqrt(lam), s, t)
 

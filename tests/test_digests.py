@@ -1,5 +1,5 @@
-"""Pinned output digests: ``learn`` and the CLI pipeline reproduce their
-pinned bits.
+"""Pinned output digests: ``learn``, ``subsample_nodes`` and the CLI
+pipeline reproduce their pinned bits.
 
 Each digest is the first 12 hex digits of a sha256.  Floating-point bits
 depend on the numpy and scipy builds, so these tests run only on the
@@ -17,7 +17,7 @@ from reslearn.cli import main
 from reslearn.graphs import grid_graph
 from reslearn.io import write_graph_mtx
 from reslearn.learner import learn
-from reslearn.measurements import generate_measurement_set
+from reslearn.measurements import generate_measurement_set, subsample_nodes
 
 PINNED_ON = ("2.4.6", "1.17.1")
 pytestmark = pytest.mark.skipif(
@@ -54,6 +54,15 @@ def test_learn_with_currents(seed, expected):
 def test_learn_from_voltages(seed, expected):
     X = generate_measurement_set(grid_graph(40, 40), 50, seed)[0]
     assert learn_digest(X, None) == expected
+
+
+@pytest.mark.parametrize("seed, expected", enumerate(
+    ["8b2a6166cb5a", "a50d2e6a3c38", "a3e0f86bacbc"]))
+def test_subsample_nodes(seed, expected):
+    # the kept indices, then the reduced X
+    X = generate_measurement_set(grid_graph(40, 40), 50, 0)[0]
+    X_kept, idx = subsample_nodes(X, 0.2, seed)
+    assert digest(idx.tobytes(), X_kept.tobytes()) == expected
 
 
 def test_cli_pipeline(tmp_path):

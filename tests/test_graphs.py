@@ -106,8 +106,9 @@ class TestWeightedGraph:
         ([0.9], [3], [1.0], "^edge endpoints must be"),
         ([True], [3], [1.0], "^edge endpoints must be"),
         ([0, 1], [2], [1.0, 1.0], "^edge endpoints must be"),
-        ([0], [3], [0.0], "^edge weights must be finite and > 0"),
-        ([0], [3], [np.nan], "^edge weights must be finite and > 0"),
+        ([0], [3], [0.0], "^edge weights must be > 0$"),
+        ([0], [3], [np.nan],
+         r"^edge weights must be finite \(found NaN or inf\)$"),
         ([0], [4], [1.0], r"^edge endpoints: node index out of range"),
     ], ids=["fractional-endpoint", "boolean-endpoint", "unequal-lengths",
             "zero-weight", "nan-weight", "out-of-range"])
@@ -150,6 +151,9 @@ class TestWeightedGraph:
             g.scaled(factor)
 
 
+_WEIGHTS_REAL = "edge weights must hold real numbers, not "
+
+
 class TestEdgeInvariant:
     """The constructor checks and canonicalises every edge it is given."""
 
@@ -180,18 +184,24 @@ class TestEdgeInvariant:
         ([0, 2], [1, 2], [1.0, 1.0], "^edge endpoints: a pair joins a node"),
         ([0, 1], [1, 3], [1.0, 1.0], r"out of range \[0, 3\)"),
         ([0, -1], [1, 2], [1.0, 1.0], r"out of range \[0, 3\)"),
-        ([0, 1], [1, 2], [1.0, 0.0], "finite and > 0"),
-        ([0, 1], [1, 2], [np.nan, 1.0], "finite and > 0"),
-        ([0, 1], [1, 2], ["2", "1"], "weights must be real numbers"),
-        ([0, 1], [1, 2], [1j, 1.0], "weights must be real numbers"),
-        ([0, 1], [1, 2], [1.0, True], "weights must be real numbers"),
+        ([0, 1], [1, 2], [1.0, 0.0], "^edge weights must be > 0$"),
+        ([0, 1], [1, 2], [np.nan, 1.0],
+         r"^edge weights must be finite \(found NaN or inf\)$"),
+        ([0, 1], [1, 2], ["2", "1"], f"^{_WEIGHTS_REAL}<U1$"),
+        ([0, 1], [1, 2], [1j, 1.0], f"^{_WEIGHTS_REAL}complex128$"),
+        ([0, 1], [1, 2], [1.0, True], f"^{_WEIGHTS_REAL}a boolean$"),
+        ([0, 1], [1, 2], [[1.0, True]], f"^{_WEIGHTS_REAL}a boolean$"),
+        ([0, 1], [1, 2], [[1.0], [1.0, 2.0]], "^edge weights is ragged$"),
+        ([0, 1], [1, 2], [[1.0, 1.0]],
+         r"^edge weights must be a 1-D array, got shape \(1, 2\)$"),
     ], ids=["float-endpoint", "bool-endpoint", "bool-in-endpoint-list",
             "lengths", "2-d", "self-loop", "out-of-range",
             "negative-endpoint", "zero-weight", "nan-weight", "string-weight",
-            "complex-weight", "bool-in-weight-list"])
+            "complex-weight", "bool-in-weight-list",
+            "bool-in-nested-weight-list", "ragged-weights", "2-d-weights"])
     def test_rejects(self, s, t, w, match):
         # Lists go through the constructor's own conversion; numpy turns a
-        # list mixing booleans with numbers into numbers.
+        # list mixing booleans with numbers into numbers, at any depth.
         with pytest.raises(ValueError, match=match):
             WeightedGraph(3, s, t, w)
 
@@ -691,6 +701,12 @@ def _with_entry(a, value):
     return a
 
 
+def _with_bool(a):
+    rows = a.tolist()
+    rows[3][2] = True
+    return rows
+
+
 def _ragged(a):
     rows = a.tolist()
     rows[-1].pop()
@@ -702,6 +718,7 @@ _REAL = "{} must hold real numbers, not "
 _MATRIX_FAULTS = {
     "complex": (lambda a: a + 0j, _REAL + "complex128"),
     "bool": (lambda a: a > 0, _REAL + "bool"),
+    "bool-in-list": (_with_bool, _REAL + "a boolean"),
     "string": (lambda a: a.astype("U8"), _REAL + "<U8"),
     "ragged": (_ragged, "{} is ragged"),
     "3-d": (lambda a: a[:, :, None],

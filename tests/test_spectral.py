@@ -234,20 +234,27 @@ class TestEmbedding:
         assert str(embedded.value) == str(exact.value)
 
     @pytest.mark.parametrize("form, fault", [
-        (lambda lam, u: (-lam, u), r"lam must be finite and > 0"),
-        (lambda lam, u: (np.r_[0.0, lam[1:]], u),
-         r"lam must be finite and > 0"),
+        (lambda lam, u: (-lam, u), r"lam must be > 0$"),
+        (lambda lam, u: (np.r_[0.0, lam[1:]], u), r"lam must be > 0$"),
         (lambda lam, u: (np.r_[np.nan, lam[1:]], u),
-         r"lam must be finite and > 0"),
+         r"lam must be finite \(found NaN or inf\)$"),
+        (lambda lam, u: ([True, *lam[1:]], u),
+         r"lam must hold real numbers, not a boolean$"),
+        (lambda lam, u: ([lam[:1].tolist(), lam[1:].tolist()], u),
+         r"lam is ragged$"),
         (lambda lam, u: (lam, np.where(u == u[0, 0], np.nan, u)),
          r"u must be finite"),
-        (lambda lam, u: (lam[None], u), r"lam must be a real \(3,\) vector"),
-        (lambda lam, u: (lam, u[:, :2]), r"lam must be a real \(2,\) vector"),
+        (lambda lam, u: (lam[None], u),
+         r"lam must be a 1-D array, got shape \(1, 3\)$"),
+        (lambda lam, u: (lam, u[:, :2]),
+         r"lam must be a \(2,\) vector for u of shape \(36, 2\), got shape "
+         r"\(3,\)$"),
         (lambda lam, u: (lam[:1], u[:, 0]), r"u must be an \(N, M\) matrix"),
         (lambda lam, u: u, r"must be a pair \(lam, u\)"),
         (lambda lam, u: (lam.tolist(), u.tolist()), None),
-    ], ids=["negative", "zero-eigenvalue", "nan-eigenvalue", "nan-vector",
-            "2-D-lam", "too-few-vectors", "1-D-u", "bare-u", "lists"])
+    ], ids=["negative", "zero-eigenvalue", "nan-eigenvalue", "bool-eigenvalue",
+            "ragged-lam", "nan-vector", "2-D-lam", "too-few-vectors", "1-D-u",
+            "bare-u", "lists"])
     def test_basis_contract(self, form, fault):
         # lam a finite positive (k,) vector, u a finite (N, k) matrix; any
         # other basis is refused by name, not met as a NaN or numpy error
