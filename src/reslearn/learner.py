@@ -268,7 +268,7 @@ def edge_scale(g, X, Y):
     """Rescale all edge weights so solved voltage norms match measured ones.
 
     For each current column the voltages are re-solved on ``g`` (one
-    triangular solve per column against the graph's cached factor); the
+    checked :func:`~reslearn.spectral.solve_laplacian` call per column); the
     single global factor is ``sqrt(mean ||x_solved||^2 /
     ||x_measured||^2)``, which restores a uniformly mis-scaled graph exactly.
     Each column of ``X`` and ``Y``, and each solved column, is taken in unit

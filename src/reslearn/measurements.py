@@ -102,12 +102,12 @@ def generate_jl_measurements(g, epsilon, seed):
     m = jl_measurement_count(n, epsilon)
     sqrt_w = np.sqrt(g.weights)
     scale = 1.0 / math.sqrt(m)
-    Y = np.zeros((n, m))
+    ends = np.concatenate([g.sources, g.targets])
+    Y = np.empty((n, m))
     for i, rng in enumerate(_column_rngs(seed, m)):
         coeff = (rng.integers(0, 2, size=g.edge_count) * 2 - 1) * scale
         row = coeff * sqrt_w
-        np.add.at(Y[:, i], g.sources, row)
-        np.add.at(Y[:, i], g.targets, -row)
+        Y[:, i] = np.bincount(ends, np.concatenate([row, -row]), minlength=n)
     return simulate_voltages(g, Y), Y
 
 

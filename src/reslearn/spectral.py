@@ -53,24 +53,6 @@ class SolverError(RuntimeError):
     """Laplacian solve failed: singular factor or residual above tolerance."""
 
 
-def _fix_signs(vecs):
-    # Largest-magnitude entry positive; ties resolved by np.argmax order.
-    idx = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[idx, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    return vecs * signs
-
-
-def _project_out_ones(vecs):
-    vecs = vecs - vecs.mean(axis=0, keepdims=True)
-    return vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
-
-
-def _dense_smallest(g, count):
-    vals, vecs = np.linalg.eigh(g.laplacian.toarray())
-    return vals[1:count + 1], vecs[:, 1:count + 1]
-
-
 def _arpack_smallest(g, count):
     n = g.node_count
     lu = g._factor
@@ -112,13 +94,15 @@ def _arpack_smallest(g, count):
             best_residual=best) from exc
     lam = 1.0 / mu
     order = np.argsort(lam)
-    return np.maximum(lam[order], 0.0), u[:, order]
+    return lam[order], u[:, order]
 
 
 def _eig_residuals(g, lam, u):
     """Residual ``||L u_i - lambda_i u_i||`` of each eigenpair column, its
-    norm taken in unit scale so that no square overflows."""
-    r, e = _unit_scale(g.laplacian @ u - u * lam, axis=0)
+    norm taken in unit scale so that no square overflows.  Lanczos returns
+    ``u`` column-major but SciPy returns ``L @ u`` C-ordered; the
+    column-major copy keeps every column reduction of the block contiguous."""
+    r, e = _unit_scale(np.asfortranarray(g.laplacian @ u) - u * lam, axis=0)
     return np.ldexp(np.linalg.norm(r, axis=0), e)
 
 
@@ -155,10 +139,14 @@ def eigensolve_smallest(g, count):
         raise ValueError(f"count must be in [1, {n - 1}], got {count}")
     _require_connected(g)
     if n <= DENSE_EIG_LIMIT or count > n // 2:
-        lam, u = _dense_smallest(g, count)
+        lam, u = np.linalg.eigh(g.laplacian.toarray())
+        lam, u = lam[1:count + 1], u[:, 1:count + 1]
     else:
         lam, u = _arpack_smallest(g, count)
-    u = _fix_signs(_project_out_ones(u))
+    u = u - u.mean(axis=0, keepdims=True)
+    u = u / np.linalg.norm(u, axis=0, keepdims=True)
+    # Largest-magnitude entry positive; ties resolved by np.argmax order.
+    u = u * np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(count)])
     res = _eig_residuals(g, lam, u)
     limit = EIG_TOL * np.maximum(1.0, lam)
     if not np.all(res <= limit):

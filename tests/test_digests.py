@@ -1,5 +1,6 @@
-"""Pinned output digests: ``learn``, ``subsample_nodes`` and the CLI
-pipeline reproduce their pinned bits.
+"""Pinned output digests: ``learn``, ``eigensolve_smallest``,
+``generate_jl_measurements``, ``subsample_nodes`` and the CLI pipeline
+reproduce their pinned bits.
 
 Each digest is the first 12 hex digits of a sha256.  Floating-point bits
 depend on the numpy and scipy builds, so these tests run only on the
@@ -14,10 +15,12 @@ import pytest
 import scipy
 
 from reslearn.cli import main
-from reslearn.graphs import grid_graph
+from reslearn.graphs import WeightedGraph, grid_graph
 from reslearn.io import write_graph_mtx
 from reslearn.learner import learn
-from reslearn.measurements import generate_measurement_set, subsample_nodes
+from reslearn.measurements import (generate_jl_measurements,
+                                   generate_measurement_set, subsample_nodes)
+from reslearn.spectral import eigensolve_smallest
 
 PINNED_ON = ("2.4.6", "1.17.1")
 pytestmark = pytest.mark.skipif(
@@ -63,6 +66,26 @@ def test_subsample_nodes(seed, expected):
     X = generate_measurement_set(grid_graph(40, 40), 50, 0)[0]
     X_kept, idx = subsample_nodes(X, 0.2, seed)
     assert digest(idx.tobytes(), X_kept.tobytes()) == expected
+
+
+@pytest.mark.parametrize("side, count, expected", [
+    (9, 5, "399dbbe158e4"),    # dense: N <= DENSE_EIG_LIMIT
+    (9, 60, "2476918da798"),   # dense: count > N // 2
+    (40, 10, "8979dc829f54"),  # Lanczos
+])
+def test_eigensolve_smallest(side, count, expected):
+    # lam, then u, on a grid with lognormal weights in canonical edge order
+    g = grid_graph(side, side)
+    w = np.random.default_rng(0).lognormal(0, 1, g.edge_count)
+    lam, u = eigensolve_smallest(
+        WeightedGraph(g.node_count, g.sources, g.targets, w), count)
+    assert digest(lam.tobytes(), u.tobytes()) == expected
+
+
+def test_generate_jl_measurements():
+    # X, then Y
+    X, Y = generate_jl_measurements(grid_graph(12, 12), 0.5, 0)
+    assert digest(X.tobytes(), Y.tobytes()) == "d6e3c58a49b9"
 
 
 def test_cli_pipeline(tmp_path):
