@@ -203,9 +203,10 @@ def _real_matrix(name, a, rows=None, ndims=(2,)):
     edge weights, eigenvalues): ``a`` holds no boolean (:func:`_holds_bool`),
     is not ragged, its ``np.asarray`` dtype is integer or floating, its
     ``ndim`` is in ``ndims``, it has ``rows`` rows when given, and every
-    entry is finite.  Returns C-ordered float64, so sums over it round
-    alike for any input layout, C-ordered float64 input without a copy;
-    raises one ``ValueError`` naming ``name`` per fault otherwise."""
+    entry is finite.  Returns C-ordered float64, the layout of the
+    learner's row gathers (kNN and :func:`_squared_row_distances`), and
+    C-ordered float64 input without a copy; raises one ``ValueError``
+    naming ``name`` per fault otherwise."""
     if _holds_bool(a):
         raise ValueError(f"{name} must hold real numbers, not a boolean")
     try:

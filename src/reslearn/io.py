@@ -49,28 +49,40 @@ def read_graph_mtx(path):
     """Read a symmetric weighted adjacency from Matrix Market coordinates.
 
     Accepts symmetric storage (either triangle) or general storage with one
-    or both triangles; mirrored duplicates must agree.  Self-loops and
+    or both triangles; an edge given more than once keeps its first stored
+    weight, and every other must agree with it.  Self-loops and
     non-positive weights are rejected; explicit zeros are dropped.  A
     malformed file raises ``ValueError`` naming ``path``.
+
+    Each stored entry is read once: of a symmetric file, ``mmread`` lists
+    the stored entries in file order and then one equal mirror of each
+    off-diagonal entry, and only the stored ones are kept.
     """
     try:
-        return _adjacency_graph(sp.coo_matrix(scipy.io.mmread(path)))
+        coo = sp.coo_matrix(scipy.io.mmread(path))
+        _, _, stored, layout, _, symmetry = scipy.io.mminfo(path)
+        if (layout, symmetry) != ("coordinate", "symmetric"):
+            stored = None
+        return _adjacency_graph(coo.shape, coo.row[:stored],
+                                coo.col[:stored], coo.data[:stored])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _adjacency_graph(coo):
-    """The graph of a square COO adjacency, as :func:`read_graph_mtx`
-    describes it."""
-    if coo.shape[0] != coo.shape[1]:
+def _adjacency_graph(shape, row, col, data):
+    """The graph of a square adjacency given as COO entries, as
+    :func:`read_graph_mtx` describes it."""
+    if shape[0] != shape[1]:
         raise ValueError("adjacency must be square")
-    nz = coo.data != 0
-    r, c, w = coo.row[nz], coo.col[nz], coo.data[nz]
+    nz = data != 0
+    r, c, w = row[nz], col[nz], data[nz]
     if np.any(w < 0):
         raise ValueError("negative weights are not allowed")
     # Reversed, so that the constructor, which keeps the last of duplicate
     # entries, keeps each edge's first; every other entry must agree with it.
-    g = WeightedGraph(coo.shape[0], r[::-1], c[::-1], w[::-1])
+    g = WeightedGraph(shape[0], r[::-1], c[::-1], w[::-1])
+    if g.edge_count == w.size:  # no edge given twice, so none conflicts
+        return g
     n = g.node_count
     edge = np.searchsorted(g.sources * n + g.targets,
                            np.minimum(r, c).astype(np.int64) * n

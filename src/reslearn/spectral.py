@@ -208,9 +208,9 @@ def _grounded_factor(L):
 
 def _grounded_solve(lu, b):
     """Solve ``L x = b`` for ``b`` in range(L), an (N,) vector or (N, M)
-    block, with node 0 grounded (``x[0] = 0``); centering each column of
-    ``x`` to mean 0 gives ``L^+ b``."""
-    x = np.empty(b.shape)
+    block, with node 0 grounded (``x[0] = 0``), ``x`` in ``b``'s memory
+    layout; centering each column of ``x`` to mean 0 gives ``L^+ b``."""
+    x = np.empty_like(b)
     x[0] = 0.0
     x[1:] = lu.solve(b[1:])
     return x
@@ -228,9 +228,12 @@ def solve_laplacian(g, b):
 
     ``b`` is an (N,) vector or an (N, M) block, checked by ``_real_matrix``,
     whose columns are orthogonal to the all-ones vector (the range of L).
-    The range check, the solve and the residual check run on ``b`` with
-    each column in unit scale (:func:`~reslearn.graphs._unit_scale`): all
-    columns in one call against the graph's cached grounded factor (see
+    The solve works on a column-major copy of ``b``, so every per-column
+    reduction reads one contiguous column and every input layout solves to
+    the same bits; ``x`` comes back column-major.  The range check, the
+    solve and the residual check run on ``b`` with each column in unit
+    scale (:func:`~reslearn.graphs._unit_scale`): all columns in one call
+    against the graph's cached grounded factor (see
     :func:`_grounded_factor`), each to relative residual :data:`SOLVE_TOL`;
     each solved column is centered in its own unit scale, so its sum cannot
     overflow.  Scaled back once, ``b * 2**k`` solves to the same bits times
@@ -248,7 +251,8 @@ def solve_laplacian(g, b):
         If the factorization fails or a column's relative residual is above
         :data:`SOLVE_TOL`.
     """
-    b, e = _unit_scale(_real_matrix("b", b, g.node_count, (1, 2)), axis=0)
+    b, e = _unit_scale(np.asfortranarray(
+        _real_matrix("b", b, g.node_count, (1, 2))), axis=0)
     _require_connected(g)
     n, bsum, bnorm = b.shape[0], b.sum(axis=0), np.linalg.norm(b, axis=0)
     if _outside_range(bsum, bnorm, n):
@@ -259,7 +263,7 @@ def solve_laplacian(g, b):
     # where their sum is not.
     x, f = _unit_scale(_grounded_solve(g._factor, b), axis=0)
     x = np.ldexp(x - x.sum(axis=0) / n, f)
-    rel = (np.linalg.norm(g.laplacian @ x - b, axis=0)
+    rel = (np.linalg.norm(np.asfortranarray(g.laplacian @ x) - b, axis=0)
            / np.maximum(bnorm, np.finfo(float).tiny))
     if not np.all(rel <= SOLVE_TOL):
         raise SolverError(f"relative residual {rel.max():.3e} above "

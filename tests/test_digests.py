@@ -1,6 +1,7 @@
 """Pinned output digests: ``learn``, ``eigensolve_smallest``,
-``generate_jl_measurements``, ``subsample_nodes`` and the CLI pipeline
-reproduce their pinned bits.
+``generate_jl_measurements``, ``subsample_nodes``, ``simulate_voltages``,
+``effective_resistance``, ``read_graph_mtx`` and the CLI pipeline reproduce
+their pinned bits.
 
 Each digest is the first 12 hex digits of a sha256.  Floating-point bits
 depend on the numpy and scipy builds, so these tests run only on the
@@ -15,11 +16,13 @@ import pytest
 import scipy
 
 from reslearn.cli import main
-from reslearn.graphs import WeightedGraph, grid_graph
-from reslearn.io import write_graph_mtx
+from reslearn.graphs import WeightedGraph, effective_resistance, grid_graph
+from reslearn.io import read_graph_mtx, write_graph_mtx
 from reslearn.learner import learn
-from reslearn.measurements import (generate_jl_measurements,
-                                   generate_measurement_set, subsample_nodes)
+from reslearn.measurements import (generate_currents,
+                                   generate_jl_measurements,
+                                   generate_measurement_set,
+                                   simulate_voltages, subsample_nodes)
 from reslearn.spectral import eigensolve_smallest
 
 PINNED_ON = ("2.4.6", "1.17.1")
@@ -44,23 +47,30 @@ def learn_digest(X, Y):
                                           g.weights, trace.s_max_history)))
 
 
+def lognormal_grid(side):
+    """A grid with lognormal weights in canonical edge order."""
+    g = grid_graph(side, side)
+    w = np.random.default_rng(0).lognormal(0, 1, g.edge_count)
+    return WeightedGraph(g.node_count, g.sources, g.targets, w)
+
+
 @pytest.mark.parametrize("seed, expected", enumerate(
-    ["3cdabcdb4dd1", "f68788f1c169", "eee9069d9702"]))
+    ["64ff0a769445", "044be679f65a", "c96d6152a15f"]))
 def test_learn_with_currents(seed, expected):
     X, Y = generate_measurement_set(grid_graph(45, 45), 8, seed)
     assert learn_digest(X, Y) == expected
 
 
 @pytest.mark.parametrize("seed, expected", enumerate(
-    ["e6da3a19a151", "3b7afc1f613d", "d9999146bdb1", "d8dc6cf38482",
-     "89c737d51d2c", "4d69b5c1c5f6"]))
+    ["ca0342317ad2", "12f65021c214", "0c3572027c68", "dc86bd506fee",
+     "c4acb82a1a1d", "60b621c7ea17"]))
 def test_learn_from_voltages(seed, expected):
     X = generate_measurement_set(grid_graph(40, 40), 50, seed)[0]
     assert learn_digest(X, None) == expected
 
 
 @pytest.mark.parametrize("seed, expected", enumerate(
-    ["8b2a6166cb5a", "a50d2e6a3c38", "a3e0f86bacbc"]))
+    ["ec47593a4a63", "21ef6570011c", "36214c5d3902"]))
 def test_subsample_nodes(seed, expected):
     # the kept indices, then the reduced X
     X = generate_measurement_set(grid_graph(40, 40), 50, 0)[0]
@@ -74,18 +84,35 @@ def test_subsample_nodes(seed, expected):
     (40, 10, "8979dc829f54"),  # Lanczos
 ])
 def test_eigensolve_smallest(side, count, expected):
-    # lam, then u, on a grid with lognormal weights in canonical edge order
-    g = grid_graph(side, side)
-    w = np.random.default_rng(0).lognormal(0, 1, g.edge_count)
-    lam, u = eigensolve_smallest(
-        WeightedGraph(g.node_count, g.sources, g.targets, w), count)
+    # lam, then u, on a grid with lognormal weights
+    lam, u = eigensolve_smallest(lognormal_grid(side), count)
     assert digest(lam.tobytes(), u.tobytes()) == expected
+
+
+def test_simulate_voltages():
+    X = simulate_voltages(grid_graph(45, 45), generate_currents(2025, 8, 0))
+    assert digest(X.tobytes()) == "6d5e56cf2299"
+
+
+def test_effective_resistance():
+    r = effective_resistance(grid_graph(45, 45), [0, 0, 22, 100],
+                             [2024, 44, 1012, 1900])
+    assert digest(r.tobytes()) == "4e9ecb6b8985"
+
+
+def test_read_graph_mtx(tmp_path):
+    # sources, targets, then weights, read back from symmetric storage
+    path = tmp_path / "g.mtx"
+    write_graph_mtx(path, lognormal_grid(45))
+    g = read_graph_mtx(path)
+    assert digest(g.sources.tobytes(), g.targets.tobytes(),
+                  g.weights.tobytes()) == "a873a35f6bf0"
 
 
 def test_generate_jl_measurements():
     # X, then Y
     X, Y = generate_jl_measurements(grid_graph(12, 12), 0.5, 0)
-    assert digest(X.tobytes(), Y.tobytes()) == "d6e3c58a49b9"
+    assert digest(X.tobytes(), Y.tobytes()) == "aa978f297629"
 
 
 def test_cli_pipeline(tmp_path):
@@ -101,14 +128,14 @@ def test_cli_pipeline(tmp_path):
                  "--pairs", "4", "--spectrum-k", "10", "--seed", "0",
                  "--out", str(report)]) == 0
     expected = {
-        gen / "X.bin": "0f2312419fb6",
+        gen / "X.bin": "95c94fe5afe9",
         gen / "Y.bin": "4449afc84bb2",
-        run / "learned.mtx": "88f7770c4ded",
-        run / "trace.csv": "875c9c9251f5",
-        report / "spectra.csv": "c3c31b6c91fe",
-        report / "resistance_scatter.csv": "4cc83b2d93b0",
+        run / "learned.mtx": "9e6b5597d518",
+        run / "trace.csv": "d4a03d79e47b",
+        report / "spectra.csv": "c9c3e234761a",
+        report / "resistance_scatter.csv": "53379794a556",
         report / "layout_true.csv": "a5d0424a9a71",
-        report / "layout_learned.csv": "efea23c246f9",
+        report / "layout_learned.csv": "2cf7f140dc89",
     }
     got = {path: digest(path.read_bytes()) for path in expected}
     assert got == expected

@@ -116,10 +116,14 @@ class TestGraphMtx:
                   st.sampled_from([0.25, 0.25 + 5e-13, 1.0, 1.0 + 1e-13,
                                    2.0])),
         max_size=20).map(lambda es: [e for e in es if e[0] != e[1]]))
-    def test_duplicates_match_reference(self, tmp_path_factory, entries):
+    @pytest.mark.parametrize("storage", ["general", "symmetric"])
+    def test_duplicates_match_reference(self, tmp_path_factory, storage,
+                                        entries):
+        # Symmetric storage takes entries from either triangle, and mmread
+        # adds a mirror of each: still the first stored weight must win.
         path = tmp_path_factory.mktemp("mtx") / "dups.mtx"
         path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n"
+            f"%%MatrixMarket matrix coordinate real {storage}\n"
             f"6 6 {len(entries)}\n"
             + "".join(f"{r + 1} {c + 1} {w!r}\n" for r, c, w in entries))
         kind, expected = reference_mtx_edges(entries)
@@ -137,10 +141,11 @@ class TestGraphMtx:
         back = read_graph_mtx(path)
         assert back.node_count == 4 and back.edge_count == 0
 
-    def test_rejects_self_loop(self, tmp_path):
+    @pytest.mark.parametrize("storage", ["general", "symmetric"])
+    def test_rejects_self_loop(self, tmp_path, storage):
         path = tmp_path / "loop.mtx"
         path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n"
+            f"%%MatrixMarket matrix coordinate real {storage}\n"
             "2 2 1\n"
             "1 1 1.0\n")
         with pytest.raises(ValueError):

@@ -367,12 +367,13 @@ class TestSolveLaplacian:
 
     def test_solution_bits_do_not_depend_on_layout(self):
         # column sums round by memory order; every layout of b is solved as
-        # its C-ordered copy
+        # its column-major copy
         g = grid_graph(6, 6)
         b = generate_currents(36, 6, 0)
-        wide = np.asfortranarray(np.repeat(b, 2, axis=1))
+        wide = np.repeat(b, 2, axis=1)
         x = solve_laplacian(g, b)
-        for view in (np.asfortranarray(b), wide[:, ::2]):
+        for view in (np.asfortranarray(b), np.asfortranarray(wide)[:, ::2],
+                     wide[:, ::2]):
             np.testing.assert_array_equal(solve_laplacian(g, view), x)
 
     def test_zero_rhs(self):
