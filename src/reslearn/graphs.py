@@ -20,14 +20,19 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 # Pairs per block of right-hand sides in effective_resistance; bounds its
-# memory at O(N * block).
-_RESISTANCE_BLOCK = 256
+# memory at O(N * block), five to six N-length columns per pair.  Wider
+# blocks buy no speed: on a 300x300 grid (2-core VM), 1000 pairs took 21.1 s
+# and peaked at 1,354 MB RSS with blocks of 256, and 9.7 s and 401 MB with
+# blocks of 8; on a 100x100 grid, 300 pairs traced a 97.7 MiB numpy peak at
+# 256 and 3.7 MiB at 8.
+_RESISTANCE_BLOCK = 8
 # Elements per block of row differences in _squared_row_distances (256 KB).
 _DISTANCE_BLOCK = 2**15
 
 
 class DisconnectedGraphError(ValueError):
-    """Raised by operations that require a connected graph."""
+    """Raised by operations that require a connected graph; a
+    ``ValueError`` whose ``n_components`` gives the component count."""
 
     def __init__(self, n_components):
         self.n_components = int(n_components)
@@ -105,7 +110,8 @@ class WeightedGraph:
             np.concatenate([self.weights, new.weights])))
 
     def scaled(self, factor):
-        """Return a copy with every edge weight multiplied by ``factor``."""
+        """Return a copy with every edge weight multiplied by ``factor``, a
+        real number in ``(0, inf)`` as :func:`_require_real` takes it."""
         _require_real("scale factor", factor, "(0, inf)")
         return self._pass_connected(WeightedGraph(
             self.node_count, self.sources, self.targets,

@@ -317,7 +317,10 @@ def learn(X, Y=None):
 
     The seed and the loop run on ``X * 2**-e`` in unit scale
     (:func:`~reslearn.graphs._unit_scale`), so data in any units give the
-    same edges and ``s_max`` history.  The weights come back in X's units:
+    same edges and ``s_max`` history: for any ``j`` and ``k`` that keep the
+    data exact, ``learn(X * 2**j, Y * 2**k)`` learns the edges of ``learn(X,
+    Y)`` with weights times ``2**(-2j)`` without ``Y`` and ``2**(k - j)``
+    with it.  The weights come back in X's units:
     times ``4**-e`` without ``Y``; with it, :func:`edge_scale` on the
     caller's ``X`` and ``Y`` scales them there.  Either way they are refused
     as badly scaled measurements unless normal floats.

@@ -5,7 +5,10 @@ and an integer seed >= 0.  Randomness is drawn from PCG64 generators seeded
 through ``numpy.random.SeedSequence(seed).spawn(...)`` with one child stream
 per measurement column, so per-column work can be parallelized without
 changing results.  Measurement matrices are checked by
-:func:`reslearn.graphs._real_matrix`, whose errors name them.
+:func:`reslearn.graphs._real_matrix`, whose errors name them.  A seed must
+be an integer >= 0, and a real parameter (``noise_level``, ``fraction``,
+``epsilon``) an int or float, Python or numpy but not boolean, inside its
+interval; each raises ``ValueError`` naming it otherwise.
 """
 
 from __future__ import annotations

@@ -167,7 +167,8 @@ def embedding_distances(basis, sources, targets):
     ``u`` must be a real (N, k) matrix and ``lam`` a real 1-D array, both
     checked by :func:`~reslearn.graphs._real_matrix` (naming ``basis u``
     and ``basis lam``), with ``lam`` of shape (k,) and > 0.  Raises one
-    ``ValueError`` naming ``basis`` per fault otherwise."""
+    ``ValueError`` naming ``basis`` per fault otherwise.  Returns a float64
+    array, one distance per pair."""
     try:
         lam, u = basis
     except (TypeError, ValueError):  # not a pair

@@ -49,6 +49,24 @@ def test_readme_names_every_exported_name():
     assert unnamed == []
 
 
+def test_every_exported_name_has_a_docstring():
+    # The docstring holds each contract; README only points to it.  A
+    # dataclass without one gets its signature, which is no docstring.
+    docs = {name: (getattr(reslearn, name).__doc__ or "").strip()
+            for name in reslearn.__all__}
+    assert [name for name, doc in docs.items()
+            if not doc or doc.startswith(f"{name}(")] == []
+
+
+def test_readme_names_no_private_name():
+    # A private name is the code's business, and its contract lives in a
+    # docstring; naming one in README makes a second copy to keep in step.
+    text = README.read_text(encoding="utf-8")
+    private = [name for span in re.findall(r"`([^`\n]+)`", text)
+               for name in re.findall(r"(?<!\w)_\w+", span)]
+    assert private == []
+
+
 def test_readme_names_only_what_the_code_has():
     # A lowercase backticked identifier with an underscore, `name` or
     # `name(...)`, is a module attribute, an attribute or field of an

@@ -613,6 +613,22 @@ class TestEffectiveResistance:
             effective_resistance(g, *_endpoint_columns(pairs)),
             dense_resistance(g, pairs), rtol=1e-9)
 
+    def test_memory_is_one_narrow_block(self):
+        # 300 pairs on 10,000 nodes: one N-length column is 78 KiB, so the
+        # bound holds about 200 columns, and blocks of 256 pairs would
+        # trace about 1,280
+        g = grid_graph(100, 100)
+        g._factor  # built outside the measurement, as any solve reuses it
+        s = np.arange(300)
+        tracemalloc.start()
+        try:
+            r = effective_resistance(g, s, 9999 - s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(r > 0)
+        assert peak < 200 * g.node_count * 8
+
 
 def _endpoint_columns(pairs):
     """``(s, t)`` of ``pairs`` in the form given: an array's two columns, or
