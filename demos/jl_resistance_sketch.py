@@ -35,17 +35,11 @@ def main():
           f"-> M = ceil(24 ln N / eps^2) = {m}")
 
     X, _ = rl.generate_jl_measurements(g, eps, seed=0)
-    pinv = np.linalg.pinv(g.laplacian.toarray(), hermitian=True)
-    rng = np.random.default_rng(1)
-    ratios = []
-    for _ in range(2000):
-        s, t = (int(v) for v in rng.integers(0, n, 2))
-        if s == t:
-            continue
-        reff = pinv[s, s] + pinv[t, t] - 2 * pinv[s, t]
-        z = ((X[s] - X[t]) ** 2).sum()
-        ratios.append(z / reff)
-    ratios = np.asarray(ratios)
+    s, t = np.random.default_rng(1).integers(0, n, (2, 2000))
+    keep = s != t
+    s, t = s[keep], t[keep]
+    ratios = (((X[s] - X[t]) ** 2).sum(axis=1)
+              / rl.effective_resistance(g, s, t))
     inside = ((ratios >= 1 - eps) & (ratios <= 1 + eps)).mean()
     print(f"sampled {len(ratios)} pairs: "
           f"ratio z/R in [{ratios.min():.3f}, {ratios.max():.3f}], "

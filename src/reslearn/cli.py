@@ -42,12 +42,12 @@ def _write_manifest(args, inputs, outputs, status, seconds, **resolved):
     """Write ``manifest.json`` into ``args.out``: everything needed to
     reproduce the command's outputs byte-for-byte.
 
-    ``parameters`` holds every parsed option except the file arguments,
-    overlaid with the ``resolved`` values.
+    ``parameters`` holds every parsed option except the file arguments
+    (``out`` and the keys of ``inputs``), overlaid with the ``resolved``
+    values.
     """
     parameters = {name: value for name, value in vars(args).items()
-                  if name not in ("command", "graph", "x", "y", "truth",
-                                  "learned", "out")}
+                  if name not in ("command", "out", *inputs)}
     parameters.update(resolved)
     io.write_json(os.path.join(args.out, "manifest.json"),
                   {"command": args.command, "version": __version__,
@@ -96,7 +96,8 @@ def _build_parser():
     ev.add_argument("truth", help="ground-truth graph (.mtx)")
     ev.add_argument("learned", help="learned graph (.mtx)")
     ev.add_argument("--pairs", type=int, default=1000,
-                    help="node pairs sampled for the resistance scatter")
+                    help="node pairs scored in the resistance scatter "
+                         "(every pair if the graph has no more)")
     ev.add_argument("--spectrum-k", type=int, default=10,
                     help="nontrivial eigenvalues to compare")
     ev.add_argument("--seed", type=int, default=0)

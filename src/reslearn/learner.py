@@ -179,7 +179,12 @@ def _as_currents(Y, X):
     """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, shaped
     like the checked ``X``, each column nonzero and orthogonal to the
     all-ones vector.  Every column of ``X`` must be nonzero too, or edge
-    scaling has no ratio to match."""
+    scaling has no ratio to match.
+
+    Each current column must also do positive work on its voltages, ``x_j^T
+    y_j > 0`` (taken in unit scale): a resistor network is passive, so
+    ``x_j^T y_j = y_j^T L^+ y_j > 0`` for any nonzero ``y_j`` orthogonal to
+    the all-ones vector."""
     Y = _real_matrix("Y", Y, X.shape[0])
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
@@ -193,6 +198,12 @@ def _as_currents(Y, X):
                          "column must excite the network")
     if _outside_range(unit.sum(axis=0), norms, unit.shape[0]):
         raise ValueError("current columns not orthogonal to all-ones")
+    idle = np.flatnonzero(
+        np.einsum("ij,ij->j", _unit_scale(X, axis=0)[0], unit) <= 0)
+    if idle.size:
+        raise ValueError(f"Y column {idle[0]} does no work on its voltages "
+                         "(x_j^T y_j <= 0): X and Y are not a "
+                         "voltage/current pair")
     return Y
 
 
@@ -278,7 +289,8 @@ def edge_scale(g, X, Y):
 
     Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
     shape, one row per node of ``g``, whose columns are all nonzero, with
-    every current column orthogonal to the all-ones vector; solved voltages
+    every current column orthogonal to the all-ones vector and doing
+    positive work on its voltages (:func:`_as_currents`); solved voltages
     that overflow, or a weight that is not a normal float, raise it too
     (badly scaled measurements).  A failed solve raises
     :class:`~reslearn.spectral.SolverError`.
@@ -346,20 +358,18 @@ def learn(X, Y=None):
     include_cap = math.ceil(n * BETA_SAMPLE)
     modes = min(MODE_COUNT, n - 1)
 
-    status = "max_iterations"
     for iteration in range(1, MAX_ITERATIONS + 1):
         tick = time.perf_counter()
         idx = np.flatnonzero(~in_graph)
         if idx.size == 0:
-            status = "candidate_pool_exhausted"
+            trace.status = "candidate_pool_exhausted"
             break
         r = embedding_distances(eigensolve_smallest(graph, modes),
                                 pool_s[idx], pool_t[idx])
         top, sens = _rank_candidates(r, pool_w[idx], include_cap)
         s_max = float(sens[top[0]])
 
-        converged = s_max <= 0
-        if not converged:
+        if s_max > 0:
             take = idx[top[sens[top] > 0]]
             in_graph[take] = True
             graph = graph.with_edges(pool_s[take], pool_t[take],
@@ -368,11 +378,12 @@ def learn(X, Y=None):
         trace.records.append(IterationRecord(
             iteration=iteration, s_max=s_max, edge_count=graph.edge_count,
             seconds=time.perf_counter() - tick))
-        if converged:
-            status = "converged"
+        if s_max <= 0:
+            trace.status = "converged"
             break
+    else:
+        trace.status = "max_iterations"
 
-    trace.status = status
     if Y is None:
         return _in_units(graph, -2 * e), trace
     return edge_scale(graph, X, Y), trace

@@ -9,10 +9,6 @@ import numpy as np
 from .graphs import _require_int, effective_resistance
 from .spectral import eigensolve_smallest
 
-# Below this many total node pairs the resistance report enumerates all of
-# them instead of sampling.
-EXHAUSTIVE_PAIR_LIMIT = 10_000
-
 
 def compare_spectra(g_true, g_learned, count):
     """First ``count`` nontrivial eigenvalues of both graphs plus per-index
@@ -29,10 +25,9 @@ def compare_spectra(g_true, g_learned, count):
 def _sample_pairs(n, pair_count, seed):
     _require_int("seed", seed, 0)
     total = n * (n - 1) // 2
-    if total < EXHAUSTIVE_PAIR_LIMIT or pair_count >= total:
-        return np.column_stack(np.triu_indices(n, 1))
-    flat = np.sort(np.random.default_rng(seed).choice(
-        total, size=pair_count, replace=False))
+    flat = np.arange(total) if pair_count >= total else np.sort(
+        np.random.default_rng(seed).choice(total, size=pair_count,
+                                           replace=False))
     # Invert the triangular linear index: pairs (s, t) with s < t.
     s = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2).astype(
         np.int64)
@@ -52,8 +47,9 @@ def pearson(a, b):
 def resistance_correlation(g_true, g_learned, pair_count, seed):
     """Effective resistances of sampled node pairs on both graphs.
 
-    Pairs are sampled without replacement; below
-    :data:`EXHAUSTIVE_PAIR_LIMIT` total pairs the enumeration is exhaustive.
+    ``min(pair_count, N(N - 1) / 2)`` distinct pairs ``s < t``, in
+    row-major upper-triangle order: every pair when ``pair_count`` reaches
+    the total, otherwise a sample without replacement drawn from ``seed``.
     Returns ``(pairs, r_true, r_learned, pearson_r)``, the pairs an int64
     (k, 2) array, whose columns go to :func:`effective_resistance` as its
     endpoints, and the resistances float64 arrays.  A correlation needs at

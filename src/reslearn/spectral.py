@@ -10,10 +10,6 @@ graph, so each graph is factored at most once.  All routines remove the
 trivial eigenpair (eigenvalue 0, constant vector) explicitly instead of
 regularizing it away, so they operate on the subspace orthogonal to the
 all-ones vector.
-
-Lanczos (ARPACK on ``L^+``) stops at the residual its pairs are checked
-against, not at machine precision: its tolerance is ``0.1 * EIG_TOL / (2 *
-max weighted degree)``, clamped below at machine epsilon.
 """
 
 from __future__ import annotations
@@ -114,19 +110,16 @@ def eigensolve_smallest(g, count):
 
     The trivial pair (eigenvalue 0, constant vector) is removed by deflation
     against the all-ones vector.  The backend follows from the size alone:
-    dense LAPACK for graphs of at most :data:`DENSE_EIG_LIMIT` (128) nodes or
-    for more than half the modes, otherwise Lanczos on ``L^+`` applied
-    through the grounded factor, capped at :data:`EIG_MAX_RESTARTS` (5000)
-    restarts.  Lanczos stops at tolerance ``max(0.1 * EIG_TOL / (2 * max
-    weighted degree), machine epsilon)``: ARPACK's test on ``L^+`` then
-    bounds ``||L u - lambda u||`` by ``||L|| * tol <= 0.1 * EIG_TOL``.
-    Either backend's vectors are then centered, normalized and signed (the
-    largest-magnitude entry positive) in one step.
+    dense LAPACK for graphs of at most :data:`DENSE_EIG_LIMIT` nodes or for
+    more than half the modes, otherwise Lanczos on ``L^+`` applied through
+    the grounded factor, capped at :data:`EIG_MAX_RESTARTS` restarts and
+    stopped ten times inside the residual check below, not at machine
+    precision.  Either backend's vectors are then centered, normalized and
+    signed (the largest-magnitude entry positive) in one step.
 
     Residuals ``||L u - lambda u||`` are verified against
-    ``EIG_TOL * max(1, lambda)`` per pair, with :data:`EIG_TOL` = 1e-8;
-    failure raises :class:`EigensolverError` carrying the best residual
-    reached.
+    ``EIG_TOL * max(1, lambda)`` per pair; failure raises
+    :class:`EigensolverError` carrying the best residual reached.
 
     Raises ``ValueError`` unless ``count`` is an integer in ``[1, N - 1]``
     or if a weighted degree or a Lanczos iterate overflows ("badly scaled

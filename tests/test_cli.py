@@ -17,6 +17,11 @@ from reslearn.io import read_graph_mtx, read_matrix, write_graph_mtx
 from _oracles import FullDisk
 
 
+# A voltage/current pair; negating the currents makes every column do
+# negative work on its voltages.
+PAIR_X, PAIR_Y = measurements.generate_measurement_set(grid_graph(4, 4), 3, 0)
+
+
 @pytest.fixture
 def two_node_mtx(tmp_path):
     path = tmp_path / "truth.mtx"
@@ -291,7 +296,10 @@ class TestLearn:
          r"entry to within 2\*\*-1073 of max \|X\|"),
         (np.random.default_rng(0).standard_normal((6, 3)), np.ones((6, 3)),
          "Y.bin", "current columns not orthogonal to all-ones"),
-    ], ids=["empty-X", "nan-X", "identical-X", "constant-Y"])
+        (PAIR_X, -PAIR_Y, "Y.bin",
+         r"Y column 0 does no work on its voltages \(x_j\^T y_j <= 0\): X "
+         r"and Y are not a voltage/current pair"),
+    ], ids=["empty-X", "nan-X", "identical-X", "constant-Y", "no-work-Y"])
     def test_refused_matrix_names_its_file(self, tmp_path, capsys, X, Y,
                                            blamed, message):
         # each file reads cleanly, and learn refuses what it holds
@@ -395,6 +403,13 @@ class TestEval:
                      "--out", str(tmp_path / "e")]) == 3
         assert (f"error: {tmp_path / 'd.mtx'}: graph is disconnected "
                 "(2 components)" in capsys.readouterr().err)
+
+    def test_scores_exactly_the_requested_pairs(self, grid_mtx, tmp_path):
+        out = tmp_path / "eval"  # 6x6 grid: 630 pairs
+        assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "5",
+                     "--out", str(out)]) == 0
+        scatter = (out / "resistance_scatter.csv").read_text().splitlines()
+        assert len(scatter) == 1 + 5
 
     def test_zero_pairs_is_input_error(self, grid_mtx, tmp_path):
         assert main(["eval", str(grid_mtx), str(grid_mtx), "--pairs", "0",
@@ -501,6 +516,8 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
         assert manifest["command"] == command
         assert set(manifest["parameters"]) == (dests - files) | resolved[
             command]
+        assert not set(manifest["parameters"]) & {"command", "out",
+                                                  *manifest["inputs"]}
 
 
 @pytest.mark.parametrize("command, flags, message", [

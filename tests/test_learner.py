@@ -25,7 +25,9 @@ from reslearn.learner import (
     learn,
 )
 from reslearn.measurements import (
+    add_noise,
     generate_currents,
+    generate_jl_measurements,
     generate_measurement_set,
     simulate_voltages,
     subsample_nodes,
@@ -644,6 +646,9 @@ class TestMeasurementChecks:
         "zero-voltage-column": (lambda X, Y: (_with_column(X, 3, 0.0), Y),
                                 "zero voltage column: scaling ratio "
                                 "undefined"),
+        "no-work": (lambda X, Y: (X, -Y),
+                    "Y column 0 does no work on its voltages (x_j^T y_j <= "
+                    "0): X and Y are not a voltage/current pair"),
     }
 
     @pytest.mark.parametrize("fault", CURRENT_FAULTS)
@@ -678,6 +683,49 @@ class TestMeasurementChecks:
         with pytest.raises(ValueError) as err:
             call(X)
         assert str(err.value) == "X must be (N >= 2, M >= 1)"
+
+
+class TestPassivity:
+    """A resistor network is passive: each current column does positive
+    work on its voltages, ``x_j^T y_j = y_j^T L^+ y_j > 0``."""
+
+    _g = grid_graph(30, 30)
+    _X, _Y = generate_measurement_set(_g, 50, 0)
+    MISMATCHED = {
+        "columns-permuted": lambda X, Y: Y[
+            :, np.random.default_rng(0).permutation(Y.shape[1])],
+        "currents-of-seed-1": lambda X, Y: generate_measurement_set(
+            TestPassivity._g, 50, 1)[1],
+        "rows-permuted": lambda X, Y: Y[
+            np.random.default_rng(0).permutation(Y.shape[0])],
+    }
+
+    @pytest.mark.parametrize("case", MISMATCHED)
+    def test_mismatched_currents_refused_naming_the_first_idle_column(
+            self, case):
+        Y = self.MISMATCHED[case](self._X, self._Y)
+        idle = np.flatnonzero(np.einsum("ij,ij->j", self._X, Y) <= 0)
+        assert idle.size
+        with pytest.raises(ValueError,
+                           match=rf"^Y column {idle[0]} does no work .* X "
+                                 "and Y are not a voltage/current pair$"):
+            learner._as_currents(Y, self._X)
+
+    @pytest.mark.parametrize("zeta", [0.1, 0.5, 1.0])
+    def test_noisy_voltages_accepted(self, zeta):
+        X = add_noise(self._X, zeta, 1)
+        assert learner._as_currents(self._Y, X) is self._Y
+
+    def test_jl_measurements_accepted(self):
+        X, Y = generate_jl_measurements(self._g, 0.5, 0)
+        assert learner._as_currents(Y, X) is Y
+
+    def test_work_taken_in_unit_scale(self):
+        # x_j^T y_j overflows to inf - inf = nan at these units, and nan
+        # compares as neither sign
+        X, Y = generate_measurement_set(grid_graph(4, 4), 3, 0)
+        with pytest.raises(ValueError, match="Y column 0 does no work"):
+            learner._as_currents(-Y * 2.0 ** 1000, X * 2.0 ** 1000)
 
 
 class TestScaling:

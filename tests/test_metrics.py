@@ -3,12 +3,7 @@ import pytest
 
 from reslearn import graphs, metrics, spectral
 from reslearn.graphs import WeightedGraph, grid_graph
-from reslearn.metrics import (
-    EXHAUSTIVE_PAIR_LIMIT,
-    compare_spectra,
-    pearson,
-    resistance_correlation,
-)
+from reslearn.metrics import compare_spectra, pearson, resistance_correlation
 from reslearn.spectral import eigensolve_smallest
 
 from _oracles import dense_eigenpairs, random_connected_graph
@@ -52,16 +47,23 @@ class TestResistanceCorrelation:
         assert corr == pytest.approx(1.0)
         np.testing.assert_allclose(r_l, r_t / 3.0, rtol=1e-8)
 
-    def test_exhaustive_below_limit(self):
-        g = random_connected_graph(10, 8, seed=2)
+    def test_small_graph_scores_pair_count_pairs(self):
+        g = random_connected_graph(10, 8, seed=2)  # 45 pairs
         pairs, r_t, _, _ = resistance_correlation(g, g, 5, seed=0)
-        assert len(pairs) == 10 * 9 // 2  # exhaustive for small graphs
-        assert pairs.tolist() == [[s, t] for s in range(10)
-                                  for t in range(s + 1, 10)]
-        assert 10 * 9 // 2 < EXHAUSTIVE_PAIR_LIMIT
+        s, t = pairs.T
+        assert pairs.shape == (5, 2) and len(r_t) == 5
+        assert np.all((0 <= s) & (s < t) & (t < 10))
+        assert len(np.unique(pairs, axis=0)) == 5
 
-    def test_sampled_above_limit(self):
-        g = grid_graph(12, 13)  # 156 nodes -> 12090 pairs > limit
+    @pytest.mark.parametrize("count", [45, 46, 1000])
+    def test_every_pair_once_pair_count_reaches_the_total(self, count):
+        g = random_connected_graph(10, 8, seed=2)
+        pairs, _, _, _ = resistance_correlation(g, g, count, seed=0)
+        np.testing.assert_array_equal(pairs,
+                                      np.column_stack(np.triu_indices(10, 1)))
+
+    def test_sampled_distinct_pairs(self):
+        g = grid_graph(12, 13)  # 156 nodes -> 12090 pairs
         pairs, _, _, _ = resistance_correlation(g, g, 500, seed=3)
         assert pairs.shape == (500, 2)
         assert len(np.unique(pairs, axis=0)) == 500
@@ -76,7 +78,7 @@ class TestResistanceCorrelation:
     def test_sampled_pairs_are_the_drawn_upper_triangle_entries(self, n):
         count, seed = 500, 7
         total = n * (n - 1) // 2
-        assert EXHAUSTIVE_PAIR_LIMIT <= total
+        assert count < total
         flat = np.sort(np.random.default_rng(seed).choice(
             total, size=count, replace=False))
         s, t = np.triu_indices(n, 1)
