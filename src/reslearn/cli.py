@@ -206,8 +206,7 @@ def _cmd_eval(args):
             f"{g_learned.node_count}")
     if g_true.node_count < 3:
         raise ValueError("layout needs at least 3 nodes")
-    if args.spectrum_k < 1:
-        raise ValueError(f"--spectrum-k must be >= 1, got {args.spectrum_k}")
+    _naming("--spectrum-k", graphs._require_int, "count", args.spectrum_k, 1)
     _naming("--seed", graphs._require_int, "seed", args.seed, 0)
     started = time.perf_counter()
     # spectrum_k > N - 1 fails the eigensolve's range check with the

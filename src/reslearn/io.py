@@ -76,8 +76,6 @@ def _adjacency_graph(shape, row, col, data):
         raise ValueError("adjacency must be square")
     nz = data != 0
     r, c, w = row[nz], col[nz], data[nz]
-    if np.any(w < 0):
-        raise ValueError("negative weights are not allowed")
     # Reversed, so that the constructor, which keeps the last of duplicate
     # entries, keeps each edge's first; every other entry must agree with it.
     g = WeightedGraph(shape[0], r[::-1], c[::-1], w[::-1])

@@ -176,27 +176,20 @@ def _as_voltages(X, rows=None):
 
 
 def _as_currents(Y, X):
-    """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, shaped
-    like the checked ``X``, each column nonzero and orthogonal to the
-    all-ones vector.  Every column of ``X`` must be nonzero too, or edge
-    scaling has no ratio to match.
+    """``Y`` as :func:`~reslearn.graphs._real_matrix` returns it, with the
+    rows of the checked ``X``, if ``X`` and ``Y`` are a voltage/current pair:
+    one shape, each current column orthogonal to the all-ones vector, and
+    each pair doing positive work, ``x_j^T y_j > 0`` (taken in unit scale).
 
-    Each current column must also do positive work on its voltages, ``x_j^T
-    y_j > 0`` (taken in unit scale): a resistor network is passive, so
-    ``x_j^T y_j = y_j^T L^+ y_j > 0`` for any nonzero ``y_j`` orthogonal to
-    the all-ones vector."""
+    The work bound is passivity: ``x_j^T y_j = y_j^T L^+ y_j > 0`` for any
+    nonzero ``y_j`` orthogonal to the all-ones vector.  A zero column of
+    either matrix does no work, so it is refused by that column's number."""
     Y = _real_matrix("Y", Y, X.shape[0])
     if Y.shape != X.shape:
         raise ValueError("X and Y shapes differ")
-    if not np.all(np.any(X, axis=0)):
-        raise ValueError("zero voltage column: scaling ratio undefined")
     unit, _ = _unit_scale(Y, axis=0)
-    norms = np.linalg.norm(unit, axis=0)
-    zero = np.flatnonzero(norms == 0)
-    if zero.size:
-        raise ValueError(f"Y column {zero[0]} is all zeros: every current "
-                         "column must excite the network")
-    if _outside_range(unit.sum(axis=0), norms, unit.shape[0]):
+    if _outside_range(unit.sum(axis=0), np.linalg.norm(unit, axis=0),
+                      unit.shape[0]):
         raise ValueError("current columns not orthogonal to all-ones")
     idle = np.flatnonzero(
         np.einsum("ij,ij->j", _unit_scale(X, axis=0)[0], unit) <= 0)
@@ -287,12 +280,10 @@ def edge_scale(g, X, Y):
     apart, so no norm, ratio or square overflows, whatever the units of the
     data or of ``g``'s weights; the weights are scaled into X's units once.
 
-    Raises ``ValueError`` unless ``X`` and ``Y`` are real matrices of one
-    shape, one row per node of ``g``, whose columns are all nonzero, with
-    every current column orthogonal to the all-ones vector and doing
-    positive work on its voltages (:func:`_as_currents`); solved voltages
-    that overflow, or a weight that is not a normal float, raise it too
-    (badly scaled measurements).  A failed solve raises
+    Raises ``ValueError`` unless ``X``, with one row per node of ``g``, and
+    ``Y`` are a voltage/current pair as :func:`_as_currents` checks; solved
+    voltages that overflow, or a weight that is not a normal float, raise it
+    too (badly scaled measurements).  A failed solve raises
     :class:`~reslearn.spectral.SolverError`.
     """
     X = _as_voltages(X, g.node_count)
@@ -325,7 +316,7 @@ def learn(X, Y=None):
     graph.
     With ``Y`` given, the final graph is edge-scaled; without it
     (reduced-network learning) the unscaled weights stand.  ``X`` and ``Y``
-    are checked as in :func:`edge_scale`.
+    must be a voltage/current pair as :func:`_as_currents` checks.
 
     The seed and the loop run on ``X * 2**-e`` in unit scale
     (:func:`~reslearn.graphs._unit_scale`), so data in any units give the
@@ -340,7 +331,8 @@ def learn(X, Y=None):
     X_unit = _as_voltages(X)
     if Y is not None:
         # Refuse bad currents before the loop, judged against the caller's
-        # voltages: unit scaling may flush a column of X to zero.
+        # voltages: unit scaling may flush a column of X to zero, which
+        # would fail the passivity check.
         _as_currents(Y, X_unit)
     X_unit, e = _unit_scale(X_unit)
     n = X_unit.shape[0]

@@ -275,9 +275,9 @@ def objective_value(g, X, eig_count):
 
     The sum runs over the first ``eig_count`` nontrivial eigenvalues (over
     all ``N - 1``, ``log pdet L``), which come from
-    :func:`eigensolve_smallest`, whose backend follows from the size.  ``X``
-    is checked as in :func:`~reslearn.graphs.quadratic_form` and needs at
-    least one column.
+    :func:`eigensolve_smallest`, whose backend follows from the size and
+    which checks ``eig_count`` as its ``count``.  ``X`` is checked as in
+    :func:`~reslearn.graphs.quadratic_form` and needs at least one column.
     """
     # A malformed X is refused before the eigensolve; an (N,) vector is one
     # measurement.
@@ -285,8 +285,5 @@ def objective_value(g, X, eig_count):
     if X.shape[1] == 0:
         raise ValueError("X has no columns")
     trace = quadratic_form(g, X) / X.shape[1]
-    _require_int("eig_count", eig_count, 1)
-    if not eig_count <= g.node_count - 1:
-        raise ValueError("eig_count out of range")
     lam = eigensolve_smallest(g, eig_count)[0]
     return float(np.sum(np.log(lam))) - trace

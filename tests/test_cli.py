@@ -299,7 +299,11 @@ class TestLearn:
         (PAIR_X, -PAIR_Y, "Y.bin",
          r"Y column 0 does no work on its voltages \(x_j\^T y_j <= 0\): X "
          r"and Y are not a voltage/current pair"),
-    ], ids=["empty-X", "nan-X", "identical-X", "constant-Y", "no-work-Y"])
+        (np.where(np.arange(3) == 1, 0.0, PAIR_X), PAIR_Y, "Y.bin",
+         r"Y column 1 does no work on its voltages \(x_j\^T y_j <= 0\): X "
+         r"and Y are not a voltage/current pair"),
+    ], ids=["empty-X", "nan-X", "identical-X", "constant-Y", "no-work-Y",
+            "zero-X-column"])
     def test_refused_matrix_names_its_file(self, tmp_path, capsys, X, Y,
                                            blamed, message):
         # each file reads cleanly, and learn refuses what it holds
@@ -479,7 +483,7 @@ class TestEval:
             np.testing.assert_array_equal(layout[:, 1:], u[:, :2])
 
     @pytest.mark.parametrize("k, message", [
-        (0, "--spectrum-k must be >= 1, got 0"),
+        (0, "--spectrum-k: count must be >= 1"),
         (36, r"count must be in \[1, 35\], got 36"),
     ])
     def test_bad_spectrum_k_is_input_error(self, grid_mtx, tmp_path, capsys,
@@ -528,14 +532,15 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
     ("learn", ["--subsample", "0"],
      "--subsample: fraction must be in (0, 1]"),
     ("eval", ["--pairs", "1"], "--pairs: pair_count must be >= 2"),
+    ("eval", ["--spectrum-k", "0"], "--spectrum-k: count must be >= 1"),
     ("eval", ["--spectrum-k", "40"],
      "--spectrum-k: count must be in [1, 35], got 40"),
     ("generate", ["--seed", "-1"], "--seed: seed must be >= 0"),
     ("learn", ["--subsample", "0.5", "--seed", "-1"],
      "--seed: seed must be >= 0"),
     ("eval", ["--seed", "-1"], "--seed: seed must be >= 0"),
-], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k",
-        "generate-seed", "learn-seed", "eval-seed"])
+], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k-low",
+        "spectrum-k", "generate-seed", "learn-seed", "eval-seed"])
 def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flags,
                                 message):
     # The library checks each value; the refusal names the flag it came

@@ -151,14 +151,19 @@ class TestGraphMtx:
         with pytest.raises(ValueError):
             read_graph_mtx(path)
 
-    def test_rejects_negative_weight(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n2 1 -1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 2\n2 1 1.0\n"
+        "1 2 -1.0\n",
+    ], ids=["stored", "mirror"])
+    def test_rejects_negative_weight(self, tmp_path, text):
+        # the graph constructor checks every stored weight, a mirror that
+        # would lose to its edge's first weight too
         path = tmp_path / "neg.mtx"
-        path.write_text(
-            "%%MatrixMarket matrix coordinate real symmetric\n"
-            "2 2 1\n"
-            "2 1 -1.0\n")
-        with pytest.raises(ValueError):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
             read_graph_mtx(path)
+        assert str(err.value) == f"{path}: edge weights must be > 0"
 
     def test_drops_explicit_zeros(self, tmp_path):
         path = tmp_path / "zeros.mtx"

@@ -522,8 +522,9 @@ class TestObjectiveValue:
     @pytest.mark.parametrize("eig_count", [2.0, True])
     def test_rejects_non_integer_eig_count(self, eig_count):
         X = np.random.default_rng(0).standard_normal((9, 3))
-        with pytest.raises(ValueError, match="eig_count must be an integer"):
+        with pytest.raises(ValueError) as err:
             objective_value(grid_graph(3, 3), X, eig_count=eig_count)
+        assert str(err.value) == f"count must be an integer, got {eig_count!r}"
 
     def test_two_node_closed_form(self):
         a = 0.3
@@ -565,7 +566,8 @@ class TestObjectiveValue:
 
     def test_eig_count_out_of_range(self):
         g = triangle()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^count must be in \[1, 2\], got 3$"):
             objective_value(g, np.zeros((3, 1)), 3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
