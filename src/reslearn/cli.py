@@ -194,30 +194,25 @@ def _cmd_eval(args):
     :func:`metrics.compare_spectra` would give them, and each layout the
     first two (sign-fixed) eigenvectors, as ``eigensolve_smallest(g, 2)``
     would give them; where an eigenvalue repeats, a layout may be another
-    orthonormal basis of its eigenspace.
+    orthonormal basis of its eigenspace.  The resistance scatter runs first,
+    so its node-set and 2-pair rules refuse a graph pair before any solve.
     """
     g_true = io.read_graph_mtx(args.truth)
     g_learned = io.read_graph_mtx(args.learned)
     for path, g in ((args.truth, g_true), (args.learned, g_learned)):
         _naming(path, graphs._require_connected, g)
-    if g_true.node_count != g_learned.node_count:
-        raise ValueError(
-            f"node counts differ: {g_true.node_count} vs "
-            f"{g_learned.node_count}")
-    if g_true.node_count < 3:
-        raise ValueError("layout needs at least 3 nodes")
     _naming("--spectrum-k", graphs._require_int, "count", args.spectrum_k, 1)
     _naming("--seed", graphs._require_int, "seed", args.seed, 0)
     started = time.perf_counter()
+    pairs, r_t, r_l, corr = _naming(
+        "--pairs", metrics.resistance_correlation, g_true, g_learned,
+        args.pairs, args.seed, about="pair_count ")
     # spectrum_k > N - 1 fails the eigensolve's range check with the
     # message compare_spectra gives.
     (lam_t, u_t), (lam_l, u_l) = (
         _naming("--spectrum-k", spectral.eigensolve_smallest, g,
                 max(args.spectrum_k, 2), about="count ")
         for g in (g_true, g_learned))
-    pairs, r_t, r_l, corr = _naming(
-        "--pairs", metrics.resistance_correlation, g_true, g_learned,
-        args.pairs, args.seed, about="pair_count ")
 
     os.makedirs(args.out, exist_ok=True)
     paths = {

@@ -40,7 +40,7 @@ class DisconnectedGraphError(ValueError):
             f"graph is disconnected ({self.n_components} components)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected positively weighted graph on nodes ``0..node_count-1``.
 
@@ -50,7 +50,8 @@ class WeightedGraph:
     weights finite, positive and normal.  Edges come in any order and
     orientation; a duplicate ``(s, t)`` pair keeps its last weight.  The
     ``(s, t)`` order is the one tie rule: rankings of edges break ties by it.
-    Instances are immutable; mutating operations return new graphs.
+    Instances are immutable, and compare and hash by identity; mutating
+    operations return new graphs.
 
     Raises
     ------
@@ -75,11 +76,9 @@ class WeightedGraph:
         if w.size != s.size:
             raise ValueError("sources, targets and weights must be 1-D "
                              "arrays of one length")
-        if not np.all(w > 0):
-            raise ValueError("edge weights must be > 0")
-        if np.any(w < np.finfo(float).tiny):
-            raise ValueError("edge weights must be normal floats, at least "
-                             f"{np.finfo(float).tiny}")
+        if not np.all(w >= np.finfo(float).tiny):
+            raise ValueError("edge weights must be positive normal floats, "
+                             f"at least {np.finfo(float).tiny}")
         lo, hi = np.minimum(s, t), np.maximum(s, t)
         # Stable sort by (s, t); of each run of duplicates keep the last.
         keys = lo * n + hi

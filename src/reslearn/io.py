@@ -50,9 +50,9 @@ def read_graph_mtx(path):
 
     Accepts symmetric storage (either triangle) or general storage with one
     or both triangles; an edge given more than once keeps its first stored
-    weight, and every other must agree with it.  Self-loops and
-    non-positive weights are rejected; explicit zeros are dropped.  A
-    malformed file raises ``ValueError`` naming ``path``.
+    weight, and every other must agree with it to 1e-12 of that weight.
+    Self-loops and non-positive weights are rejected; explicit zeros are
+    dropped.  A malformed file raises ``ValueError`` naming ``path``.
 
     Each stored entry is read once: of a symmetric file, ``mmread`` lists
     the stored entries in file order and then one equal mirror of each
@@ -88,8 +88,7 @@ def _adjacency_graph(shape, row, col, data):
     top, bottom = g.weights.copy(), g.weights.copy()
     np.maximum.at(top, edge, w)
     np.minimum.at(bottom, edge, w)
-    bad = np.flatnonzero(top - bottom
-                         > 1e-12 * np.maximum(1.0, np.abs(g.weights)))
+    bad = np.flatnonzero(top - bottom > 1e-12 * g.weights)
     if bad.size:
         s, t = g.sources[bad[0]], g.targets[bad[0]]
         raise ValueError(f"conflicting weights for edge ({s},{t})")

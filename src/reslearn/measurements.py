@@ -81,10 +81,14 @@ def add_noise(X, noise_level, seed):
 
 def jl_measurement_count(node_count, epsilon):
     """Measurement count ``ceil(24 ln(N) / epsilon^2)`` for the resistance
-    sketch (Johnson-Lindenstrauss scaling)."""
+    sketch (Johnson-Lindenstrauss scaling); ``ValueError`` if not finite."""
     _require_real("epsilon", epsilon, "(0, 1)")
     _require_int("node_count", node_count, 2)
-    return max(1, math.ceil(24.0 * math.log(node_count) / epsilon ** 2))
+    try:
+        return math.ceil(24.0 * math.log(node_count) / float(epsilon) ** 2)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("epsilon too small: the count ceil(24 ln(N) / "
+                         "epsilon^2) is not finite") from None
 
 
 def generate_jl_measurements(g, epsilon, seed):

@@ -15,7 +15,8 @@ def compare_spectra(g_true, g_learned, count):
     relative errors ``|learned - true| / true``; the graphs must share the
     node set."""
     if g_true.node_count != g_learned.node_count:
-        raise ValueError("graphs must share the node set")
+        raise ValueError(f"node counts differ: {g_true.node_count} vs "
+                         f"{g_learned.node_count}")
     lam_true = eigensolve_smallest(g_true, count)[0]
     lam_learned = eigensolve_smallest(g_learned, count)[0]
     rel = np.abs(lam_learned - lam_true) / lam_true
@@ -58,7 +59,8 @@ def resistance_correlation(g_true, g_learned, pair_count, seed):
     nodes) and a bad ``seed``.
     """
     if g_true.node_count != g_learned.node_count:
-        raise ValueError("graphs must share the node set")
+        raise ValueError(f"node counts differ: {g_true.node_count} vs "
+                         f"{g_learned.node_count}")
     n = g_true.node_count
     _require_int("pair_count", pair_count, 2)
     pairs = _sample_pairs(n, pair_count, seed)

@@ -67,8 +67,10 @@ def _arpack_smallest(g, count):
     # ARPACK stops once ||L^+ u - mu u|| <= tol * mu, which gives ||L u -
     # lambda u|| <= ||L|| * tol; ||L|| <= 2 * max degree (Gershgorin), so
     # this tol lands every pair ten times inside the EIG_TOL check.
-    # Divided in two steps, 2 * max degree cannot overflow.
-    tol = max(0.1 * EIG_TOL / 2.0 / g.laplacian.diagonal().max(),
+    # Divided in two steps, 2 * max degree cannot overflow.  A loose stop
+    # lets Lanczos skip a copy of a repeated eigenvalue, which no residual
+    # check can see, so a max degree below 1 counts as 1.
+    tol = max(0.1 * EIG_TOL / 2.0 / max(1.0, g.laplacian.diagonal().max()),
               np.finfo(float).eps)
     try:
         # Weights near the smallest normal float put L^+ x past the float

@@ -120,7 +120,7 @@ def reference_mtx_edges(entries):
     ascending order, each group's weights checked in file order.
 
     Returns ``("conflict", (s, t))`` for the first pair whose weights spread
-    more than ``1e-12 * max(1, |first weight|)``, else ``("edges", triples)``
+    more than ``1e-12 * |first weight|``, else ``("edges", triples)``
     with each pair's first weight.
     """
     groups = {}
@@ -128,7 +128,7 @@ def reference_mtx_edges(entries):
         groups.setdefault((min(r, c), max(r, c)), []).append(w)
     edges = []
     for (s, t), ws in sorted(groups.items()):
-        if max(ws) - min(ws) > 1e-12 * max(1.0, abs(ws[0])):
+        if max(ws) - min(ws) > 1e-12 * abs(ws[0]):
             return "conflict", (s, t)
         edges.append((s, t, ws[0]))
     return "edges", edges

@@ -380,9 +380,12 @@ class TestEval:
             _, lt, ll = row.split(",")
             assert float(ll) / float(lt) == pytest.approx(2.0, rel=1e-8)
 
-    def test_node_count_mismatch(self, grid_mtx, two_node_mtx, tmp_path):
+    def test_node_count_mismatch(self, grid_mtx, two_node_mtx, tmp_path,
+                                 capsys):
         assert main(["eval", str(grid_mtx), str(two_node_mtx),
                      "--out", str(tmp_path / "e")]) == 3
+        assert ("error: node counts differ: 36 vs 2"
+                in capsys.readouterr().err)
 
     def test_graph_without_banner_names_the_file(self, grid_mtx, tmp_path,
                                                  capsys):
@@ -496,7 +499,27 @@ class TestEval:
                                                 capsys):
         assert main(["eval", str(two_node_mtx), str(two_node_mtx),
                      "--spectrum-k", "1", "--out", str(tmp_path / "e")]) == 3
-        assert "layout needs at least 3 nodes" in capsys.readouterr().err
+        assert "a 2-node graph has only 1 pair" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth, learned, message", [
+        (1, 1, "a 1-node graph has only 0 pair"),
+        (2, 2, "a 2-node graph has only 1 pair"),
+        (2, 36, "node counts differ: 2 vs 36"),
+    ], ids=["one-node", "two-node", "node-counts"])
+    def test_node_rules_refuse_before_any_eigensolve(
+            self, tmp_path, capsys, monkeypatch, truth, learned, message):
+        def unexpected(*args):
+            raise AssertionError("eigensolved before the node rules")
+
+        monkeypatch.setattr(spectral, "eigensolve_smallest", unexpected)
+        graphs = {1: WeightedGraph(1, [], [], []),
+                  2: WeightedGraph(2, [0], [1], [1.0]), 36: grid_graph(6, 6)}
+        paths = [tmp_path / "t.mtx", tmp_path / "l.mtx"]
+        for path, n in zip(paths, (truth, learned)):
+            write_graph_mtx(path, graphs[n])
+        assert main(["eval", *map(str, paths), "--spectrum-k", "1",
+                     "--out", str(tmp_path / "e")]) == 3
+        assert f"error: {message}\n" in capsys.readouterr().err
 
 
 def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
@@ -529,6 +552,9 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
     ("generate", ["--noise", "-1"],
      "--noise: noise_level must be in [0, inf)"),
     ("generate", ["--jl-eps", "1.5"], "--jl-eps: epsilon must be in (0, 1)"),
+    ("generate", ["--jl-eps", "1e-200"],
+     "--jl-eps: epsilon too small: the count ceil(24 ln(N) / epsilon^2) is "
+     "not finite"),
     ("learn", ["--subsample", "0"],
      "--subsample: fraction must be in (0, 1]"),
     ("eval", ["--pairs", "1"], "--pairs: pair_count must be >= 2"),
@@ -539,8 +565,9 @@ def test_manifest_parameters_are_the_options_and_resolved_values(grid_mtx,
     ("learn", ["--subsample", "0.5", "--seed", "-1"],
      "--seed: seed must be >= 0"),
     ("eval", ["--seed", "-1"], "--seed: seed must be >= 0"),
-], ids=["m", "noise", "jl-eps", "subsample", "pairs", "spectrum-k-low",
-        "spectrum-k", "generate-seed", "learn-seed", "eval-seed"])
+], ids=["m", "noise", "jl-eps", "jl-eps-tiny", "subsample", "pairs",
+        "spectrum-k-low", "spectrum-k", "generate-seed", "learn-seed",
+        "eval-seed"])
 def test_refusal_names_the_flag(grid_mtx, tmp_path, capsys, command, flags,
                                 message):
     # The library checks each value; the refusal names the flag it came

@@ -47,6 +47,10 @@ from _oracles import (
     reference_maximum_spanning_tree,
 )
 
+# The one weight rule: zero, negative and subnormal weights alike.
+_WEIGHTS_NORMAL = ("^edge weights must be positive normal floats, at least "
+                   r"2\.2250738585072014e-308$")
+
 
 @st.composite
 def tied_graphs(draw):
@@ -93,10 +97,10 @@ class TestWeightedGraph:
             WeightedGraph(2, [1], [1], [1.0])
 
     def test_rejects_bad_weight(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(2, [0], [1], [0.0])
-        with pytest.raises(ValueError):
-            WeightedGraph(2, [0], [1], [-2.0])
+        # zero, negative and subnormal weights break the one weight rule
+        for w in (0.0, -0.0, -2.0, -np.finfo(float).tiny, 2.0 ** -1030):
+            with pytest.raises(ValueError, match=_WEIGHTS_NORMAL):
+                WeightedGraph(2, [0], [1], [w])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -106,7 +110,7 @@ class TestWeightedGraph:
         ([0.9], [3], [1.0], "^edge endpoints must be"),
         ([True], [3], [1.0], "^edge endpoints must be"),
         ([0, 1], [2], [1.0, 1.0], "^edge endpoints must be"),
-        ([0], [3], [0.0], "^edge weights must be > 0$"),
+        ([0], [3], [0.0], _WEIGHTS_NORMAL),
         ([0], [3], [np.nan],
          r"^edge weights must be finite \(found NaN or inf\)$"),
         ([0], [4], [1.0], r"^edge endpoints: node index out of range"),
@@ -118,6 +122,14 @@ class TestWeightedGraph:
                      lambda: WeightedGraph(4, s, t, w)):
             with pytest.raises(ValueError, match=match):
                 call()
+
+    def test_compares_and_hashes_by_identity(self):
+        # Generated equality over array fields raised on == and hash().
+        g, h = grid_graph(3, 3), grid_graph(3, 3)
+        assert g == g and g != h and not (g == h)
+        assert g in [h, g] and h not in [g]
+        assert {g, h, g} == {g, h} and hash(g) == hash(g)
+        assert {g: 1}[g] == 1
 
     @pytest.mark.parametrize("node_count", [2.5, True])
     def test_rejects_non_integer_node_count(self, node_count):
@@ -184,7 +196,7 @@ class TestEdgeInvariant:
         ([0, 2], [1, 2], [1.0, 1.0], "^edge endpoints: a pair joins a node"),
         ([0, 1], [1, 3], [1.0, 1.0], r"out of range \[0, 3\)"),
         ([0, -1], [1, 2], [1.0, 1.0], r"out of range \[0, 3\)"),
-        ([0, 1], [1, 2], [1.0, 0.0], "^edge weights must be > 0$"),
+        ([0, 1], [1, 2], [1.0, 0.0], _WEIGHTS_NORMAL),
         ([0, 1], [1, 2], [np.nan, 1.0],
          r"^edge weights must be finite \(found NaN or inf\)$"),
         ([0, 1], [1, 2], ["2", "1"], f"^{_WEIGHTS_REAL}<U1$"),
@@ -210,11 +222,9 @@ class TestEdgeInvariant:
     def test_refuses_subnormal_weights_naming_the_bound(self, k):
         # Solving on weights of 2**-1024 once overflowed to inf and warned
         # in the centering; the constructor now refuses them by name.
-        match = ("^edge weights must be normal floats, at least "
-                 r"2\.2250738585072014e-308$")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=_WEIGHTS_NORMAL):
             grid_graph(6, 6).scaled(2.0 ** -k)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=_WEIGHTS_NORMAL):
             WeightedGraph(3, [0, 1], [1, 2], [1.0, 2.0 ** -k])
         tiny = WeightedGraph(2, [0], [1], [np.finfo(float).tiny])
         assert tiny.weights.tolist() == [2.0 ** -1022]

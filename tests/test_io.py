@@ -110,11 +110,24 @@ class TestGraphMtx:
                            match=r"conflicting weights for edge \(27,28\)"):
             read_graph_mtx(path)
 
-    # Weight pairs 5e-13 and 1e-13 apart agree below weight 1 and above it.
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_conflict_tolerance_is_relative(self, tmp_path, scale):
+        # Weights 3 and 1 conflict in every unit; an absolute floor of
+        # 1e-12 once let them agree at 3e-13 and 1e-13.
+        path = tmp_path / "dup.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 4\n"
+            f"2 1 {3 * scale!r}\n1 2 {scale!r}\n3 2 1.0\n2 3 1.0\n")
+        with pytest.raises(ValueError,
+                           match=r"conflicting weights for edge \(0,1\)"):
+            read_graph_mtx(path)
+
+    # The tolerance is relative: at weight 0.25 a pair 2e-13 apart agrees
+    # and one 5e-13 apart conflicts; at weight 1 a pair 1e-13 apart agrees.
     @given(st.lists(
         st.tuples(st.integers(0, 5), st.integers(0, 5),
-                  st.sampled_from([0.25, 0.25 + 5e-13, 1.0, 1.0 + 1e-13,
-                                   2.0])),
+                  st.sampled_from([0.25, 0.25 + 2e-13, 0.25 + 5e-13, 1.0,
+                                   1.0 + 1e-13, 2.0])),
         max_size=20).map(lambda es: [e for e in es if e[0] != e[1]]))
     @pytest.mark.parametrize("storage", ["general", "symmetric"])
     def test_duplicates_match_reference(self, tmp_path_factory, storage,
@@ -163,7 +176,9 @@ class TestGraphMtx:
         path.write_text(text)
         with pytest.raises(ValueError) as err:
             read_graph_mtx(path)
-        assert str(err.value) == f"{path}: edge weights must be > 0"
+        assert str(err.value) == (f"{path}: edge weights must be positive "
+                                  "normal floats, at least "
+                                  "2.2250738585072014e-308")
 
     def test_drops_explicit_zeros(self, tmp_path):
         path = tmp_path / "zeros.mtx"

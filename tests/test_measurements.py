@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,6 +156,21 @@ class TestJlSketch:
         assert jl_measurement_count(200, 0.5) == int(
             np.ceil(24 * np.log(200) / 0.25))
         assert jl_measurement_count(200, 0.5) == 509
+
+    @pytest.mark.parametrize("epsilon", [1e-154, 1e-160, 1e-200,
+                                         np.float64(1e-200)],
+                             ids=["1e-154", "1e-160", "1e-200", "numpy"])
+    def test_refuses_an_epsilon_without_a_finite_count(self, epsilon):
+        # epsilon^2 underflows to 0 (from about 1e-162) or the count
+        # overflows the float range; both ended in a Python exception
+        message = ("epsilon too small: the count ceil(24 ln(N) / epsilon^2) "
+                   "is not finite")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            jl_measurement_count(100, epsilon)
+
+    def test_smallest_count_exceeds_one(self):
+        # N >= 2 and epsilon < 1 give at least ceil(24 ln 2) measurements
+        assert jl_measurement_count(2, np.nextafter(1.0, 0.0)) == 17
 
     def test_output_shape(self):
         g = random_connected_graph(30, 40, seed=0)

@@ -22,15 +22,26 @@ class TestCompareSpectra:
         np.testing.assert_allclose(ll / lt, 2.0, rtol=1e-9)
         np.testing.assert_allclose(rel, 1.0, rtol=1e-9)
 
-    def test_rejects_different_node_sets(self):
-        with pytest.raises(ValueError, match="graphs must share the node set"):
-            compare_spectra(grid_graph(4, 4), grid_graph(3, 3), 2)
-
     def test_spectra_ascending(self):
         g = random_connected_graph(20, 25, seed=2)
         lt, ll, _ = compare_spectra(g, g.scaled(0.5), 8)
         assert np.all(np.diff(lt) >= -1e-12)
         assert np.all(np.diff(ll) >= -1e-12)
+
+
+@pytest.mark.parametrize("compare", [
+    lambda a, b: compare_spectra(a, b, 2),
+    lambda a, b: resistance_correlation(a, b, 10, 0),
+], ids=["compare_spectra", "resistance_correlation"])
+def test_rejects_different_node_counts(monkeypatch, compare):
+    # refused before any eigensolve or resistance solve
+    def unexpected(*args):
+        raise AssertionError("solved before the node-count check")
+
+    monkeypatch.setattr(metrics, "eigensolve_smallest", unexpected)
+    monkeypatch.setattr(metrics, "effective_resistance", unexpected)
+    with pytest.raises(ValueError, match="^node counts differ: 16 vs 9$"):
+        compare(grid_graph(4, 4), grid_graph(3, 3))
 
 
 class TestResistanceCorrelation:

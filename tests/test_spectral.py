@@ -171,6 +171,15 @@ class TestEigensolve:
         with pytest.raises(ValueError, match="^badly scaled graph: "):
             eigensolve_smallest(g, 3)
 
+    @pytest.mark.parametrize("k", [-6, -10, -30])
+    def test_max_degree_below_one_keeps_repeated_eigenvalues(self, k):
+        # A Lanczos stop loosened by a max degree below 1 skipped one copy
+        # of a repeated eigenvalue: errors of 11%, 11% and 79%.
+        g = grid_graph(30, 30)
+        lam, _ = eigensolve_smallest(g.scaled(2.0 ** k), 10)
+        np.testing.assert_allclose(
+            lam, np.ldexp(eigensolve_smallest(g, 10)[0], k), rtol=1e-9)
+
     def test_weights_near_the_smallest_normal_float(self):
         g = grid_graph(15, 15)
         lam, _ = eigensolve_smallest(g.scaled(2.0 ** -1014), 3)
